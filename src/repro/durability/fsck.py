@@ -14,7 +14,8 @@ Three duck-typed checkers, one per layer, each returning an
   ledger (if any) carries no ghost replicas.
 * :func:`fsck_filesystem` — both of the above, plus metadata ↔ block-layer
   referential integrity: every file's block ids exist, no block belongs to
-  two files, inode ids are unique.
+  two files, inode ids are unique, and every inode record is reachable from
+  the root by walking directory partitions (no orphaned subtree).
 
 Checkers accumulate human-readable violations instead of raising on the
 first, so one pass reports everything wrong; :meth:`FsckReport.verify`
@@ -24,9 +25,11 @@ turns a dirty report into a :class:`~repro.errors.DataCorruption`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import DataCorruption
+from repro.hopsfs.filesystem import ROOT_ID
+from repro.hopsfs.kvstore import shard_triples
 from repro.obs import Observability, resolve
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -96,23 +99,25 @@ def fsck_store(store: "ShardedKVStore",
         # The durable record must reproduce the volatile state exactly:
         # a missing entry is a committed write the log lost, an extra one
         # an aborted (or never-acknowledged) write that became visible.
-        replayed, _ = durability.recover()
+        recovered, _ = durability.recover()
         for shard in range(store.shard_count):
             live = {(pk, key): value
                     for pk, key, value in store.shard_items(shard)}
+            replayed = {(pk, key): value
+                        for pk, key, value in shard_triples(recovered[shard])}
             report.checks += 1
-            for entry in live.keys() - replayed[shard].keys():
+            for entry in live.keys() - replayed.keys():
                 report.add(
                     f"shard {shard}: committed write {entry!r} is absent "
                     "from the durable log"
                 )
-            for entry in replayed[shard].keys() - live.keys():
+            for entry in replayed.keys() - live.keys():
                 report.add(
                     f"shard {shard}: durable replay resurrects {entry!r}, "
                     "which the live state does not contain"
                 )
-            for entry in live.keys() & replayed[shard].keys():
-                if live[entry] != replayed[shard][entry]:
+            for entry in live.keys() & replayed.keys():
+                if live[entry] != replayed[entry]:
                     report.add(
                         f"shard {shard}: durable value for {entry!r} "
                         "disagrees with the live state"
@@ -198,11 +203,14 @@ def fsck_filesystem(fs: "HopsFS",
     table = fs.blocks.block_table()
     seen_inodes: dict = {}
     claimed_blocks: dict = {}
+    #: directory inode id -> the inode records partitioned under it
+    children: Dict[Any, List[Tuple[Any, dict]]] = {}
     for shard in range(fs.store.shard_count):
         for pk, key, record in fs.store.shard_items(shard):
             if not isinstance(record, dict) or "inode" not in record:
                 continue
             report.checks += 1
+            children.setdefault(pk, []).append((key, record))
             inode = record["inode"]
             where = f"({pk!r}, {key!r})"
             if key != "__self__":
@@ -223,4 +231,19 @@ def fsck_filesystem(fs: "HopsFS",
                         f"block {block_id} is claimed by both {prior} "
                         f"and {where}"
                     )
+    # Reachability: children are partitioned by parent inode id, so walking
+    # partitions from the root visits exactly the live namespace. Whatever
+    # is left is a subtree no path resolves to (e.g. a directory cycle).
+    pending = [ROOT_ID]
+    while pending:
+        for key, record in children.pop(pending.pop(), ()):
+            if record.get("is_dir") and key != "__self__":
+                pending.append(record["inode"])
+    for pk, orphans in children.items():
+        report.checks += 1
+        for key, record in orphans:
+            report.add(
+                f"orphaned_inode: inode {record['inode']} at "
+                f"({pk!r}, {key!r}) is unreachable from the root"
+            )
     return _note(report, resolve(obs), "filesystem")

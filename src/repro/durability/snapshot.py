@@ -1,9 +1,11 @@
 """Checksummed shard snapshots (experiment E20).
 
-A snapshot is the pickled image of one shard's dictionary plus the WAL
-byte offset it covers: recovery restores the image and replays only the
-log suffix past that offset. The image carries a CRC taken at capture
-time, so a snapshot that rots on "disk" (the seeded
+A snapshot is the pickled image of one shard's partition-indexed state
+(``{partition_key: {key: value}}``, the store's own shape — nothing is
+converted on the way in or out) plus the WAL byte offset it covers:
+recovery restores the image and replays only the log suffix past that
+offset. The image carries a CRC taken at capture time, so a snapshot that
+rots on "disk" (the seeded
 :class:`~repro.faults.SnapshotCorruption` fault, or :meth:`ShardSnapshot.rot`)
 is *detected* at restore instead of silently resurrecting garbage state —
 recovery then falls back to a from-scratch replay when the full log is
@@ -34,7 +36,8 @@ class ShardSnapshot:
     @classmethod
     def capture(cls, shard: int, state: Dict[Any, Any], wal_offset: int,
                 index: int) -> "ShardSnapshot":
-        """Serialise ``state`` as it is right now (a copy, not a view)."""
+        """Serialise ``state`` as it is right now; pickling is the copy, so
+        the caller hands over the live dictionary itself."""
         data = pickle.dumps(state, protocol=4)
         return cls(shard, data, zlib.crc32(data), wal_offset, index)
 

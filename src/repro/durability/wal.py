@@ -31,9 +31,14 @@ import pickle
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import (
+    Any, Dict, Iterator, List, Optional, Set, Tuple, TYPE_CHECKING,
+)
 
-from repro.errors import SimulatedCrash, StorageError, WALCorrupted
+from repro.errors import (
+    SimulatedCrash, SnapshotCorrupted, StorageError, WALCorrupted,
+)
+from repro.hopsfs.kvstore import Shard, raw_pop, raw_put
 from repro.obs import Observability, resolve
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -95,56 +100,73 @@ class WriteAheadLog:
         (``torn_tail=True``); a bad frame with valid data after it cannot be
         explained by a crash and raises :class:`WALCorrupted`.
         """
-        records, torn, _ = self._scan(from_offset)
-        return records, torn
+        records: List[Dict[str, Any]] = []
+        end = from_offset
+        for _, end, record in self.scan(from_offset):
+            records.append(record)
+        return records, end < self.size
 
-    def _scan(
+    def scan(
         self, from_offset: int
-    ) -> Tuple[List[Dict[str, Any]], bool, int]:
-        """Decode from ``from_offset``; also returns the last valid buffer
-        position (relative to the retained buffer) for tail repair."""
-        if from_offset < self.base_offset:
-            raise StorageError(
-                f"WAL prefix before offset {self.base_offset} was truncated; "
-                f"cannot replay from {from_offset}"
-            )
-        position = from_offset - self.base_offset
+    ) -> Iterator[Tuple[int, int, Dict[str, Any]]]:
+        """Decode whole records from ``from_offset``, one at a time.
+
+        Yields ``(start offset, end offset, record)`` and stops at a torn
+        tail, so the last ``end`` yielded (``from_offset`` if nothing was)
+        is where the valid log ends: short of :attr:`size` means torn.
+        Recovery walks each log through this exactly once and keeps only
+        what it needs, so a long covered prefix is never held in memory.
+        """
+        self.require_retained(from_offset)
+        base = self.base_offset
+        position = from_offset - base
         data = self.buffer
-        out: List[Dict[str, Any]] = []
         index = 0
-        while position < len(data):
-            if position + _HEADER.size > len(data):
-                return out, True, position  # torn header at the tail
+        while position + _HEADER.size <= len(data):
             length, crc = _HEADER.unpack_from(data, position)
             start = position + _HEADER.size
             end = start + length
             if end > len(data):
-                return out, True, position  # torn payload at the tail
+                return  # torn payload at the tail
             payload = bytes(data[start:end])
             if zlib.crc32(payload) != crc:
                 if end == len(data):
-                    return out, True, position  # torn final frame
+                    return  # torn final frame
                 raise WALCorrupted(
                     f"WAL record {index} on shard {self.shard} failed its "
                     "CRC with valid records after it",
                     shard=self.shard,
                     record_index=index,
                 )
-            out.append(pickle.loads(payload))
+            yield base + position, base + end, pickle.loads(payload)
             position = end
             index += 1
-        return out, False, position
+        # Fewer than a header's worth of bytes left: a clean end, or a torn
+        # header at the tail.
+
+    def require_retained(self, from_offset: int) -> None:
+        """Raise unless the log still holds everything from ``from_offset``."""
+        if from_offset < self.base_offset:
+            raise StorageError(
+                f"WAL prefix before offset {self.base_offset} was truncated; "
+                f"cannot replay from {from_offset}"
+            )
 
     def repair_tail(self) -> int:
         """Drop a torn tail so post-recovery appends frame cleanly.
 
         Returns the number of garbage bytes discarded (0 for a clean log).
         """
-        _, torn, valid_end = self._scan(self.base_offset)
-        if not torn:
-            return 0
-        dropped = len(self.buffer) - valid_end
-        del self.buffer[valid_end:]
+        end = self.base_offset
+        for _, end, _ in self.scan(self.base_offset):
+            pass
+        return self.drop_tail(end)
+
+    def drop_tail(self, valid_end: int) -> int:
+        """Cut the log at byte offset ``valid_end`` (an ``end`` that
+        :meth:`scan` yielded); returns the number of bytes discarded."""
+        dropped = self.size - valid_end
+        del self.buffer[valid_end - self.base_offset:]
         return dropped
 
     def truncate_before(self, offset: int) -> int:
@@ -304,7 +326,7 @@ class DurabilityLayer:
     # Checkpoints
     # ------------------------------------------------------------------
 
-    def checkpoint(self, shard: int, state: Dict[Any, Any],
+    def checkpoint(self, shard: int, state: Shard,
                    truncate: bool = False) -> "ShardSnapshot":
         """Snapshot one shard's state at its current WAL offset.
 
@@ -333,58 +355,53 @@ class DurabilityLayer:
     # Recovery
     # ------------------------------------------------------------------
 
-    def committed_txns(self) -> Set[int]:
-        """Txn ids with a commit marker in *any* participant's log."""
-        committed: Set[int] = set()
-        for log in self.logs:
-            records, _ = log.records(log.base_offset)
-            for record in records:
-                if record["kind"] == TXN_COMMIT:
-                    committed.add(record["txn"])
-        return committed
-
-    def recover(self) -> Tuple[List[Dict[Any, Any]], RecoveryReport]:
+    def recover(self) -> Tuple[List[Shard], RecoveryReport]:
         """Rebuild every shard from snapshot + WAL replay.
 
-        The commit decision is global (see :meth:`committed_txns`), so a 2PC
-        transaction either replays on all its participants or on none.
+        Each log is decoded once. That one pass yields the torn-tail
+        position, the shard's commit markers, its prepares and the records
+        past the snapshot offset; only the last are kept. The commit
+        decision is global — a txn id with a marker in *any* participant's
+        log is committed — so replay starts once every log has been read,
+        and a 2PC transaction replays on all its participants or on none.
         """
-        from repro.errors import SnapshotCorrupted
-
         self._require_bound()
         report = RecoveryReport()
-        committed = self.committed_txns()
-        seen_txns: Set[int] = set()
-        shards: List[Dict[Any, Any]] = []
+        committed: Set[int] = set()
+        #: per shard: (restored state, log suffix, torn?, unmarked prepares)
+        pending: List[Tuple[Shard, List[Dict[str, Any]], bool, Set[int]]] = []
         for shard, log in enumerate(self.logs):
-            # Drop crash garbage first so post-recovery appends frame
-            # cleanly after the last whole record.
-            torn = log.repair_tail() > 0
-            state: Dict[Any, Any] = {}
-            from_offset = log.base_offset
-            snapshot = self.snapshots[shard]
-            if snapshot is not None:
-                try:
-                    state = snapshot.restore()
-                    from_offset = snapshot.wal_offset
-                    report.snapshots_used += 1
-                except SnapshotCorrupted:
-                    if log.base_offset > 0:
-                        raise SnapshotCorrupted(
-                            f"snapshot for shard {shard} is corrupt and the "
-                            "covered WAL prefix was truncated: state lost",
-                            shard=shard,
-                        )
-                    state = {}
-                    from_offset = 0
-                    report.snapshot_fallbacks += 1
-                    self._obs.metrics.counter(
-                        "durability.snapshot_fallbacks", shard=shard
-                    ).inc()
-            records, _ = log.records(from_offset)
-            replayed = self._replay(state, records, committed, seen_txns)
+            state, from_offset = self._restore_snapshot(shard, report)
+            log.require_retained(from_offset)
+            markers: Set[int] = set()
+            prepares: Set[int] = set()
+            suffix: List[Dict[str, Any]] = []
+            end = log.base_offset
+            for start, end, record in log.scan(log.base_offset):
+                if record["kind"] == TXN_COMMIT:
+                    markers.add(record["txn"])
+                elif record["kind"] == TXN_PREPARE:
+                    prepares.add(record["txn"])
+                if start >= from_offset:
+                    suffix.append(record)
+            # Drop crash garbage so post-recovery appends frame cleanly
+            # after the last whole record.
+            torn = log.drop_tail(end) > 0
+            committed |= markers
+            pending.append((state, suffix, torn, prepares - markers))
+        seen_txns: Set[int] = set()
+        shards: List[Shard] = []
+        for log, (state, suffix, torn, unmarked) in zip(self.logs, pending):
+            replayed = self._replay(state, suffix, committed, seen_txns)
             report.merge_shard(replayed, torn)
-            report.markers_healed += self._heal_markers(log, committed)
+            # Complete the commit point locally: a crash between a
+            # transaction's markers can leave this participant holding a
+            # prepare with the decision only durable elsewhere; writing the
+            # missing marker now keeps the decision survivable even if the
+            # *other* participant's log is later checkpoint-truncated.
+            for txn in sorted(unmarked & committed):
+                log.append({"kind": TXN_COMMIT, "txn": txn})
+                report.markers_healed += 1
             shards.append(state)
         report.committed_txns = len(committed & seen_txns)
         report.aborted_txns = len(seen_txns - committed)
@@ -403,52 +420,56 @@ class DurabilityLayer:
             )
         return shards, report
 
-    @staticmethod
-    def _heal_markers(log: WriteAheadLog, committed: Set[int]) -> int:
-        """Complete the commit point locally for globally-committed txns.
-
-        A crash between a transaction's markers can leave a participant
-        holding a prepare with the decision only durable elsewhere; writing
-        the missing local marker now keeps the decision survivable even if
-        the *other* participant's log is later checkpoint-truncated.
-        """
-        records, _ = log.records(log.base_offset)
-        local_markers = {
-            r["txn"] for r in records if r["kind"] == TXN_COMMIT
-        }
-        local_prepares = {
-            r["txn"] for r in records if r["kind"] == TXN_PREPARE
-        }
-        healed = 0
-        for txn in sorted((local_prepares & committed) - local_markers):
-            log.append({"kind": TXN_COMMIT, "txn": txn})
-            healed += 1
-        return healed
+    def _restore_snapshot(
+        self, shard: int, report: RecoveryReport
+    ) -> Tuple[Shard, int]:
+        """One shard's starting state and the WAL offset replay resumes at."""
+        snapshot = self.snapshots[shard]
+        base_offset = self.logs[shard].base_offset
+        if snapshot is None:
+            return {}, base_offset
+        try:
+            state = snapshot.restore()
+        except SnapshotCorrupted:
+            if base_offset > 0:
+                raise SnapshotCorrupted(
+                    f"snapshot for shard {shard} is corrupt and the "
+                    "covered WAL prefix was truncated: state lost",
+                    shard=shard,
+                )
+            report.snapshot_fallbacks += 1
+            self._obs.metrics.counter(
+                "durability.snapshot_fallbacks", shard=shard
+            ).inc()
+            return {}, 0
+        report.snapshots_used += 1
+        return state, snapshot.wal_offset
 
     @staticmethod
     def _replay(
-        state: Dict[Any, Any],
+        state: Shard,
         records: List[Dict[str, Any]],
         committed: Set[int],
         seen_txns: Set[int],
     ) -> int:
-        """Apply one shard's record stream to ``state`` in log order."""
+        """Apply one shard's record stream to ``state`` in log order, through
+        the same raw put/pop the live transaction bodies use."""
         applied = 0
         for record in records:
             kind = record["kind"]
             if kind == PUT:
-                state[(record["pk"], record["key"])] = record["value"]
+                raw_put(state, record["pk"], record["key"], record["value"])
             elif kind == DELETE:
-                state.pop((record["pk"], record["key"]), None)
+                raw_pop(state, record["pk"], record["key"])
             elif kind == TXN_PREPARE:
                 seen_txns.add(record["txn"])
                 if record["txn"] in committed:
                     for pk, key, value in record["writes"]:
-                        state[(pk, key)] = value
+                        raw_put(state, pk, key, value)
                     for pk, key in record["deletes"]:
-                        state.pop((pk, key), None)
+                        raw_pop(state, pk, key)
             elif kind == TXN_COMMIT:
-                pass  # consumed globally by committed_txns()
+                pass  # consumed globally: see the committed set in recover()
             else:
                 raise WALCorrupted(f"unknown WAL record kind {kind!r}")
             applied += 1

@@ -3,7 +3,9 @@
 Inodes are partitioned by **parent inode id** (the HopsFS design): a
 directory listing, a create, and a stat each touch only the shard owning the
 parent partition, so the workload spreads across shards and throughput scales
-with the shard count. ``rename`` across directories is the multi-shard
+with the shard count. The store indexes each shard by partition, so
+``listdir`` is a partition-pruned index scan — it reads the directory's own
+children and nothing else on the shard. ``rename`` across directories is the multi-shard
 transaction that pays the 2PC surcharge.
 
 Small files (below ``small_file_threshold``) are stored *inline in the
@@ -275,7 +277,7 @@ class HopsFS:
     def listdir(
         self, path: str, deadline: Optional["Deadline"] = None
     ) -> List[str]:
-        """Names in a directory — a single-partition scan."""
+        """Names in a directory — an index scan of its one partition."""
         with self.obs.tracer.span("hopsfs.fs", op="listdir"):
             parts = self._split(path)
             inode = self._resolve_dir(parts, path, deadline)
@@ -318,14 +320,21 @@ class HopsFS:
                 raise StorageError("no such file or directory", path=src)
             if self.store.get(dst_parent, dst_name, deadline=deadline) is not None:
                 raise StorageError("already exists", path=dst)
+            src_parts, dst_parts = self._split(src), self._split(dst)
+            if record["is_dir"] and dst_parts[:len(src_parts)] == src_parts:
+                # The subtree would hang off itself: unreachable from the
+                # root, every file in it lost. Nothing has changed yet.
+                raise StorageError(
+                    "cannot move a directory into itself", path=dst
+                )
             if record["is_dir"]:
                 # The moved subtree's hints die with its old name; nothing
                 # outside the source prefix can have gone stale.
-                self._dir_cache.evict_prefix(tuple(self._split(src)))
+                self._dir_cache.evict_prefix(tuple(src_parts))
             if self._dir_cache.negative:
                 # Remembered failures under the destination just became
                 # reachable paths.
-                self._dir_cache.evict_prefix(tuple(self._split(dst)))
+                self._dir_cache.evict_prefix(tuple(dst_parts))
             self.store.transact(
                 writes=[(dst_parent, dst_name, record)],
                 deletes=[(src_parent, src_name)],

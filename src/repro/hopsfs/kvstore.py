@@ -46,11 +46,23 @@ dictionaries vanish, the logs survive) and :meth:`recover` rebuilds every
 shard from its latest checksummed snapshot plus WAL replay, applying a 2PC
 transaction iff a commit marker survives anywhere. Defaulted off: without a
 layer the store runs the exact pre-E20 path.
+
+Storage layout: a shard is ``{partition_key: {key: value}}`` — every key of
+one partition sits in one inner dictionary, the way HopsFS keeps all
+children of a directory in the partition keyed by the parent inode id. A
+point op is two dict probes and :meth:`ShardedKVStore.scan` is a
+*partition-pruned index scan*: it reads the one inner dictionary, so its
+cost follows the partition's size, not the shard's. A partition that loses
+its last key is dropped, so an emptied shard is ``{}`` again. The live
+store, WAL replay and snapshots all hold this one shape and all mutate it
+through :func:`raw_put` / :func:`raw_pop`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING,
+)
 
 from repro.errors import FaultError, StorageError
 from repro.faults.retry import RetryPolicy, RetryState
@@ -62,6 +74,39 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
     from repro.resilience.breaker import CircuitBreakerSet
     from repro.resilience.deadline import Deadline
+
+
+#: One shard's state: partition key -> {key: value}; never an empty partition.
+Shard = Dict[Any, Dict[Any, Any]]
+
+
+def raw_put(shard: Shard, partition_key: Any, key: Any, value: Any) -> None:
+    """Write one key straight into a shard's state: no routing, no cost,
+    no WAL. The one write primitive under transaction bodies and replay."""
+    partition = shard.get(partition_key)
+    if partition is None:
+        shard[partition_key] = {key: value}
+    else:
+        partition[key] = value
+
+
+def raw_pop(shard: Shard, partition_key: Any, key: Any) -> Any:
+    """Remove one key straight from a shard's state; returns its value or
+    None. Dropping the last key of a partition drops the partition."""
+    partition = shard.get(partition_key)
+    if partition is None:
+        return None
+    value = partition.pop(key, None)
+    if not partition:
+        del shard[partition_key]
+    return value
+
+
+def shard_triples(shard: Shard) -> Iterator[Tuple[Any, Any, Any]]:
+    """(partition_key, key, value) for every entry of one shard's state."""
+    for partition_key, partition in shard.items():
+        for key, value in partition.items():
+            yield partition_key, key, value
 
 
 class ShardUnavailable(StorageError, FaultError):
@@ -107,7 +152,7 @@ class ShardedKVStore:
         if durability is not None:
             durability.bind(shard_count)
         self._obs = resolve(obs)
-        self._shards: List[Dict[Any, Any]] = [{} for _ in range(shard_count)]
+        self._shards: List[Shard] = [{} for _ in range(shard_count)]
         self._busy_ms: List[float] = [0.0] * shard_count
         self._op_count = 0
         self._multi_shard_ops = 0
@@ -123,11 +168,11 @@ class ShardedKVStore:
         return hash(partition_key) % self.shard_count
 
     def _charge(
-        self, shards: Iterable[int], deadline: Optional["Deadline"] = None
+        self, participants: Tuple[int, ...],
+        deadline: Optional["Deadline"] = None,
     ) -> None:
-        shards = set(shards)
         self._op_count += 1
-        multi = len(shards) > 1
+        multi = len(participants) > 1
         if multi:
             self._multi_shard_ops += 1
             cost = self.base_latency_ms + self.two_phase_surcharge_ms
@@ -135,7 +180,7 @@ class ShardedKVStore:
             cost = self.base_latency_ms
         metrics = self._obs.metrics
         metrics.counter("hopsfs.ops", kind="2pc" if multi else "single").inc()
-        for shard in shards:
+        for shard in participants:
             self._busy_ms[shard] += cost
             metrics.histogram("hopsfs.shard_op_ms", shard=shard).observe(cost)
         if deadline is not None:
@@ -147,7 +192,7 @@ class ShardedKVStore:
     # Fault handling
     # ------------------------------------------------------------------
 
-    def _prepare(self, shards: Iterable[int]) -> None:
+    def _prepare(self, participants: Tuple[int, ...]) -> None:
         """2PC prepare: every participating shard must be reachable.
 
         Runs before any state mutates, so a shard outage aborts the whole
@@ -158,15 +203,14 @@ class ShardedKVStore:
             return
         op_index = self._attempted_ops
         self._attempted_ops += 1
-        shards = sorted(set(shards))
-        for shard in shards:
+        for shard in participants:
             outage = self._injector.shard_outage(shard, op_index)
             if outage is not None:
                 self._obs.metrics.counter(
                     "hopsfs.2pc_aborts",
                     shard=shard,
                     permanent=outage.permanent,
-                    multi=len(shards) > 1,
+                    multi=len(participants) > 1,
                 ).inc()
                 raise ShardUnavailable(shard, permanent=outage.permanent)
 
@@ -193,18 +237,18 @@ class ShardedKVStore:
 
     def _execute(
         self,
-        shards: Iterable[int],
+        participants: Tuple[int, ...],
         body: Callable[[], Any],
         deadline: Optional["Deadline"],
     ) -> Any:
         """One transaction: deadline gate -> breaker gate -> prepare ->
         charge -> body, all under the retry policy.
 
+        ``participants`` are the distinct shard ids in ascending order; the
+        caller normalises them once and every gate below reads them as is.
         With no deadline and no breakers this collapses to exactly the
         prepare/charge/body sequence the pre-E18 store ran.
         """
-        participants = sorted(set(shards))
-
         def op() -> Any:
             if deadline is not None:
                 deadline.check("hopsfs.kvstore")
@@ -236,11 +280,12 @@ class ShardedKVStore:
     ) -> Any:
         """Read one key (a single-shard transaction)."""
         shard = self.shard_of(partition_key)
-        return self._execute(
-            (shard,),
-            lambda: self._shards[shard].get((partition_key, key)),
-            deadline,
-        )
+
+        def body() -> Any:
+            partition = self._shards[shard].get(partition_key)
+            return None if partition is None else partition.get(key)
+
+        return self._execute((shard,), body, deadline)
 
     def put(
         self, partition_key: Any, key: Any, value: Any,
@@ -254,7 +299,7 @@ class ShardedKVStore:
                 # WAL first: the record must be durable before the state
                 # changes, or a crash loses an acknowledged write.
                 self._durability.log_put(shard, partition_key, key, value)
-            self._shards[shard][(partition_key, key)] = value
+            raw_put(self._shards[shard], partition_key, key, value)
 
         self._execute((shard,), body, deadline)
 
@@ -267,22 +312,22 @@ class ShardedKVStore:
         def body() -> bool:
             if self._durability is not None:
                 self._durability.log_delete(shard, partition_key, key)
-            return self._shards[shard].pop((partition_key, key), None) is not None
+            return raw_pop(self._shards[shard], partition_key, key) is not None
 
         return self._execute((shard,), body, deadline)
 
     def scan(
         self, partition_key: Any, deadline: Optional["Deadline"] = None
     ) -> List[Tuple[Any, Any]]:
-        """All (key, value) pairs under one partition (single-shard)."""
+        """All (key, value) pairs under one partition, in insertion order.
+
+        A partition-pruned index scan on the owning shard: it reads the one
+        partition, whatever else the shard holds.
+        """
         shard = self.shard_of(partition_key)
 
         def body() -> List[Tuple[Any, Any]]:
-            return [
-                (key, value)
-                for (pk, key), value in self._shards[shard].items()
-                if pk == partition_key
-            ]
+            return list(self._shards[shard].get(partition_key, {}).items())
 
         return self._execute((shard,), body, deadline)
 
@@ -297,11 +342,17 @@ class ShardedKVStore:
         An unreachable participant fails the prepare phase and aborts the
         transaction before any shard is written — no partial state survives.
         """
-        deletes = deletes or []
-        shards = {self.shard_of(pk) for pk, _, _ in writes} | {
-            self.shard_of(pk) for pk, _ in deletes
-        }
-        if not shards:
+        # Route every row once; the participant tuple, the WAL slices and
+        # the mutation below all read these.
+        routed_writes = [(self.shard_of(pk), pk, key, value)
+                         for pk, key, value in writes]
+        routed_deletes = [(self.shard_of(pk), pk, key)
+                          for pk, key in deletes or ()]
+        participants = tuple(sorted(
+            {row[0] for row in routed_writes}
+            | {row[0] for row in routed_deletes}
+        ))
+        if not participants:
             return
 
         def body() -> None:
@@ -309,20 +360,20 @@ class ShardedKVStore:
                 # Stage per-participant prepare records, then the commit
                 # markers — all durable before any dictionary mutates, so a
                 # crash anywhere in between recovers all-or-nothing.
-                by_shard: Dict[int, Tuple[List, List]] = {}
-                for pk, key, value in writes:
-                    entry = by_shard.setdefault(self.shard_of(pk), ([], []))
-                    entry[0].append((pk, key, value))
-                for pk, key in deletes:
-                    entry = by_shard.setdefault(self.shard_of(pk), ([], []))
-                    entry[1].append((pk, key))
+                by_shard: Dict[int, Tuple[List, List]] = {
+                    shard: ([], []) for shard in participants
+                }
+                for shard, pk, key, value in routed_writes:
+                    by_shard[shard][0].append((pk, key, value))
+                for shard, pk, key in routed_deletes:
+                    by_shard[shard][1].append((pk, key))
                 self._durability.log_transaction(by_shard)
-            for pk, key, value in writes:
-                self._shards[self.shard_of(pk)][(pk, key)] = value
-            for pk, key in deletes:
-                self._shards[self.shard_of(pk)].pop((pk, key), None)
+            for shard, pk, key, value in routed_writes:
+                raw_put(self._shards[shard], pk, key, value)
+            for shard, pk, key in routed_deletes:
+                raw_pop(self._shards[shard], pk, key)
 
-        self._execute(shards, body, deadline)
+        self._execute(participants, body, deadline)
 
     # ------------------------------------------------------------------
     # Durability: crash, recovery, checkpoints (experiment E20)
@@ -366,7 +417,7 @@ class ShardedKVStore:
         durability = self._require_durability()
         targets = range(self.shard_count) if shard is None else (shard,)
         return [
-            durability.checkpoint(s, dict(self._shards[s]), truncate=truncate)
+            durability.checkpoint(s, self._shards[s], truncate=truncate)
             for s in targets
         ]
 
@@ -404,7 +455,8 @@ class ShardedKVStore:
         self._multi_shard_ops = 0
 
     def storage_entries(self) -> int:
-        return sum(len(s) for s in self._shards)
+        return sum(len(partition) for shard in self._shards
+                   for partition in shard.values())
 
     def shard_items(self, shard: int) -> List[Tuple[Any, Any, Any]]:
         """(partition_key, key, value) triples on one shard.
@@ -414,8 +466,7 @@ class ShardedKVStore:
         """
         if not 0 <= shard < self.shard_count:
             raise StorageError(f"unknown shard {shard}")
-        return [(pk, key, value)
-                for (pk, key), value in self._shards[shard].items()]
+        return list(shard_triples(self._shards[shard]))
 
 
 class SingleLeaderStore(ShardedKVStore):

@@ -184,10 +184,19 @@ class Tracer:
 # ---------------------------------------------------------------------------
 
 class _NullSpan(Span):
+    """The one shared disabled span; also its own ``with`` context, so a
+    disabled ``tracer.span(...)`` allocates nothing per call."""
+
     __slots__ = ()
 
     def end(self, status: Optional[str] = None) -> None:
         pass
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        return None
 
 
 _NULL_SPAN = _NullSpan("null", {}, 0.0, None)
@@ -198,9 +207,8 @@ class NullTracer(Tracer):
 
     enabled = False
 
-    @contextmanager
-    def span(self, name: str, **labels: object) -> Iterator[Span]:
-        yield _NULL_SPAN
+    def span(self, name: str, **labels: object) -> Span:
+        return _NULL_SPAN
 
     def start_span(self, name: str, **labels: object) -> Span:
         return _NULL_SPAN

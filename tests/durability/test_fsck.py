@@ -11,6 +11,7 @@ from repro.durability import (
 )
 from repro.errors import DataCorruption
 from repro.hopsfs import BlockManager, HopsFS, ShardedKVStore
+from repro.hopsfs.kvstore import raw_pop, raw_put
 
 
 def healthy_fs():
@@ -53,7 +54,7 @@ class TestStoreViolations:
         store.put(1, "a", 1)
         # Plant a key on the wrong shard behind the router's back.
         wrong = (store.shard_of(5) + 1) % store.shard_count
-        store._shards[wrong][(5, "ghost")] = 1
+        raw_put(store._shards[wrong], 5, "ghost", 1)
         report = fsck_store(store)
         assert not report.ok
         assert "routes to shard" in report.violations[0]
@@ -62,7 +63,7 @@ class TestStoreViolations:
         store = ShardedKVStore(shard_count=2, durability=DurabilityLayer())
         store.put(0, "a", 1)
         # A write that bypassed the WAL: volatile state the log can't rebuild.
-        store._shards[store.shard_of(0)][(0, "sneaky")] = 1
+        raw_put(store._shards[store.shard_of(0)], 0, "sneaky", 1)
         report = fsck_store(store)
         assert not report.ok
         assert any("absent from the durable log" in v for v in report.violations)
@@ -71,7 +72,7 @@ class TestStoreViolations:
         store = ShardedKVStore(shard_count=2, durability=DurabilityLayer())
         store.put(0, "a", 1)
         # Volatile state silently dropped an acknowledged write.
-        del store._shards[store.shard_of(0)][(0, "a")]
+        assert raw_pop(store._shards[store.shard_of(0)], 0, "a") == 1
         report = fsck_store(store)
         assert not report.ok
         assert any("resurrects" in v for v in report.violations)
@@ -148,3 +149,26 @@ class TestFilesystemViolations:
         fs.store.put(0, "clone2", {"inode": 1, "is_dir": True, "size": 0})
         report = fsck_filesystem(fs)
         assert any("inode 1 appears" in v for v in report.violations)
+
+    def test_orphaned_subtree_is_flagged(self):
+        # A directory cycle cut off from the root (what a rename of a
+        # directory into its own subtree used to leave behind): every
+        # per-record check passes, only the walk from the root notices.
+        fs = healthy_fs()
+        fs.store.put(50, "loop", {"inode": 51, "is_dir": True, "size": 0})
+        fs.store.put(51, "back", {"inode": 50, "is_dir": True, "size": 0})
+        fs.store.put(51, "lost", {
+            "inode": 52, "is_dir": False, "size": 1, "inline": b"x",
+            "blocks": [],
+        })
+        report = fsck_filesystem(fs)
+        orphans = [v for v in report.violations if "orphaned_inode" in v]
+        assert len(orphans) == 3
+        assert any("inode 52" in v for v in orphans)
+
+    def test_reachable_tree_has_no_orphans(self):
+        fs = healthy_fs()
+        fs.makedirs("/data/deep/er")
+        fs.create("/data/deep/er/f", b"x")
+        fs.rename("/data/deep", "/moved")
+        assert fsck_filesystem(fs).ok

@@ -110,8 +110,8 @@ class TestCrashPoints:
                 1: ([(1, "b", 2)], []),
             })
         shards, report = layer.recover()
-        assert shards[0] == {(0, "a"): 1}
-        assert shards[1] == {(1, "b"): 2}
+        assert shards[0] == {0: {"a": 1}}
+        assert shards[1] == {1: {"b": 2}}
         assert report.committed_txns == 1
         assert report.markers_healed == 1
 
@@ -130,13 +130,13 @@ class TestCrashPoints:
 
 class TestSnapshots:
     def test_capture_restore_round_trip(self):
-        state = {(1, "a"): {"x": 1}, (2, "b"): None}
+        state = {1: {"a": {"x": 1}}, 2: {"b": None}}
         snapshot = ShardSnapshot.capture(0, state, wal_offset=10, index=0)
         assert snapshot.restore() == state
         assert snapshot.restore() is not state  # a copy, not a view
 
     def test_rot_is_detected(self):
-        snapshot = ShardSnapshot.capture(0, {(1, "a"): 1}, 0, 0)
+        snapshot = ShardSnapshot.capture(0, {1: {"a": 1}}, 0, 0)
         snapshot.rot()
         with pytest.raises(SnapshotCorrupted):
             snapshot.restore()
@@ -145,11 +145,11 @@ class TestSnapshots:
         layer = DurabilityLayer()
         layer.bind(1)
         layer.log_put(0, 1, "a", 1)
-        layer.checkpoint(0, {(1, "a"): 1})  # log retained in full
+        layer.checkpoint(0, {1: {"a": 1}})  # log retained in full
         layer.log_put(0, 1, "b", 2)
         layer.snapshots[0].rot()
         shards, report = layer.recover()
-        assert shards[0] == {(1, "a"): 1, (1, "b"): 2}
+        assert shards[0] == {1: {"a": 1, "b": 2}}
         assert report.snapshot_fallbacks == 1
         assert report.snapshots_used == 0
 
@@ -157,7 +157,7 @@ class TestSnapshots:
         layer = DurabilityLayer()
         layer.bind(1)
         layer.log_put(0, 1, "a", 1)
-        layer.checkpoint(0, {(1, "a"): 1}, truncate=True)
+        layer.checkpoint(0, {1: {"a": 1}}, truncate=True)
         layer.snapshots[0].rot()
         with pytest.raises(SnapshotCorrupted):
             layer.recover()
@@ -166,10 +166,10 @@ class TestSnapshots:
         layer = DurabilityLayer()
         layer.bind(1)
         layer.log_put(0, 1, "a", 1)
-        layer.checkpoint(0, {(1, "a"): 1}, truncate=True)
+        layer.checkpoint(0, {1: {"a": 1}}, truncate=True)
         layer.log_put(0, 1, "b", 2)
         shards, report = layer.recover()
-        assert shards[0] == {(1, "a"): 1, (1, "b"): 2}
+        assert shards[0] == {1: {"a": 1, "b": 2}}
         assert report.snapshots_used == 1
         assert report.records_replayed == 1  # just the suffix
 
@@ -196,3 +196,32 @@ class TestBinding:
 def test_commit_marker_kind_is_stable():
     # The marker literal is load-bearing for recovery; pin it.
     assert TXN_COMMIT == "txn-commit"
+
+
+def test_recovery_decodes_every_record_exactly_once(monkeypatch):
+    # One pass per log: the committed set, the torn tail, the suffix past
+    # the snapshot and the markers to heal all come from the same decode.
+    from repro.durability import wal
+
+    layer = DurabilityLayer()
+    layer.bind(2)
+    for i in range(6):
+        layer.log_put(i % 2, i, "k", i)
+    layer.log_transaction({0: ([(0, "t", 1)], []), 1: ([(1, "t", 2)], [])})
+    layer.checkpoint(0, {0: {"k": 0}})  # shard 0 replays a suffix only
+    layer.log_put(0, 0, "late", 9)
+    layer.logs[1].append({"kind": "put", "pk": 1, "key": "x", "value": 0},
+                         torn=True)
+    decoded = []
+    real_loads = wal.pickle.loads
+    monkeypatch.setattr(
+        wal.pickle, "loads",
+        lambda payload: decoded.append(1) or real_loads(payload),
+    )
+    shards, report = layer.recover()
+    # ... plus the one snapshot image, which is a pickle too.
+    assert layer.total_records == 11 and report.snapshots_used == 1
+    assert len(decoded) == 11 + 1
+    assert report.records_replayed == 1 + 5  # shard 0 suffix, shard 1 in full
+    assert report.torn_tails_discarded == 1
+    assert shards[0] == {0: {"k": 0, "late": 9}}

@@ -115,6 +115,32 @@ class TestFiles:
         with pytest.raises(StorageError):
             fs.rename("/f", "/g")
 
+    def test_rename_directory_into_own_subtree_is_refused(self, fs):
+        fs.mkdir("/a")
+        fs.mkdir("/a/b")
+        fs.create("/a/b/f", b"x")
+        hints_before = dict(fs.dir_cache_stats)
+        entries_before = fs.store.storage_entries()
+        for dst in ("/a/b/c", "/a/c", "/a//b/c"):
+            with pytest.raises(StorageError, match="into itself"):
+                fs.rename("/a", dst)
+        # Refused before any state or cache change: nothing moved, nothing
+        # evicted, and the tree is still reachable from the root.
+        assert fs.store.storage_entries() == entries_before
+        assert fs.dir_cache_stats["evictions"] == hints_before["evictions"]
+        assert fs.listdir("/") == ["a"]
+        assert fs.read("/a/b/f") == b"x"
+        assert fs.fsck().ok
+
+    def test_rename_to_sibling_with_shared_name_prefix_is_allowed(self, fs):
+        # "/ab" is not inside "/a": the guard compares path components.
+        fs.mkdir("/a")
+        fs.mkdir("/ab")
+        fs.create("/a/f", b"x")
+        fs.rename("/a", "/ab/a")
+        assert fs.read("/ab/a/f") == b"x"
+        assert fs.fsck().ok
+
 
 class TestBlocks:
     def test_replication(self):

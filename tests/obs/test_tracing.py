@@ -112,3 +112,16 @@ class TestNullTracer:
         assert NULL_TRACER.finished_spans == []
         assert NULL_TRACER.span_count() == 0
         assert not NULL_TRACER.enabled
+
+    def test_null_span_is_shared_and_allocation_free(self):
+        # One object for every disabled ``with``: no generator, no
+        # context-manager wrapper per call.
+        assert NULL_TRACER.span("x") is NULL_TRACER.span("y", op="z")
+        assert NULL_TRACER.span("x") is NULL_TRACER.start_span("x")
+        with NULL_TRACER.span("x") as span:
+            assert span is NULL_TRACER.span("y")
+
+    def test_null_span_does_not_swallow_exceptions(self):
+        with pytest.raises(ValueError):
+            with NULL_TRACER.span("x"):
+                raise ValueError("boom")
