@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import RDFError
 from repro.rdf.term import Term, Triple, make_triple
@@ -152,6 +152,15 @@ class Graph:
     def term_for_id(self, term_id: int) -> Term:
         """The term a dictionary id decodes to; raises on out-of-range ids."""
         return self._id_terms[term_id]
+
+    def id_terms(self) -> Sequence[Term]:
+        """The term dictionary as an id-indexed sequence (read-only).
+
+        Append-only, so an index below a :attr:`term_count` the caller has
+        read stays valid; bulk decoders index it directly instead of paying
+        a :meth:`term_for_id` call per cell.
+        """
+        return self._id_terms
 
     def id_columns(self) -> Tuple[array, array, array]:
         """The id-row table: parallel (subject, predicate, object) id columns.

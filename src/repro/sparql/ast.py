@@ -8,14 +8,19 @@ solution by the evaluator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.rdf.term import Term
 
 
-@dataclass(frozen=True)
-class Variable:
-    """A SPARQL variable, e.g. ``?name``."""
+class Variable(NamedTuple):
+    """A SPARQL variable, e.g. ``?name``.
+
+    A named tuple rather than a frozen dataclass: variables key every
+    solution dict, and the tuple's hash and equality run in C, where a
+    dataclass pays a Python frame per dict insert. Terms are dataclasses, so
+    a variable never compares equal to one.
+    """
 
     name: str
 

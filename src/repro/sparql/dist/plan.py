@@ -46,6 +46,7 @@ from repro.sparql.algebra import (
 )
 from repro.sparql.ast import Variable
 from repro.sparql.vector.cost import (
+    definitely_bound,
     free_expression_variables,
     optional_blind_variables,
     pattern_extent,
@@ -113,43 +114,6 @@ class PShuffleJoin(PNode):
 # ---------------------------------------------------------------------------
 # Static analysis
 # ---------------------------------------------------------------------------
-
-def definitely_bound(op: AlgebraOp) -> frozenset:
-    """Variables bound in *every* solution the operator emits.
-
-    The shuffle-legality signal: a variable outside this set may carry
-    UNBOUND cells, and unbound-tolerant compatibility cannot be bucketed.
-    Conservative for custom/unknown operators (empty set).
-    """
-    if getattr(op, "evaluate_custom", None) is not None:
-        return frozenset()
-    if isinstance(op, ScanOp):
-        return frozenset(op.pattern.variables())
-    if isinstance(op, JoinOp):
-        return definitely_bound(op.left) | definitely_bound(op.right)
-    if isinstance(op, LeftJoinOp):
-        return definitely_bound(op.left)
-    if isinstance(op, UnionOp):
-        bound = None
-        for operand in op.operands:
-            child = definitely_bound(operand)
-            bound = child if bound is None else bound & child
-        return bound if bound is not None else frozenset()
-    if isinstance(op, FilterOp):
-        return definitely_bound(op.operand)
-    if isinstance(op, ExtendOp):
-        # BIND errors leave the target unbound: only the child's set holds.
-        return definitely_bound(op.operand)
-    if isinstance(op, TableOp):
-        return frozenset(
-            variable
-            for index, variable in enumerate(op.variables)
-            if all(row[index] is not None for row in op.rows)
-        )
-    if isinstance(op, EmptyOp):
-        return frozenset()
-    return frozenset()
-
 
 def estimate_rows(op: AlgebraOp, graph: Graph) -> float:
     """Cheap cardinality estimate from the E22 index statistics."""

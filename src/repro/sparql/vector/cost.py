@@ -35,6 +35,7 @@ from repro.sparql.algebra import (
     JoinOp,
     LeftJoinOp,
     ScanOp,
+    TableOp,
     UnionOp,
     _push_filter,
 )
@@ -145,20 +146,61 @@ def apply_cost_order(op: AlgebraOp, graph: Graph) -> AlgebraOp:
     return op
 
 
+def definitely_bound(op: AlgebraOp) -> frozenset:
+    """Variables bound in *every* solution the operator emits.
+
+    A variable outside this set may carry UNBOUND cells: unbound-tolerant
+    compatibility cannot be bucketed (the distributed planner's shuffle
+    legality), and an expression reading it sees whatever an enclosing join
+    binds (:func:`free_expression_variables`). Conservative for
+    custom/unknown operators (empty set).
+    """
+    if getattr(op, "evaluate_custom", None) is not None:
+        return frozenset()
+    if isinstance(op, ScanOp):
+        return frozenset(op.pattern.variables())
+    if isinstance(op, JoinOp):
+        return definitely_bound(op.left) | definitely_bound(op.right)
+    if isinstance(op, LeftJoinOp):
+        return definitely_bound(op.left)
+    if isinstance(op, UnionOp):
+        bound = None
+        for operand in op.operands:
+            child = definitely_bound(operand)
+            bound = child if bound is None else bound & child
+        return bound if bound is not None else frozenset()
+    if isinstance(op, FilterOp):
+        return definitely_bound(op.operand)
+    if isinstance(op, ExtendOp):
+        # BIND errors leave the target unbound: only the child's set holds.
+        return definitely_bound(op.operand)
+    if isinstance(op, TableOp):
+        return frozenset(
+            variable
+            for index, variable in enumerate(op.variables)
+            if all(row[index] is not None for row in op.rows)
+        )
+    if isinstance(op, EmptyOp):
+        return frozenset()
+    return frozenset()
+
+
 def free_expression_variables(op: AlgebraOp) -> frozenset:
     """Variables referenced by expressions that the operator's own subtree
-    may not bind — a conservative correlation signal.
+    may leave unbound — a conservative correlation signal.
 
     When the right side of a join has free expression variables that the
     left side binds, substitution semantics (the interpreted engine
     propagates left bindings into the right operand's expressions) diverge
-    from independent bottom-up evaluation, so the vector engine must fall
-    back to correlated interpreted evaluation for that join.
+    from independent bottom-up evaluation, so the vector engine must not
+    evaluate that right side on its own. A variable the subtree binds only
+    in *some* solutions (VALUES UNDEF, an inner OPTIONAL, one UNION branch)
+    is free too: where it is unbound, the expression reads the outer value.
     """
-    from repro.sparql.algebra import expression_variables, operator_variables
+    from repro.sparql.algebra import expression_variables
 
     if isinstance(op, FilterOp):
-        own = expression_variables(op.expression) - operator_variables(op.operand)
+        own = expression_variables(op.expression) - definitely_bound(op.operand)
         return frozenset(own) | free_expression_variables(op.operand)
     if isinstance(op, ExtendOp):
         # The BIND target variable itself is correlation-sensitive too: if an
@@ -166,7 +208,7 @@ def free_expression_variables(op: AlgebraOp) -> frozenset:
         # error that bottom-up evaluation would never see.
         own = (
             expression_variables(op.expression) | {op.variable}
-        ) - operator_variables(op.operand)
+        ) - definitely_bound(op.operand)
         return frozenset(own) | free_expression_variables(op.operand)
     if isinstance(op, (JoinOp, LeftJoinOp)):
         return free_expression_variables(op.left) | free_expression_variables(
@@ -177,8 +219,6 @@ def free_expression_variables(op: AlgebraOp) -> frozenset:
         for operand in op.operands:
             result |= free_expression_variables(operand)
         return result
-    if isinstance(op, (ScanOp, EmptyOp)):
-        return frozenset()
     return frozenset()
 
 

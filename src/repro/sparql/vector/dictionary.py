@@ -70,24 +70,41 @@ class TermEncoder:
 
     def decode_column(self, ids: np.ndarray) -> List[Optional[Term]]:
         """Python-side decode of a column; UNBOUND rows decode to None."""
-        base = self.base
-        lookup = self.graph.term_for_id
-        local = self._local_terms
-        out: List[Optional[Term]] = []
-        append = out.append
         # ids.tolist() iterates native ints — much faster than numpy scalars.
-        for i in ids.tolist():
-            if i == UNBOUND:
-                append(None)
-            elif i < base:
-                append(lookup(i))
-            else:
-                append(local[i - base])
-        return out
+        values = ids.tolist()
+        if not values:
+            return []
+        base = self.base
+        terms = self.graph.id_terms()
+        if int(ids.min()) > UNBOUND and int(ids.max()) < base:
+            # Every cell is a graph id: index the dictionary directly.
+            return list(map(terms.__getitem__, values))
+        local = self._local_terms
+        return [
+            None if i == UNBOUND else terms[i] if i < base else local[i - base]
+            for i in values
+        ]
+
+
+def exact_float(value) -> Optional[float]:
+    """``float(value)``, or None for an integer float64 cannot hold exactly.
+
+    The numeric tables are float64; an integer beyond 2**53 that does not
+    round-trip (nanosecond timestamps are ~1.7e18) would compare, sort and
+    sum as its rounded neighbour, so such values are kept out of the tables
+    and take the per-row interpreted path, which computes on Python ints.
+    """
+    if isinstance(value, int):
+        try:
+            as_float = float(value)
+        except OverflowError:
+            return None
+        return as_float if int(as_float) == value else None
+    return float(value)
 
 
 def _strict_number(term: Term):
-    """The number ordered comparison sees for a term, or None.
+    """The number (int, float or bool) ordered comparison sees, or None.
 
     Mirrors :func:`repro.sparql.functions._comparable`: only typed literals
     whose ``to_python`` is an int/float/bool are numerically comparable —
@@ -95,10 +112,8 @@ def _strict_number(term: Term):
     """
     if isinstance(term, Literal):
         value = term.to_python()
-        if isinstance(value, bool):
-            return float(value)
-        if isinstance(value, (int, float)):
-            return float(value)
+        if isinstance(value, (bool, int, float)):
+            return value
     return None
 
 
@@ -115,6 +130,7 @@ class ColumnCodec:
         self.arith_values = empty_f  # lenient numeric view (_numeric coercion)
         self.arith_valid = empty_b
         self.arith_is_int = empty_b
+        self.inexact = empty_b       # an integer float64 cannot hold
         self.ebv_values = empty_b    # effective boolean value
         self.ebv_valid = empty_b
         self.computed = empty_b      # rows filled in by ensure()
@@ -136,6 +152,7 @@ class ColumnCodec:
         self.arith_values = np.concatenate([self.arith_values, grow_f])
         self.arith_valid = np.concatenate([self.arith_valid, grow_b])
         self.arith_is_int = np.concatenate([self.arith_is_int, grow_b])
+        self.inexact = np.concatenate([self.inexact, grow_b])
         self.ebv_values = np.concatenate([self.ebv_values, grow_b])
         self.ebv_valid = np.concatenate([self.ebv_valid, grow_b])
         self.computed = np.concatenate([self.computed, grow_b])
@@ -158,18 +175,24 @@ class ColumnCodec:
             term = term_for_id(term_id)
             strict = _strict_number(term)
             if strict is not None:
-                self.cmp_values[term_id] = strict
-                self.cmp_valid[term_id] = True
+                as_float = exact_float(strict)
+                if as_float is None:
+                    self.inexact[term_id] = True
+                else:
+                    self.cmp_values[term_id] = as_float
+                    self.cmp_valid[term_id] = True
             try:
                 value = _numeric(term)
             except EvaluationError:
                 pass
             else:
-                self.arith_values[term_id] = value
-                self.arith_valid[term_id] = True
-                self.arith_is_int[term_id] = isinstance(
-                    value, int
-                ) and not isinstance(value, bool)
+                as_float = exact_float(value)
+                if as_float is None:
+                    self.inexact[term_id] = True
+                else:
+                    self.arith_values[term_id] = as_float
+                    self.arith_valid[term_id] = True
+                    self.arith_is_int[term_id] = isinstance(value, int)
             try:
                 ebv = effective_boolean_value(term)
             except EvaluationError:

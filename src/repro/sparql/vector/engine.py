@@ -14,11 +14,13 @@ Per-operator fallback keeps semantics exact where vectorization cannot:
 * a join whose right side carries *free expression variables* that the left
   side binds (OPTIONAL/FILTER correlation, where substitution semantics
   differ from bottom-up evaluation) falls back to correlated interpreted
-  evaluation of the right side, row by row.
+  evaluation of the right side, row by row — except the conditional
+  OPTIONAL, ``LeftJoin(L, Filter(e, R))`` with ``e`` the only correlation,
+  which runs on columns as the spec's ``LeftJoin(Ω1, Ω2, e)``.
 
-Aggregation groups on id columns (``np.unique``) with vectorized COUNT /
-SUM / AVG / COUNT(DISTINCT *) fast paths; every other aggregate decodes the
-group's members and reuses the interpreted, spec-fixed
+Aggregation groups on packed id columns (1-D ``np.unique``) with vectorized
+COUNT / SUM / AVG / COUNT(DISTINCT *) fast paths; every other aggregate
+decodes the group's members and reuses the interpreted, spec-fixed
 ``_apply_aggregate`` — so both engines share one aggregate semantics.
 """
 
@@ -45,6 +47,7 @@ from repro.sparql.algebra import (
     TableOp,
     UnionOp,
     compile_group,
+    expression_variables,
     operator_variables,
 )
 from repro.sparql.ast import (
@@ -63,7 +66,12 @@ from repro.sparql.vector.cost import (
 )
 from repro.sparql.vector.dictionary import ColumnCodec, TermEncoder
 from repro.sparql.vector.expr import ExprContext, bind_column, filter_keep_mask
-from repro.sparql.vector.ops import distinct_rows, hash_join, scan_batch
+from repro.sparql.vector.ops import (
+    distinct_rows,
+    hash_join,
+    pack_keys,
+    scan_batch,
+)
 
 Bindings = Dict[Variable, Term]
 
@@ -208,6 +216,59 @@ def _correlated_join(
     return _encode_solutions(out, variables, ctx)
 
 
+def _correlation_variables(op: AlgebraOp) -> frozenset:
+    """Variables through which an enclosing join's other operand can change
+    what *op* evaluates to (beyond plain solution compatibility)."""
+    return free_expression_variables(op) | optional_blind_variables(op)
+
+
+def _is_conditional(right: AlgebraOp, left_vars: frozenset) -> bool:
+    """Whether ``LeftJoin(L, right)`` is the spec's ``LeftJoin(L, R, expr)``.
+
+    True for ``right = Filter(expr, R)`` when the filter is the *only* way
+    the left side reaches into the right: ``R`` on its own is uncorrelated,
+    and every variable of ``expr`` is bound by one of the two sides.
+    """
+    if type(right) is not FilterOp:
+        return False
+    inner = right.operand
+    return not (_correlation_variables(inner) & left_vars) and (
+        expression_variables(right.expression)
+        <= left_vars | operator_variables(inner)
+    )
+
+
+#: Column carrying each left row's index through the conditional join; the
+#: tokenizer cannot produce an empty variable name.
+_LEFT_ROW = Variable("")
+
+
+def _conditional_left_join(
+    condition: FilterOp, left: Batch, ctx: _Exec
+) -> Batch:
+    """``LeftJoin(Ω1, Ω2, expr)``: join, filter the joined rows (an error
+    drops the row), and keep every left row no surviving match extends.
+
+    Rows come out grouped by left row, in left order, like the nested loop
+    the interpreted engine runs.
+    """
+    right = _execute(condition.operand, ctx)
+    tagged = left.with_column(
+        _LEFT_ROW, np.arange(left.nrows, dtype=np.int64)
+    )
+    joined = hash_join(tagged, right, budget=ctx.budget)
+    if joined.nrows:
+        joined = joined.mask(
+            filter_keep_mask(condition.expression, joined, ctx.expr_ctx())
+        )
+    extended = np.zeros(left.nrows, dtype=bool)
+    extended[joined.columns[_LEFT_ROW]] = True
+    out = Batch.concat([joined, tagged.mask(~extended)])
+    out = out.take(np.argsort(out.columns[_LEFT_ROW], kind="stable"))
+    del out.columns[_LEFT_ROW]
+    return out
+
+
 def _execute(op: AlgebraOp, ctx: _Exec) -> Batch:
     """Run one operator, with E23 governance when a budget rides along.
 
@@ -242,10 +303,10 @@ def _execute_op(op: AlgebraOp, ctx: _Exec) -> Batch:
     if isinstance(op, (JoinOp, LeftJoinOp)):
         outer = isinstance(op, LeftJoinOp)
         left = _execute(op.left, ctx)
-        sensitive = free_expression_variables(op.right) | optional_blind_variables(
-            op.right
-        )
-        if sensitive & operator_variables(op.left):
+        left_vars = operator_variables(op.left)
+        if _correlation_variables(op.right) & left_vars:
+            if outer and _is_conditional(op.right, left_vars):
+                return _conditional_left_join(op.right, left, ctx)
             return _correlated_join(op.right, left, ctx, outer)
         right = _execute(op.right, ctx)
         return hash_join(left, right, outer=outer, budget=ctx.budget)
@@ -291,18 +352,19 @@ def _execute_op(op: AlgebraOp, ctx: _Exec) -> Batch:
 # ---------------------------------------------------------------------------
 
 def _batch_solutions(batch: Batch, ctx: _Exec) -> List[Bindings]:
-    decoded = {
-        v: ctx.encoder.decode_column(col) for v, col in batch.columns.items()
-    }
-    solutions: List[Bindings] = []
-    for row in range(batch.nrows):
-        solution: Bindings = {}
-        for variable, terms in decoded.items():
-            term = terms[row]
-            if term is not None:
-                solution[variable] = term
-        solutions.append(solution)
-    return solutions
+    if not batch.columns:
+        return [{} for _ in range(batch.nrows)]
+    variables = list(batch.columns)
+    rows = zip(*map(ctx.encoder.decode_column, batch.columns.values()))
+    if batch.nrows and all(
+        int(column.min()) > UNBOUND for column in batch.columns.values()
+    ):
+        # Every cell is bound: no per-cell branch, rows are built in C.
+        return [dict(zip(variables, row)) for row in rows]
+    return [
+        {v: term for v, term in zip(variables, row) if term is not None}
+        for row in rows
+    ]
 
 
 def _order_indices(
@@ -359,14 +421,33 @@ def _order_indices(
 
 def _group_structure(query: SelectQuery, batch: Batch):
     """(group key rows or None, inverse group index per row, ngroups)."""
-    if query.group_by:
-        keys = batch.key_matrix(query.group_by)
-        if batch.nrows == 0:
-            return None, np.empty(0, dtype=np.int64), 0
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        return uniq, inverse.astype(np.int64), len(uniq)
-    # No GROUP BY: one group, even over zero solutions.
-    return None, np.zeros(batch.nrows, dtype=np.int64), 1
+    if not query.group_by:
+        # No GROUP BY: one group, even over zero solutions.
+        return None, np.zeros(batch.nrows, dtype=np.int64), 1
+    if batch.nrows == 0:
+        return None, np.empty(0, dtype=np.int64), 0
+    return group_rows([batch.column(v) for v in query.group_by])
+
+
+def group_rows(columns: List[np.ndarray]):
+    """Distinct rows of the key *columns*, in lexicographic order (UNBOUND
+    first), the group index of every row, and the group count.
+
+    The columns are packed into one int64 key so the grouping is a 1-D
+    ``np.unique``; row-wise ``np.unique(axis=0)`` — several times slower,
+    even on one column — only runs if the packed key would overflow.
+    """
+    packed = pack_keys(columns)
+    if packed is None:
+        uniq, inverse = np.unique(
+            np.column_stack(columns), axis=0, return_inverse=True
+        )
+        return uniq, inverse.reshape(-1).astype(np.int64), len(uniq)
+    _, first, inverse = np.unique(
+        packed[0], return_index=True, return_inverse=True
+    )
+    uniq = np.column_stack([column[first] for column in columns])
+    return uniq, inverse.astype(np.int64), len(first)
 
 
 def _fast_aggregate(
@@ -410,10 +491,18 @@ def _fast_aggregate(
     values = np.zeros(len(ids), dtype=np.float64)
     valid = np.zeros(len(ids), dtype=bool)
     is_int = np.zeros(len(ids), dtype=bool)
-    codec.ensure(ids[in_range])
-    values[in_range] = codec.arith_values[ids[in_range]]
-    valid[in_range] = codec.arith_valid[ids[in_range]]
-    is_int[in_range] = codec.arith_is_int[ids[in_range]]
+    idx = ids[in_range]
+    codec.ensure(idx)
+    values[in_range] = codec.arith_values[idx]
+    valid[in_range] = codec.arith_valid[idx]
+    is_int[in_range] = codec.arith_is_int[idx]
+    if (
+        codec.inexact[idx].any()
+        or np.abs(values[is_int]).sum() >= 2.0**53
+    ):
+        # An integer (or an integer running total) float64 cannot hold:
+        # the generic path sums Python ints.
+        return None
     poisoned = np.bincount(inverse, weights=bound & ~valid, minlength=ngroups)
     totals = np.bincount(
         inverse, weights=np.where(valid, values, 0.0), minlength=ngroups

@@ -38,10 +38,14 @@ from repro.sparql.vector.dictionary import (
     ColumnCodec,
     TermEncoder,
     _strict_number,
+    exact_float,
 )
 
 _ORDERED = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
 _ARITH = {"+", "-", "*", "/"}
+#: Integers of smaller magnitude are exact in float64, and so is integer
+#: ``+``/``-``/``*`` on exact operands whose result stays below it.
+_EXACT_INT_LIMIT = float(2**53)
 
 
 class ExprContext:
@@ -71,14 +75,26 @@ class BoolCol:
 
 
 class NumCol:
-    """Numeric column: float64 values + int-ness + validity (valid = no error)."""
+    """Numeric column: float64 values + int-ness + validity.
 
-    __slots__ = ("values", "is_int", "valid")
+    ``~valid`` rows either errored or are ``inexact``: numeric, but an
+    integer float64 cannot hold, so only the per-row interpreted path (which
+    computes on Python ints) may answer for them.
+    """
 
-    def __init__(self, values: np.ndarray, is_int: np.ndarray, valid: np.ndarray):
+    __slots__ = ("values", "is_int", "valid", "inexact")
+
+    def __init__(
+        self,
+        values: np.ndarray,
+        is_int: np.ndarray,
+        valid: np.ndarray,
+        inexact: np.ndarray,
+    ):
         self.values = values
         self.is_int = is_int
         self.valid = valid
+        self.inexact = inexact
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +145,12 @@ def _num_from_var(
     values = np.zeros(n, dtype=np.float64)
     is_int = np.zeros(n, dtype=bool)
     valid = np.zeros(n, dtype=bool)
+    inexact = np.zeros(n, dtype=bool)
     in_range = (ids >= 0) & (ids < codec.size)
     if in_range.any():
         idx = ids[in_range]
         codec.ensure(idx)
+        inexact[in_range] = codec.inexact[idx]
         if lenient:
             values[in_range] = codec.arith_values[idx]
             is_int[in_range] = codec.arith_is_int[idx]
@@ -150,25 +168,32 @@ def _num_from_var(
                     value = _numeric(term)
                 except EvaluationError:
                     continue
-                values[row] = value
-                is_int[row] = isinstance(value, int) and not isinstance(value, bool)
-                valid[row] = True
             else:
-                strict = _strict_number(term)
-                if strict is not None:
-                    values[row] = strict
-                    valid[row] = True
-    return NumCol(values, is_int, valid)
+                value = _strict_number(term)
+                if value is None:
+                    continue
+            as_float = exact_float(value)
+            if as_float is None:
+                inexact[row] = True
+                continue
+            values[row] = as_float
+            is_int[row] = lenient and isinstance(value, int)
+            valid[row] = True
+    return NumCol(values, is_int, valid, inexact)
 
 
-def _num_const(n: int, value, lenient_ok: bool) -> NumCol:
-    if value is None:
+def _num_const(n: int, value, lenient: bool) -> NumCol:
+    """*value* (a Python number, or None for "not numeric") on every row."""
+    as_float = None if value is None else exact_float(value)
+    if as_float is None:
         zeros = np.zeros(n, dtype=np.float64)
-        return NumCol(zeros, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
+        never = np.zeros(n, dtype=bool)
+        return NumCol(zeros, never, never, np.full(n, value is not None))
     return NumCol(
-        np.full(n, float(value), dtype=np.float64),
-        np.full(n, isinstance(value, int) and not isinstance(value, bool), dtype=bool),
+        np.full(n, as_float, dtype=np.float64),
+        np.full(n, lenient and isinstance(value, int), dtype=bool),
         np.ones(n, dtype=bool),
+        np.zeros(n, dtype=bool),
     )
 
 
@@ -196,7 +221,7 @@ def eval_num(
         return _num_const(n, value, lenient)
     if isinstance(expression, UnaryOp) and expression.operator == "-":
         inner = eval_num(expression.operand, batch, ctx, lenient=True)
-        return NumCol(-inner.values, inner.is_int, inner.valid)
+        return NumCol(-inner.values, inner.is_int, inner.valid, inner.inexact)
     if isinstance(expression, BinaryOp) and expression.operator in _ARITH:
         left = eval_num(expression.left, batch, ctx, lenient=True)
         right = eval_num(expression.right, batch, ctx, lenient=True)
@@ -215,7 +240,12 @@ def eval_num(
                     right.values != 0, left.values / np.where(right.values, right.values, 1), 0.0
                 )
         is_int = left.is_int & right.is_int & (operator != "/")
-        return NumCol(values, is_int, valid)
+        inexact = (
+            left.inexact
+            | right.inexact
+            | (valid & is_int & (np.abs(values) >= _EXACT_INT_LIMIT))
+        )
+        return NumCol(values, is_int, valid & ~inexact, inexact)
     # Anything else (function calls, comparisons, logicals): interpreted
     # per-row, then coerced under the requested view.
     rows = np.arange(n, dtype=np.int64)
@@ -223,6 +253,7 @@ def eval_num(
     values = np.zeros(n, dtype=np.float64)
     is_int = np.zeros(n, dtype=bool)
     valid = np.zeros(n, dtype=bool)
+    inexact = np.zeros(n, dtype=bool)
     for row, value in enumerate(raw):
         if err[row]:
             continue
@@ -234,17 +265,19 @@ def eval_num(
         else:
             # Strict view mirrors _comparable: raw numbers/bools count,
             # literals only through their typed to_python value.
-            if isinstance(value, (int, float)):
-                number = float(value)
-            else:
-                strict = _strict_number(value) if not isinstance(value, str) else None
-                if strict is None:
+            number = value
+            if not isinstance(value, (int, float)):
+                number = _strict_number(value)
+                if number is None:
                     continue
-                number = strict
-        values[row] = number
-        is_int[row] = isinstance(number, int) and not isinstance(number, bool)
+        as_float = exact_float(number)
+        if as_float is None:
+            inexact[row] = True
+            continue
+        values[row] = as_float
+        is_int[row] = lenient and isinstance(number, int)
         valid[row] = True
-    return NumCol(values, is_int, valid)
+    return NumCol(values, is_int, valid, inexact)
 
 
 # ---------------------------------------------------------------------------
@@ -411,19 +444,29 @@ def bind_column(
                 term_id = encode(term)
                 memo[key] = term_id
             ids[row] = term_id
+        _bind_rows(expression, batch, ctx, np.nonzero(numbers.inexact)[0], ids)
         return ids
-    # Generic path: interpreted per-row, to_term, encode.
+    ids = np.full(n, UNBOUND, dtype=np.int64)
+    _bind_rows(expression, batch, ctx, np.arange(n, dtype=np.int64), ids)
+    return ids
+
+
+def _bind_rows(
+    expression: Expression,
+    batch: Batch,
+    ctx: ExprContext,
+    rows: np.ndarray,
+    ids: np.ndarray,
+) -> None:
+    """Generic BIND for *rows*: interpreted per-row, to_term, encode into *ids*."""
     from repro.sparql.functions import to_term
 
-    rows = np.arange(n, dtype=np.int64)
     raw, err = _row_eval(expression, batch, ctx, rows)
-    ids = np.full(n, UNBOUND, dtype=np.int64)
     encode = ctx.encoder.encode
-    for row, value in enumerate(raw):
-        if err[row]:
+    for out, row in enumerate(rows):
+        if err[out]:
             continue
         try:
-            ids[row] = encode(to_term(value))
+            ids[row] = encode(to_term(raw[out]))
         except EvaluationError:
             continue
-    return ids

@@ -3,15 +3,17 @@
 Joins are vectorized hash joins over term-id columns. SPARQL solution
 compatibility must tolerate *unbound* cells (OPTIONAL misses, VALUES UNDEF):
 two rows are compatible on a shared variable when either side is unbound or
-both ids are equal. The join therefore partitions each side by its
-bound-mask over the shared variables (one bitmask per row — in practice one
-or two distinct masks) and runs a plain equi-join per mask pair on the
-columns both sides actually bind; surviving unbound cells take the other
-side's value.
+both ids are equal. When no shared column carries an unbound cell — the
+common case, checked with one ``min()`` per column — that is plain key
+equality and the join is a single equi-join. Otherwise each side is
+partitioned by its bound-mask over the shared variables (one bitmask per row
+— in practice one or two distinct masks) and every mask pair runs an
+equi-join on the columns both sides actually bind; surviving unbound cells
+take the other side's value.
 
 The equi-join itself packs the key columns into a single ``int64`` (mixed
 radix over the id range) and uses a sort + ``searchsorted`` probe, so the
-whole pipeline stays inside numpy. If packing would overflow 63 bits (it
+whole pipeline stays inside numpy. If packing would overflow 62 bits (it
 cannot for realistic dictionaries), a Python dict join takes over.
 """
 
@@ -63,8 +65,10 @@ def scan_batch(
     """Materialize the full extent of a triple pattern as id columns.
 
     Bound positions become equality masks over the graph's id-row table —
-    pure numpy, no per-triple Python iteration. Row order is whatever the
-    table holds (scans feed multiset operators; ORDER BY sorts later).
+    pure numpy, no per-triple Python iteration — except under a constant
+    subject, which probes the subject's index bucket. Row order is whatever
+    the table (or bucket) holds: scans feed multiset operators; ORDER BY
+    sorts later.
     """
     positions = (pattern.subject, pattern.predicate, pattern.object)
     constant_ids: List[Optional[int]] = []
@@ -86,26 +90,40 @@ def scan_batch(
         matched = any(True for _ in graph.triples(query))  # type: ignore[arg-type]
         return Batch.unit() if matched else Batch.empty()
 
-    table = _id_table(graph)
-    mask: Optional[np.ndarray] = None
-    for slot, constant_id in enumerate(constant_ids):
-        if constant_id is None:
-            continue
-        hits = table[slot] == constant_id
-        mask = hits if mask is None else (mask & hits)
-    rows = None if mask is None else np.flatnonzero(mask)
+    if constant_ids[0] is not None:
+        # A subject holds a handful of triples: enumerating its SPO bucket
+        # beats masking the whole id-row table once per bound position.
+        query = tuple(None if isinstance(p, Variable) else p for p in positions)
+        matches = list(graph.triples(query))  # type: ignore[arg-type]
+        nrows = len(matches)
+
+        def column_of(slot: int) -> np.ndarray:
+            ids = (graph.term_id(triple[slot]) for triple in matches)
+            return np.fromiter(ids, dtype=np.int64, count=nrows)
+    else:
+        table = _id_table(graph)
+        mask: Optional[np.ndarray] = None
+        for slot, constant_id in enumerate(constant_ids):
+            if constant_id is None:
+                continue
+            hits = table[slot] == constant_id
+            mask = hits if mask is None else (mask & hits)
+        rows = None if mask is None else np.flatnonzero(mask)
+        nrows = len(table[0]) if rows is None else len(rows)
+
+        def column_of(slot: int) -> np.ndarray:
+            return table[slot] if rows is None else table[slot][rows]
 
     columns = {}
     keep: Optional[np.ndarray] = None
     for slot, variable in var_slots:
-        column = table[slot] if rows is None else table[slot][rows]
+        column = column_of(slot)
         if variable in columns:
             # Repeated variable in one pattern (?x :p ?x): keep equal rows.
             equal = columns[variable] == column
             keep = equal if keep is None else keep & equal
         else:
             columns[variable] = column
-    nrows = len(table[0]) if rows is None else len(rows)
     batch = Batch(columns, nrows)
     if keep is not None:
         batch = batch.mask(keep)
@@ -116,59 +134,69 @@ def scan_batch(
 # Equi-join core
 # ---------------------------------------------------------------------------
 
-def _pack_keys(
-    left: np.ndarray, right: np.ndarray
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Pack (n, k) id matrices into single int64 keys; None on overflow."""
-    k = left.shape[1]
+Columns = Sequence[np.ndarray]
+
+
+def pack_keys(*sides: Columns) -> Optional[List[np.ndarray]]:
+    """Pack each side's k id columns into one int64 key per row.
+
+    One mixed radix over the largest id on any side, so equal rows get equal
+    keys across sides and key order is the rows' lexicographic order
+    (UNBOUND, shifted to digit 0, sorts first — as it does in the raw
+    columns). A single column is its own key. None when k digits of that
+    radix would not fit in 62 bits.
+    """
+    k = len(sides[0])
     if k == 1:
-        return left[:, 0], right[:, 0]
-    high = 0
-    for column in range(k):
-        top = 0
-        if len(left):
-            top = max(top, int(left[:, column].max()))
-        if len(right):
-            top = max(top, int(right[:, column].max()))
-        high = max(high, top)
-    radix = high + 2  # ids are >= 0 here; +2 keeps radix >= 2
+        return [columns[0] for columns in sides]
+    high = max(
+        (int(column.max()) for columns in sides for column in columns
+         if len(column)),
+        default=0,
+    )
+    radix = high + 2  # digits are id + 1, in 0..high + 1
     if radix**k >= 2**62:
         return None
-    lkeys = np.zeros(len(left), dtype=np.int64)
-    rkeys = np.zeros(len(right), dtype=np.int64)
-    for column in range(k):
-        lkeys = lkeys * radix + left[:, column]
-        rkeys = rkeys * radix + right[:, column]
-    return lkeys, rkeys
+    packed = []
+    for columns in sides:
+        keys = columns[0] + 1
+        for column in columns[1:]:
+            keys *= radix
+            keys += column
+            keys += 1
+        packed.append(keys)
+    return packed
 
 
 def _equi_join_pairs(
-    lkeys_matrix: np.ndarray,
-    rkeys_matrix: np.ndarray,
+    lcolumns: Columns,
+    rcolumns: Columns,
+    ln: int,
+    rn: int,
     budget: Optional["QueryBudget"] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """All (left_row, right_row) index pairs with equal key rows.
+    """All (left_row, right_row) index pairs with equal, fully bound keys.
 
-    With a *budget*, the output size is admitted **before** the pair arrays
-    are allocated — the exact point where an adversarial cross-product
-    would otherwise blow up memory — so a cap violation raises
+    The sides are given as parallel lists of key columns over *ln* and *rn*
+    rows. With a *budget*, the output size is admitted **before** the pair
+    arrays are allocated — the exact point where an adversarial
+    cross-product would otherwise blow up memory — so a cap violation raises
     :class:`~repro.errors.QueryBudgetExceeded` while the only cost paid so
     far is the counts vector.
     """
-    ln, rn = len(lkeys_matrix), len(rkeys_matrix)
     if ln == 0 or rn == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    if lkeys_matrix.shape[1] == 0:  # no key columns: cartesian product
+    if not lcolumns:  # no key columns: cartesian product
         if budget is not None:
             budget.admit_rows(ln * rn, 2, "hash_join.cartesian")
         return (
             np.repeat(np.arange(ln, dtype=np.int64), rn),
             np.tile(np.arange(rn, dtype=np.int64), ln),
         )
-    packed = _pack_keys(lkeys_matrix, rkeys_matrix)
+    packed = pack_keys(lcolumns, rcolumns)
     if packed is None:  # pragma: no cover - needs absurd dictionary sizes
-        return _dict_join_pairs(lkeys_matrix, rkeys_matrix, budget)
+        return _dict_join_pairs(lcolumns, rcolumns, budget)
     lkeys, rkeys = packed
     order = np.argsort(rkeys, kind="stable")
     sorted_rkeys = rkeys[order]
@@ -191,17 +219,17 @@ def _equi_join_pairs(
 
 
 def _dict_join_pairs(
-    lkeys_matrix: np.ndarray,
-    rkeys_matrix: np.ndarray,
+    lcolumns: Columns,
+    rcolumns: Columns,
     budget: Optional["QueryBudget"] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Fallback pair enumeration through a Python dict (overflow-safe)."""
     buckets = {}
-    for index, row in enumerate(map(tuple, rkeys_matrix)):
+    for index, row in enumerate(zip(*(c.tolist() for c in rcolumns))):
         buckets.setdefault(row, []).append(index)
     li: List[int] = []
     ri: List[int] = []
-    for index, row in enumerate(map(tuple, lkeys_matrix)):
+    for index, row in enumerate(zip(*(c.tolist() for c in lcolumns))):
         if budget is not None:
             budget.checkpoint("hash_join.probe")
         for match in buckets.get(row, ()):
@@ -224,10 +252,16 @@ def hash_join(
 ) -> Batch:
     """Join two batches on their shared variables (inner or left-outer).
 
-    With a *budget*: one checkpoint per (left mask, right mask) equi-join —
-    the build/probe loop — and the accumulated match count is admitted
-    against the resident-row cap as it grows, with the per-sub-join output
-    pre-admitted before its pair arrays are allocated.
+    When no shared column carries an UNBOUND cell on either side — one
+    ``min()`` per column, and the case for every join of plain triple
+    patterns — compatibility *is* key equality, and the batches go straight
+    to one equi-join. Otherwise the rows are partitioned by bound-mask
+    (:func:`_compatible_pairs`). Both emit the same pairs in the same order.
+
+    With a *budget*: one checkpoint per equi-join — the build/probe loop —
+    and the accumulated match count is admitted against the resident-row cap
+    as it grows, with each equi-join's output pre-admitted before its pair
+    arrays are allocated.
     """
     shared = [v for v in left.columns if v in right.columns]
     out_vars = list(left.columns) + [
@@ -241,8 +275,47 @@ def hash_join(
         li = np.arange(left.nrows, dtype=np.int64)
         return _assemble(left, right, li, None, out_vars, shared)
 
-    left_keys = left.key_matrix(shared)
-    right_keys = right.key_matrix(shared)
+    width = max(1, len(out_vars))
+    lcolumns = [left.columns[v] for v in shared]
+    rcolumns = [right.columns[v] for v in shared]
+    if all(int(column.min()) > UNBOUND for column in lcolumns + rcolumns):
+        if budget is not None:
+            budget.checkpoint("hash_join")
+        li, ri = _equi_join_pairs(
+            lcolumns, rcolumns, left.nrows, right.nrows, budget
+        )
+        if budget is not None and len(li):
+            budget.admit_rows(len(li), width, "hash_join")
+        # Every shared cell is bound: the left value is the joined value.
+        joined = _assemble(left, right, li, ri, out_vars, ())
+    else:
+        li, ri = _compatible_pairs(lcolumns, rcolumns, width, budget)
+        joined = _assemble(left, right, li, ri, out_vars, shared)
+    if not outer:
+        return joined
+    matched = np.zeros(left.nrows, dtype=bool)
+    matched[li] = True
+    if matched.all():
+        return joined
+    rest = np.nonzero(~matched)[0]
+    bare = _assemble(left, right, rest, None, out_vars, shared)
+    return Batch.concat([joined, bare])
+
+
+def _compatible_pairs(
+    lcolumns: Columns,
+    rcolumns: Columns,
+    width: int,
+    budget: Optional["QueryBudget"],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Compatible row pairs when shared columns carry UNBOUND cells.
+
+    Each side is partitioned by its bound-mask over the shared variables;
+    every (left mask, right mask) pair is one equi-join on the columns both
+    masks bind.
+    """
+    left_keys = np.column_stack(lcolumns)
+    right_keys = np.column_stack(rcolumns)
     left_bound = left_keys != UNBOUND
     right_bound = right_keys != UNBOUND
 
@@ -261,8 +334,10 @@ def hash_join(
             rbits = right_bound[rrows[0]]
             key_columns = np.nonzero(lbits & rbits)[0]
             li_sub, ri_sub = _equi_join_pairs(
-                left_keys[np.ix_(lrows, key_columns)],
-                right_keys[np.ix_(rrows, key_columns)],
+                [left_keys[lrows, c] for c in key_columns],
+                [right_keys[rrows, c] for c in key_columns],
+                len(lrows),
+                len(rrows),
                 budget,
             )
             if len(li_sub):
@@ -270,26 +345,11 @@ def hash_join(
                 ri_parts.append(rrows[ri_sub])
                 matched_rows += len(li_sub)
                 if budget is not None:
-                    budget.admit_rows(
-                        matched_rows, max(1, len(out_vars)), "hash_join"
-                    )
-    if li_parts:
-        li = np.concatenate(li_parts)
-        ri = np.concatenate(ri_parts)
-    else:
-        li = np.empty(0, dtype=np.int64)
-        ri = np.empty(0, dtype=np.int64)
-
-    joined = _assemble(left, right, li, ri, out_vars, shared)
-    if not outer:
-        return joined
-    matched = np.zeros(left.nrows, dtype=bool)
-    matched[li] = True
-    if matched.all():
-        return joined
-    rest = np.nonzero(~matched)[0]
-    bare = _assemble(left, right, rest, None, out_vars, shared)
-    return Batch.concat([joined, bare])
+                    budget.admit_rows(matched_rows, width, "hash_join")
+    if not li_parts:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    return np.concatenate(li_parts), np.concatenate(ri_parts)
 
 
 def _mask_codes(bound: np.ndarray) -> np.ndarray:

@@ -1,0 +1,586 @@
+"""The vector engine's hot kernels against their slow references.
+
+Each fast path is picked by a property the kernel sees in its input, so each
+test feeds both kinds of input and compares with the obvious implementation:
+the bound-key hash join against a nested loop and against the mask-partitioned
+path, packed group keys against ``np.unique(axis=0)``, the conditional
+OPTIONAL against the interpreted engine, bulk row materialisation against the
+cell-by-cell loop, and the float64 tables against Python integers.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import QueryBudgetExceeded
+from repro.rdf import Graph, Literal, Namespace
+from repro.sparql import (
+    CompileOptions,
+    FunctionRegistry,
+    QueryBudget,
+    Variable,
+    evaluate,
+    parse_query,
+)
+from repro.sparql.vector import (
+    UNBOUND,
+    Batch,
+    TermEncoder,
+    compile_vector_plan,
+    execute_tree,
+    finish_select,
+    hash_join,
+)
+from tests.sparql.test_engine_equivalence import (
+    OBJECTS,
+    VARIABLES,
+    bgp,
+    canonical,
+    graphs,
+)
+
+EX = Namespace("http://ex.org/")
+PREFIX = "PREFIX ex: <http://ex.org/> "
+VECTOR = CompileOptions(engine="vector")
+
+
+def run_vector(graph, text, budget=None):
+    """(solutions or bool, fallback_ops) for one vector execution."""
+    query = parse_query(text)
+    tree = compile_vector_plan(query.where, graph, VECTOR)
+    batch, ctx = execute_tree(tree, graph, FunctionRegistry(), budget=budget)
+    if hasattr(query, "variables"):
+        return finish_select(query, batch, ctx), ctx.fallback_ops
+    return batch.nrows > 0, ctx.fallback_ops
+
+
+# ---------------------------------------------------------------------------
+# (a) hash_join: bound-key path vs mask-partitioned path vs nested loop
+# ---------------------------------------------------------------------------
+
+KEYS = [Variable(name) for name in ("k0", "k1", "k2")]
+LEFT_ONLY, RIGHT_ONLY = Variable("l"), Variable("r")
+
+
+@st.composite
+def batch_pairs(draw, unbound: bool):
+    shared = KEYS[: draw(st.integers(0, 3))]
+    cell = st.integers(UNBOUND if unbound else 0, 3)
+
+    def side(own):
+        nrows = draw(st.integers(0, 7))
+        columns = {
+            v: np.array(draw(st.lists(cell, min_size=nrows, max_size=nrows)),
+                        dtype=np.int64)
+            for v in shared
+        }
+        columns[own] = np.arange(nrows, dtype=np.int64) + 100
+        return Batch(columns, nrows)
+
+    return side(LEFT_ONLY), side(RIGHT_ONLY), shared
+
+
+def nested_loop_join(left, right, shared, outer):
+    """Solution compatibility, row by row, in (left row, right row) order."""
+    out, bare = [], []
+    for i in range(left.nrows):
+        extended = False
+        for j in range(right.nrows):
+            cells = [(int(left.columns[v][i]), int(right.columns[v][j]))
+                     for v in shared]
+            if all(a == b or UNBOUND in (a, b) for a, b in cells):
+                extended = True
+                out.append(tuple(b if a == UNBOUND else a for a, b in cells)
+                           + (100 + i, 100 + j))
+        if outer and not extended:
+            bare.append(tuple(int(left.columns[v][i]) for v in shared)
+                        + (100 + i, UNBOUND))
+    return out + bare
+
+
+def rows_of(batch, shared):
+    order = list(shared) + [LEFT_ONLY, RIGHT_ONLY]
+    assert set(batch.columns) == set(order)
+    return [tuple(int(batch.columns[v][i]) for v in order)
+            for i in range(batch.nrows)]
+
+
+def with_sentinel(left, shared):
+    """*left* plus one last row whose first key cell is UNBOUND: the same
+    rows, but the join now has to take the mask-partitioned path."""
+    columns = {
+        v: np.append(col, UNBOUND if v == shared[0] else 0)
+        for v, col in left.columns.items()
+    }
+    columns[LEFT_ONLY][-1] = -7
+    return Batch(columns, left.nrows + 1)
+
+
+@given(pair=batch_pairs(unbound=False), outer=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_bound_key_join_is_the_nested_loop_in_order(pair, outer):
+    left, right, shared = pair
+    out = hash_join(left, right, outer=outer)
+    assert rows_of(out, shared) == nested_loop_join(left, right, shared, outer)
+
+
+@given(pair=batch_pairs(unbound=False), outer=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_bound_key_and_general_path_are_array_identical(pair, outer):
+    left, right, shared = pair
+    if not shared or not right.nrows:
+        return  # no key column to unbind / no join to run
+    fast = hash_join(left, right, outer=outer)
+    general = hash_join(with_sentinel(left, shared), right, outer=outer)
+    general = general.mask(general.columns[LEFT_ONLY] != -7)
+    assert list(general.columns) == list(fast.columns)
+    for variable, column in fast.columns.items():
+        assert column.dtype == general.columns[variable].dtype == np.int64
+        assert column.tolist() == general.columns[variable].tolist()
+
+
+@given(pair=batch_pairs(unbound=True), outer=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_join_with_unbound_keys_matches_the_nested_loop(pair, outer):
+    left, right, shared = pair
+    out = hash_join(left, right, outer=outer)
+    assert sorted(rows_of(out, shared)) == sorted(
+        nested_loop_join(left, right, shared, outer)
+    )
+
+
+@pytest.mark.parametrize("keys", [1, 2])
+def test_both_paths_refuse_a_cross_product_at_pre_admission(keys):
+    shared = KEYS[:keys]
+    left = Batch({**{v: np.zeros(40, dtype=np.int64) for v in shared},
+                  LEFT_ONLY: np.arange(40, dtype=np.int64)}, 40)
+    right = Batch({**{v: np.zeros(50, dtype=np.int64) for v in shared},
+                   RIGHT_ONLY: np.arange(50, dtype=np.int64)}, 50)
+    refusals = []
+    for side in (left, with_sentinel(left, shared)):
+        budget = QueryBudget(max_rows=1000)
+        with pytest.raises(QueryBudgetExceeded) as caught:
+            hash_join(side, right, budget=budget)
+        error = caught.value
+        assert "hash_join.pairs" in str(error)
+        assert budget.peak_rows == 0  # refused before anything was allocated
+        refusals.append((error.resource, error.observed, error.limit))
+    assert refusals[0] == refusals[1] == ("rows", 2000, 1000)
+
+
+def test_one_checkpoint_per_equi_join():
+    left = Batch({KEYS[0]: np.array([1, 2, 3]), LEFT_ONLY: np.arange(3)}, 3)
+    right = Batch({KEYS[0]: np.array([2, 3, 4]), RIGHT_ONLY: np.arange(3)}, 3)
+    budget = QueryBudget(max_rows=10**6)
+    hash_join(left, right, budget=budget)
+    assert budget.checkpoints == 1
+    budget = QueryBudget(max_rows=10**6)
+    hash_join(with_sentinel(left, KEYS[:1]), right, budget=budget)
+    assert budget.checkpoints == 2  # two left masks x one right mask
+
+
+# ---------------------------------------------------------------------------
+# (b) packed group keys vs np.unique(axis=0)
+# ---------------------------------------------------------------------------
+
+@given(
+    rows=st.lists(
+        st.lists(st.integers(UNBOUND, 6), min_size=3, max_size=3),
+        min_size=1, max_size=40,
+    ),
+    width=st.integers(1, 3),
+    huge=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_packed_group_keys_match_row_wise_unique(rows, width, huge):
+    from repro.sparql.vector.engine import group_rows
+    from repro.sparql.vector.ops import pack_keys
+
+    matrix = np.array(rows, dtype=np.int64)[:, :width]
+    if huge:
+        # Ids near 2**40: two or three digits of that radix overflow 62 bits.
+        matrix = np.where(matrix > 3, matrix + 2**40, matrix)
+    columns = [matrix[:, i].copy() for i in range(width)]
+    assert (pack_keys(columns) is None) == (huge and width > 1
+                                            and int(matrix.max()) > 2**40)
+    uniq, inverse, ngroups = group_rows(columns)
+    expected, expected_inverse = np.unique(matrix, axis=0, return_inverse=True)
+    assert ngroups == len(expected)
+    assert uniq.tolist() == expected.tolist()
+    assert inverse.tolist() == expected_inverse.reshape(-1).tolist()
+    assert [c.tolist() for c in columns] == matrix.T.tolist()  # inputs intact
+
+
+# ---------------------------------------------------------------------------
+# (c) conditional OPTIONAL vs the interpreted engine
+# ---------------------------------------------------------------------------
+
+conditions = st.one_of(
+    st.tuples(
+        st.sampled_from(VARIABLES),
+        st.sampled_from(["<", ">=", "=", "!="]),
+        st.sampled_from(VARIABLES + ["3", '"alpha"']),
+    ).map(lambda t: f"{t[0]} {t[1]} {t[2]}"),
+    st.tuples(st.sampled_from(VARIABLES), st.sampled_from(VARIABLES)).map(
+        lambda t: f"{t[0]} + 1 > {t[1]}"  # raises on IRIs and strings
+    ),
+    st.tuples(st.sampled_from(VARIABLES), st.sampled_from(VARIABLES)).map(
+        lambda t: f"!BOUND({t[0]}) || {t[1]} > 2"
+    ),
+)
+
+
+@st.composite
+def conditional_optionals(draw):
+    left = draw(bgp(max_size=2))
+    if draw(st.booleans()):
+        left += " OPTIONAL { " + draw(bgp(max_size=1)) + " }"  # unbound cells
+    right = draw(bgp(max_size=2))
+    if draw(st.booleans()):
+        right += " VALUES ?c { " + draw(st.sampled_from(OBJECTS)) + " UNDEF }"
+    return f"{left} OPTIONAL {{ {right} FILTER({draw(conditions)}) }}"
+
+
+@given(graph=graphs, where=conditional_optionals(), ask=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_conditional_optional_matches_interpreted(graph, where, ask):
+    text = f"ASK {{ {where} }}" if ask else f"SELECT * WHERE {{ {where} }}"
+    expected = evaluate(graph, text, options=CompileOptions())
+    actual, _ = run_vector(graph, text)
+    if ask:
+        assert actual == expected, text
+    else:
+        assert canonical(actual) == canonical(expected), text
+
+
+def stock_graph(products=30):
+    graph = Graph()
+    rng = random.Random(7)
+    for i in range(products):
+        product = EX[f"prod{i}"]
+        graph.add(product, EX.price, Literal.from_python(rng.randrange(1000)))
+        for _ in range(i % 3):  # zero, one or two stock rows per product
+            graph.add(product, EX.stock, Literal.from_python(rng.randrange(100)))
+        if i % 5 == 0:
+            graph.add(product, EX.tag, Literal(f"tag{i}"))
+    return graph
+
+
+CONDITIONAL = {
+    "outer variable": "?p ex:price ?v . OPTIONAL { ?p ex:stock ?t . FILTER(?v > 500) }",
+    "both sides": "?p ex:price ?v . OPTIONAL { ?p ex:stock ?t . FILTER(?v > ?t * 10) }",
+    "multi-match right":
+        "?p ex:price ?v . OPTIONAL { ?p ex:stock ?t . FILTER(?t < 50 && ?v > 0) }",
+    "filter variable unbound on some left rows":
+        "?p ex:price ?v . OPTIONAL { ?p ex:tag ?g } "
+        "OPTIONAL { ?p ex:stock ?t . FILTER(?g != \"tag0\") }",
+    "filter raises on some rows":
+        "?p ex:price ?v . OPTIONAL { ?p ex:tag ?g } "
+        "OPTIONAL { ?p ex:stock ?t . FILTER(?g + 1 > 0 || ?v > 500) }",
+    "zero-row right": "?p ex:price ?v . OPTIONAL { ?p ex:nothing ?t . FILTER(?v > 500) }",
+    "zero-row left": "?p ex:nothing ?v . OPTIONAL { ?p ex:stock ?t . FILTER(?v > 500) }",
+    "same group, one level of braces":
+        "?p ex:price ?v . OPTIONAL { { ?p ex:stock ?t . FILTER(?v > 500) } }",
+}
+
+STILL_CORRELATED = {
+    "filter one group deeper, under a nested OPTIONAL":
+        "?p ex:price ?v . OPTIONAL { ?p ex:stock ?t . "
+        "OPTIONAL { ?p ex:tag ?g . FILTER(?v > 500) } }",
+    "filter one group deeper, under a UNION":
+        "?p ex:price ?v . OPTIONAL { { ?p ex:stock ?t . FILTER(?v > 500) } "
+        "UNION { ?p ex:tag ?t } }",
+    "two correlated filters": "?p ex:price ?v . ?p ex:tag ?g . OPTIONAL { "
+        "?p ex:stock ?t . FILTER(?v > 500) FILTER(?g != \"tag0\") }",
+    "BIND reads a left variable":
+        "?p ex:price ?v . OPTIONAL { ?p ex:stock ?t . BIND(?v + ?t AS ?w) }",
+    "optional-blind variable": "?p ex:price ?v . OPTIONAL { ?p ex:stock ?t . "
+        "OPTIONAL { ?p ex:tag ?v } FILTER(?t < 50) }",
+    "correlated filter under a plain join": "?p ex:price ?v . "
+        "{ { ?p ex:stock ?t } UNION { ?p ex:tag ?t } FILTER(?v > 500) }",
+}
+
+
+def test_filter_over_a_maybe_unbound_variable_reads_the_outer_binding():
+    # VALUES UNDEF leaves ?c unbound in the group, so its FILTER sees the
+    # ?c the outer pattern binds: evaluating the group on its own is wrong.
+    graph = Graph()
+    graph.add(EX.s1, EX.p0, EX.o0)
+    graph.add(EX.s4, EX.p0, Literal.from_python(4))
+    group = "ex:s1 ?a ?b . VALUES ?c { ex:o0 UNDEF } FILTER(BOUND(?b) && ?c > 2)"
+    for where, fallbacks in (
+        (f"ex:s4 ?a ?c . OPTIONAL {{ {group} }}", 0),
+        (f"ex:s4 ?a ?c . {{ {group} }}", 1),
+    ):
+        text = f"{PREFIX}SELECT * WHERE {{ {where} }}"
+        rows, fallback_ops = run_vector(graph, text)
+        assert canonical(rows) == canonical(
+            evaluate(graph, text, options=CompileOptions())
+        )
+        assert rows[0][Variable("b")] == EX.o0 and fallback_ops == fallbacks
+
+
+@pytest.mark.parametrize("form", ["SELECT * WHERE", "ASK"])
+@pytest.mark.parametrize("name", list(CONDITIONAL))
+def test_conditional_optional_is_vectorised(name, form):
+    graph = stock_graph()
+    text = f"{PREFIX}{form} {{ {CONDITIONAL[name]} }}"
+    expected = evaluate(graph, text, options=CompileOptions())
+    actual, fallback_ops = run_vector(graph, text)
+    assert fallback_ops == 0
+    if form == "ASK":
+        assert actual == expected
+    else:
+        assert canonical(actual) == canonical(expected)
+
+
+def test_conditional_optional_keeps_left_row_order():
+    graph = stock_graph()
+    subject = Variable("p")
+    left_only, _ = run_vector(graph, PREFIX + "SELECT ?p WHERE { ?p ex:price ?v }")
+    rows, _ = run_vector(graph, PREFIX + "SELECT ?p ?t WHERE { "
+                         + CONDITIONAL["both sides"] + " }")
+    assert len(rows) > len(left_only)  # some left rows extend twice
+    in_order = list(dict.fromkeys(row[subject] for row in rows))
+    assert in_order == [row[subject] for row in left_only]
+    runs = [row[subject] for i, row in enumerate(rows)
+            if i == 0 or rows[i - 1][subject] != row[subject]]
+    assert runs == in_order  # each left row's matches are contiguous
+
+
+@pytest.mark.parametrize("name", list(STILL_CORRELATED))
+def test_other_correlated_shapes_keep_the_fallback(name):
+    graph = stock_graph()
+    text = f"{PREFIX}SELECT * WHERE {{ {STILL_CORRELATED[name]} }}"
+    expected = evaluate(graph, text, options=CompileOptions())
+    actual, fallback_ops = run_vector(graph, text)
+    assert fallback_ops > 0
+    assert canonical(actual) == canonical(expected)
+
+
+def test_rebinding_bind_inside_optional_still_raises():
+    from repro.errors import SPARQLError
+
+    text = (PREFIX + "SELECT * WHERE { ?p ex:price ?v . "
+            "OPTIONAL { ?p ex:stock ?t . BIND(1 AS ?v) } }")
+    for options in (CompileOptions(), VECTOR):
+        with pytest.raises(SPARQLError):
+            evaluate(stock_graph(), text, options=options)
+
+
+# ---------------------------------------------------------------------------
+# (d) row materialisation
+# ---------------------------------------------------------------------------
+
+def solutions_by_cell(batch, encoder):
+    rows = []
+    for i in range(batch.nrows):
+        row = {}
+        for variable, column in batch.columns.items():
+            if column[i] != UNBOUND:
+                row[variable] = encoder.decode(int(column[i]))
+        rows.append(row)
+    return rows
+
+
+@given(
+    cells=st.lists(
+        st.lists(st.integers(UNBOUND, 9), min_size=3, max_size=3), max_size=12
+    ),
+    width=st.integers(0, 3),
+    all_bound=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_batch_solutions_match_the_cell_loop(cells, width, all_bound):
+    from repro.sparql.vector.engine import _Exec, _batch_solutions
+
+    graph = Graph()
+    for i in range(6):
+        graph.add(EX[f"s{i}"], EX.p, Literal.from_python(i))
+    ctx = _Exec(graph, FunctionRegistry(), None)
+    # Ids past the dictionary are BIND-style ephemerals of this execution.
+    ephemeral = [ctx.encoder.encode(Literal(f"made{i}")) for i in range(4)]
+    pool = list(range(graph.term_count))[:6] + ephemeral
+    matrix = np.array(cells, dtype=np.int64).reshape(len(cells), 3)[:, :width]
+    ids = np.where(matrix == UNBOUND, UNBOUND, np.take(pool, matrix % len(pool)))
+    if all_bound:
+        ids = np.where(ids == UNBOUND, pool[0], ids)
+    batch = Batch(
+        {Variable(f"v{i}"): ids[:, i].copy() for i in range(width)}, len(cells)
+    )
+    assert _batch_solutions(batch, ctx) == solutions_by_cell(batch, ctx.encoder)
+
+
+def test_decode_column_in_graph_ephemeral_and_unbound():
+    graph = Graph()
+    graph.add(EX.s, EX.p, EX.o)
+    encoder = TermEncoder(graph)
+    made = Literal("made")
+    ids = np.array([0, 2, 1], dtype=np.int64)
+    assert encoder.decode_column(ids) == [EX.s, EX.o, EX.p]
+    mixed = np.array([encoder.encode(made), UNBOUND, 1], dtype=np.int64)
+    assert encoder.decode_column(mixed) == [made, None, EX.p]
+    assert encoder.decode_column(np.empty(0, dtype=np.int64)) == []
+
+
+def test_variable_is_a_hashable_name():
+    variable = Variable("x")
+    assert variable == Variable("x") and variable != Variable("y")
+    assert hash(variable) == hash(Variable("x"))
+    assert {variable: 1}[Variable("x")] == 1
+    assert variable.name == "x" and str(variable) == f"{variable}" == "?x"
+    assert variable != EX.x and variable != Literal("x") and variable != "x"
+    assert type(variable).__hash__ is tuple.__hash__  # no Python frame
+
+
+# ---------------------------------------------------------------------------
+# (e) cost pin: counts, not timings, for the six bench shapes
+# ---------------------------------------------------------------------------
+
+def bench_store(products):
+    from bench.sparql_workloads import product_triples, shape_texts
+    from repro.geosparql import GeoStore
+
+    rng = random.Random(5)
+    store = GeoStore()
+    store.bulk_load(list(product_triples(rng, products, products // 10)))
+    return store, shape_texts(rng, products)
+
+
+def bench_costs(products):
+    store, texts = bench_store(products)
+    costs = {}
+    for shape, text in texts.items():
+        query = parse_query(text)
+        tree = store._plan(query.where, VECTOR)
+        budget = QueryBudget(max_rows=10**9)
+        batch, ctx = execute_tree(tree, store.graph, store.registry, budget=budget)
+        rows = finish_select(query, batch, ctx)
+        assert canonical(rows) == canonical(
+            evaluate(store.graph, text, store.registry)
+        ), shape
+        costs[shape] = (ctx.fallback_ops, budget.checkpoints)
+    return costs
+
+
+def test_bench_shapes_cost_pin():
+    small, large = bench_costs(500), bench_costs(2000)  # 2k and 8k triples
+    for shape, (fallback_ops, _) in small.items():
+        # The R-tree candidate scan is a custom operator: one fallback.
+        assert fallback_ops == (1 if shape == "spatial" else 0), shape
+    # Four times the left rows, not one more checkpoint.
+    assert large["optional"] == small["optional"]
+    assert small["optional"][1] < 12
+
+
+# ---------------------------------------------------------------------------
+# Integers float64 cannot hold
+# ---------------------------------------------------------------------------
+
+BIG = 2**53
+
+
+@pytest.fixture
+def big_graph():
+    graph = Graph()
+    for name, value in (("a", BIG), ("b", 1), ("c", 1), ("d", BIG + 1)):
+        graph.add(EX[name], EX.v, Literal.from_python(value))
+    return graph
+
+
+def both(graph, text):
+    expected = evaluate(graph, PREFIX + text, options=CompileOptions())
+    actual = evaluate(graph, PREFIX + text, options=VECTOR)
+    assert canonical(actual) == canonical(expected)
+    return actual
+
+
+class TestBigIntegers:
+    def test_sum_is_exact(self, big_graph):
+        rows = both(big_graph, "SELECT (SUM(?v) AS ?s) WHERE { ?x ex:v ?v }")
+        assert rows[0][Variable("s")].to_python() == 2 * BIG + 3
+
+    def test_ordered_filter_against_a_big_constant(self, big_graph):
+        rows = both(
+            big_graph, f"SELECT ?x WHERE {{ ?x ex:v ?v . FILTER(?v > {BIG}) }}"
+        )
+        assert [row[Variable("x")] for row in rows] == [EX.d]
+
+    def test_equality_filter_against_a_big_constant(self, big_graph):
+        rows = both(
+            big_graph, f"SELECT ?x WHERE {{ ?x ex:v ?v . FILTER(?v = {BIG + 1}) }}"
+        )
+        assert [row[Variable("x")] for row in rows] == [EX.d]
+
+    def test_order_by_desc_limit_one(self, big_graph):
+        rows = both(
+            big_graph, "SELECT ?x WHERE { ?x ex:v ?v } ORDER BY DESC(?v) LIMIT 1"
+        )
+        assert [row[Variable("x")] for row in rows] == [EX.d]
+
+    def test_arithmetic_results_past_the_limit(self, big_graph):
+        both(big_graph, "SELECT ?x ?w WHERE { ?x ex:v ?v . BIND(?v + ?v + 1 AS ?w) }")
+        both(big_graph, f"SELECT ?x WHERE {{ ?x ex:v ?v . FILTER(?v + 1 > {BIG + 1}) }}")
+        both(big_graph, "SELECT ?x ?w WHERE { ?x ex:v ?v . BIND(-?v * 3 AS ?w) }")
+
+    def test_sum_whose_total_passes_the_limit(self):
+        graph = Graph()
+        for i in range(5):
+            graph.add(EX[f"s{i}"], EX.v, Literal.from_python(BIG - 1 - i))
+        rows = both(graph, "SELECT (SUM(?v) AS ?s) (AVG(?v) AS ?a) WHERE { ?x ex:v ?v }")
+        assert rows[0][Variable("s")].to_python() == 5 * BIG - 15
+
+    def test_integer_too_large_for_a_float(self):
+        graph = Graph()
+        graph.add(EX.a, EX.v, Literal.from_python(10**400))
+        graph.add(EX.b, EX.v, Literal.from_python(3))
+        both(graph, "SELECT ?x WHERE { ?x ex:v ?v . FILTER(?v > 5) }")
+        both(graph, "SELECT (SUM(?v) AS ?s) WHERE { ?x ex:v ?v }")
+        both(graph, "SELECT ?x WHERE { ?x ex:v ?v } ORDER BY ?v")
+
+    def test_exact_integers_stay_on_the_vector_path(self, big_graph):
+        # 2**53 itself round-trips, so only 2**53 + 1 is marked.
+        from repro.sparql.vector.engine import _codec_for
+
+        both(big_graph, "SELECT ?x WHERE { ?x ex:v ?v . FILTER(?v > 0) }")
+        codec = _codec_for(big_graph)
+        marked = [big_graph.term_for_id(int(i)).to_python()
+                  for i in np.nonzero(codec.inexact)[0]]
+        assert marked == [BIG + 1]
+
+
+# ---------------------------------------------------------------------------
+# Constant-subject scans
+# ---------------------------------------------------------------------------
+
+class TestConstantSubjectScan:
+    @pytest.fixture
+    def graph(self):
+        graph = Graph()
+        graph.add(EX.a, EX.p, EX.b)
+        graph.add(EX.a, EX.p, EX.c)
+        graph.add(EX.a, EX.q, EX.q)
+        graph.add(EX.a, EX.a, EX.a)
+        graph.add(EX.b, EX.p, EX.a)
+        return graph
+
+    @pytest.mark.parametrize("pattern", [
+        "ex:a ex:p ?o", "ex:a ?p ?o", "ex:a ?p ex:b", "ex:a ?x ?x",
+        "ex:a ex:p ex:b", "ex:a ex:nope ?o", "ex:nobody ex:p ?o", "ex:c ex:p ?o",
+        "ex:a ex:p ?o . ?o ex:p ?back",
+    ])
+    def test_matches_interpreted(self, graph, pattern):
+        both(graph, f"SELECT * WHERE {{ {pattern} }}")
+
+    def test_probe_does_not_snapshot_the_table(self, graph, monkeypatch):
+        from repro.sparql.vector import ops
+
+        def no_table(_graph):
+            raise AssertionError("constant-subject scan touched the id table")
+
+        monkeypatch.setattr(ops, "_id_table", no_table)
+        rows = evaluate(graph, PREFIX + "SELECT ?o WHERE { ex:a ex:p ?o }", options=VECTOR)
+        assert sorted(str(row[Variable("o")]) for row in rows) == [str(EX.b), str(EX.c)]
