@@ -14,11 +14,11 @@ the spatial rewrite that bakes R-tree candidate lists into the tree. A
   and the content version is the owner's monotonically bumped mutation
   counter (:attr:`repro.rdf.graph.Graph.version`) — any mutation moves the
   key, so a cached plan can never describe data that changed under it.
-  The options tuple (``CompileOptions.cache_key()``) includes the
-  ``engine`` field, so the interpreted evaluator and the E22 vector engine
-  — whose plans are cost-ordered differently — never share a cache entry;
-  it excludes per-request state like the E23 ``budget``, so governed and
-  ungoverned executions of one text share one plan.
+  The options component is the frozen, hashable
+  :class:`~repro.sparql.algebra.CompileOptions` itself: every field shapes
+  the plan, and ``engine`` is one of them, so the interpreted evaluator and
+  the E22 vector engine — whose plans are cost-ordered differently — never
+  share a cache entry.
 
 One ``PlanCache`` may be shared by several stores (the evaluator, a
 ``GeoStore``, the catalogue over it, a ``VirtualGeoStore``); entries never
@@ -30,8 +30,7 @@ on, and takes the uncached path unchanged.
 from __future__ import annotations
 
 import weakref
-from dataclasses import astuple
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.cache.lru import LRUCache, MISS
 from repro.obs import Observability
@@ -70,23 +69,6 @@ class PlanCache:
             self._tokens[owner] = token
         return token
 
-    @staticmethod
-    def options_key(options) -> Optional[Tuple]:
-        """Hashable identity of a :class:`~repro.sparql.algebra.CompileOptions`.
-
-        Delegates to ``options.cache_key()`` so per-request state (the E23
-        ``budget`` field) never lands in a plan-cache or coalescing key —
-        governed and ungoverned runs of the same text share one plan entry.
-        Foreign option objects without a ``cache_key`` fall back to the old
-        ``dataclasses.astuple`` identity.
-        """
-        if options is None:
-            return None
-        cache_key = getattr(options, "cache_key", None)
-        if cache_key is not None:
-            return cache_key()
-        return astuple(options)
-
     # ------------------------------------------------------------------
     # Tiers
     # ------------------------------------------------------------------
@@ -115,7 +97,7 @@ class PlanCache:
         so a version bump (any store mutation) forces a rebuild and the
         stale plan ages out of the LRU on its own.
         """
-        key = (self.token(owner), text, self.options_key(options), version)
+        key = (self.token(owner), text, options, version)
         plan = self._plans.get(key)
         if plan is MISS:
             plan = build()

@@ -31,8 +31,7 @@ from repro.sparql.algebra import (
     LeftJoinOp,
     ScanOp,
     UnionOp,
-    compile_group,
-    operator_variables,
+    order_patterns,
 )
 from repro.sparql.ast import (
     AskQuery,
@@ -42,17 +41,14 @@ from repro.sparql.ast import (
     Variable,
     VarExpr,
 )
-from repro.sparql.evaluator import (
-    Bindings,
-    FunctionRegistry,
-    _evaluate_op,
-    apply_solution_modifiers,
-    materialize_select,
-)
+from repro.sparql.evaluator import Bindings, FunctionRegistry
 from repro.sparql.parser import parse_query
+from repro.sparql.pipeline import compile_plan, run_query
+from repro.sparql.vector.cost import _collect_region, _rebuild_region
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache.plan import PlanCache
+    from repro.sparql.governor import QueryBudget
 
 
 class _SpatialCandidateOp(AlgebraOp):
@@ -198,48 +194,31 @@ class GeoStore:
         self,
         query: Union[str, SelectQuery, AskQuery],
         options: Optional[CompileOptions] = None,
+        *,
+        budget: Optional["QueryBudget"] = None,
     ) -> Union[List[Bindings], bool]:
         """Evaluate a (Geo)SPARQL query with spatial-index acceleration.
 
+        The shared pipeline (:func:`repro.sparql.pipeline.run_query`) with
+        this store's spatial rewrite as its plan hook; on the vector engine
+        the candidate scan runs through the interpreted fallback (it is a
+        custom operator) and feeds the vectorized hash joins.
+
         With a :attr:`plan_cache` attached, *string* queries reuse parsed
-        ASTs and compiled (spatially rewritten) plans across calls; the key
-        includes :attr:`content_version`, so any mutation recompiles.
+        ASTs and compiled (spatially rewritten) plans across calls. They are
+        cached per store *and* content version: the rewrite bakes R-tree
+        candidate lists into the tree, and every index mutation also bumps
+        the graph version, so the key is exact.
         """
-        text: Optional[str] = None
-        if isinstance(query, str):
-            text = query
-            if self.plan_cache is not None:
-                query = self.plan_cache.parse(text)
-            else:
-                query = parse_query(text)
-        budget = getattr(options, "budget", None) if options is not None else None
-        if options is not None and options.engine == "vector":
-            # Columnar execution of the spatially rewritten plan: the
-            # candidate scan runs through the interpreted fallback (it is a
-            # custom operator) and feeds the vectorized hash joins.
-            from repro.sparql.vector import execute_tree, finish_select
-
-            tree = self._plan(query.where, options, text=text)
-            batch, ctx = execute_tree(
-                tree, self.graph, self.registry, budget=budget
-            )
-            if isinstance(query, AskQuery):
-                return batch.nrows > 0
-            return finish_select(query, batch, ctx)
-        if isinstance(query, AskQuery):
-            tree = self._plan(query.where, options, text=text)
-            for _ in _evaluate_op(
-                tree, self.graph, {}, self.registry, None, budget
-            ):
-                return True
-            return False
-
-        tree = self._plan(query.where, options, text=text)
-        return materialize_select(
+        return run_query(
+            self.graph,
             query,
-            _evaluate_op(tree, self.graph, {}, self.registry, None, budget),
             self.registry,
-            budget,
+            options,
+            budget=budget,
+            cache=self.plan_cache,
+            owner=self,
+            rewrite=self._rewrite,
         )
 
     def explain(
@@ -254,7 +233,7 @@ class GeoStore:
         """
         if isinstance(query, str):
             query = parse_query(query)
-        tree = self._plan(query.where, options)
+        tree = compile_plan(query.where, self.graph, options, self._rewrite)
         lines: List[str] = []
 
         def walk(op: AlgebraOp, depth: int) -> None:
@@ -287,37 +266,12 @@ class GeoStore:
         walk(tree, 0)
         return "\n".join(lines)
 
-    def _plan(
-        self,
-        where,
-        options: Optional[CompileOptions],
-        text: Optional[str] = None,
-    ) -> AlgebraOp:
-        if self.plan_cache is not None and text is not None:
-            # Cached per store *and* content version: the spatial rewrite
-            # bakes R-tree candidate lists into the tree, and every index
-            # mutation also bumps the graph version, so the key is exact.
-            return self.plan_cache.plan(
-                self,
-                text,
-                options,
-                self.graph.version,
-                lambda: self._build_plan(where, options),
-            )
-        return self._build_plan(where, options)
-
-    def _build_plan(self, where, options: Optional[CompileOptions]) -> AlgebraOp:
-        tree = compile_group(where, self.graph, options)
-        if self.use_spatial_index:
-            rebuilt = self._rewrite_spatial_global(tree)
-            tree = rebuilt if rebuilt is not None else self._rewrite_spatial(tree)
-        if options is not None and options.engine == "vector" and options.reorder_patterns:
-            # Cost-order the pure scan regions; subtrees containing the
-            # spatial candidate op keep their bound-variable-aware order.
-            from repro.sparql.vector import apply_cost_order
-
-            tree = apply_cost_order(tree, self.graph)
-        return tree
+    def _rewrite(self, tree: AlgebraOp) -> AlgebraOp:
+        """The pipeline's plan hook: plant R-tree candidate scans."""
+        if not self.use_spatial_index:
+            return tree
+        rebuilt = self._rewrite_spatial_global(tree)
+        return rebuilt if rebuilt is not None else self._rewrite_spatial(tree)
 
     def _rewrite_spatial_global(self, tree: AlgebraOp) -> Optional[AlgebraOp]:
         """Rebuild a pure scan/join/filter tree so the spatial candidate scan
@@ -325,22 +279,10 @@ class GeoStore:
         index lookups walk outward, instead of candidates being re-enumerated
         per upstream row. Returns None when the tree has other operators
         (OPTIONAL/UNION), in which case the local rewrite is used."""
-        scans: List[ScanOp] = []
-        filters: List = []
-
-        def collect(op: AlgebraOp) -> bool:
-            if isinstance(op, ScanOp):
-                scans.append(op)
-                return True
-            if isinstance(op, JoinOp):
-                return collect(op.left) and collect(op.right)
-            if isinstance(op, FilterOp):
-                filters.append(op.expression)
-                return collect(op.operand)
-            return False
-
-        if not collect(tree) or not scans:
+        flat = _flatten_scans(tree)
+        if flat is None:
             return None
+        scans, filters = flat
         spatial = next(
             (
                 (expr, parsed)
@@ -352,22 +294,17 @@ class GeoStore:
         if spatial is None:
             return None
         expression, (variable, candidates) = spatial
-
-        from repro.sparql.algebra import _push_filter, order_patterns
-
         self._stats["spatial_rewrites"] += 1
         self._stats["candidates_examined"] += len(candidates)
         ordered = order_patterns(
             [s.pattern for s in scans], self.graph, bound_vars={variable}
         )
-        rebuilt: AlgebraOp = _SpatialCandidateOp(variable, candidates)
-        for pattern in ordered:
-            rebuilt = JoinOp(rebuilt, ScanOp(pattern))
-        for expr in filters:
-            # Includes the spatial predicate itself: bbox candidates are a
-            # superset, the exact test lands just above the candidate scan.
-            rebuilt = _push_filter(rebuilt, expr)
-        return rebuilt
+        # The re-pushed filters include the spatial predicate itself: bbox
+        # candidates are a superset, the exact test lands just above the
+        # candidate scan.
+        return _rebuild_region(
+            ordered, filters, _SpatialCandidateOp(variable, candidates)
+        )
 
     def _indexable_parts(self, expression):
         """(variable, candidates) for an indexable spatial filter, else None."""
@@ -386,8 +323,12 @@ class GeoStore:
         if variable is None or not is_geometry_literal(constant):
             return None
         query_geometry = literal_geometry(constant)
+        # sfContains(?g, const) means ?g contains the constant: any candidate
+        # bbox must *contain* the constant's bbox -> probing with the
+        # constant's bbox still yields a superset (intersecting is necessary).
         candidates = list(self._rtree.search(query_geometry.bbox))
         if expression.name == SF_WITHIN and var_first:
+            # ?g within const: candidate bbox must be inside const's bbox.
             candidates = [
                 c
                 for c in candidates
@@ -421,34 +362,10 @@ class GeoStore:
     ) -> Optional[AlgebraOp]:
         """If the filter is an indexable spatial relation var-vs-constant,
         plant a candidate scan in front of the operand."""
-        if not isinstance(expression, FunctionCall):
+        parts = self._indexable_parts(expression)
+        if parts is None:
             return None
-        if expression.name not in INDEXABLE_RELATIONS or len(expression.args) != 2:
-            return None
-        first, second = expression.args
-        variable: Optional[Variable] = None
-        constant: Optional[Literal] = None
-        var_first = False
-        if isinstance(first, VarExpr) and isinstance(second, TermExpr):
-            variable, constant, var_first = first.variable, second.term, True
-        elif isinstance(first, TermExpr) and isinstance(second, VarExpr):
-            variable, constant = second.variable, first.term
-        if variable is None or not is_geometry_literal(constant):
-            return None
-
-        query_geometry = literal_geometry(constant)
-        # sfContains(?g, const) means ?g contains the constant: any candidate
-        # bbox must *contain* the constant's bbox -> probing with the
-        # constant's bbox still yields a superset (intersecting is necessary).
-        candidates = list(self._rtree.search(query_geometry.bbox))
-        if expression.name == SF_WITHIN and var_first:
-            # ?g within const: candidate bbox must be inside const's bbox.
-            candidates = [
-                c
-                for c in candidates
-                if constant is not None
-                and query_geometry.bbox.contains_box(literal_geometry(c).bbox)
-            ]
+        variable, candidates = parts
         self._stats["spatial_rewrites"] += 1
         self._stats["candidates_examined"] += len(candidates)
         candidate_op = _SpatialCandidateOp(variable, candidates)
@@ -459,33 +376,26 @@ class GeoStore:
         """Re-order a pure scan/join/filter subtree knowing *variable* is
         bound by the candidate scan, so the join starts from the geometry
         pattern instead of scanning an unrelated predicate per candidate."""
-        scans: List[ScanOp] = []
-        filters: List = []
-
-        def collect(op: AlgebraOp) -> bool:
-            if isinstance(op, ScanOp):
-                scans.append(op)
-                return True
-            if isinstance(op, JoinOp):
-                return collect(op.left) and collect(op.right)
-            if isinstance(op, FilterOp):
-                filters.append(op.expression)
-                return collect(op.operand)
-            return False
-
-        if not collect(inner) or not scans:
+        flat = _flatten_scans(inner)
+        if flat is None:
             return inner
-        from repro.sparql.algebra import _push_filter, order_patterns
-
-        ordered = order_patterns(
-            [s.pattern for s in scans], self.graph, bound_vars={variable}
+        scans, filters = flat
+        return _rebuild_region(
+            order_patterns(
+                [s.pattern for s in scans], self.graph, bound_vars={variable}
+            ),
+            filters,
         )
-        tree: AlgebraOp = ScanOp(ordered[0])
-        for pattern in ordered[1:]:
-            tree = JoinOp(tree, ScanOp(pattern))
-        for expression in filters:
-            tree = _push_filter(tree, expression)
-        return tree
+
+
+def _flatten_scans(op: AlgebraOp):
+    """``(scans, filter expressions)`` of a pure scan/join/filter subtree;
+    None when it holds any other operator or no scan at all."""
+    scans: List[ScanOp] = []
+    filters: List = []
+    if not _collect_region(op, scans, filters) or not scans:
+        return None
+    return scans, filters
 
 
 def _pattern_text(pattern) -> str:

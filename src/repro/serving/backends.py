@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 
 from repro.resilience.deadline import Deadline
 from repro.serving.gateway import Backend
-from repro.sparql.governor import with_budget
 
 
 class StoreBackend(Backend):
@@ -26,10 +25,10 @@ class StoreBackend(Backend):
 
     The store's own entry point takes no deadline — the gateway enforces
     the request's budget at dispatch and fan-out instead — so the executed
-    call is exactly ``store.query(text, options)``. An E23
-    :class:`~repro.sparql.governor.QueryBudget` rides into the engines on
-    the compile options (which never reach plan-cache or coalescing keys);
-    with no budget the call is byte-identical to the pre-E23 adapter.
+    call is exactly ``store.query(text, options, budget=budget)``. An E23
+    :class:`~repro.sparql.governor.QueryBudget` is execution state: it goes
+    beside the compile options, never into them, so plan-cache and
+    coalescing keys cannot see it.
     """
 
     kind = "sparql"
@@ -44,17 +43,14 @@ class StoreBackend(Backend):
     def execute(self, query: str, options=None,
                 deadline: Optional[Deadline] = None, priority: int = 1,
                 budget=None):
-        if budget is not None:
-            options = with_budget(options, budget)
-        return self.store.query(query, options=options)
+        return self.store.query(query, options=options, budget=budget)
 
 
 class DistBackend(Backend):
     """Distributed SPARQL (E25) over a shared :class:`DistRuntime`.
 
-    Forces ``engine="dist"`` and pins the runtime onto the compile options
-    (both excluded from plan-cache and coalescing keys, like budgets), so
-    tenants share one partitioned store and one fault-injection campaign.
+    Every request goes through :meth:`DistRuntime.query` on the one runtime,
+    so tenants share one partitioned store and one fault-injection campaign.
     A partition losing every replica surfaces as
     :class:`~repro.errors.PartitionUnavailable`, which the gateway
     translates to a retryable per-tenant :class:`~repro.errors.Shed`.
@@ -74,20 +70,9 @@ class DistBackend(Backend):
     def execute(self, query: str, options=None,
                 deadline: Optional[Deadline] = None, priority: int = 1,
                 budget=None):
-        import dataclasses
-
-        from repro.sparql.algebra import CompileOptions
-        from repro.sparql.evaluator import _EMPTY_REGISTRY, evaluate
-
-        options = dataclasses.replace(
-            options if options is not None else CompileOptions(),
-            engine="dist",
-            dist=self.runtime,
+        return self.runtime.query(
+            query, self.registry, options, budget=budget
         )
-        if budget is not None:
-            options = with_budget(options, budget)
-        registry = self.registry if self.registry is not None else _EMPTY_REGISTRY
-        return evaluate(self.graph, query, registry, options)
 
 
 class CatalogBackend(Backend):

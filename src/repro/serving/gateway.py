@@ -55,7 +55,6 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, List, Optional
 
-from repro.cache.plan import PlanCache
 from repro.errors import (
     CircuitOpen,
     Overloaded,
@@ -255,7 +254,7 @@ class Gateway:
                 key = (
                     request.kind,
                     request.query,
-                    PlanCache.options_key(request.options),
+                    request.options,
                     backend.version(),
                 )
                 entry = self.coalescer.lookup(key)

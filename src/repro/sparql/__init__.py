@@ -16,18 +16,19 @@ selectivity-ordered joins, and evaluates with an iterator model over
 :class:`repro.rdf.Graph`. Passing ``CompileOptions(engine="vector")`` to
 :func:`evaluate` selects the columnar engine (:mod:`repro.sparql.vector`)
 instead: numpy id-column execution with cost-based join ordering, identical
-solution multisets.
+solution multisets. Every entry point runs the one parse -> plan -> run ->
+finish path in :mod:`repro.sparql.pipeline`.
 
-``CompileOptions(budget=QueryBudget(...))`` attaches the E23 resource
+``evaluate(..., budget=QueryBudget(...))`` attaches the E23 resource
 governor (:mod:`repro.sparql.governor`): a per-query deadline, resident
 row/byte caps and a cooperative :class:`~repro.sparql.governor.CancelToken`,
 enforced at checkpoints inside both engines.
 
-``CompileOptions(engine="dist", dist=DistRuntime(graph, ...))`` runs the
-vector plans distributed over a range-partitioned, replicated simulated
-cluster with crash recovery, speculation and replica failover
-(:mod:`repro.sparql.dist`, experiment E25) — same multisets again, or a
-typed retryable :class:`~repro.errors.PartitionUnavailable`.
+``DistRuntime(graph, ...).query(text)`` runs the vector plans distributed
+over a range-partitioned, replicated simulated cluster with crash recovery,
+speculation and replica failover (:mod:`repro.sparql.dist`, experiment
+E25) — same multisets again, or a typed retryable
+:class:`~repro.errors.PartitionUnavailable`.
 """
 
 from repro.sparql.algebra import CompileOptions
@@ -36,22 +37,23 @@ from repro.sparql.governor import (
     BudgetPolicy,
     CancelToken,
     QueryBudget,
-    with_budget,
 )
 from repro.sparql.parser import parse_query
 from repro.sparql.evaluator import (
     Bindings,
+    ExecContext,
     FunctionRegistry,
     apply_solution_modifiers,
-    evaluate,
     materialize_select,
 )
+from repro.sparql.pipeline import evaluate
 
 __all__ = [
     "Bindings",
     "BudgetPolicy",
     "CancelToken",
     "CompileOptions",
+    "ExecContext",
     "FunctionRegistry",
     "QueryBudget",
     "SelectQuery",
@@ -60,5 +62,4 @@ __all__ = [
     "evaluate",
     "materialize_select",
     "parse_query",
-    "with_budget",
 ]

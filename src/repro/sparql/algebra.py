@@ -17,8 +17,9 @@ contribution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.errors import SPARQLError
 from repro.rdf.graph import Graph
 from repro.sparql.ast import (
     BGP,
@@ -38,10 +39,6 @@ from repro.sparql.ast import (
     Variable,
     VarExpr,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sparql.governor import QueryBudget
-
 
 # ---------------------------------------------------------------------------
 # Algebra operators
@@ -231,45 +228,42 @@ def order_patterns(
 # Compilation
 # ---------------------------------------------------------------------------
 
-@dataclass
+#: The execution engines a plan can be shaped for (the labels of the engine
+#: table in :mod:`repro.sparql.pipeline`). The distributed engine is not a
+#: label: it runs vector plans and is entered through its runtime
+#: (:meth:`repro.sparql.dist.DistRuntime.query`).
+ENGINES = ("interpreted", "vector")
+
+
+@dataclass(frozen=True)
 class CompileOptions:
-    """Optimisation switches (all on by default; benches toggle them).
+    """What shapes a plan — and nothing else (all rewrites on by default;
+    benches toggle them).
 
     ``engine`` selects the execution engine: ``"interpreted"`` is the
     iterator-model evaluator; ``"vector"`` runs the columnar engine
     (:mod:`repro.sparql.vector`) with cost-based join ordering. Both return
-    identical solution multisets. The plan-shaping fields participate in
-    plan-cache keys via :meth:`cache_key`, so the two engines never share
-    cached plans.
+    identical solution multisets, from differently ordered plans.
 
-    ``budget`` attaches a per-execution
-    :class:`~repro.sparql.governor.QueryBudget` (E23): deadline, resident
-    row/byte caps and a cooperative cancellation token, enforced at engine
-    checkpoints. It is *request* state, not plan state — :meth:`cache_key`
-    excludes it, so governed and ungoverned runs of the same text share one
-    compiled plan and one coalescing key.
-
-    ``engine="dist"`` (E25) runs the vector plans distributed over a
-    range-partitioned, replicated cluster; ``dist`` carries the
-    :class:`~repro.sparql.dist.DistRuntime` holding the partitioned store
-    and scheduler knobs. Like ``budget`` it is runtime state:
-    :meth:`cache_key` excludes it, and the compiled trees are the vector
-    engine's own (keyed under the ``"dist"`` engine label).
+    Frozen and hashable: the object itself is the options component of
+    plan-cache and coalescing keys, so every field must be plan state.
+    Per-execution state (a :class:`~repro.sparql.governor.QueryBudget`, an
+    observability bundle) travels as explicit arguments into the
+    :class:`~repro.sparql.evaluator.ExecContext` instead.
     """
 
     push_filters: bool = True
     reorder_patterns: bool = True
     engine: str = "interpreted"
-    budget: Optional["QueryBudget"] = None
-    dist: Optional[object] = None
 
-    def cache_key(self) -> Tuple:
-        """Hashable identity of the plan-shaping fields only.
-
-        Matches the pre-budget ``dataclasses.astuple`` output exactly, so
-        every existing plan-cache and coalescing key is unchanged.
-        """
-        return (self.push_filters, self.reorder_patterns, self.engine)
+    def __post_init__(self) -> None:
+        # The label arrives from callers outside the package; an unknown one
+        # must not fall through to some default engine.
+        if self.engine not in ENGINES:
+            raise SPARQLError(
+                f"unknown engine {self.engine!r}; known engines: "
+                + ", ".join(repr(name) for name in ENGINES)
+            )
 
 
 def compile_group(

@@ -1,8 +1,9 @@
 """Fault-tolerant distributed SPARQL execution (experiment E25).
 
-The third execution engine, behind ``CompileOptions(engine="dist",
-dist=DistRuntime(graph, ...))``: the E22 vector plans, compiled unchanged,
-are mapped onto a range-partitioned + replicated layout of the graph's
+The third execution engine, entered through its runtime —
+``DistRuntime(graph, ...).query(text)`` runs the shared pipeline
+(:mod:`repro.sparql.pipeline`) with the runtime's own engine row: the E22
+vector plans, compiled unchanged, are mapped onto a range-partitioned + replicated layout of the graph's
 id-row table (:mod:`repro.sparql.dist.partition`), planned into
 locality-aware stage DAGs (:mod:`repro.sparql.dist.plan` — partition-local
 scans, broadcast joins under a :meth:`Graph.count`-driven cost threshold,
@@ -28,7 +29,6 @@ from repro.sparql.dist.engine import (
     PartialResult,
     ShuffleStore,
     bucket_codes,
-    evaluate_dist_query,
 )
 from repro.sparql.dist.partition import (
     BYTES_PER_ROW,
@@ -68,6 +68,5 @@ __all__ = [
     "build_plan",
     "definitely_bound",
     "estimate_rows",
-    "evaluate_dist_query",
     "plan_shape",
 ]

@@ -48,16 +48,17 @@ import numpy as np
 from repro.cluster.resources import ClusterSpec
 from repro.cluster.scheduler import Scheduler, Task
 from repro.errors import ClusterError, PartitionUnavailable, SPARQLError
-from repro.sparql.algebra import CompileOptions, ExtendOp, FilterOp
+from repro.sparql.algebra import AlgebraOp, CompileOptions, FilterOp
 from repro.sparql.ast import AskQuery, SelectQuery
-from repro.sparql.vector.batch import UNBOUND, Batch
+from repro.sparql.evaluator import ExecContext
+from repro.sparql.pipeline import Engine, run_query
+from repro.sparql.vector.batch import Batch
 from repro.sparql.vector.engine import (
-    _Exec,
     _execute,
-    compile_vector_plan,
+    apply_extend,
+    apply_filter,
     finish_select,
 )
-from repro.sparql.vector.expr import bind_column, filter_keep_mask
 from repro.sparql.vector.ops import hash_join
 from repro.sparql.dist.partition import PartitionedTripleStore
 from repro.sparql.dist.plan import (
@@ -190,9 +191,9 @@ class DistReport:
 class DistRuntime:
     """The distributed engine's long-lived state and configuration.
 
-    Attach one to :class:`~repro.sparql.algebra.CompileOptions` via
-    ``CompileOptions(engine="dist", dist=runtime)``; like ``budget`` it is
-    request/runtime state and never participates in plan-cache keys.
+    The engine is entered through :meth:`query`, which runs the shared
+    pipeline (:func:`repro.sparql.pipeline.run_query`) with this runtime's
+    own engine row: vector plans, executed as scheduler DAGs.
     """
 
     def __init__(
@@ -240,19 +241,40 @@ class DistRuntime:
         self.obs = obs
         self.allow_partial = allow_partial
         self.last_report: Optional[DistReport] = None
+        self._engine = Engine(True, self._execute, _ask, _select)
 
-    def evaluate(
+    def query(
         self,
-        tree,
-        query: Union[SelectQuery, AskQuery],
-        registry,
-        options: Optional[CompileOptions],
+        query: Union[str, SelectQuery, AskQuery],
+        registry=None,
+        options: Optional[CompileOptions] = None,
+        *,
+        budget=None,
         obs=None,
+        cache=None,
     ) -> Union[List, bool]:
-        """Execute a compiled vector tree distributedly; finish like E22."""
+        """Evaluate a query on the distributed engine.
+
+        Plans are the E22 cost-ordered vector trees whatever
+        ``options.engine`` says (the runtime *is* the engine); with a plan
+        cache they are keyed under this runtime, not the graph, so they
+        never alias another engine's entry for the same text.
+        """
+        return run_query(
+            self.graph,
+            query,
+            registry,
+            options,
+            budget=budget,
+            obs=obs,
+            cache=cache,
+            owner=self,
+            engine=self._engine,
+        )
+
+    def _execute(self, tree: AlgebraOp, ctx: ExecContext) -> "_DistRun":
+        """Run a vector tree as one settled scheduler run."""
         self.store.sync()
-        budget = options.budget if options is not None else None
-        ctx = _Exec(self.graph, registry, obs, budget)
         plan = build_plan(
             tree,
             self.graph,
@@ -261,31 +283,37 @@ class DistRuntime:
         )
         run = _DistRun(self, ctx)
         try:
-            batch = run.execute(plan)
+            run.execute(plan)
         finally:
             self.last_report = run.report()
-        if isinstance(query, AskQuery):
-            answer = batch.nrows > 0
-            if run.missing and not answer:
-                # A missing partition could hold the witness: a bare False
-                # cannot carry a partial-result flag, so refuse it.
-                pid = sorted(run.missing)[0]
-                raise PartitionUnavailable(
-                    f"ASK is inconclusive with partition {pid} unavailable",
-                    partition=pid,
-                    replicas=run.placement.get(pid, ()),
-                )
-            return answer
-        rows = finish_select(query, batch, ctx)
-        if run.missing:
-            return PartialResult(rows, run.missing)
-        return rows
+        return run
+
+
+def _ask(run: "_DistRun") -> bool:
+    answer = run.result_batch.nrows > 0
+    if run.missing and not answer:
+        # A missing partition could hold the witness: a bare False
+        # cannot carry a partial-result flag, so refuse it.
+        pid = sorted(run.missing)[0]
+        raise PartitionUnavailable(
+            f"ASK is inconclusive with partition {pid} unavailable",
+            partition=pid,
+            replicas=run.placement.get(pid, ()),
+        )
+    return answer
+
+
+def _select(query: SelectQuery, run: "_DistRun", ctx: ExecContext) -> List:
+    rows = finish_select(query, run.result_batch, ctx)
+    if run.missing:
+        return PartialResult(rows, run.missing)
+    return rows
 
 
 class _DistRun:
     """One query's scheduler run: stage wiring, failover, settlement."""
 
-    def __init__(self, runtime: DistRuntime, ctx: _Exec):
+    def __init__(self, runtime: DistRuntime, ctx: ExecContext):
         self.runtime = runtime
         self.store = runtime.store
         self.ctx = ctx
@@ -621,6 +649,20 @@ class _DistRun:
             done,
         )
 
+    def _fragment_spec(
+        self, fragment: Fragment, compute, extra_s: float = 0.0, extra_rows: int = 0
+    ) -> Dict[str, Any]:
+        """Spec of a task consuming one upstream fragment: modelled work is
+        overhead + *extra_s* + per-row cost, placed where the fragment is."""
+        return {
+            "compute": compute,
+            "work_s": self.runtime.task_overhead_s
+            + extra_s
+            + (fragment.batch.nrows + extra_rows) * self.runtime.row_cost_s,
+            "input_bytes": self._fragment_bytes(fragment.batch),
+            "preferred": {fragment.home} if fragment.home is not None else set(),
+        }
+
     def _start_map(self, node: PMap, done) -> None:
         def child_done(fragments: List[Fragment]) -> None:
             if self.error is not None:
@@ -629,15 +671,9 @@ class _DistRun:
             specs = []
             for fragment in fragments:
                 specs.append(
-                    {
-                        "compute": self._make_map_compute(node.op, fragment),
-                        "work_s": self.runtime.task_overhead_s
-                        + fragment.batch.nrows * self.runtime.row_cost_s,
-                        "input_bytes": self._fragment_bytes(fragment.batch),
-                        "preferred": (
-                            {fragment.home} if fragment.home is not None else set()
-                        ),
-                    }
+                    self._fragment_spec(
+                        fragment, self._make_map_compute(node.op, fragment)
+                    )
                 )
 
             def stage_done(out: List[Fragment]) -> None:
@@ -649,44 +685,26 @@ class _DistRun:
         self._start(node.child, child_done)
 
     def _make_map_compute(self, op, fragment: Fragment):
+        apply = apply_filter if isinstance(op, FilterOp) else apply_extend
+
         def compute(task: Task, state):
             self._checkpoint(f"dist.{type(op).__name__}")
-            batch = fragment.batch
-            if isinstance(op, FilterOp):
-                if batch.nrows == 0:
-                    out = batch
-                else:
-                    keep = filter_keep_mask(
-                        op.expression, batch, self.ctx.expr_ctx()
-                    )
-                    out = batch.mask(keep)
-            elif isinstance(op, ExtendOp):
-                existing = batch.columns.get(op.variable)
-                if existing is not None and (existing != UNBOUND).any():
-                    raise SPARQLError(
-                        "BIND would rebind already-bound variable "
-                        f"{op.variable}"
-                    )
-                if batch.nrows == 0:
-                    out = batch.with_column(
-                        op.variable, np.empty(0, dtype=np.int64)
-                    )
-                else:
-                    column = bind_column(
-                        op.expression, batch, self.ctx.expr_ctx()
-                    )
-                    out = batch.with_column(op.variable, column)
-            else:  # pragma: no cover - planner emits Filter/Extend only
-                raise SPARQLError(f"unexpected map op {type(op).__name__}")
+            out = apply(op, fragment.batch, self.ctx)
             self._charge_payload(out, "dist.map")
             return out
 
         return compute
 
-    def _start_union(self, node: PUnion, done) -> None:
-        results: List[Optional[List[Fragment]]] = [None] * len(node.children)
-        remaining = [len(node.children)]
-        for position, child in enumerate(node.children):
+    def _start_all(
+        self,
+        nodes: Sequence[PNode],
+        ready: Callable[[List[List[Fragment]]], None],
+    ) -> None:
+        """Start *nodes* in order; once every one has settled, ``ready`` gets
+        their fragment lists in that same order."""
+        results: List[Optional[List[Fragment]]] = [None] * len(nodes)
+        remaining = [len(nodes)]
+        for position, node in enumerate(nodes):
 
             def child_done(fragments, position=position):
                 if self.error is not None:
@@ -694,28 +712,19 @@ class _DistRun:
                 results[position] = fragments
                 remaining[0] -= 1
                 if remaining[0] == 0:
-                    done([f for frags in results for f in frags])  # type: ignore[union-attr]
+                    ready(results)  # type: ignore[arg-type]
 
-            self._start(child, child_done)
+            self._start(node, child_done)
+
+    def _start_union(self, node: PUnion, done) -> None:
+        self._start_all(
+            node.children,
+            lambda results: done([f for frags in results for f in frags]),
+        )
 
     def _start_broadcast_join(self, node: PBroadcastJoin, done) -> None:
-        sides: Dict[str, List[Fragment]] = {}
-        remaining = [2]
-
-        def side_done(which: str):
-            def callback(fragments: List[Fragment]) -> None:
-                if self.error is not None:
-                    return
-                sides[which] = fragments
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    ready()
-
-            return callback
-
-        def ready() -> None:
-            big_frags = sides["big"]
-            small_frags = sides["small"]
+        def ready(sides: List[List[Fragment]]) -> None:
+            big_frags, small_frags = sides
             small_batch = (
                 Batch.concat([f.batch for f in small_frags])
                 if small_frags
@@ -732,19 +741,12 @@ class _DistRun:
                     else 0.0
                 )
                 specs.append(
-                    {
-                        "compute": self._make_bjoin_compute(
-                            node, fragment, small_batch
-                        ),
-                        "work_s": self.runtime.task_overhead_s
-                        + transfer
-                        + (fragment.batch.nrows + small_batch.nrows)
-                        * self.runtime.row_cost_s,
-                        "input_bytes": self._fragment_bytes(fragment.batch),
-                        "preferred": (
-                            {fragment.home} if fragment.home is not None else set()
-                        ),
-                    }
+                    self._fragment_spec(
+                        fragment,
+                        self._make_bjoin_compute(node, fragment, small_batch),
+                        extra_s=transfer,
+                        extra_rows=small_batch.nrows,
+                    )
                 )
                 # The gathered small relation ships to every executor.
                 self._account_comm(small_bytes)
@@ -756,46 +758,23 @@ class _DistRun:
 
             self._run_stage(label, specs, stage_done)
 
-        self._start(node.big, side_done("big"))
-        self._start(node.small, side_done("small"))
+        self._start_all([node.big, node.small], ready)
 
     def _make_bjoin_compute(self, node: PBroadcastJoin, fragment, small_batch):
         def compute(task: Task, state):
             self._checkpoint("dist.broadcast_join")
-            if node.small_is_left:
-                out = hash_join(
-                    small_batch, fragment.batch, outer=False, budget=self.budget
-                )
-            else:
-                out = hash_join(
-                    fragment.batch,
-                    small_batch,
-                    outer=node.outer,
-                    budget=self.budget,
-                )
+            left, right = fragment.batch, small_batch
+            if node.small_is_left:  # inner joins only: see build_plan
+                left, right = right, left
+            out = hash_join(left, right, outer=node.outer, budget=self.budget)
             self._charge_payload(out, "dist.join")
             return out
 
         return compute
 
     def _start_shuffle_join(self, node: PShuffleJoin, done) -> None:
-        sides: Dict[str, List[Fragment]] = {}
-        remaining = [2]
-
-        def side_done(which: str):
-            def callback(fragments: List[Fragment]) -> None:
-                if self.error is not None:
-                    return
-                sides[which] = fragments
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    ready()
-
-            return callback
-
-        def ready() -> None:
-            left_frags = sides["left"]
-            right_frags = sides["right"]
+        def ready(sides: List[List[Fragment]]) -> None:
+            left_frags, right_frags = sides
             buckets = max(1, node.buckets)
             keys = list(node.keys)
             self._count("dist.shuffle_joins")
@@ -806,17 +785,10 @@ class _DistRun:
             map_specs = []
             for fragment in all_inputs:
                 map_specs.append(
-                    {
-                        "compute": self._make_shuffle_map_compute(
-                            fragment, keys, buckets
-                        ),
-                        "work_s": self.runtime.task_overhead_s
-                        + fragment.batch.nrows * self.runtime.row_cost_s,
-                        "input_bytes": self._fragment_bytes(fragment.batch),
-                        "preferred": (
-                            {fragment.home} if fragment.home is not None else set()
-                        ),
-                    }
+                    self._fragment_spec(
+                        fragment,
+                        self._make_shuffle_map_compute(fragment, keys, buckets),
+                    )
                 )
 
             def maps_done(map_frags: List[Fragment]) -> None:
@@ -857,31 +829,18 @@ class _DistRun:
 
             def reduces_done(out: List[Fragment]) -> None:
                 # Retire the map outputs (the reducers consumed them).
-                if self.budget is not None:
-                    rows = sum(
-                        b.nrows
+                self._release_fragments(
+                    [
+                        Fragment(self.shuffle.get(key))
                         for key in left_keys + right_keys
                         if self.shuffle.has(key)
-                        for b in _payload_batches(self.shuffle.get(key))
-                    )
-                    nbytes = sum(
-                        b.nrows * max(1, len(b.columns)) * BYTES_PER_CELL
-                        for key in left_keys + right_keys
-                        if self.shuffle.has(key)
-                        for b in _payload_batches(self.shuffle.get(key))
-                    )
-                    self.budget.release_to(
-                        (
-                            max(0, self.budget.resident_rows - rows),
-                            max(0, self.budget.resident_bytes - nbytes),
-                        )
-                    )
+                    ]
+                )
                 done(out)
 
             self._run_stage(reduce_label, reduce_specs, reduces_done)
 
-        self._start(node.left, side_done("left"))
-        self._start(node.right, side_done("right"))
+        self._start_all([node.left, node.right], ready)
 
     def _make_shuffle_map_compute(self, fragment: Fragment, keys, buckets: int):
         def compute(task: Task, state):
@@ -987,44 +946,3 @@ class _DistRun:
             missing_partitions=tuple(sorted(set(self.missing))),
             counters=dict(self.counters),
         )
-
-
-# ---------------------------------------------------------------------------
-# Engine entry point (evaluator dispatch target)
-# ---------------------------------------------------------------------------
-
-def evaluate_dist_query(
-    graph,
-    query: Union[SelectQuery, AskQuery],
-    registry,
-    options: Optional[CompileOptions],
-    obs=None,
-    cache=None,
-    text: Optional[str] = None,
-) -> Union[List, bool]:
-    """Evaluate a parsed query on the distributed engine.
-
-    Plans are the E22 cost-ordered vector trees (shared through the plan
-    cache under the ``engine="dist"`` cache key); the runtime rides on
-    ``options.dist`` the way budgets ride on ``options.budget`` — request
-    state, invisible to plan identity.
-    """
-    runtime = getattr(options, "dist", None) if options is not None else None
-    if runtime is None:
-        raise SPARQLError(
-            'engine="dist" needs a runtime: '
-            "CompileOptions(engine='dist', dist=DistRuntime(graph, ...))"
-        )
-    if runtime.graph is not graph:
-        raise SPARQLError("DistRuntime is bound to a different graph")
-    if cache is not None and text is not None:
-        tree = cache.plan(
-            graph,
-            text,
-            options,
-            graph.version,
-            lambda: compile_vector_plan(query.where, graph, options),
-        )
-    else:
-        tree = compile_vector_plan(query.where, graph, options)
-    return runtime.evaluate(tree, query, registry, options, obs)

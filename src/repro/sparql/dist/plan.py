@@ -46,9 +46,8 @@ from repro.sparql.algebra import (
 )
 from repro.sparql.ast import Variable
 from repro.sparql.vector.cost import (
+    correlation_variables,
     definitely_bound,
-    free_expression_variables,
-    optional_blind_variables,
     pattern_extent,
 )
 
@@ -145,14 +144,6 @@ def estimate_rows(op: AlgebraOp, graph: Graph) -> float:
     return float(max(len(graph), 1))
 
 
-def _correlated(op) -> bool:
-    """The vector engine's own substitution-semantics fallback condition."""
-    sensitive = free_expression_variables(op.right) | optional_blind_variables(
-        op.right
-    )
-    return bool(sensitive & operator_variables(op.left))
-
-
 def _distributable(op: AlgebraOp) -> bool:
     """Whether *op* has a fragment-parallel plan (else it runs as PLocal)."""
     if getattr(op, "evaluate_custom", None) is not None:
@@ -160,7 +151,8 @@ def _distributable(op: AlgebraOp) -> bool:
     if isinstance(op, ScanOp):
         return True
     if isinstance(op, (JoinOp, LeftJoinOp)):
-        if _correlated(op):
+        if correlation_variables(op.right) & operator_variables(op.left):
+            # The vector engine's own substitution-semantics fallback.
             return False
         return _distributable(op.left) or _distributable(op.right)
     if isinstance(op, UnionOp):

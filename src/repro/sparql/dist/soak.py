@@ -316,13 +316,7 @@ class _DistSoak:
         )
 
     def _run(self, text: str, runtime: DistRuntime):
-        result = evaluate(
-            self.graph,
-            text,
-            options=CompileOptions(engine="dist", dist=runtime),
-            obs=self.obs,
-        )
-        return result, runtime.last_report
+        return runtime.query(text, obs=self.obs), runtime.last_report
 
     # -- phase 1: clean scaling ----------------------------------------
 

@@ -7,24 +7,24 @@ join), so selectivity ordering from the algebra layer directly controls work.
 Extension functions (the GeoSPARQL ``geof:`` family) are supplied through a
 :class:`FunctionRegistry`; the evaluator itself knows nothing about geometry.
 
-Operator-level observability: pass an :class:`~repro.obs.Observability`
-bundle to :func:`evaluate` and every algebra operator reports how long its
+Operator-level observability: with an :class:`~repro.obs.Observability`
+bundle on the :class:`ExecContext` every algebra operator reports how long its
 iterator ran and how many solutions it produced — the ``sparql.op_seconds``
 histogram and ``sparql.op_solutions`` counter, labelled by operator type.
 Timing is inclusive of children (a join's total contains its scans) and
 excludes consumer time between pulls. With no bundle the evaluator takes
 the raw, unwrapped path.
 
-Governance (E23): a :class:`~repro.sparql.governor.QueryBudget` on
-``CompileOptions.budget`` wraps every operator the same way — one
-checkpoint per pulled solution (cancellation, injected operator slowness,
-deadline) plus resident-row accounting at the root materialization. With
-no budget the evaluator takes the raw path, byte-identical to pre-E23
-code.
+Governance (E23): a :class:`~repro.sparql.governor.QueryBudget` on the
+context wraps every operator the same way — one checkpoint per pulled
+solution (cancellation, injected operator slowness, deadline) plus
+resident-row accounting at the root materialization. With no budget the
+evaluator takes the raw path, byte-identical to pre-E23 code.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import (
     Callable,
     Dict,
@@ -38,12 +38,11 @@ from typing import (
 )
 
 from repro.errors import SPARQLError
-from repro.obs import Observability, resolve as resolve_obs
+from repro.obs import Observability
 from repro.rdf.graph import Graph
 from repro.rdf.term import Term
 from repro.sparql.algebra import (
     AlgebraOp,
-    CompileOptions,
     EmptyOp,
     ExtendOp,
     FilterOp,
@@ -52,11 +51,9 @@ from repro.sparql.algebra import (
     ScanOp,
     TableOp,
     UnionOp,
-    compile_group,
 )
 from repro.sparql.ast import (
     Aggregate,
-    AskQuery,
     BinaryOp,
     Expression,
     FunctionCall,
@@ -78,7 +75,6 @@ from repro.sparql.functions import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache.plan import PlanCache
     from repro.sparql.governor import QueryBudget
 
 Bindings = Dict[Variable, Term]
@@ -104,6 +100,43 @@ class FunctionRegistry:
 
 
 _EMPTY_REGISTRY = FunctionRegistry()
+
+
+class ExecContext:
+    """What one execution carries that is not plan state.
+
+    Built once per query run and handed to whichever engine runs the tree
+    (and to the interpreted operators the vector engine falls back to).
+    ``encoder``/``codec`` are the vector engine's per-execution term<->id
+    mapping and the graph's shared decode tables, built on first use so an
+    interpreted run never pays for them.
+    """
+
+    def __init__(
+        self,
+        graph: Graph,
+        registry: FunctionRegistry,
+        obs: Optional[Observability] = None,
+        budget: Optional["QueryBudget"] = None,
+    ):
+        self.graph = graph
+        self.registry = registry
+        self.obs = obs if obs is not None and obs.enabled else None
+        self.budget = budget
+        #: Operators the vector engine handed to the interpreted one.
+        self.fallback_ops = 0
+
+    @cached_property
+    def encoder(self):
+        from repro.sparql.vector.dictionary import TermEncoder
+
+        return TermEncoder(self.graph)
+
+    @cached_property
+    def codec(self):
+        from repro.sparql.vector.dictionary import codec_for
+
+        return codec_for(self.graph)
 
 
 # ---------------------------------------------------------------------------
@@ -269,21 +302,16 @@ def _scan(
 
 
 def _evaluate_op(
-    op: AlgebraOp,
-    graph: Graph,
-    bindings: Bindings,
-    registry: FunctionRegistry,
-    obs: Optional[Observability] = None,
-    budget: Optional["QueryBudget"] = None,
+    op: AlgebraOp, ctx: ExecContext, bindings: Bindings
 ) -> Iterator[Bindings]:
     """Dispatch: raw operator iterator, optionally wrapped for governance
     (budget checkpoints per pulled solution) and observability (timing)."""
-    iterator = _op_iter(op, graph, bindings, registry, obs, budget)
-    if budget is not None:
-        iterator = _governed_iter(iterator, type(op).__name__, budget)
-    if obs is None or not obs.enabled:
+    iterator = _op_iter(op, ctx, bindings)
+    if ctx.budget is not None:
+        iterator = _governed_iter(iterator, type(op).__name__, ctx.budget)
+    if ctx.obs is None:
         return iterator
-    return _timed_iter(iterator, type(op).__name__, obs)
+    return _timed_iter(iterator, type(op).__name__, ctx.obs)
 
 
 def _governed_iter(
@@ -326,39 +354,27 @@ def _timed_iter(
 
 
 def _op_iter(
-    op: AlgebraOp,
-    graph: Graph,
-    bindings: Bindings,
-    registry: FunctionRegistry,
-    obs: Optional[Observability] = None,
-    budget: Optional["QueryBudget"] = None,
+    op: AlgebraOp, ctx: ExecContext, bindings: Bindings
 ) -> Iterator[Bindings]:
+    registry = ctx.registry
     custom = getattr(op, "evaluate_custom", None)
     if custom is not None:
-        yield from custom(graph, bindings, registry)
+        yield from custom(ctx.graph, bindings, registry)
         return
     if isinstance(op, EmptyOp):
         yield dict(bindings)
         return
     if isinstance(op, ScanOp):
-        yield from _scan(graph, op.pattern, bindings)
+        yield from _scan(ctx.graph, op.pattern, bindings)
         return
     if isinstance(op, JoinOp):
-        for left_solution in _evaluate_op(
-            op.left, graph, bindings, registry, obs, budget
-        ):
-            yield from _evaluate_op(
-                op.right, graph, left_solution, registry, obs, budget
-            )
+        for left_solution in _evaluate_op(op.left, ctx, bindings):
+            yield from _evaluate_op(op.right, ctx, left_solution)
         return
     if isinstance(op, LeftJoinOp):
-        for left_solution in _evaluate_op(
-            op.left, graph, bindings, registry, obs, budget
-        ):
+        for left_solution in _evaluate_op(op.left, ctx, bindings):
             extended = False
-            for joined in _evaluate_op(
-                op.right, graph, left_solution, registry, obs, budget
-            ):
+            for joined in _evaluate_op(op.right, ctx, left_solution):
                 extended = True
                 yield joined
             if not extended:
@@ -366,14 +382,10 @@ def _op_iter(
         return
     if isinstance(op, UnionOp):
         for operand in op.operands:
-            yield from _evaluate_op(
-                operand, graph, bindings, registry, obs, budget
-            )
+            yield from _evaluate_op(operand, ctx, bindings)
         return
     if isinstance(op, FilterOp):
-        for solution in _evaluate_op(
-            op.operand, graph, bindings, registry, obs, budget
-        ):
+        for solution in _evaluate_op(op.operand, ctx, bindings):
             try:
                 keep = effective_boolean_value(
                     evaluate_expression(op.expression, solution, registry)
@@ -384,9 +396,7 @@ def _op_iter(
                 yield solution
         return
     if isinstance(op, ExtendOp):
-        for solution in _evaluate_op(
-            op.operand, graph, bindings, registry, obs, budget
-        ):
+        for solution in _evaluate_op(op.operand, ctx, bindings):
             if op.variable in solution:
                 raise SPARQLError(
                     f"BIND would rebind already-bound variable {op.variable}"
@@ -422,95 +432,6 @@ def _op_iter(
 # ---------------------------------------------------------------------------
 # Query evaluation (solution modifiers, aggregation, projection)
 # ---------------------------------------------------------------------------
-
-def evaluate(
-    graph: Graph,
-    query: Union[SelectQuery, AskQuery, str],
-    registry: FunctionRegistry = _EMPTY_REGISTRY,
-    options: Optional[CompileOptions] = None,
-    obs: Optional[Observability] = None,
-    cache: Optional["PlanCache"] = None,
-) -> Union[List[Bindings], bool]:
-    """Evaluate a query (text or AST) against *graph*.
-
-    SELECT returns a list of solutions ({Variable: Term}); ASK returns bool.
-    ``CompileOptions(engine="vector")`` routes execution through the
-    columnar engine (:mod:`repro.sparql.vector`) — same solution multisets,
-    batch-at-a-time execution with cost-based join ordering.
-    With ``obs``, per-operator timing and cardinality are recorded (see the
-    module docstring) and the whole call runs in a ``sparql.query`` span.
-    With a :class:`~repro.cache.PlanCache`, *string* queries skip parsing
-    and compilation when the text was seen before against the same graph
-    content (keyed on ``graph.version``, so any mutation recompiles); AST
-    queries always take the uncached path.
-    """
-    text: Optional[str] = None
-    if isinstance(query, str):
-        text = query
-        if cache is not None:
-            query = cache.parse(text)
-        else:
-            from repro.sparql.parser import parse_query
-
-            query = parse_query(text)
-    observability = resolve_obs(obs)
-    with observability.tracer.span(
-        "sparql.query", form="ask" if isinstance(query, AskQuery) else "select"
-    ):
-        return _evaluate_query(graph, query, registry, options, obs, cache, text)
-
-
-def _compile(
-    where,
-    graph: Graph,
-    options: Optional[CompileOptions],
-    cache: Optional["PlanCache"],
-    text: Optional[str],
-) -> AlgebraOp:
-    """Compile a WHERE group, through the plan cache when one applies."""
-    if cache is None or text is None:
-        return compile_group(where, graph, options)
-    return cache.plan(
-        graph,
-        text,
-        options,
-        graph.version,
-        lambda: compile_group(where, graph, options),
-    )
-
-
-def _evaluate_query(
-    graph: Graph,
-    query: Union[SelectQuery, AskQuery],
-    registry: FunctionRegistry,
-    options: Optional[CompileOptions],
-    obs: Optional[Observability],
-    cache: Optional["PlanCache"] = None,
-    text: Optional[str] = None,
-) -> Union[List[Bindings], bool]:
-    if options is not None and options.engine == "vector":
-        from repro.sparql.vector import evaluate_vector_query
-
-        return evaluate_vector_query(
-            graph, query, registry, options, obs, cache, text
-        )
-    if options is not None and options.engine == "dist":
-        from repro.sparql.dist import evaluate_dist_query
-
-        return evaluate_dist_query(
-            graph, query, registry, options, obs, cache, text
-        )
-    budget = options.budget if options is not None else None
-    if isinstance(query, AskQuery):
-        tree = _compile(query.where, graph, options, cache, text)
-        for _ in _evaluate_op(tree, graph, {}, registry, obs, budget):
-            return True
-        return False
-
-    tree = _compile(query.where, graph, options, cache, text)
-    iterator = _evaluate_op(tree, graph, {}, registry, obs, budget)
-    return materialize_select(query, iterator, registry, budget)
-
 
 def materialize_select(
     query: SelectQuery,
@@ -586,6 +507,15 @@ def apply_solution_modifiers(
     solutions = list(solutions)
     if query.is_aggregate:
         solutions = _aggregate(query, solutions, registry)
+    return order_and_slice(query, solutions, registry)
+
+
+def order_and_slice(
+    query: SelectQuery, solutions: List[Bindings], registry: FunctionRegistry
+) -> List[Bindings]:
+    """Everything after aggregation: ORDER BY, projection (of
+    non-aggregate rows), DISTINCT, OFFSET/LIMIT. The vector engine feeds its
+    own aggregate rows through here, so the tail is written once."""
     if query.order_by:
         for condition in reversed(query.order_by):
             solutions.sort(

@@ -7,8 +7,10 @@ while expired followers queue behind it. This package closes that gap with
 the discipline production SPARQL endpoints treat as table stakes: per-query
 timeouts, memory caps and kill switches, enforced *inside* the engines.
 
-A :class:`QueryBudget` travels with one execution (via
-``CompileOptions(budget=...)``) and bundles three controls:
+A :class:`QueryBudget` travels with one execution (the ``budget=``
+argument of ``evaluate`` / ``GeoStore.query`` / ``DistRuntime.query``, carried
+in the :class:`~repro.sparql.evaluator.ExecContext`) and bundles three
+controls:
 
 * **deadline** — the existing dual-mode
   :class:`~repro.resilience.Deadline` (clocked, or charge-driven: each
@@ -39,7 +41,7 @@ the E17–E22 convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import QueryBudgetExceeded, QueryCancelled, SPARQLError
@@ -280,24 +282,9 @@ class BudgetPolicy:
         )
 
 
-def with_budget(options, budget: Optional[QueryBudget]):
-    """Return ``options`` with *budget* attached (None options get fresh
-    defaults). The budget field never participates in plan-cache or
-    coalescing keys (see ``CompileOptions.cache_key``), so attaching one is
-    invisible to both caches."""
-    from repro.sparql.algebra import CompileOptions
-
-    if budget is None:
-        return options
-    if options is None:
-        return CompileOptions(budget=budget)
-    return replace(options, budget=budget)
-
-
 __all__ = [
     "BYTES_PER_CELL",
     "BudgetPolicy",
     "CancelToken",
     "QueryBudget",
-    "with_budget",
 ]

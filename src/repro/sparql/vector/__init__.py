@@ -18,7 +18,6 @@ from repro.sparql.vector.cost import (
 from repro.sparql.vector.dictionary import ColumnCodec, TermEncoder
 from repro.sparql.vector.engine import (
     compile_vector_plan,
-    evaluate_vector_query,
     execute_tree,
     finish_select,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "compile_vector_plan",
     "distinct_rows",
     "estimated_rows",
-    "evaluate_vector_query",
     "execute_tree",
     "finish_select",
     "free_expression_variables",

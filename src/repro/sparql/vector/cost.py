@@ -114,19 +114,31 @@ def _collect_region(
     return False
 
 
+def _rebuild_region(
+    ordered: Sequence[TriplePattern],
+    filters: Sequence[Expression],
+    tree: Optional[AlgebraOp] = None,
+) -> AlgebraOp:
+    """The inverse of :func:`_collect_region`: a left-deep join of the
+    *ordered* patterns (continuing *tree*, if given), filters re-pushed."""
+    for pattern in ordered:
+        scan = ScanOp(pattern)
+        tree = scan if tree is None else JoinOp(tree, scan)
+    for expression in filters:
+        tree = _push_filter(tree, expression)
+    return tree
+
+
 def apply_cost_order(op: AlgebraOp, graph: Graph) -> AlgebraOp:
     """Reorder every pure scan/join/filter region by estimated cardinality."""
     if isinstance(op, (JoinOp, FilterOp)):
         scans: List[ScanOp] = []
         filters: List[Expression] = []
         if _collect_region(op, scans, filters) and len(scans) > 1:
-            ordered = order_patterns_by_cost([s.pattern for s in scans], graph)
-            tree: AlgebraOp = ScanOp(ordered[0])
-            for pattern in ordered[1:]:
-                tree = JoinOp(tree, ScanOp(pattern))
-            for expression in filters:
-                tree = _push_filter(tree, expression)
-            return tree
+            return _rebuild_region(
+                order_patterns_by_cost([s.pattern for s in scans], graph),
+                filters,
+            )
     if isinstance(op, JoinOp):
         return JoinOp(
             apply_cost_order(op.left, graph), apply_cost_order(op.right, graph)
@@ -255,3 +267,9 @@ def optional_blind_variables(op: AlgebraOp) -> frozenset:
     if isinstance(op, (FilterOp, ExtendOp)):
         return optional_blind_variables(op.operand)
     return frozenset()
+
+
+def correlation_variables(op: AlgebraOp) -> frozenset:
+    """Variables through which an enclosing join's other operand can change
+    what *op* evaluates to (beyond plain solution compatibility)."""
+    return free_expression_variables(op) | optional_blind_variables(op)

@@ -24,6 +24,7 @@ Two pieces:
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -201,3 +202,21 @@ class ColumnCodec:
                 self.ebv_values[term_id] = ebv
                 self.ebv_valid[term_id] = True
             self.computed[term_id] = True
+
+
+#: One codec per graph, shared across executions; decode tables are
+#: append-only (the term dictionary never recycles ids) so they survive
+#: graph mutations and only ever extend.
+_CODECS: "weakref.WeakKeyDictionary[Graph, ColumnCodec]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def codec_for(graph: Graph) -> ColumnCodec:
+    """The graph's shared codec, synced to its current dictionary size."""
+    codec = _CODECS.get(graph)
+    if codec is None:
+        codec = ColumnCodec(graph)
+        _CODECS[graph] = codec
+    codec.sync()
+    return codec

@@ -26,8 +26,7 @@ decodes the group's members and reuses the interpreted, spec-fixed
 
 from __future__ import annotations
 
-import weakref
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -52,19 +51,20 @@ from repro.sparql.algebra import (
 )
 from repro.sparql.ast import (
     Aggregate,
-    AskQuery,
     SelectQuery,
     Variable,
     VarExpr,
 )
+from repro.sparql.evaluator import (
+    ExecContext,
+    _apply_aggregate,
+    _evaluate_op,
+    _order_key,
+    order_and_slice,
+)
 from repro.sparql.functions import EvaluationError, to_term
 from repro.sparql.vector.batch import UNBOUND, Batch
-from repro.sparql.vector.cost import (
-    apply_cost_order,
-    free_expression_variables,
-    optional_blind_variables,
-)
-from repro.sparql.vector.dictionary import ColumnCodec, TermEncoder
+from repro.sparql.vector.cost import apply_cost_order, correlation_variables
 from repro.sparql.vector.expr import ExprContext, bind_column, filter_keep_mask
 from repro.sparql.vector.ops import (
     distinct_rows,
@@ -75,27 +75,13 @@ from repro.sparql.vector.ops import (
 
 Bindings = Dict[Variable, Term]
 
-#: One codec per graph, shared across executions; decode tables are
-#: append-only (the term dictionary never recycles ids) so they survive
-#: graph mutations and only ever extend.
-_CODECS: "weakref.WeakKeyDictionary[Graph, ColumnCodec]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _codec_for(graph: Graph) -> ColumnCodec:
-    codec = _CODECS.get(graph)
-    if codec is None:
-        codec = ColumnCodec(graph)
-        _CODECS[graph] = codec
-    codec.sync()
-    return codec
-
 
 def compile_vector_plan(
     where, graph: Graph, options: Optional[CompileOptions]
 ) -> AlgebraOp:
-    """Compile a WHERE group into a cost-ordered tree for vector execution."""
+    """Compile a WHERE group into a cost-ordered tree for vector execution
+    (the pipeline's plan stage with no caller rewrite, for callers that want
+    the tree without running it)."""
     options = options or CompileOptions()
     tree = compile_group(where, graph, options)
     if options.reorder_patterns:
@@ -103,33 +89,12 @@ def compile_vector_plan(
     return tree
 
 
-class _Exec:
-    """Per-execution state: encoder, codec, registry, observability, budget."""
-
-    def __init__(
-        self,
-        graph: Graph,
-        registry,
-        obs: Optional[Observability],
-        budget=None,
-    ):
-        self.graph = graph
-        self.registry = registry
-        self.encoder = TermEncoder(graph)
-        self.codec = _codec_for(graph)
-        self.obs = obs if obs is not None and obs.enabled else None
-        self.budget = budget
-        self.fallback_ops = 0
-
-    def expr_ctx(self) -> ExprContext:
-        return ExprContext(self.encoder, self.codec, self.registry)
-
-    def note_fallback(self, op: AlgebraOp) -> None:
-        self.fallback_ops += 1
-        if self.obs is not None:
-            self.obs.metrics.counter(
-                "sparql.vector.fallback_ops", op=type(op).__name__
-            ).inc()
+def _note_fallback(ctx: ExecContext, op: AlgebraOp) -> None:
+    ctx.fallback_ops += 1
+    if ctx.obs is not None:
+        ctx.obs.metrics.counter(
+            "sparql.vector.fallback_ops", op=type(op).__name__
+        ).inc()
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +102,7 @@ class _Exec:
 # ---------------------------------------------------------------------------
 
 def _encode_solutions(
-    solutions: List[Bindings], variables, ctx: _Exec
+    solutions: List[Bindings], variables, ctx: ExecContext
 ) -> Batch:
     encode = ctx.encoder.encode
     variables = list(variables)
@@ -155,30 +120,24 @@ def _encode_solutions(
     return Batch(columns, nrows)
 
 
-def _fallback_batch(op: AlgebraOp, ctx: _Exec) -> Batch:
+def _fallback_batch(op: AlgebraOp, ctx: ExecContext) -> Batch:
     """Run an operator through the interpreted iterator, re-encode columns.
 
-    Routed through ``_evaluate_op`` so a budget's per-solution checkpoints
-    (the interpreted engine's own governance) apply inside the fallback —
-    identical to the old ``_op_iter`` path when no budget is set.
+    Routed through ``_evaluate_op`` on the same context, so a budget's
+    per-solution checkpoints (the interpreted engine's own governance)
+    apply inside the fallback.
     """
-    from repro.sparql.evaluator import _evaluate_op
-
-    ctx.note_fallback(op)
-    solutions = list(
-        _evaluate_op(op, ctx.graph, {}, ctx.registry, None, ctx.budget)
-    )
+    _note_fallback(ctx, op)
+    solutions = list(_evaluate_op(op, ctx, {}))
     return _encode_solutions(solutions, operator_variables(op), ctx)
 
 
 def _correlated_join(
-    right: AlgebraOp, left_batch: Batch, ctx: _Exec, outer: bool
+    right: AlgebraOp, left_batch: Batch, ctx: ExecContext, outer: bool
 ) -> Batch:
     """Interpreted right side, evaluated once per left row (substitution
     semantics) — the exact nested-loop the interpreted engine runs."""
-    from repro.sparql.evaluator import _evaluate_op
-
-    ctx.note_fallback(right)
+    _note_fallback(ctx, right)
     budget = ctx.budget
     decoded = {
         v: ctx.encoder.decode_column(col)
@@ -199,9 +158,7 @@ def _correlated_join(
             if term is not None:
                 bindings[variable] = term
         matched = False
-        for solution in _evaluate_op(
-            right, ctx.graph, bindings, ctx.registry, None, budget
-        ):
+        for solution in _evaluate_op(right, ctx, bindings):
             matched = True
             out.append(solution)
         if outer and not matched:
@@ -216,12 +173,6 @@ def _correlated_join(
     return _encode_solutions(out, variables, ctx)
 
 
-def _correlation_variables(op: AlgebraOp) -> frozenset:
-    """Variables through which an enclosing join's other operand can change
-    what *op* evaluates to (beyond plain solution compatibility)."""
-    return free_expression_variables(op) | optional_blind_variables(op)
-
-
 def _is_conditional(right: AlgebraOp, left_vars: frozenset) -> bool:
     """Whether ``LeftJoin(L, right)`` is the spec's ``LeftJoin(L, R, expr)``.
 
@@ -232,7 +183,7 @@ def _is_conditional(right: AlgebraOp, left_vars: frozenset) -> bool:
     if type(right) is not FilterOp:
         return False
     inner = right.operand
-    return not (_correlation_variables(inner) & left_vars) and (
+    return not (correlation_variables(inner) & left_vars) and (
         expression_variables(right.expression)
         <= left_vars | operator_variables(inner)
     )
@@ -244,7 +195,7 @@ _LEFT_ROW = Variable("")
 
 
 def _conditional_left_join(
-    condition: FilterOp, left: Batch, ctx: _Exec
+    condition: FilterOp, left: Batch, ctx: ExecContext
 ) -> Batch:
     """``LeftJoin(Ω1, Ω2, expr)``: join, filter the joined rows (an error
     drops the row), and keep every left row no surviving match extends.
@@ -259,7 +210,7 @@ def _conditional_left_join(
     joined = hash_join(tagged, right, budget=ctx.budget)
     if joined.nrows:
         joined = joined.mask(
-            filter_keep_mask(condition.expression, joined, ctx.expr_ctx())
+            filter_keep_mask(condition.expression, joined, ExprContext(ctx))
         )
     extended = np.zeros(left.nrows, dtype=bool)
     extended[joined.columns[_LEFT_ROW]] = True
@@ -269,7 +220,7 @@ def _conditional_left_join(
     return out
 
 
-def _execute(op: AlgebraOp, ctx: _Exec) -> Batch:
+def _execute(op: AlgebraOp, ctx: ExecContext) -> Batch:
     """Run one operator, with E23 governance when a budget rides along.
 
     The checkpoint fires *before* the operator runs (cancellation and
@@ -290,10 +241,33 @@ def _execute(op: AlgebraOp, ctx: _Exec) -> Batch:
     return batch
 
 
-def _execute_op(op: AlgebraOp, ctx: _Exec) -> Batch:
+def apply_filter(op: FilterOp, batch: Batch, ctx: ExecContext) -> Batch:
+    """FILTER over an already computed operand batch (an error drops the
+    row); shared with the distributed engine's per-fragment map stage."""
+    if batch.nrows == 0:
+        return batch
+    return batch.mask(filter_keep_mask(op.expression, batch, ExprContext(ctx)))
+
+
+def apply_extend(op: ExtendOp, batch: Batch, ctx: ExecContext) -> Batch:
+    """BIND over an already computed operand batch (an error leaves the
+    cell unbound); shared with the distributed engine's map stage."""
+    existing = batch.columns.get(op.variable)
+    if existing is not None and (existing != UNBOUND).any():
+        raise SPARQLError(
+            f"BIND would rebind already-bound variable {op.variable}"
+        )
+    if batch.nrows == 0:
+        return batch.with_column(op.variable, np.empty(0, dtype=np.int64))
+    return batch.with_column(
+        op.variable, bind_column(op.expression, batch, ExprContext(ctx))
+    )
+
+
+def _execute_op(op: AlgebraOp, ctx: ExecContext) -> Batch:
     custom = getattr(op, "evaluate_custom", None)
     if custom is not None:
-        ctx.note_fallback(op)
+        _note_fallback(ctx, op)
         solutions = list(custom(ctx.graph, {}, ctx.registry))
         return _encode_solutions(solutions, operator_variables(op), ctx)
     if isinstance(op, EmptyOp):
@@ -304,7 +278,7 @@ def _execute_op(op: AlgebraOp, ctx: _Exec) -> Batch:
         outer = isinstance(op, LeftJoinOp)
         left = _execute(op.left, ctx)
         left_vars = operator_variables(op.left)
-        if _correlation_variables(op.right) & left_vars:
+        if correlation_variables(op.right) & left_vars:
             if outer and _is_conditional(op.right, left_vars):
                 return _conditional_left_join(op.right, left, ctx)
             return _correlated_join(op.right, left, ctx, outer)
@@ -313,24 +287,9 @@ def _execute_op(op: AlgebraOp, ctx: _Exec) -> Batch:
     if isinstance(op, UnionOp):
         return Batch.concat([_execute(operand, ctx) for operand in op.operands])
     if isinstance(op, FilterOp):
-        batch = _execute(op.operand, ctx)
-        if batch.nrows == 0:
-            return batch
-        keep = filter_keep_mask(op.expression, batch, ctx.expr_ctx())
-        return batch.mask(keep)
+        return apply_filter(op, _execute(op.operand, ctx), ctx)
     if isinstance(op, ExtendOp):
-        batch = _execute(op.operand, ctx)
-        existing = batch.columns.get(op.variable)
-        if existing is not None and (existing != UNBOUND).any():
-            raise SPARQLError(
-                f"BIND would rebind already-bound variable {op.variable}"
-            )
-        if batch.nrows == 0:
-            return batch.with_column(
-                op.variable, np.empty(0, dtype=np.int64)
-            )
-        column = bind_column(op.expression, batch, ctx.expr_ctx())
-        return batch.with_column(op.variable, column)
+        return apply_extend(op, _execute(op.operand, ctx), ctx)
     if isinstance(op, TableOp):
         encode = ctx.encoder.encode
         columns = {}
@@ -351,7 +310,7 @@ def _execute_op(op: AlgebraOp, ctx: _Exec) -> Batch:
 # Solution modifiers on arrays
 # ---------------------------------------------------------------------------
 
-def _batch_solutions(batch: Batch, ctx: _Exec) -> List[Bindings]:
+def _batch_solutions(batch: Batch, ctx: ExecContext) -> List[Bindings]:
     if not batch.columns:
         return [{} for _ in range(batch.nrows)]
     variables = list(batch.columns)
@@ -368,12 +327,10 @@ def _batch_solutions(batch: Batch, ctx: _Exec) -> List[Bindings]:
 
 
 def _order_indices(
-    query: SelectQuery, batch: Batch, ctx: _Exec
+    query: SelectQuery, batch: Batch, ctx: ExecContext
 ) -> np.ndarray:
     """Stable multi-condition sort on arrays; mirrors the interpreted
     reversed-stable-sorts pipeline (including the unbound-first rank)."""
-    from repro.sparql.evaluator import _order_key
-
     indices = np.arange(batch.nrows, dtype=np.int64)
     lazy_solutions: Optional[List[Bindings]] = None
     for condition in reversed(query.order_by):
@@ -455,7 +412,7 @@ def _fast_aggregate(
     batch: Batch,
     inverse: np.ndarray,
     ngroups: int,
-    ctx: _Exec,
+    ctx: ExecContext,
 ):
     """Vectorized COUNT/SUM/AVG paths; None when the shape isn't covered.
 
@@ -534,10 +491,8 @@ _AGG_ERROR = object()
 
 
 def _aggregate_vector(
-    query: SelectQuery, batch: Batch, ctx: _Exec
+    query: SelectQuery, batch: Batch, ctx: ExecContext
 ) -> List[Bindings]:
-    from repro.sparql.evaluator import _apply_aggregate
-
     uniq, inverse, ngroups = _group_structure(query, batch)
     if ngroups == 0:
         return []
@@ -591,44 +546,15 @@ def _aggregate_vector(
 
 
 # ---------------------------------------------------------------------------
-# Entry point
+# Entry points
 # ---------------------------------------------------------------------------
 
-def evaluate_vector_query(
-    graph: Graph,
-    query: Union[SelectQuery, AskQuery],
-    registry,
-    options: Optional[CompileOptions],
-    obs: Optional[Observability] = None,
-    cache=None,
-    text: Optional[str] = None,
-) -> Union[List[Bindings], bool]:
-    """Evaluate a parsed query with the columnar engine.
-
-    Semantics match the interpreted evaluator: same solution multisets, same
-    modifier pipeline, same aggregate rules (shared code). Plans — including
-    the cost-based join order, which is a pure function of the graph version
-    — are memoised through the shared :class:`~repro.cache.PlanCache` for
-    string queries.
-    """
-    if cache is not None and text is not None:
-        tree = cache.plan(
-            graph,
-            text,
-            options,
-            graph.version,
-            lambda: compile_vector_plan(query.where, graph, options),
-        )
-    else:
-        tree = compile_vector_plan(query.where, graph, options)
-    budget = options.budget if options is not None else None
-    ctx = _Exec(graph, registry, obs, budget)
+def run_tree(tree: AlgebraOp, ctx: ExecContext) -> Batch:
+    """The vector row of the pipeline's engine table: the root batch."""
     batch = _execute(tree, ctx)
     if ctx.obs is not None:
         ctx.obs.metrics.counter("sparql.vector.result_rows").inc(batch.nrows)
-    if isinstance(query, AskQuery):
-        return batch.nrows > 0
-    return finish_select(query, batch, ctx)
+    return batch
 
 
 def execute_tree(
@@ -637,37 +563,23 @@ def execute_tree(
     registry,
     obs: Optional[Observability] = None,
     budget=None,
-) -> "tuple[Batch, _Exec]":
-    """Execute a pre-built operator tree (the GeoStore wiring entry)."""
-    ctx = _Exec(graph, registry, obs, budget)
+) -> "tuple[Batch, ExecContext]":
+    """Execute a pre-built operator tree outside the pipeline (benches and
+    tests that time execution apart from planning)."""
+    ctx = ExecContext(graph, registry, obs, budget)
     return _execute(tree, ctx), ctx
 
 
 def finish_select(
-    query: SelectQuery, batch: Batch, ctx: _Exec
+    query: SelectQuery, batch: Batch, ctx: ExecContext
 ) -> List[Bindings]:
     """Aggregation and solution modifiers, on arrays, in the spec order."""
-    from repro.sparql.evaluator import _distinct, _order_key
-
     if query.is_aggregate:
         # Aggregate output is one row per group — small; the remaining
         # modifiers run on decoded rows through the shared helpers.
-        solutions = _aggregate_vector(query, batch, ctx)
-        if query.order_by:
-            for condition in reversed(query.order_by):
-                solutions.sort(
-                    key=lambda s, c=condition: _order_key(
-                        c.expression, s, ctx.registry
-                    ),
-                    reverse=condition.descending,
-                )
-        if query.distinct:
-            solutions = _distinct(solutions)
-        if query.offset:
-            solutions = solutions[query.offset:]
-        if query.limit is not None:
-            solutions = solutions[: query.limit]
-        return solutions
+        return order_and_slice(
+            query, _aggregate_vector(query, batch, ctx), ctx.registry
+        )
 
     if query.order_by:
         batch = batch.take(_order_indices(query, batch, ctx))

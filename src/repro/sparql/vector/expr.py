@@ -49,12 +49,14 @@ _EXACT_INT_LIMIT = float(2**53)
 
 
 class ExprContext:
-    """Everything expression evaluation needs besides the batch itself."""
+    """Everything expression evaluation needs besides the batch itself: the
+    execution's encoder, codec and registry, plus a decode memo that lives
+    for one FILTER/BIND pass over one batch."""
 
-    def __init__(self, encoder: TermEncoder, codec: ColumnCodec, registry):
-        self.encoder = encoder
-        self.codec = codec
-        self.registry = registry
+    def __init__(self, ctx):
+        self.encoder: TermEncoder = ctx.encoder
+        self.codec: ColumnCodec = ctx.codec
+        self.registry = ctx.registry
         self._decoded: Dict[Variable, list] = {}
 
     def decoded(self, batch: Batch, variable: Variable) -> list:

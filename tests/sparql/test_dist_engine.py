@@ -56,12 +56,9 @@ def canonical(rows):
     )
 
 
-def run_dist(graph, text, runtime, **options):
-    return evaluate(
-        graph,
-        text,
-        options=CompileOptions(engine="dist", dist=runtime, **options),
-    )
+def run_dist(graph, text, runtime, budget=None):
+    assert runtime.graph is graph
+    return runtime.query(text, budget=budget)
 
 
 def run_vector(graph, text):
@@ -276,22 +273,24 @@ class TestDistExecution:
         assert run_dist(graph, "SELECT * WHERE { ?s ?p ?o }", runtime) == []
 
     def test_requires_runtime(self):
-        graph = build_graph(n=10)
-        with pytest.raises(SPARQLError, match="needs a runtime"):
-            evaluate(
-                graph,
-                "SELECT * WHERE { ?s ?p ?o }",
-                options=CompileOptions(engine="dist"),
-            )
+        """The distributed engine is entered through its runtime; it is not
+        a label a caller can select without one."""
+        with pytest.raises(SPARQLError, match="unknown engine 'dist'"):
+            CompileOptions(engine="dist")
 
-    def test_rejects_foreign_graph(self):
-        runtime = DistRuntime(build_graph(n=10))
-        with pytest.raises(SPARQLError, match="different graph"):
-            evaluate(
-                build_graph(n=10),
-                "SELECT * WHERE { ?s ?p ?o }",
-                options=CompileOptions(engine="dist", dist=runtime),
-            )
+    def test_options_engine_label_is_ignored(self):
+        """The runtime is the engine: whatever label the options carry, the
+        query runs distributed, on cost-ordered vector plans."""
+        graph = build_graph()
+        runtime = DistRuntime(graph, partitions=4, replication=2)
+        text = self.QUERIES[1]
+        reports = []
+        for options in (None, CompileOptions(), CompileOptions(engine="vector")):
+            rows = runtime.query(text, options=options)
+            assert canonical(rows) == canonical(run_vector(graph, text))
+            reports.append(runtime.last_report)
+        assert len({r.tasks_completed for r in reports}) == 1
+        assert len({r.makespan_s for r in reports}) == 1
 
     def test_graph_mutation_resyncs(self):
         graph = build_graph(n=20)
@@ -433,19 +432,25 @@ class TestIdempotentCommit:
 
 class TestCacheKeyStability:
     def test_dist_field_is_not_plan_state(self):
-        graph = build_graph(n=10)
-        runtime = DistRuntime(graph)
-        bare = CompileOptions(engine="dist")
-        with_runtime = CompileOptions(engine="dist", dist=runtime)
-        assert bare.cache_key() == with_runtime.cache_key()
-        assert CompileOptions().cache_key() == (True, True, "interpreted")
+        """A runtime cannot ride on the options object (which is the plan
+        cache key): the old spelling is a constructor error, not a silently
+        different engine."""
+        runtime = DistRuntime(build_graph(n=10))
+        with pytest.raises(TypeError):
+            CompileOptions(dist=runtime)
 
     def test_engines_do_not_share_cache_keys(self):
-        keys = {
-            CompileOptions(engine=name).cache_key()
-            for name in ("interpreted", "vector", "dist")
-        }
-        assert len(keys) == 3
+        from repro.cache import PlanCache
+
+        graph = build_graph(n=10)
+        runtime = DistRuntime(graph, partitions=2, replication=1)
+        cache = PlanCache()
+        text = "SELECT ?s ?v WHERE { ?s <http://ex/p> ?v }"
+        evaluate(graph, text, options=CompileOptions(), cache=cache)
+        evaluate(graph, text, options=CompileOptions(engine="vector"), cache=cache)
+        runtime.query(text, cache=cache)
+        assert cache.stats["plans"]["misses"] == 3
+        assert cache.stats["plans"]["hits"] == 0
 
 
 class TestGatewayIntegration:

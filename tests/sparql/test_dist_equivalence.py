@@ -43,9 +43,7 @@ def run_dist(graph, text, layout, injector=None, seed=0):
         broadcast_threshold_rows=threshold,
     )
     runtime.injector = injector
-    result = evaluate(
-        graph, text, options=CompileOptions(engine="dist", dist=runtime)
-    )
+    result = runtime.query(text)
     report = runtime.last_report
     assert report.tickets_issued == report.tickets_released, text
     return result

@@ -184,7 +184,7 @@ def test_governed_equivalence(graph, query):
     for engine in ("interpreted", "vector"):
         budget = _generous_budget()
         governed = evaluate(
-            graph, text, options=CompileOptions(engine=engine, budget=budget)
+            graph, text, options=CompileOptions(engine=engine), budget=budget
         )
         assert canonical(governed) == ungoverned, (engine, text)
         assert budget.checkpoints > 0

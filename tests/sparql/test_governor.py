@@ -2,15 +2,16 @@
 
 Covers the :mod:`repro.sparql.governor` primitives, enforcement inside both
 engines (row/byte caps, charge-driven deadlines, cooperative cancellation),
-the disabled-path parity contract (``budget=None`` changes nothing, and the
-budget field never reaches a plan-cache key), the LIMIT-without-ORDER-BY
+the disabled-path parity contract (``budget=None`` changes nothing; a budget
+is an argument beside the compile options, never a field of them — the
+plan-cache side is pinned in ``test_query_pipeline.py``), the
+LIMIT-without-ORDER-BY
 short-circuit (bounded work, pinned via the governor's own row counter),
 and a miniature three-way soak asserting the E23 acceptance invariants.
 """
 
 import pytest
 
-from repro.cache.plan import PlanCache
 from repro.errors import (
     QueryBudgetExceeded,
     QueryCancelled,
@@ -26,7 +27,6 @@ from repro.sparql import (
     CompileOptions,
     QueryBudget,
     evaluate,
-    with_budget,
 )
 from repro.sparql.governor import BYTES_PER_CELL
 from repro.sparql.governor.soak import (
@@ -57,7 +57,7 @@ SINGLE = "SELECT ?x ?v WHERE { ?x <urn:p> ?v }"
 
 def run(graph, query, engine, budget=None):
     return evaluate(
-        graph, query, options=CompileOptions(engine=engine, budget=budget)
+        graph, query, options=CompileOptions(engine=engine), budget=budget
     )
 
 
@@ -168,27 +168,6 @@ class TestPolicyAndOptions:
         assert BudgetPolicy(max_rows=10).enabled
         assert BudgetPolicy(max_seconds=1.0).enabled
         assert BudgetPolicy(row_charge_s=0.1).enabled
-
-    def test_with_budget(self):
-        budget = QueryBudget(max_rows=5)
-        assert with_budget(None, None) is None
-        options = CompileOptions(engine="vector")
-        assert with_budget(options, None) is options
-        attached = with_budget(options, budget)
-        assert attached is not options  # original never mutated
-        assert attached.budget is budget
-        assert attached.engine == "vector"
-        assert options.budget is None
-        fresh = with_budget(None, budget)
-        assert fresh.budget is budget
-
-    def test_budget_excluded_from_cache_key(self):
-        plain = CompileOptions()
-        governed = with_budget(plain, QueryBudget(max_rows=5))
-        assert plain.cache_key() == governed.cache_key()
-        assert PlanCache.options_key(plain) == PlanCache.options_key(governed)
-        # The key is exactly the pre-budget astuple shape.
-        assert PlanCache.options_key(plain) == (True, True, "interpreted")
 
 
 # ----------------------------------------------------------------------
@@ -342,10 +321,7 @@ class TestLimitShortCircuit:
         )):
             store.add(*triple)
         budget = QueryBudget()
-        result = store.query(
-            SINGLE + " LIMIT 4",
-            options=CompileOptions(budget=budget),
-        )
+        result = store.query(SINGLE + " LIMIT 4", budget=budget)
         assert len(result) == 4
         assert budget.peak_rows <= 4
 
@@ -356,7 +332,7 @@ class TestLimitShortCircuit:
 
 class TestDisabledParity:
     def test_default_options_have_no_budget(self):
-        assert CompileOptions().budget is None
+        assert not hasattr(CompileOptions(), "budget")
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_none_budget_identical_results(self, engine):

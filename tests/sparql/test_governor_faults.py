@@ -146,7 +146,8 @@ class TestBudgetUnderInjection:
             evaluate(
                 graph,
                 CROSS,
-                options=CompileOptions(engine=engine, budget=budget),
+                options=CompileOptions(engine=engine),
+                budget=budget,
             )
         assert budget.charged_s > 0.05
 
@@ -163,7 +164,8 @@ class TestBudgetUnderInjection:
             evaluate(
                 graph,
                 CROSS,
-                options=CompileOptions(engine="vector", budget=budget),
+                options=CompileOptions(engine="vector"),
+                budget=budget,
             )
 
     @pytest.mark.parametrize("engine", ["interpreted", "vector"])
@@ -179,6 +181,6 @@ class TestBudgetUnderInjection:
         )
         plain = evaluate(graph, CROSS, options=CompileOptions(engine=engine))
         governed = evaluate(
-            graph, CROSS, options=CompileOptions(engine=engine, budget=budget)
+            graph, CROSS, options=CompileOptions(engine=engine), budget=budget
         )
         assert governed == plain

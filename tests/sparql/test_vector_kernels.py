@@ -25,6 +25,7 @@ from repro.sparql import (
     evaluate,
     parse_query,
 )
+from repro.sparql.pipeline import compile_plan
 from repro.sparql.vector import (
     UNBOUND,
     Batch,
@@ -395,12 +396,13 @@ def solutions_by_cell(batch, encoder):
 )
 @settings(max_examples=150, deadline=None)
 def test_batch_solutions_match_the_cell_loop(cells, width, all_bound):
-    from repro.sparql.vector.engine import _Exec, _batch_solutions
+    from repro.sparql import ExecContext
+    from repro.sparql.vector.engine import _batch_solutions
 
     graph = Graph()
     for i in range(6):
         graph.add(EX[f"s{i}"], EX.p, Literal.from_python(i))
-    ctx = _Exec(graph, FunctionRegistry(), None)
+    ctx = ExecContext(graph, FunctionRegistry())
     # Ids past the dictionary are BIND-style ephemerals of this execution.
     ephemeral = [ctx.encoder.encode(Literal(f"made{i}")) for i in range(4)]
     pool = list(range(graph.term_count))[:6] + ephemeral
@@ -455,7 +457,7 @@ def bench_costs(products):
     costs = {}
     for shape, text in texts.items():
         query = parse_query(text)
-        tree = store._plan(query.where, VECTOR)
+        tree = compile_plan(query.where, store.graph, VECTOR, store._rewrite)
         budget = QueryBudget(max_rows=10**9)
         batch, ctx = execute_tree(tree, store.graph, store.registry, budget=budget)
         rows = finish_select(query, batch, ctx)
@@ -543,10 +545,10 @@ class TestBigIntegers:
 
     def test_exact_integers_stay_on_the_vector_path(self, big_graph):
         # 2**53 itself round-trips, so only 2**53 + 1 is marked.
-        from repro.sparql.vector.engine import _codec_for
+        from repro.sparql.vector.dictionary import codec_for
 
         both(big_graph, "SELECT ?x WHERE { ?x ex:v ?v . FILTER(?v > 0) }")
-        codec = _codec_for(big_graph)
+        codec = codec_for(big_graph)
         marked = [big_graph.term_for_id(int(i)).to_python()
                   for i in np.nonzero(codec.inexact)[0]]
         assert marked == [BIG + 1]
