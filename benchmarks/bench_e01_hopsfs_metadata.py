@@ -68,6 +68,7 @@ def test_e01_throughput_vs_shards(benchmark):
         "e01", obs,
         meta={"experiment": "E1", "operations": OPERATIONS,
               "shard_counts": list(SHARD_COUNTS)},
+        require=("bench.e01.sim_ops_per_s", "hopsfs.shard_op_ms"),
     )
 
     # Shape assertions: near-linear scaling, single leader flat.

@@ -14,6 +14,11 @@ import pytest
 from benchmarks.conftest import emit_bench_snapshot, print_series
 from repro.obs import Observability
 from repro.resilience import SoakConfig, run_soak
+from repro.resilience.soak import (
+    REQUIRED_METRICS,
+    snapshot_meta,
+    verify_comparison,
+)
 
 SEED = 18
 
@@ -51,26 +56,13 @@ def test_e18_overload_resilience(benchmark):
         "E18: overload soak (flapping backends + demand bursts, seed 18)",
         rows,
     )
-    benchmark.extra_info["goodput_protected_rps"] = round(protected.goodput, 3)
-    benchmark.extra_info["goodput_unprotected_rps"] = round(bare.goodput, 3)
-    benchmark.extra_info["p99_protected_s"] = round(protected.p99_latency_s, 4)
-    benchmark.extra_info["p99_unprotected_s"] = round(bare.p99_latency_s, 4)
-    emit_bench_snapshot(
-        "E18",
-        obs,
-        meta={
-            "goodput_protected_rps": protected.goodput,
-            "goodput_unprotected_rps": bare.goodput,
-            "p99_protected_s": protected.p99_latency_s,
-            "p99_unprotected_s": bare.p99_latency_s,
-        },
+    meta = snapshot_meta(bare, protected)
+    benchmark.extra_info.update(
+        {key: round(value, 4) for key, value in meta.items()}
     )
-    # Shape: the acceptance criteria of E18 — strictly better on both axes.
-    assert protected.goodput > bare.goodput
-    assert protected.p99_latency_s < bare.p99_latency_s
-    # The mechanisms actually engaged (this is not a vacuous comparison).
-    assert protected.shed > 0
-    assert protected.breaker_opens > 0
+    emit_bench_snapshot("E18", obs, meta=meta, require=REQUIRED_METRICS)
+    # Shape: the acceptance criteria of E18, written once beside the report.
+    verify_comparison(bare, protected)
 
 
 def test_e18_determinism(benchmark):

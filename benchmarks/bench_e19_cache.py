@@ -124,6 +124,7 @@ def test_e19_plan_cache_warm_vs_cold(benchmark):
         meta={"cold_s": cold_s, "warm_s": warm_s,
               "speedup": cold_s / warm_s,
               "plan_hits": stats["plans"]["hits"]},
+        require=("cache.hits", "cache.misses"),
     )
 
 

@@ -258,8 +258,16 @@ def test_e20_emit_snapshot(benchmark):
         return RESULTS
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
-    # The headline acceptance numbers ride in the snapshot meta so CI can
-    # assert them after validating the schema.
-    assert RESULTS.get("corrupt_reads_served_verify_on") == 0
-    assert RESULTS.get("scrub_repaired") == RESULTS.get("scrub_corrupt_found")
-    emit_bench_snapshot("E20", OBS, meta=dict(RESULTS))
+    # The headline acceptance numbers ride in the snapshot meta; a snapshot
+    # is only written when every test above ran and they all hold.
+    assert RESULTS["crash_failures"] == 0
+    assert RESULTS["corrupt_reads_served_verify_on"] == 0
+    assert RESULTS["corrupt_reads_served_verify_off"] > 0
+    assert RESULTS["scrub_repaired"] == RESULTS["scrub_corrupt_found"] > 0
+    assert RESULTS["suffix_replay_records"] < RESULTS["full_replay_records"]
+    emit_bench_snapshot(
+        "E20", OBS, meta=dict(RESULTS),
+        require=("durability.wal_appends", "durability.recoveries",
+                 "durability.corrupt_reads_detected",
+                 "durability.scrub_repairs"),
+    )

@@ -18,6 +18,11 @@ import pytest
 from benchmarks.conftest import emit_bench_snapshot, print_series
 from repro.obs import Observability
 from repro.serving import ServingSoakConfig, run_comparison, run_serving_soak
+from repro.serving.soak import (
+    REQUIRED_METRICS,
+    snapshot_meta,
+    verify_comparison,
+)
 
 SEED = 21
 
@@ -55,40 +60,14 @@ def test_e21_serving_fairness(benchmark):
         "E21: serving soak (8 Zipf tenants, ~6x capacity offered, seed 21)",
         rows,
     )
-    benchmark.extra_info["jain_protected"] = round(protected.jain_goodput, 4)
-    benchmark.extra_info["jain_unprotected"] = round(bare.jain_goodput, 4)
-    benchmark.extra_info["p99_protected_s"] = round(
-        protected.p99_latency_s, 4
-    )
-    benchmark.extra_info["p99_unprotected_s"] = round(bare.p99_latency_s, 4)
-    benchmark.extra_info["duplicate_executions_avoided"] = (
-        protected.duplicate_executions_avoided
-    )
-    emit_bench_snapshot(
-        "E21",
-        obs,
-        meta={
-            "jain_protected": protected.jain_goodput,
-            "jain_unprotected": bare.jain_goodput,
-            "p99_protected_s": protected.p99_latency_s,
-            "p99_unprotected_s": bare.p99_latency_s,
-            "duplicate_executions_avoided": (
-                protected.duplicate_executions_avoided
-            ),
-            "executions_protected": protected.executions,
-            "executions_unprotected": bare.executions,
-        },
-    )
-    # Shape: the acceptance criteria of E21.
-    assert protected.jain_goodput >= 0.9
-    assert bare.jain_goodput < 0.5
-    assert protected.p99_latency_s < bare.p99_latency_s
-    # Coalescing engaged and saved real backend work.
-    assert protected.duplicate_executions_avoided > 0
-    assert protected.executions < bare.executions
-    # The controls actually fired (this is not a vacuous comparison).
-    assert protected.total("quota_rejected") > 0
-    assert protected.total("shed") > 0
+    meta = snapshot_meta(soak_config(), bare, protected)
+    benchmark.extra_info.update({
+        key: round(value, 4) if isinstance(value, float) else value
+        for key, value in meta.items()
+    })
+    emit_bench_snapshot("E21", obs, meta=meta, require=REQUIRED_METRICS)
+    # Shape: the acceptance criteria of E21, written once beside the report.
+    verify_comparison(bare, protected)
 
 
 def test_e21_determinism(benchmark):

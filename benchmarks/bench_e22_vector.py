@@ -188,6 +188,7 @@ def test_e22_vector_vs_interpreted(benchmark):
             "fallback_ops": fallbacks["nested"],
             "conditional_optional_fallback_ops": fallbacks["conditional"],
         },
+        require=("sparql.vector.result_rows", "sparql.vector.fallback_ops"),
     )
 
 

@@ -5,20 +5,24 @@ shape results (who wins, by what factor, where crossovers fall) appear in the
 pytest-benchmark JSON/console output alongside the timings, and prints a
 small table for EXPERIMENTS.md. Benches that carry a ``repro.obs``
 Observability bundle also drop a ``BENCH_<NAME>.json`` snapshot (into
-``$REPRO_OBS_DIR``, default cwd) via :func:`emit_bench_snapshot`; CI
-validates that file in the observability smoke step.
+``$REPRO_OBS_DIR``, default cwd) via :func:`emit_bench_snapshot`, which
+reads the file back through the schema validator and fails the bench if a
+metric it lists in ``require=`` is missing — so in CI the bench's own exit
+code is the gate.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Sequence
 
 
-def emit_bench_snapshot(name: str, obs, meta: Optional[Dict] = None) -> str:
-    """Write *obs* to the bench's ``BENCH_<NAME>.json``; returns the path."""
-    from repro.obs import bench_snapshot_path, write_snapshot
+def emit_bench_snapshot(name: str, obs, meta: Optional[Dict] = None,
+                        require: Sequence[str] = ()) -> str:
+    """Write *obs* to the bench's ``BENCH_<NAME>.json``, validated and
+    holding every metric named in *require*; returns the path."""
+    from repro.obs import write_bench_snapshot
 
-    path = write_snapshot(bench_snapshot_path(name), obs, meta)
+    path = write_bench_snapshot(name, obs, meta, require)
     print(f"\n[obs] snapshot written: {path}")
     return path
 

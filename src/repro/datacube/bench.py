@@ -14,26 +14,33 @@ land-cover field, one scene per acquisition day), then measures
 
 ``python -m repro.datacube.bench`` runs the full configuration;
 ``--smoke`` a CI-sized one. Both write ``BENCH_E24.json`` (in
-``$REPRO_OBS_DIR``) for the CI gate.
+``$REPRO_OBS_DIR``) and exit non-zero when :func:`verify_report` — the E24
+acceptance gate, shared with ``benchmarks/bench_e24_datacube.py`` — fails.
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import DatacubeError
-from repro.obs import Observability, bench_snapshot_path
+from repro.obs import Observability
 from repro.raster.grid import GeoTransform
 from repro.raster.sentinel import landcover_field, sentinel2_scene
 from repro.datacube.cube import Cube, CubeSchema
 from repro.datacube.ingest import CubeIngestor, S2_DEFAULT_VARIABLES
 from repro.datacube.storage import ChunkStore
+from repro.soak import Gate, run_cli
+
+#: Metrics a ``BENCH_E24.json`` must carry (checked where it is written).
+REQUIRED_METRICS = (
+    "datacube.appends", "datacube.seals", "datacube.chunks_pruned",
+    "datacube.chunks_read", "datacube.store_puts",
+)
 
 
 @dataclass(frozen=True)
@@ -195,37 +202,37 @@ def run_datacube_bench(config: DatacubeBenchConfig,
     return report
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description="E24 datacube bench")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized configuration")
-    parser.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
-    config = SMOKE if args.smoke else DatacubeBenchConfig()
-    if args.seed is not None:
-        config = DatacubeBenchConfig(
-            **{**config.__dict__, "seed": args.seed}
-        )
+def verify_report(report: Dict) -> None:
+    """The E24 acceptance gate; raises naming every violated criterion."""
+    with Gate(DatacubeError) as check:
+        check("pruning ratio", report["pruning_ratio"], ">", 1.0)
+        check("selections checked against the oracle",
+              report["parity_checked"], ">", 0)
+        check("oracle parity: equal vs checked",
+              report["parity_equal"], "==", report["parity_checked"])
+        check.that(report["mean_parity"], "tiled mean diverged from oracle")
+        check("writes to the most-written chunk path",
+              report["max_path_writes"], "==", 1)
+        # Windowed tiled aggregation beats materializing the whole cube.
+        check("tiled mean vs whole-cube scan (s)",
+              report["tiled_s"], "<", report["whole_s"])
+
+
+def _scenario(smoke: bool, seed: int, _size: None):
+    config = replace(SMOKE if smoke else DatacubeBenchConfig(), seed=seed)
     obs = Observability()
     report = run_datacube_bench(config, obs=obs)
-    path = obs.write_snapshot(bench_snapshot_path("E24"), meta=report)
-    for key, value in report.items():
-        print(f"  {key}: {value}")
-    print(f"[obs] snapshot written: {path}")
-    failures = []
-    if report["pruning_ratio"] <= 1.0:
-        failures.append("pruning ratio must exceed 1")
-    if report["parity_equal"] != report["parity_checked"]:
-        failures.append("oracle parity failed")
-    if not report["mean_parity"]:
-        failures.append("tiled mean diverged from oracle")
-    if report["max_path_writes"] != 1:
-        failures.append("a chunk path was written more than once")
-    if failures:
-        print("FAILED: " + "; ".join(failures))
-        return 1
-    print("ok")
-    return 0
+    verify_report(report)
+    return obs, [("E24", report)], report
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """``python -m repro.datacube.bench [--smoke] [--seed N]``"""
+    return run_cli(
+        "E24", "datacube bench: chunk pruning, oracle parity, tiled compute",
+        _scenario, seed=DatacubeBenchConfig.seed, require=REQUIRED_METRICS,
+        argv=argv,
+    )
 
 
 if __name__ == "__main__":

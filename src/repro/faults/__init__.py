@@ -50,6 +50,7 @@ from repro.faults.injector import (
     Straggler,
     TornWrite,
     WorkerCrash,
+    derive_seed,
 )
 from repro.faults.retry import RetryPolicy, RetryState
 
@@ -72,4 +73,5 @@ __all__ = [
     "Straggler",
     "TornWrite",
     "WorkerCrash",
+    "derive_seed",
 ]

@@ -462,8 +462,13 @@ class FaultPlan:
         )
 
 
-def _derive_seed(seed: int, domain: str, key: object) -> int:
-    """Stable (across processes) stream seed for (plan seed, domain, key)."""
+def derive_seed(seed: int, domain: str, key: object) -> int:
+    """Stable (across processes) stream seed for (base seed, domain, key).
+
+    The one seed-derivation recipe of the repo: every per-purpose random
+    stream (fault verdicts, breaker probes, soak workloads) hashes its
+    coordinates with blake2b, never with the per-process ``hash()``.
+    """
     digest = hashlib.blake2b(
         f"{seed}:{domain}:{key}".encode(), digest_size=8
     ).digest()
@@ -497,7 +502,7 @@ class FaultInjector:
     def _stream(self, domain: str, key: object) -> random.Random:
         stream = self._streams.get((domain, key))
         if stream is None:
-            stream = random.Random(_derive_seed(self.plan.seed, domain, key))
+            stream = random.Random(derive_seed(self.plan.seed, domain, key))
             self._streams[(domain, key)] = stream
         return stream
 

@@ -41,6 +41,7 @@ from repro.obs.export import (
     read_snapshot,
     snapshot_document,
     validate_snapshot,
+    write_bench_snapshot,
     write_snapshot,
 )
 from repro.obs.metrics import (
@@ -115,5 +116,6 @@ __all__ = [
     "resolve",
     "snapshot_document",
     "validate_snapshot",
+    "write_bench_snapshot",
     "write_snapshot",
 ]

@@ -3,8 +3,10 @@
 One schema for every benchmark and experiment: a versioned JSON document
 bundling the metrics registry and the tracer of an
 :class:`~repro.obs.Observability` run, plus free-form ``meta`` (which
-experiment, which parameters). The CI observability smoke and the test
-suite both go through :func:`validate_snapshot`, so the format is pinned.
+experiment, which parameters). Every writer and the test suite go through
+:func:`validate_snapshot`, so the format is pinned; benches and experiment
+CLIs write through :func:`write_bench_snapshot`, which also reads the file
+back and checks the metric names the experiment promises.
 
 ``bench_snapshot_path`` centralises where benches write: the directory in
 ``$REPRO_OBS_DIR`` (default: the working directory), file name
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from repro.errors import ObsError
 
@@ -51,6 +53,26 @@ def bench_snapshot_path(name: str) -> str:
         raise ObsError(f"bench snapshot name must be alphanumeric, got {name!r}")
     directory = os.environ.get("REPRO_OBS_DIR", ".")
     return os.path.join(directory, f"BENCH_{name.upper()}.json")
+
+
+def write_bench_snapshot(name: str, obs, meta: Optional[Dict] = None,
+                         require: Sequence[str] = ()) -> str:
+    """Write ``BENCH_<NAME>.json`` and prove a consumer can use it.
+
+    The file is read back through :func:`validate_snapshot` and must hold a
+    counter, gauge or histogram for every name in *require* — an experiment
+    whose instrumentation silently stopped reporting fails where it writes.
+    """
+    path = write_snapshot(bench_snapshot_path(name), obs, meta)
+    metrics = read_snapshot(path)["metrics"]
+    present = {
+        record["name"] for section in _METRIC_SECTIONS
+        for record in metrics[section]
+    }
+    missing = sorted(set(require) - present)
+    if missing:
+        raise ObsError(f"{path} lacks required metrics {missing}")
+    return path
 
 
 def read_snapshot(path: str) -> Dict:

@@ -26,7 +26,8 @@ unset):
 :mod:`repro.resilience.soak` drives all three through a long, seeded chaos
 schedule (flapping backends, overload bursts) and checks the liveness and
 accounting invariants; ``python -m repro.resilience.soak`` prints the
-protected-vs-unprotected comparison, and benchmark E18 measures it.
+protected-vs-unprotected comparison and exits non-zero unless the E18
+acceptance gate holds, and benchmark E18 measures it.
 """
 
 from repro.errors import CircuitOpen, Overloaded

@@ -29,12 +29,12 @@ logic when unset.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from collections import deque
 from typing import Callable, Deque, Dict, Optional, Tuple, Type, TypeVar
 
 from repro.errors import CircuitOpen, FaultError
+from repro.faults.injector import derive_seed
 from repro.obs import Observability, resolve
 
 T = TypeVar("T")
@@ -45,14 +45,6 @@ HALF_OPEN = "half_open"
 
 #: Gauge encoding of breaker state (resilience.breaker_state).
 STATE_CODES = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
-
-
-def _derive_seed(seed: int, key: object) -> int:
-    """Stable per-key stream seed (same recipe as the fault injector)."""
-    digest = hashlib.blake2b(
-        f"{seed}:breaker:{key}".encode(), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big")
 
 
 class CircuitBreaker:
@@ -263,7 +255,7 @@ class CircuitBreakerSet:
             breaker = CircuitBreaker(
                 name=str(key),
                 clock=self._clock,
-                seed=_derive_seed(self._seed, key),
+                seed=derive_seed(self._seed, "breaker", key),
                 obs=self._obs,
                 **self._kwargs,
             )

@@ -26,7 +26,10 @@ soak as a regression gate.
 The report's :meth:`SoakReport.verify` checks the liveness and accounting
 invariants the soak exists to prove: every arrival is accounted for in
 exactly one terminal state, no admission ticket leaks, the queue drains,
-and the simulation terminates.
+and the simulation terminates. :func:`verify_comparison` holds the E18
+acceptance thresholds and :func:`snapshot_meta` the headline numbers, once,
+for ``python -m repro.resilience.soak`` (whose exit code is the gate) and
+``benchmarks/bench_e18_overload_resilience.py`` alike.
 """
 
 from __future__ import annotations
@@ -44,14 +47,25 @@ from repro.faults.injector import (
     FaultPlan,
     OverloadBurst,
 )
-from repro.obs import Observability, resolve
+from repro.obs import Observability
 from repro.resilience.admission import (
     AdmissionController,
     PRIORITY_BATCH,
     PRIORITY_INTERACTIVE,
 )
-from repro.resilience.breaker import CircuitBreakerSet, _derive_seed
+from repro.resilience.breaker import CircuitBreakerSet
 from repro.resilience.deadline import Deadline
+from repro.soak import Gate, ServerPool, percentile, run_cli, stream_seed
+
+#: The chaos shape (consumed by :func:`soak_plan`).
+FLAPS_PER_BACKEND = 3
+FLAP_DOWN_S = 2.0
+BURST_COUNT = 3
+BURST_DURATION_S = 3.0
+BURST_FACTOR = 5.0
+
+#: Metrics a ``BENCH_E18.json`` must carry (checked where it is written).
+REQUIRED_METRICS = ("resilience.shed", "resilience.breaker_opens")
 
 
 @dataclass(frozen=True)
@@ -68,12 +82,6 @@ class SoakConfig:
     timeout_s: float = 1.0  #: time burned discovering a dead backend
     deadline_s: float = 0.5  #: per-request latency target
     batch_fraction: float = 0.4  #: share of arrivals in the batch class
-    #: chaos shape (consumed by :func:`soak_plan`)
-    flaps_per_backend: int = 3
-    flap_down_s: float = 2.0
-    burst_count: int = 3
-    burst_duration_s: float = 3.0
-    burst_factor: float = 5.0
 
     def __post_init__(self) -> None:
         if self.requests < 1 or self.backends < 1 or self.servers < 1:
@@ -94,21 +102,17 @@ def soak_plan(config: SoakConfig) -> FaultPlan:
     A pure function of the config — the soak's one source of randomness
     besides the workload streams, fully consumed here.
     """
-    rng = random.Random(_derive_seed(config.seed, "soak-plan"))
+    rng = random.Random(stream_seed(config.seed, "soak-plan"))
     horizon = config.requests / config.arrival_rate
     flaps = []
     for name in config.backend_names():
-        for _ in range(config.flaps_per_backend):
-            down = rng.uniform(0.0, max(horizon - config.flap_down_s, 0.1))
-            flaps.append(
-                EndpointFlap(name, down, down + config.flap_down_s)
-            )
+        for _ in range(FLAPS_PER_BACKEND):
+            down = rng.uniform(0.0, max(horizon - FLAP_DOWN_S, 0.1))
+            flaps.append(EndpointFlap(name, down, down + FLAP_DOWN_S))
     bursts = []
-    for _ in range(config.burst_count):
-        start = rng.uniform(0.0, max(horizon - config.burst_duration_s, 0.1))
-        bursts.append(
-            OverloadBurst(start, config.burst_duration_s, config.burst_factor)
-        )
+    for _ in range(BURST_COUNT):
+        start = rng.uniform(0.0, max(horizon - BURST_DURATION_S, 0.1))
+        bursts.append(OverloadBurst(start, BURST_DURATION_S, BURST_FACTOR))
     return FaultPlan(
         seed=config.seed,
         endpoint_flaps=tuple(flaps),
@@ -144,33 +148,22 @@ class SoakReport:
             return 0.0
         return self.ok / self.duration_s
 
-    def latency_percentile(self, q: float) -> float:
-        """Percentile over *completed* request latencies (ok + late)."""
-        if not self.latencies_s:
-            return 0.0
-        ordered = sorted(self.latencies_s)
-        index = min(len(ordered) - 1, int(q * (len(ordered) - 1) + 0.5))
-        return ordered[index]
-
     @property
     def p99_latency_s(self) -> float:
-        return self.latency_percentile(0.99)
+        """p99 over *completed* request latencies (ok + late)."""
+        return percentile(self.latencies_s, 0.99)
 
     def verify(self) -> None:
         """Raise :class:`FaultError` on any liveness/accounting violation."""
-        accounted = self.ok + self.late + self.failed + self.shed + self.expired
-        if accounted != self.arrivals:
-            raise FaultError(
-                f"soak accounting leak: {self.arrivals} arrivals but "
-                f"{accounted} terminal outcomes"
-            )
-        if len(self.latencies_s) != self.ok + self.late:
-            raise FaultError("latency samples disagree with completions")
-        for name, value in self.residual.items():
-            if value != 0:
-                raise FaultError(f"soak did not drain: {name}={value}")
-        if self.events_processed < self.arrivals:
-            raise FaultError("simulation ended before processing arrivals")
+        with Gate(FaultError) as check:
+            check("soak accounting leak: terminal outcomes vs arrivals",
+                  self.ok + self.late + self.failed + self.shed + self.expired,
+                  "==", self.arrivals)
+            check("latency samples vs completions",
+                  len(self.latencies_s), "==", self.ok + self.late)
+            check.drained(self.residual)
+            check("events processed vs arrivals",
+                  self.events_processed, ">=", self.arrivals)
 
     def summary(self) -> Dict[str, float]:
         return {
@@ -204,34 +197,34 @@ class _Soak:
     def __init__(self, config: SoakConfig, protected: bool,
                  obs: Optional[Observability] = None):
         self.config = config
-        self.protected = protected
-        self.obs = resolve(obs)
         self.sim = Simulation()
         self.injector = FaultInjector(soak_plan(config))
         self.queue: Deque[_Request] = deque()
-        self.free_servers = config.servers
+        self.pool = ServerPool(
+            self.sim, config.servers,
+            take=self._next_servable, start=self._start, finish=self._finish,
+        )
         self.report = SoakReport(protected=protected)
+        self.admission: Optional[AdmissionController] = None
+        self.breakers: Optional[CircuitBreakerSet] = None
         if protected:
-            self.admission: Optional[AdmissionController] = AdmissionController(
+            self.admission = AdmissionController(
                 max_in_flight=config.servers,
                 max_queue=4 * config.servers,
                 priority_floor=PRIORITY_INTERACTIVE,
                 scope="soak",
                 obs=obs,
             )
-            self.breakers: Optional[CircuitBreakerSet] = CircuitBreakerSet(
+            self.breakers = CircuitBreakerSet(
                 clock=lambda: self.sim.now,
-                seed=_derive_seed(config.seed, "soak-breakers"),
+                seed=stream_seed(config.seed, "soak-breakers"),
                 obs=obs,
                 failure_threshold=3,
                 window=8,
-                recovery_time_s=config.flap_down_s / 2.0,
+                recovery_time_s=FLAP_DOWN_S / 2.0,
                 half_open_probes=1,
                 probe_admit=0.5,
             )
-        else:
-            self.admission = None
-            self.breakers = None
 
     # ------------------------------------------------------------------
     # Workload generation
@@ -239,7 +232,7 @@ class _Soak:
 
     def _arrival_times(self) -> List[float]:
         """Exponential interarrivals, inflated inside overload bursts."""
-        rng = random.Random(_derive_seed(self.config.seed, "soak-arrivals"))
+        rng = random.Random(stream_seed(self.config.seed, "soak-arrivals"))
         times: List[float] = []
         now = 0.0
         for _ in range(self.config.requests):
@@ -251,7 +244,7 @@ class _Soak:
         return times
 
     def _requests(self) -> List[_Request]:
-        rng = random.Random(_derive_seed(self.config.seed, "soak-requests"))
+        rng = random.Random(stream_seed(self.config.seed, "soak-requests"))
         backends = self.config.backend_names()
         requests = []
         for index, at_s in enumerate(self._arrival_times()):
@@ -275,15 +268,11 @@ class _Soak:
     # ------------------------------------------------------------------
 
     def run(self) -> SoakReport:
-        for request in self._requests():
-            self.sim.schedule_at(
-                request.arrived_at,
-                lambda request=request: self._arrive(request),
-            )
-        self.sim.run()
         report = self.report
-        report.duration_s = self.sim.now
-        report.events_processed = self.sim.events_processed
+        self.pool.run(
+            ((request.arrived_at, request) for request in self._requests()),
+            self._arrive, report,
+        )
         if self.breakers is not None:
             report.breaker_opens = self.breakers.total_opens()
             report.breaker_rejections = self.breakers.total_rejections()
@@ -291,9 +280,6 @@ class _Soak:
             report.admission_high_water = self.admission.high_water
             report.residual["admission_in_flight"] = self.admission.in_flight
         report.residual["queued"] = len(self.queue)
-        report.residual["busy_servers"] = (
-            self.config.servers - self.free_servers
-        )
         return report
 
     def _arrive(self, request: _Request) -> None:
@@ -309,10 +295,11 @@ class _Soak:
                 label=f"request-{request.index}",
             )
         self.queue.append(request)
-        self._drain()
+        self.pool.pump()
 
-    def _drain(self) -> None:
-        while self.free_servers > 0 and self.queue:
+    def _next_servable(self) -> Optional[_Request]:
+        """Pop the queue up to the first request worth a server."""
+        while self.queue:
             request = self.queue.popleft()
             if request.deadline is not None and request.deadline.expired:
                 # Stale before service even began: drop it for free instead
@@ -329,18 +316,15 @@ class _Soak:
                     self.report.fast_failures += 1
                     self._settle(request)
                     continue
-            self._serve(request)
+            return request
+        return None
 
-    def _serve(self, request: _Request) -> None:
-        self.free_servers -= 1
+    def _start(self, request: _Request) -> Tuple[float, bool]:
         down = self.injector.endpoint_down_at(request.backend, self.sim.now)
         busy = self.config.timeout_s if down else self.config.service_time_s
-        self.sim.schedule(
-            busy, lambda: self._finish(request, failed=down)
-        )
+        return busy, down
 
     def _finish(self, request: _Request, failed: bool) -> None:
-        self.free_servers += 1
         if self.breakers is not None:
             breaker = self.breakers.for_key(request.backend)
             if failed:
@@ -357,7 +341,6 @@ class _Soak:
             else:
                 self.report.late += 1
         self._settle(request)
-        self._drain()
 
     def _settle(self, request: _Request) -> None:
         if request.ticket is not None:
@@ -374,18 +357,48 @@ def run_soak(
     return _Soak(config, protected, obs=obs).run()
 
 
-def main() -> int:  # pragma: no cover - exercised via CI smoke
-    """Quickstart entry point: ``python -m repro.resilience.soak``."""
-    config = SoakConfig()
-    for protected in (False, True):
-        report = run_soak(config, protected=protected)
-        report.verify()
-        label = "protected" if protected else "unprotected"
-        print(f"[{label}] " + " ".join(
-            f"{key}={value:.4g}" for key, value in report.summary().items()
-            if key != "protected"
-        ))
-    return 0
+def verify_comparison(bare: SoakReport, protected: SoakReport) -> None:
+    """The E18 acceptance thresholds — strictly better on both axes."""
+    with Gate(FaultError) as check:
+        check("protected goodput vs unprotected (rps)",
+              protected.goodput, ">", bare.goodput)
+        check("protected p99 vs unprotected (s)",
+              protected.p99_latency_s, "<", bare.p99_latency_s)
+        # The mechanisms actually engaged (not a vacuous comparison).
+        check("requests shed", protected.shed, ">", 0)
+        check("breaker opens", protected.breaker_opens, ">", 0)
+
+
+def snapshot_meta(bare: SoakReport, protected: SoakReport) -> Dict[str, float]:
+    """The headline numbers that ride in ``BENCH_E18.json``'s meta."""
+    return {
+        "goodput_protected_rps": protected.goodput,
+        "goodput_unprotected_rps": bare.goodput,
+        "p99_protected_s": protected.p99_latency_s,
+        "p99_unprotected_s": bare.p99_latency_s,
+    }
+
+
+def _scenario(smoke: bool, seed: int, _size: None):
+    config = SoakConfig(seed=seed, requests=1200 if smoke else 12_000)
+    obs = Observability(clock=lambda: 0.0)
+    bare = run_soak(config, protected=False)
+    protected = run_soak(config, protected=True, obs=obs)
+    bare.verify()
+    protected.verify()
+    verify_comparison(bare, protected)
+    summaries = [
+        ("unprotected", bare.summary()), ("protected", protected.summary()),
+    ]
+    return obs, summaries, snapshot_meta(bare, protected)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """``python -m repro.resilience.soak [--smoke] [--seed N]``"""
+    return run_cli(
+        "E18", "chaos soak: resilience stack on vs off", _scenario,
+        seed=0, require=REQUIRED_METRICS, argv=argv,
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover

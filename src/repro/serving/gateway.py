@@ -473,9 +473,9 @@ class Gateway:
                 **kwargs,
             )
         except Exception as exc:
-            self._record_budget(budget, exc)
+            self.record_budget(budget, exc)
             return self.complete(entry, error=exc)
-        self._record_budget(budget, None)
+        self.record_budget(budget, None)
         return self.complete(entry, result=result)
 
     # ------------------------------------------------------------------
@@ -527,7 +527,7 @@ class Gateway:
             ),
         )
 
-    def _record_budget(
+    def record_budget(
         self, budget: Optional[QueryBudget], error: Optional[BaseException]
     ) -> None:
         """Emit one execution's ``governor.*`` metrics (kills by reason)."""

@@ -28,9 +28,12 @@ queued entry, no live coalesce key, no tenant in-flight residue, and
 ``tickets_issued == tickets_released`` (a ticket outliving its request
 fails the soak).
 
-Everything is a pure function of the seed; ``python -m repro.serving.soak
---smoke`` runs a short protected-vs-unprotected comparison and writes a
-``BENCH_E21.json`` snapshot for the CI gate.
+Everything is a pure function of the seed. :func:`verify_comparison` holds
+the E21 acceptance thresholds and :func:`snapshot_meta` the headline
+numbers, once, for the CLI and ``benchmarks/bench_e21_serving.py`` alike;
+``python -m repro.serving.soak --smoke`` runs a short comparison, writes
+``BENCH_E21.json`` and exits non-zero if the gate is violated. The server
+loop, statistics and CLI plumbing are :mod:`repro.soak`'s.
 """
 
 from __future__ import annotations
@@ -42,53 +45,63 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.simclock import Simulation
 from repro.errors import QuotaExceeded, ServingError, Shed
-from repro.obs import Observability, resolve
+from repro.obs import Observability
 from repro.resilience.admission import AdmissionController, PRIORITY_INTERACTIVE
-from repro.resilience.breaker import _derive_seed
 from repro.resilience.deadline import Deadline
 from repro.serving.backends import CallableBackend
 from repro.serving.gateway import Gateway, GatewayRequest, OK
 from repro.serving.tenant import TenantConfig
 from repro.serving.workload import Arrival, WorkloadConfig, generate_arrivals
+from repro.soak import (
+    Gate,
+    ServerPool,
+    gateway_residual,
+    jain_index,
+    percentile,
+    run_cli,
+    stream_seed,
+)
 
+#: The offered traffic, spelled out so that a change to
+#: :class:`~repro.serving.workload.WorkloadConfig`'s defaults cannot move
+#: the experiment: ~6x capacity at the diurnal mean, the heaviest of 8
+#: Zipf(1.5) tenants alone offering ~3x capacity.
+TRAFFIC = dict(
+    base_rate=6000.0,  #: aggregate offered requests/s (mean)
+    zipf_s=1.5,
+    diurnal_amplitude=0.4,
+    diurnal_period_s=10.0,
+    burst_count=3,
+    burst_factor=3.0,
+    burst_duration_s=2.0,
+    query_zipf_s=1.1,
+    batch_fraction=0.25,
+)
 
-def jain_index(values) -> float:
-    """Jain's fairness index; 1.0 = perfectly even, 1/n = winner-take-all."""
-    values = list(values)
-    if not values:
-        return 0.0
-    total = float(sum(values))
-    squares = sum(v * v for v in values)
-    if squares <= 0.0:
-        return 0.0
-    return (total * total) / (len(values) * squares)
+SERVICE_SPREAD = 0.25  #: per-query service-time multiplier in [1-s, 1+s]
+QUOTA_HEADROOM = 1.12  #: tenant rate = fair share * headroom
+QUOTA_BURST = 32.0
+ADMISSION_QUEUE_FACTOR = 8  #: bulkhead queue = factor * servers
+
+#: Metrics a ``BENCH_E21.json`` must carry (checked where it is written).
+REQUIRED_METRICS = (
+    "serving.ok", "serving.quota_rejected", "serving.shed",
+    "serving.coalesced",
+)
 
 
 @dataclass(frozen=True)
 class ServingSoakConfig:
-    """One soak run. Defaults: ~6x capacity offered at the diurnal mean,
-    the heaviest of 8 Zipf(1.5) tenants alone offering ~3x capacity."""
+    """One soak run: the system under test and how much of :data:`TRAFFIC`
+    it is offered."""
 
     seed: int = 21
     requests: int = 20_000
     tenants: int = 8
     servers: int = 8
     service_time_s: float = 0.008  #: base per-query service time
-    service_spread: float = 0.25  #: per-query multiplier in [1-s, 1+s]
     deadline_s: float = 0.5
-    base_rate: float = 6000.0  #: aggregate offered requests/s (mean)
-    zipf_s: float = 1.5
-    diurnal_amplitude: float = 0.4
-    diurnal_period_s: float = 10.0
-    burst_count: int = 3
-    burst_factor: float = 3.0
-    burst_duration_s: float = 2.0
     query_pool: int = 32
-    query_zipf_s: float = 1.1
-    batch_fraction: float = 0.25
-    quota_headroom: float = 1.12  #: tenant rate = fair share * headroom
-    quota_burst: float = 32.0
-    admission_queue_factor: int = 8  #: bulkhead queue = factor * servers
     coalesce: bool = True
 
     def __post_init__(self) -> None:
@@ -96,24 +109,11 @@ class ServingSoakConfig:
             raise ServingError("soak needs >= 1 server")
         if self.service_time_s <= 0 or self.deadline_s <= 0:
             raise ServingError("soak times must be positive")
-        if not 0.0 <= self.service_spread < 1.0:
-            raise ServingError("service_spread must be in [0, 1)")
 
     def workload(self) -> WorkloadConfig:
         return WorkloadConfig(
-            seed=self.seed,
-            tenants=self.tenants,
-            requests=self.requests,
-            zipf_s=self.zipf_s,
-            base_rate=self.base_rate,
-            diurnal_amplitude=self.diurnal_amplitude,
-            diurnal_period_s=self.diurnal_period_s,
-            burst_count=self.burst_count,
-            burst_factor=self.burst_factor,
-            burst_duration_s=self.burst_duration_s,
-            query_pool=self.query_pool,
-            query_zipf_s=self.query_zipf_s,
-            batch_fraction=self.batch_fraction,
+            seed=self.seed, tenants=self.tenants, requests=self.requests,
+            query_pool=self.query_pool, **TRAFFIC,
         )
 
     def capacity_rps(self) -> float:
@@ -121,14 +121,14 @@ class ServingSoakConfig:
         return self.servers / self.service_time_s
 
     def tenant_rate_quota(self) -> float:
-        return self.capacity_rps() / self.tenants * self.quota_headroom
+        return self.capacity_rps() / self.tenants * QUOTA_HEADROOM
 
     def service_times(self) -> List[float]:
         """Deterministic per-query service times (same in both modes)."""
-        rng = random.Random(_derive_seed(self.seed, "serving-service"))
+        rng = random.Random(stream_seed(self.seed, "serving-service"))
         return [
             self.service_time_s
-            * rng.uniform(1.0 - self.service_spread, 1.0 + self.service_spread)
+            * rng.uniform(1.0 - SERVICE_SPREAD, 1.0 + SERVICE_SPREAD)
             for _ in range(self.query_pool)
         ]
 
@@ -196,34 +196,23 @@ class ServingSoakReport:
         """Jain's index over per-tenant within-deadline completions."""
         return jain_index(t.ok for t in self.per_tenant.values())
 
-    def latency_percentile(self, q: float) -> float:
-        if not self.latencies_s:
-            return 0.0
-        ordered = sorted(self.latencies_s)
-        index = min(len(ordered) - 1, int(q * (len(ordered) - 1) + 0.5))
-        return ordered[index]
-
     @property
     def p99_latency_s(self) -> float:
-        return self.latency_percentile(0.99)
+        return percentile(self.latencies_s, 0.99)
 
     # -- invariants ----------------------------------------------------
 
     def verify(self) -> None:
         """Raise :class:`ServingError` on any accounting/leak violation."""
-        for outcome in self.per_tenant.values():
-            if outcome.accounted != outcome.arrivals:
-                raise ServingError(
-                    f"tenant {outcome.name!r} accounting leak: "
-                    f"{outcome.arrivals} arrivals, {outcome.accounted} outcomes"
-                )
-        if len(self.latencies_s) != self.served:
-            raise ServingError("latency samples disagree with completions")
-        for name, value in self.residual.items():
-            if value != 0:
-                raise ServingError(f"soak did not drain: {name}={value}")
-        if self.events_processed < self.arrivals:
-            raise ServingError("simulation ended before processing arrivals")
+        with Gate(ServingError) as check:
+            for outcome in self.per_tenant.values():
+                check(f"tenant {outcome.name!r} accounting leak: outcomes vs "
+                      "arrivals", outcome.accounted, "==", outcome.arrivals)
+            check("latency samples vs completions",
+                  len(self.latencies_s), "==", self.served)
+            check.drained(self.residual)
+            check("events processed vs arrivals",
+                  self.events_processed, ">=", self.arrivals)
 
     def summary(self) -> Dict[str, float]:
         return {
@@ -259,19 +248,30 @@ class ServingSoakReport:
 # Protected mode: through the gateway
 # ---------------------------------------------------------------------------
 
+def _new_report(
+    config: ServingSoakConfig, protected: bool
+) -> ServingSoakReport:
+    return ServingSoakReport(
+        protected=protected,
+        per_tenant={
+            name: TenantOutcome(name)
+            for name in config.workload().tenant_names()
+        },
+    )
+
+
 class _ProtectedSoak:
     def __init__(self, config: ServingSoakConfig,
                  obs: Optional[Observability] = None):
         self.config = config
         self.sim = Simulation()
-        self.obs = resolve(obs)
         self.service_times = config.service_times()
         self.gateway = Gateway(
             CallableBackend(lambda q: f"result:{q}", kind="store"),
             clock=lambda: self.sim.now,
             admission=AdmissionController(
                 max_in_flight=config.servers,
-                max_queue=config.admission_queue_factor * config.servers,
+                max_queue=ADMISSION_QUEUE_FACTOR * config.servers,
                 priority_floor=PRIORITY_INTERACTIVE,
                 scope="serving",
                 obs=obs,
@@ -287,29 +287,27 @@ class _ProtectedSoak:
                     api_key=f"key-{name}",
                     weight=1.0,
                     rate=rate,
-                    burst=config.quota_burst,
+                    burst=QUOTA_BURST,
                 )
             )
-        self.free_servers = config.servers
-        self.report = ServingSoakReport(protected=True)
-        self.report.per_tenant = {
-            name: TenantOutcome(name)
-            for name in config.workload().tenant_names()
-        }
+        self.pool = ServerPool(
+            self.sim, config.servers,
+            take=self.gateway.next_dispatch,
+            start=self._start,
+            finish=self._finish,
+        )
+        self.report = _new_report(config, protected=True)
 
     def run(self) -> ServingSoakReport:
         names = self.config.workload().tenant_names()
-        for arrival in generate_arrivals(self.config.workload()):
-            self.sim.schedule_at(
-                arrival.at_s,
-                lambda arrival=arrival, name=names[arrival.tenant]: (
-                    self._arrive(arrival, name)
-                ),
-            )
-        self.sim.run()
-        gateway = self.gateway
-        gateway.assert_drained()  # ticket-leak / drain invariant, hard fail
-        report = self.report
+        gateway, report = self.gateway, self.report
+        self.pool.run(
+            ((arrival.at_s, arrival, names[arrival.tenant])
+             for arrival in generate_arrivals(self.config.workload())),
+            self._arrive, report,
+        )
+        # Ticket-leak / drain invariant first: a leak is a hard fail.
+        report.residual.update(gateway_residual(gateway))
         for name, session in gateway.tenants.sessions.items():
             outcome = report.per_tenant[name]
             outcome.ok = session.ok
@@ -323,16 +321,6 @@ class _ProtectedSoak:
                     f"unexpected backend failures for {name}: {session.failed}"
                 )
         report.executions = gateway.executions
-        report.duration_s = self.sim.now
-        report.events_processed = self.sim.events_processed
-        report.residual["queued"] = len(gateway.queue)
-        report.residual["coalesce_in_flight"] = gateway.coalescer.in_flight
-        report.residual["ticket_leak"] = (
-            gateway.tickets_issued - gateway.tickets_released
-        )
-        report.residual["busy_servers"] = (
-            self.config.servers - self.free_servers
-        )
         return report
 
     def _arrive(self, arrival: Arrival, tenant_name: str) -> None:
@@ -352,29 +340,18 @@ class _ProtectedSoak:
             self.gateway.submit(request)
         except (QuotaExceeded, Shed):
             return  # counted per-tenant by the gateway's sessions
-        self._pump()
+        self.pool.pump()
 
-    def _pump(self) -> None:
-        while self.free_servers > 0:
-            entry = self.gateway.next_dispatch()
-            if entry is None:
-                return
-            self.free_servers -= 1
-            query_index = int(entry.leader.query[1:])
-            self.sim.schedule(
-                self.service_times[query_index],
-                lambda entry=entry: self._finish(entry),
-            )
+    def _start(self, entry) -> Tuple[float]:
+        return (self.service_times[int(entry.leader.query[1:])],)
 
     def _finish(self, entry) -> None:
-        self.free_servers += 1
         query = entry.leader.query
         settled = self.gateway.complete(entry, result=f"result:{query}")
         now = self.sim.now
         for member in settled:
             if member.category == OK:
                 self.report.latencies_s.append(now - member.submitted_at)
-        self._pump()
 
 
 # ---------------------------------------------------------------------------
@@ -394,50 +371,31 @@ class _UnprotectedSoak:
         self.sim = Simulation()
         self.service_times = config.service_times()
         self.queue: Deque[_DirectRequest] = deque()
-        self.free_servers = config.servers
-        self.report = ServingSoakReport(protected=False)
-        self.report.per_tenant = {
-            name: TenantOutcome(name)
-            for name in config.workload().tenant_names()
-        }
+        self.pool = ServerPool(
+            self.sim, config.servers,
+            take=lambda: self.queue.popleft() if self.queue else None,
+            start=lambda request: (self.service_times[request.query],),
+            finish=self._finish,
+        )
+        self.report = _new_report(config, protected=False)
 
     def run(self) -> ServingSoakReport:
         names = self.config.workload().tenant_names()
-        for arrival in generate_arrivals(self.config.workload()):
-            request = _DirectRequest(
-                arrived_at=arrival.at_s,
-                tenant=names[arrival.tenant],
-                query=arrival.query,
-            )
-            self.sim.schedule_at(
-                arrival.at_s, lambda request=request: self._arrive(request)
-            )
-        self.sim.run()
-        report = self.report
-        report.duration_s = self.sim.now
-        report.events_processed = self.sim.events_processed
-        report.residual["queued"] = len(self.queue)
-        report.residual["busy_servers"] = (
-            self.config.servers - self.free_servers
+        self.pool.run(
+            ((arrival.at_s, _DirectRequest(
+                arrival.at_s, names[arrival.tenant], arrival.query))
+             for arrival in generate_arrivals(self.config.workload())),
+            self._arrive, self.report,
         )
-        return report
+        self.report.residual["queued"] = len(self.queue)
+        return self.report
 
     def _arrive(self, request: _DirectRequest) -> None:
         self.report.per_tenant[request.tenant].arrivals += 1
         self.queue.append(request)
-        self._pump()
-
-    def _pump(self) -> None:
-        while self.free_servers > 0 and self.queue:
-            request = self.queue.popleft()
-            self.free_servers -= 1
-            self.sim.schedule(
-                self.service_times[request.query],
-                lambda request=request: self._finish(request),
-            )
+        self.pool.pump()
 
     def _finish(self, request: _DirectRequest) -> None:
-        self.free_servers += 1
         self.report.executions += 1
         latency = self.sim.now - request.arrived_at
         self.report.latencies_s.append(latency)
@@ -446,7 +404,6 @@ class _UnprotectedSoak:
             outcome.ok += 1
         else:
             outcome.late += 1
-        self._pump()
 
 
 def run_serving_soak(
@@ -471,52 +428,66 @@ def run_comparison(
     return bare, guarded
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.serving.soak [--smoke] [--seed N] [--requests N]``"""
-    import argparse
+def verify_comparison(
+    bare: ServingSoakReport, guarded: ServingSoakReport
+) -> None:
+    """The E21 acceptance thresholds; any violation fails the experiment."""
+    with Gate(ServingError) as check:
+        check("protected Jain index", guarded.jain_goodput, ">=", 0.9)
+        # Below this the workload is not abusive enough to gate on.
+        check("unprotected Jain index", bare.jain_goodput, "<", 0.5)
+        check("protected p99 vs unprotected (s)",
+              guarded.p99_latency_s, "<", bare.p99_latency_s)
+        # Coalescing engaged and saved real backend work.
+        check("duplicate executions avoided",
+              guarded.duplicate_executions_avoided, ">", 0)
+        check("protected executions vs unprotected",
+              guarded.executions, "<", bare.executions)
+        # The controls actually fired (this is not a vacuous comparison).
+        check("requests quota-rejected",
+              guarded.total("quota_rejected"), ">", 0)
+        check("requests shed", guarded.total("shed"), ">", 0)
 
-    parser = argparse.ArgumentParser(
-        description="E21 serving-gateway soak: protected vs unprotected"
-    )
-    parser.add_argument("--smoke", action="store_true",
-                        help="short CI-sized run")
-    parser.add_argument("--seed", type=int, default=21)
-    parser.add_argument("--requests", type=int, default=None)
-    args = parser.parse_args(argv)
-    requests = args.requests
-    if requests is None:
-        requests = 12_000 if args.smoke else 120_000
-    config = ServingSoakConfig(seed=args.seed, requests=requests)
+
+def snapshot_meta(
+    config: ServingSoakConfig,
+    bare: ServingSoakReport,
+    guarded: ServingSoakReport,
+) -> Dict[str, object]:
+    """The headline numbers that ride in ``BENCH_E21.json``'s meta."""
+    return {
+        "experiment": "E21",
+        "seed": config.seed,
+        "requests": config.requests,
+        "tenants": config.tenants,
+        "jain_protected": guarded.jain_goodput,
+        "jain_unprotected": bare.jain_goodput,
+        "p99_protected_s": guarded.p99_latency_s,
+        "p99_unprotected_s": bare.p99_latency_s,
+        "duplicate_executions_avoided": guarded.duplicate_executions_avoided,
+        "executions_protected": guarded.executions,
+        "executions_unprotected": bare.executions,
+    }
+
+
+def _scenario(smoke: bool, seed: int, requests: int):
+    config = ServingSoakConfig(seed=seed, requests=requests)
     obs = Observability(clock=lambda: 0.0)
     bare, guarded = run_comparison(config, obs=obs)
-    for label, report in (("unprotected", bare), ("protected", guarded)):
-        print(f"[{label}] " + " ".join(
-            f"{key}={value:.5g}" for key, value in report.summary().items()
-            if key != "protected"
-        ))
-    from repro.obs import bench_snapshot_path, write_snapshot
+    verify_comparison(bare, guarded)
+    summaries = [
+        ("unprotected", bare.summary()), ("protected", guarded.summary()),
+    ]
+    return obs, summaries, snapshot_meta(config, bare, guarded)
 
-    path = write_snapshot(
-        bench_snapshot_path("E21"),
-        obs,
-        meta={
-            "experiment": "E21",
-            "seed": config.seed,
-            "requests": config.requests,
-            "tenants": config.tenants,
-            "jain_protected": guarded.jain_goodput,
-            "jain_unprotected": bare.jain_goodput,
-            "p99_protected_s": guarded.p99_latency_s,
-            "p99_unprotected_s": bare.p99_latency_s,
-            "duplicate_executions_avoided": (
-                guarded.duplicate_executions_avoided
-            ),
-            "executions_protected": guarded.executions,
-            "executions_unprotected": bare.executions,
-        },
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """``python -m repro.serving.soak [--smoke] [--seed N] [--requests N]``"""
+    return run_cli(
+        "E21", "serving-gateway soak: protected vs unprotected", _scenario,
+        seed=21, require=REQUIRED_METRICS,
+        size=("--requests", 12_000, 120_000), argv=argv,
     )
-    print(f"[obs] snapshot written: {path}")
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

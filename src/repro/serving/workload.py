@@ -36,7 +36,7 @@ from typing import List, Tuple
 
 from repro.errors import ServingError
 from repro.resilience.admission import PRIORITY_BATCH, PRIORITY_INTERACTIVE
-from repro.resilience.breaker import _derive_seed
+from repro.soak import stream_seed
 
 
 def zipf_weights(count: int, s: float) -> List[float]:
@@ -114,7 +114,7 @@ class Arrival:
 
 def burst_windows(config: WorkloadConfig) -> Tuple[Tuple[float, float], ...]:
     """The seeded flash-crowd windows (start, end), sorted by start."""
-    rng = random.Random(_derive_seed(config.seed, "workload-bursts"))
+    rng = random.Random(stream_seed(config.seed, "workload-bursts"))
     horizon = config.horizon_s()
     windows = []
     for _ in range(config.burst_count):
@@ -147,16 +147,16 @@ def generate_arrivals(config: WorkloadConfig) -> List[Arrival]:
         * (1.0 + config.diurnal_amplitude)
         * max(config.burst_factor, 1.0)
     )
-    time_rng = random.Random(_derive_seed(config.seed, "workload-arrivals"))
+    time_rng = random.Random(stream_seed(config.seed, "workload-arrivals"))
     tenant_picker = _ZipfPicker(
         config.tenants, config.zipf_s,
-        random.Random(_derive_seed(config.seed, "workload-tenants")),
+        random.Random(stream_seed(config.seed, "workload-tenants")),
     )
     query_picker = _ZipfPicker(
         config.query_pool, config.query_zipf_s,
-        random.Random(_derive_seed(config.seed, "workload-queries")),
+        random.Random(stream_seed(config.seed, "workload-queries")),
     )
-    class_rng = random.Random(_derive_seed(config.seed, "workload-classes"))
+    class_rng = random.Random(stream_seed(config.seed, "workload-classes"))
     arrivals: List[Arrival] = []
     now = 0.0
     while len(arrivals) < config.requests:

@@ -4,7 +4,7 @@ One seeded campaign over one graph produces three verdicts:
 
 * **scaling** — a fixed query pool runs clean (no faults) on a single
   partition and again range-partitioned across the cluster; the summed
-  simulated makespan must shrink by at least ``min_scaling_ratio``, or the
+  simulated makespan must shrink by at least ``MIN_SCALING_RATIO``, or the
   distribution layer is pure overhead;
 * **chaos correctness** — ``chaos_queries`` runs execute under per-query
   seeded fault campaigns (node crashes, permanent node losses, stragglers,
@@ -25,8 +25,9 @@ The work model is deliberately row-dominated (``row_cost_s`` well above
 the makespan — the regime where range partitioning is supposed to pay.
 
 ``python -m repro.sparql.dist.soak --smoke`` runs the CI-sized campaign,
-verifies every invariant above, and writes a ``BENCH_E25.json`` snapshot
-for the CI gate.
+verifies every invariant above (:meth:`DistSoakReport.verify`), writes
+``BENCH_E25.json`` and exits non-zero on a violation; the CLI plumbing is
+:mod:`repro.soak`'s.
 """
 
 from __future__ import annotations
@@ -43,6 +44,33 @@ from repro.rdf.term import IRI, Literal
 from repro.resilience.admission import AdmissionController
 from repro.sparql import CompileOptions, evaluate
 from repro.sparql.dist import DistRuntime, PartialResult
+from repro.soak import Gate, run_cli
+
+MIN_COMPLETED = 100  #: the E25 acceptance floor on exact chaos completions
+MIN_SCALING_RATIO = 1.5  #: below this partitioning is not paying for itself
+MIN_LOCALITY_RATE = 0.5
+
+#: Row-dominated work model: fragments, not task constants, set makespan.
+WORK_MODEL = dict(
+    row_cost_s=5e-5, task_overhead_s=2e-4, data_retry_backoff_s=2e-3,
+)
+
+#: Per-query chaos rates; the horizon is :data:`HORIZON_FACTOR` times the
+#: query's clean makespan, so faults strike mid-flight.
+HORIZON_FACTOR = 1.5
+CHAOS_RATES = dict(
+    node_crash_prob=0.3,
+    node_loss_prob=0.15,
+    straggler_prob=0.3,
+    task_failure_rate=0.15,
+    network_partition_prob=0.2,
+)
+
+#: Metrics a ``BENCH_E25.json`` must carry (checked where it is written).
+REQUIRED_METRICS = (
+    "dist.tasks", "dist.scan_stages", "dist.shuffle_joins",
+    "dist.broadcast_joins", "dist.aborts",
+)
 
 
 @dataclass(frozen=True)
@@ -54,27 +82,13 @@ class DistSoakConfig:
     triples: int = 360
     subjects: int = 72
     chaos_queries: int = 160
-    min_completed: int = 100  #: the E25 acceptance floor
     node_count: int = 8
     cpu_slots_per_node: int = 2
     scale_partitions: int = 8
     replication: int = 2
-    min_scaling_ratio: float = 1.5
-    min_locality_rate: float = 0.5
-    #: Row-dominated work model: fragments, not task constants, set makespan.
-    row_cost_s: float = 5e-5
-    task_overhead_s: float = 2e-4
-    data_retry_backoff_s: float = 2e-3
-    #: Per-query chaos rates; the horizon is derived per query.
-    node_crash_prob: float = 0.3
-    node_loss_prob: float = 0.15
-    straggler_prob: float = 0.3
-    task_failure_rate: float = 0.15
-    network_partition_prob: float = 0.2
-    horizon_factor: float = 1.5
 
     def __post_init__(self) -> None:
-        if self.chaos_queries < self.min_completed:
+        if self.chaos_queries < MIN_COMPLETED:
             raise ClusterError("soak cannot complete more queries than it runs")
         if self.scale_partitions < 2:
             raise ClusterError("scaling needs >= 2 partitions")
@@ -197,67 +211,29 @@ class DistSoakReport:
 
     def verify(self) -> None:
         """Every E25 acceptance invariant; any violation fails the soak."""
-        config = self.config
-        if self.wrong_answers:
-            raise ClusterError(
-                f"{self.wrong_answers} chaos runs returned wrong answers"
-            )
-        if self.unflagged_partials:
-            raise ClusterError(
-                f"{self.unflagged_partials} partial results escaped without "
-                "the caller opting in"
-            )
-        if self.ticket_leaks:
-            raise ClusterError(
-                f"{self.ticket_leaks} runs leaked or double-released "
-                "admission tickets"
-            )
-        if self.completed < config.min_completed:
-            raise ClusterError(
-                f"only {self.completed} of {self.chaos_runs} chaos runs "
-                f"completed; the floor is {config.min_completed}"
-            )
-        accounted = (
-            self.completed + self.typed_aborts + self.stranded_aborts
-        )
-        if accounted != self.chaos_runs:
-            raise ClusterError(
-                f"accounting leak: {self.chaos_runs} runs, "
-                f"{accounted} outcomes"
-            )
-        if self.scaling_ratio < config.min_scaling_ratio:
-            raise ClusterError(
-                f"scaling ratio {self.scaling_ratio:.3g} below the "
-                f"{config.min_scaling_ratio} floor — partitioning is not "
-                "paying for itself"
-            )
-        if self.locality_rate < config.min_locality_rate:
-            raise ClusterError(
-                f"clean locality rate {self.locality_rate:.3g} below "
-                f"{config.min_locality_rate}"
-            )
-        # The chaos must demonstrably bite, or the correctness verdict
-        # is vacuous: injected faults and exercised recovery paths.
-        injected = sum(
-            self.fault_counters.get(name, 0)
-            for name in ("node_crashes", "task_failures")
-        )
-        if injected == 0:
-            raise ClusterError("chaos campaign injected no faults")
-        recovery = sum(
-            self.fault_counters.get(name, 0)
-            for name in (
-                "dist.duplicate_publishes",
-                "dist.recovered_outputs",
-                "dist.replica_failovers",
-                "dist.data_retries",
-                "speculative_launches",
-            )
-        )
-        if recovery == 0:
-            raise ClusterError(
-                "no recovery path fired — the campaign proves nothing"
-            )
+        with Gate(ClusterError) as check:
+            check("wrong_answers (runs, clean or chaos, whose result the "
+                  "single-process engine does not return)",
+                  self.wrong_answers, "==", 0)
+            check("partial results that escaped without the caller opting in",
+                  self.unflagged_partials, "==", 0)
+            check("runs that leaked or double-released admission tickets",
+                  self.ticket_leaks, "==", 0)
+            check(f"completed chaos runs of {self.chaos_runs} vs the floor",
+                  self.completed, ">=", MIN_COMPLETED)
+            check("accounting leak: outcomes vs chaos runs",
+                  self.completed + self.typed_aborts + self.stranded_aborts,
+                  "==", self.chaos_runs)
+            check("scaling ratio", self.scaling_ratio, ">=", MIN_SCALING_RATIO)
+            check("clean locality rate",
+                  self.locality_rate, ">=", MIN_LOCALITY_RATE)
+            # The chaos must demonstrably bite, or the correctness verdict
+            # is vacuous: both injected fault kinds, and the idempotent-commit
+            # recovery path zombie attempts and speculative twins exercise.
+            for name in ("node_crashes", "task_failures",
+                         "dist.duplicate_publishes"):
+                check(f"{name} over the campaign",
+                      self.fault_counters.get(name, 0), ">", 0)
 
     def summary(self) -> Dict[str, float]:
         return {
@@ -307,9 +283,7 @@ class _DistSoak:
             broadcast_threshold_rows=threshold,
             speculation=True,
             blacklist_after=3,
-            row_cost_s=config.row_cost_s,
-            task_overhead_s=config.task_overhead_s,
-            data_retry_backoff_s=config.data_retry_backoff_s,
+            **WORK_MODEL,
             injector=injector,
             admission=admission,
             obs=self.obs,
@@ -318,6 +292,14 @@ class _DistSoak:
     def _run(self, text: str, runtime: DistRuntime):
         return runtime.query(text, obs=self.obs), runtime.last_report
 
+    def _exact(self, text: str, result) -> bool:
+        """Parity with the single-process engine; a mismatch is counted,
+        never asserted, so it reaches :meth:`DistSoakReport.verify`."""
+        if canonical(result) == self.expected[text]:
+            return True
+        self.report.wrong_answers += 1
+        return False
+
     # -- phase 1: clean scaling ----------------------------------------
 
     def run_scaling(self) -> None:
@@ -325,12 +307,12 @@ class _DistSoak:
         locality: List[float] = []
         for text in QUERY_POOL:
             result, base = self._run(text, self._runtime(partitions=1))
-            assert canonical(result) == self.expected[text], text
+            self._exact(text, result)
             report.base_makespan_s += base.makespan_s
             result, scaled = self._run(
                 text, self._runtime(partitions=self.config.scale_partitions)
             )
-            assert canonical(result) == self.expected[text], text
+            self._exact(text, result)
             report.scaled_makespan_s += scaled.makespan_s
             self.clean_makespans[text] = scaled.makespan_s
             locality.append(scaled.locality_rate)
@@ -343,11 +325,7 @@ class _DistSoak:
         plan = FaultPlan.chaos(
             seed=config.seed * 100003 + index,
             node_count=config.node_count,
-            node_crash_prob=config.node_crash_prob,
-            node_loss_prob=config.node_loss_prob,
-            straggler_prob=config.straggler_prob,
-            task_failure_rate=config.task_failure_rate,
-            network_partition_prob=config.network_partition_prob,
+            **CHAOS_RATES,
             network_partition_duration_s=horizon_s / 4.0,
             horizon_s=horizon_s,
         )
@@ -359,7 +337,7 @@ class _DistSoak:
         for index in range(config.chaos_queries):
             text = QUERY_POOL[index % len(QUERY_POOL)]
             partitions, threshold = CHAOS_LAYOUTS[index % len(CHAOS_LAYOUTS)]
-            horizon = config.horizon_factor * self.clean_makespans[text]
+            horizon = HORIZON_FACTOR * self.clean_makespans[text]
             admission = AdmissionController(max_in_flight=256, max_queue=1024)
             runtime = self._runtime(
                 partitions,
@@ -376,22 +354,18 @@ class _DistSoak:
                         f"PartitionUnavailable must be retryable: {fault}"
                     )
                 report.typed_aborts += 1
-                self._audit(runtime.last_report)
-                continue
             except ClusterError:
                 report.stranded_aborts += 1
-                self._audit(runtime.last_report)
-                continue
-            if isinstance(result, PartialResult):
-                report.unflagged_partials += 1
-                continue
-            if canonical(result) != self.expected[text]:
-                report.wrong_answers += 1
-                continue
-            report.completed += 1
-            report.chaos_makespan_s += run.makespan_s
-            report.chaos_reference_s += self.clean_makespans[text]
-            self._audit(run)
+            else:
+                if isinstance(result, PartialResult):
+                    report.unflagged_partials += 1
+                elif self._exact(text, result):
+                    report.completed += 1
+                    report.chaos_makespan_s += run.makespan_s
+                    report.chaos_reference_s += self.clean_makespans[text]
+            # Every run is audited, whichever way it ended: a ticket leaked
+            # on the way to a wrong answer is still a leak.
+            self._audit(runtime.last_report)
 
     def _audit(self, run) -> None:
         """Per-run bookkeeping: exactly-once tickets, fault evidence."""
@@ -428,61 +402,46 @@ def run_dist_soak(
     return _DistSoak(config, obs=obs).run()
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.sparql.dist.soak [--smoke] [--seed N]``"""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="E25 distributed-chaos soak: scaling + chaos correctness"
-    )
-    parser.add_argument("--smoke", action="store_true",
-                        help="short CI-sized run")
-    parser.add_argument("--seed", type=int, default=25)
-    parser.add_argument("--queries", type=int, default=None)
-    args = parser.parse_args(argv)
-    queries = args.queries
-    if queries is None:
-        queries = 160 if args.smoke else 240
-    config = DistSoakConfig(seed=args.seed, chaos_queries=queries)
-    obs = Observability(clock=lambda: 0.0)
-    report = run_dist_soak(config, obs=obs)
-    report.verify()
-    print("[soak] " + " ".join(
-        f"{key}={value:.5g}" for key, value in report.summary().items()
-    ))
-    print("[faults] " + " ".join(
-        f"{key}={value:.5g}"
-        for key, value in sorted(report.fault_counters.items())
-    ))
-    from repro.obs import bench_snapshot_path, write_snapshot
-
+def snapshot_meta(report: DistSoakReport) -> Dict[str, object]:
+    """The headline numbers that ride in ``BENCH_E25.json``'s meta."""
+    config = report.config
     meta = {
         "experiment": "E25",
         "seed": config.seed,
         "partitions": config.scale_partitions,
         "replication": config.replication,
         "node_count": config.node_count,
-        "min_completed": config.min_completed,
+        "min_completed": MIN_COMPLETED,
         "recovery_overhead": report.recovery_overhead,
-        "replica_failovers": report.fault_counters.get(
-            "dist.replica_failovers", 0
-        ),
-        "duplicate_publishes": report.fault_counters.get(
-            "dist.duplicate_publishes", 0
-        ),
-        "recovered_outputs": report.fault_counters.get(
-            "dist.recovered_outputs", 0
-        ),
-        "node_crashes": report.fault_counters.get("node_crashes", 0),
-        "task_failures": report.fault_counters.get("task_failures", 0),
-        "speculative_launches": report.fault_counters.get(
-            "speculative_launches", 0
-        ),
     }
+    for name in ("dist.replica_failovers", "dist.duplicate_publishes",
+                 "dist.recovered_outputs", "node_crashes", "task_failures",
+                 "speculative_launches"):
+        meta[name.replace("dist.", "")] = report.fault_counters.get(name, 0)
     meta.update(report.summary())
-    path = write_snapshot(bench_snapshot_path("E25"), obs, meta=meta)
-    print(f"[obs] snapshot written: {path}")
-    return 0
+    return meta
+
+
+def _scenario(smoke: bool, seed: int, queries: int):
+    obs = Observability(clock=lambda: 0.0)
+    report = run_dist_soak(
+        DistSoakConfig(seed=seed, chaos_queries=queries), obs=obs
+    )
+    report.verify()
+    summaries = [
+        ("soak", report.summary()),
+        ("faults", dict(sorted(report.fault_counters.items()))),
+    ]
+    return obs, summaries, snapshot_meta(report)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """``python -m repro.sparql.dist.soak [--smoke] [--seed N]``"""
+    return run_cli(
+        "E25", "distributed-chaos soak: scaling + chaos correctness",
+        _scenario, seed=25, require=REQUIRED_METRICS,
+        size=("--queries", 160, 240), argv=argv,
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -27,8 +27,10 @@ work model), so a query's simulated cost is exactly the work the governor
 accounted — the run is a pure function of the seed.
 
 ``python -m repro.sparql.governor.soak --smoke`` runs a short three-way
-comparison, verifies every invariant above (plus the E21 drain/ticket
-audit), and writes a ``BENCH_E23.json`` snapshot for the CI gate.
+comparison, verifies every invariant above (:func:`verify_comparison`, plus
+the E21 drain/ticket audit), writes ``BENCH_E23.json`` and exits non-zero
+on a violation. The server loop, statistics and CLI plumbing are
+:mod:`repro.soak`'s.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Dict, List, Optional
 
 from repro.cluster.simclock import Simulation
 from repro.errors import QuotaExceeded, ServingError, Shed, TimeoutExceeded
-from repro.obs import Observability, resolve
+from repro.obs import Observability
 from repro.rdf.term import IRI, Literal
 from repro.resilience.deadline import Deadline
 from repro.serving.backends import StoreBackend
@@ -47,9 +49,26 @@ from repro.serving.gateway import EXPIRED, FAILED, Gateway, GatewayRequest, OK
 from repro.serving.tenant import TenantConfig
 from repro.sparql.algebra import CompileOptions
 from repro.sparql.governor import BudgetPolicy, QueryBudget
+from repro.soak import Gate, ServerPool, gateway_residual, percentile, run_cli
 
 WELL_BEHAVED = "well_behaved"
 RUNAWAY = "runaway"
+
+RUNAWAY_VARIANTS = 8  #: distinct runaway texts (defeats coalescing)
+BASE_SERVICE_S = 0.002  #: per-execution service time before budget charges
+POOL_PREDICATES = 8  #: well-behaved query pool size
+POOL_ROWS = 40  #: triples behind each well-behaved predicate
+
+#: The governed policy beside the row cap, and the work model both modes
+#: are charged by (``service = BASE_SERVICE_S + charged_s``).
+CHARGES = dict(checkpoint_charge_s=2e-5, row_charge_s=2e-6)
+MAX_SECONDS = 0.05  #: governed per-execution (charged) time cap
+
+#: Metrics a ``BENCH_E23.json`` must carry (checked where it is written).
+REQUIRED_METRICS = (
+    "governor.queries", "governor.checkpoints", "governor.kills",
+    "governor.peak_rows",
+)
 
 
 @dataclass(frozen=True)
@@ -62,33 +81,23 @@ class GovernorSoakConfig:
     requests: int = 4000
     tenants: int = 4  #: well-behaved tenants (the adversary is extra)
     adversary_every: int = 40  #: every Nth arrival is a runaway (0 = none)
-    runaway_variants: int = 8  #: distinct runaway texts (defeats coalescing)
     servers: int = 4
-    base_service_s: float = 0.002
     deadline_s: float = 2.0
     rate: float = 800.0  #: aggregate offered requests/s
     cross_entities: int = 96  #: rows per runaway scan (cross = n^2)
-    pool_predicates: int = 8  #: well-behaved query pool size
-    pool_rows: int = 40  #: triples behind each well-behaved predicate
     max_rows: int = 2048  #: governed resident-row cap
-    max_seconds: float = 0.05  #: governed per-execution (charged) time cap
-    checkpoint_charge_s: float = 2e-5
-    row_charge_s: float = 2e-6
 
     def __post_init__(self) -> None:
         if self.servers < 1 or self.tenants < 1:
             raise ServingError("soak needs >= 1 server and >= 1 tenant")
-        if self.base_service_s <= 0 or self.deadline_s <= 0:
+        if self.deadline_s <= 0:
             raise ServingError("soak times must be positive")
         if self.cross_entities * self.cross_entities <= self.max_rows:
             raise ServingError("runaway cross product must exceed max_rows")
 
     def policy(self) -> BudgetPolicy:
         return BudgetPolicy(
-            max_rows=self.max_rows,
-            max_seconds=self.max_seconds,
-            checkpoint_charge_s=self.checkpoint_charge_s,
-            row_charge_s=self.row_charge_s,
+            max_rows=self.max_rows, max_seconds=MAX_SECONDS, **CHARGES
         )
 
 
@@ -103,9 +112,9 @@ def build_store(config: GovernorSoakConfig):
             store.add(
                 IRI(f"urn:e:{side}{index}"), predicate, Literal(str(index))
             )
-    for pool in range(config.pool_predicates):
+    for pool in range(POOL_PREDICATES):
         predicate = IRI(f"urn:pool:{pool}")
-        for index in range(config.pool_rows):
+        for index in range(POOL_ROWS):
             store.add(
                 IRI(f"urn:s:{pool}:{index}"), predicate, Literal(str(index))
             )
@@ -166,24 +175,15 @@ class GovernorSoakReport:
         return self.classes.setdefault(klass, ClassOutcome())
 
     def p99_s(self, klass: str = WELL_BEHAVED) -> float:
-        samples = self.latencies_s.get(klass, [])
-        if not samples:
-            return 0.0
-        ordered = sorted(samples)
-        index = min(len(ordered) - 1, int(0.99 * (len(ordered) - 1) + 0.5))
-        return ordered[index]
+        return percentile(self.latencies_s.get(klass, []), 0.99)
 
     def verify(self) -> None:
         """Per-run accounting: every arrival in exactly one bucket, drained."""
-        for klass, outcome in self.classes.items():
-            if outcome.accounted != outcome.arrivals:
-                raise ServingError(
-                    f"{klass} accounting leak: {outcome.arrivals} arrivals, "
-                    f"{outcome.accounted} outcomes"
-                )
-        for name, value in self.residual.items():
-            if value != 0:
-                raise ServingError(f"soak did not drain: {name}={value}")
+        with Gate(ServingError) as check:
+            for klass, outcome in self.classes.items():
+                check(f"{klass} accounting leak: outcomes vs arrivals",
+                      outcome.accounted, "==", outcome.arrivals)
+            check.drained(self.residual)
 
     def summary(self) -> Dict[str, float]:
         honest = self.outcome(WELL_BEHAVED)
@@ -219,7 +219,6 @@ class _GovernorSoak:
         self.governed = governed
         self.adversary = adversary
         self.sim = Simulation()
-        self.obs = resolve(obs)
         store = build_store(config)
         self.gateway = Gateway(
             StoreBackend(store),
@@ -231,10 +230,15 @@ class _GovernorSoak:
             self.gateway.register_tenant(
                 TenantConfig(name=name, api_key=f"key-{name}")
             )
-        self.free_servers = config.servers
+        self.pool = ServerPool(
+            self.sim, config.servers,
+            take=self.gateway.next_dispatch,
+            start=self._execute,
+            finish=self._finish,
+        )
         self.report = GovernorSoakReport(governed=governed, adversary=adversary)
         self.runaway_texts = {
-            runaway_text(v) for v in range(config.runaway_variants)
+            runaway_text(v) for v in range(RUNAWAY_VARIANTS)
         }
 
     def _tenant_names(self) -> List[str]:
@@ -256,36 +260,19 @@ class _GovernorSoak:
             )
             engine = "vector" if index % 2 == 0 else "interpreted"
             if adversarial:
-                variant = rng.randrange(config.runaway_variants)
+                variant = rng.randrange(RUNAWAY_VARIANTS)
                 yield now, "mallory", runaway_text(variant), engine
             else:
                 tenant = f"tenant-{rng.randrange(config.tenants)}"
-                pool = rng.randrange(config.pool_predicates)
+                pool = rng.randrange(POOL_PREDICATES)
                 yield now, tenant, pool_text(pool, limited=pool % 2 == 0), engine
 
     def run(self) -> GovernorSoakReport:
-        for at_s, tenant, text, engine in self._arrivals():
-            self.sim.schedule_at(
-                at_s,
-                lambda tenant=tenant, text=text, engine=engine: (
-                    self._arrive(tenant, text, engine)
-                ),
-            )
-        self.sim.run()
-        gateway = self.gateway
-        gateway.assert_drained()  # E21 drain/ticket audit, hard fail
         report = self.report
-        report.executions = gateway.executions
-        report.duration_s = self.sim.now
-        report.events_processed = self.sim.events_processed
-        report.residual["queued"] = len(gateway.queue)
-        report.residual["coalesce_in_flight"] = gateway.coalescer.in_flight
-        report.residual["ticket_leak"] = (
-            gateway.tickets_issued - gateway.tickets_released
-        )
-        report.residual["busy_servers"] = (
-            self.config.servers - self.free_servers
-        )
+        self.pool.run(self._arrivals(), self._arrive, report)
+        # E21 drain/ticket audit first: a leak is a hard fail.
+        report.residual.update(gateway_residual(self.gateway))
+        report.executions = self.gateway.executions
         return report
 
     def _classify(self, text: str) -> str:
@@ -310,28 +297,13 @@ class _GovernorSoak:
             raise ServingError("soak tenants must never be rejected at intake")
         if request.follower:
             self.report.outcome(self._classify(text)).coalesced += 1
-        self._pump()
+        self.pool.pump()
 
     # -- simulated execution -------------------------------------------
 
-    def _pump(self) -> None:
-        while self.free_servers > 0:
-            entry = self.gateway.next_dispatch()
-            if entry is None:
-                break
-            self.free_servers -= 1
-            result, error, budget = self._execute(entry)
-            service_s = self.config.base_service_s + budget.charged_s
-            self.sim.schedule(
-                service_s,
-                lambda entry=entry, result=result, error=error, budget=budget: (
-                    self._finish(entry, result, error, budget)
-                ),
-            )
-        self._settle_scan()
-
     def _execute(self, entry):
-        """Run the leader's query now; the outcome lands at service-finish.
+        """Run the leader's query at dispatch; the outcome lands at
+        service-finish, ``base + charged_s`` later.
 
         Governed mode takes the gateway's own derived budget; ungoverned
         mode attaches a metering-only budget (no caps, no deadline) so both
@@ -340,23 +312,19 @@ class _GovernorSoak:
         gateway = self.gateway
         budget = gateway.budget_for(entry)
         if budget is None:
-            budget = QueryBudget(
-                label="metered",
-                checkpoint_charge_s=self.config.checkpoint_charge_s,
-                row_charge_s=self.config.row_charge_s,
-            )
+            budget = QueryBudget(label="metered", **CHARGES)
         backend = gateway.backend(entry.key[0])
         leader = entry.leader
+        result = error = None
         try:
             result = backend.execute(
                 leader.query, options=leader.options, budget=budget
             )
         except Exception as exc:
-            return None, exc, budget
-        return result, None, budget
+            error = exc
+        return BASE_SERVICE_S + budget.charged_s, result, error, budget
 
     def _finish(self, entry, result, error, budget) -> None:
-        self.free_servers += 1
         report = self.report
         klass = self._classify(entry.leader.query)
         if klass == RUNAWAY:
@@ -366,31 +334,28 @@ class _GovernorSoak:
         report.peak_rows_max = max(report.peak_rows_max, budget.peak_rows)
         report.checkpoints += budget.checkpoints
         if self.governed:
-            self.gateway._record_budget(budget, error)
+            self.gateway.record_budget(budget, error)
         settled = self.gateway.complete(entry, result=result, error=error)
         now = self.sim.now
         for member in settled:
-            outcome = report.outcome(self._classify(member.query))
+            klass = self._classify(member.query)
+            outcome = report.outcome(klass)
             if member.category == OK:
                 outcome.ok += 1
-                report.latencies_s.setdefault(
-                    self._classify(member.query), []
-                ).append(now - member.submitted_at)
+                report.latencies_s.setdefault(klass, []).append(
+                    now - member.submitted_at
+                )
             elif member.category == EXPIRED:
                 outcome.expired += 1
             else:
                 outcome.failed += 1
-                if self._classify(member.query) == RUNAWAY:
+                if klass == RUNAWAY:
                     reason = getattr(member.error, "reason", None) or type(
                         member.error
                     ).__name__
                     report.runaway_errors[reason] = (
                         report.runaway_errors.get(reason, 0) + 1
                     )
-        self._pump()
-
-    def _settle_scan(self) -> None:
-        """No-op hook kept for symmetry with the E21 soak's pump loop."""
 
 
 def run_governor_soak(
@@ -424,103 +389,79 @@ def verify_comparison(
 ) -> None:
     """The E23 acceptance invariants; any violation fails the soak."""
     runaway = governed.outcome(RUNAWAY)
-    if runaway.arrivals == 0:
-        raise ServingError("governed run saw no runaways")
-    if runaway.ok != 0:
-        raise ServingError(f"{runaway.ok} runaways completed under governance")
-    if governed.overruns != 0:
-        raise ServingError(
-            f"governed run had {governed.overruns} resident-row overruns"
-        )
-    if governed.peak_rows_max > config.max_rows:
-        raise ServingError(
-            f"governed peak {governed.peak_rows_max} exceeds cap "
-            f"{config.max_rows}"
-        )
-    typed = {"rows", "bytes", "deadline", "TimeoutExceeded", "Shed"}
-    # Every runaway that reached execution must have died with a typed
-    # error whose reason names the enforcement that killed it.
-    for reason in governed.runaway_errors:
-        if reason not in typed and not reason.startswith("query"):
-            raise ServingError(f"untyped runaway error reason {reason!r}")
-    if ungoverned.overruns == 0:
-        raise ServingError("ungoverned run never overran the cap")
-    if ungoverned.peak_rows_max <= config.max_rows:
-        raise ServingError("ungoverned peak stayed under the cap")
     base_p99 = baseline.p99_s(WELL_BEHAVED)
     governed_p99 = governed.p99_s(WELL_BEHAVED)
-    if base_p99 > 0 and governed_p99 > 2.0 * base_p99:
-        raise ServingError(
-            f"governed well-behaved p99 {governed_p99:.6g}s exceeds 2x "
-            f"no-adversary baseline {base_p99:.6g}s"
+    typed = {"rows", "bytes", "deadline", "TimeoutExceeded", "Shed"}
+    with Gate(ServingError) as check:
+        check("runaways the governed run saw", runaway.arrivals, ">", 0)
+        check("runaways completed under governance", runaway.ok, "==", 0)
+        check("governed resident-row overruns", governed.overruns, "==", 0)
+        check("governed peak rows vs cap",
+              governed.peak_rows_max, "<=", config.max_rows)
+        # Every runaway that reached execution must have died with a typed
+        # error whose reason names the enforcement that killed it.
+        for reason in governed.runaway_errors:
+            check.that(reason in typed or reason.startswith("query"),
+                       f"untyped runaway error reason {reason!r}")
+        check("governed engine checkpoints", governed.checkpoints, ">", 0)
+        check("ungoverned overruns of the cap", ungoverned.overruns, ">", 0)
+        check("ungoverned peak rows vs cap",
+              ungoverned.peak_rows_max, ">", config.max_rows)
+        if base_p99 > 0:
+            check("governed well-behaved p99 (s) vs 2x no-adversary baseline",
+                  governed_p99, "<=", 2.0 * base_p99)
+        # Otherwise the adversary is not adversarial enough to gate on.
+        check.that(
+            ungoverned.p99_s(WELL_BEHAVED) > governed_p99
+            or ungoverned.outcome(WELL_BEHAVED).expired
+            > governed.outcome(WELL_BEHAVED).expired,
+            "ungoverned run shows no well-behaved degradation",
         )
-    hurt = (
-        ungoverned.p99_s(WELL_BEHAVED) > governed_p99
-        or ungoverned.outcome(WELL_BEHAVED).expired
-        > governed.outcome(WELL_BEHAVED).expired
+
+
+def snapshot_meta(
+    config: GovernorSoakConfig,
+    baseline: GovernorSoakReport,
+    governed: GovernorSoakReport,
+    ungoverned: GovernorSoakReport,
+) -> Dict[str, object]:
+    """The headline numbers that ride in ``BENCH_E23.json``'s meta."""
+    return {
+        "experiment": "E23",
+        "seed": config.seed,
+        "requests": config.requests,
+        "cap_rows": config.max_rows,
+        "runaway_arrivals": governed.outcome(RUNAWAY).arrivals,
+        "runaway_ok_governed": governed.outcome(RUNAWAY).ok,
+        "overruns_governed": governed.overruns,
+        "overruns_ungoverned": ungoverned.overruns,
+        "peak_rows_governed": governed.peak_rows_max,
+        "peak_rows_ungoverned": ungoverned.peak_rows_max,
+        "p99_baseline_s": baseline.p99_s(WELL_BEHAVED),
+        "p99_governed_s": governed.p99_s(WELL_BEHAVED),
+        "p99_ungoverned_s": ungoverned.p99_s(WELL_BEHAVED),
+        "checkpoints_governed": governed.checkpoints,
+    }
+
+
+def _scenario(smoke: bool, seed: int, requests: int):
+    config = GovernorSoakConfig(
+        seed=seed, requests=requests, adversary_every=25 if smoke else 40
     )
-    if not hurt:
-        raise ServingError(
-            "ungoverned run shows no well-behaved degradation — the "
-            "adversary is not adversarial enough to gate on"
-        )
+    obs = Observability(clock=lambda: 0.0)
+    reports = run_comparison(config, obs=obs)  # gates via verify_comparison
+    labels = ("baseline", "governed", "ungoverned")
+    summaries = [(l, report.summary()) for l, report in zip(labels, reports)]
+    return obs, summaries, snapshot_meta(config, *reports)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """``python -m repro.sparql.governor.soak [--smoke] [--seed N]``"""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="E23 query-governor soak: governed vs ungoverned runaways"
+    return run_cli(
+        "E23", "query-governor soak: governed vs ungoverned runaways",
+        _scenario, seed=23, require=REQUIRED_METRICS,
+        size=("--requests", 1200, 4000), argv=argv,
     )
-    parser.add_argument("--smoke", action="store_true",
-                        help="short CI-sized run")
-    parser.add_argument("--seed", type=int, default=23)
-    parser.add_argument("--requests", type=int, default=None)
-    args = parser.parse_args(argv)
-    requests = args.requests
-    if requests is None:
-        requests = 1200 if args.smoke else 4000
-    config = GovernorSoakConfig(
-        seed=args.seed,
-        requests=requests,
-        adversary_every=25 if args.smoke else 40,
-    )
-    obs = Observability(clock=lambda: 0.0)
-    baseline, governed, ungoverned = run_comparison(config, obs=obs)
-    for label, report in (
-        ("baseline", baseline),
-        ("governed", governed),
-        ("ungoverned", ungoverned),
-    ):
-        print(f"[{label}] " + " ".join(
-            f"{key}={value:.5g}" for key, value in report.summary().items()
-            if key not in ("governed", "adversary")
-        ))
-    from repro.obs import bench_snapshot_path, write_snapshot
-
-    path = write_snapshot(
-        bench_snapshot_path("E23"),
-        obs,
-        meta={
-            "experiment": "E23",
-            "seed": config.seed,
-            "requests": config.requests,
-            "cap_rows": config.max_rows,
-            "runaway_arrivals": governed.outcome(RUNAWAY).arrivals,
-            "runaway_ok_governed": governed.outcome(RUNAWAY).ok,
-            "overruns_governed": governed.overruns,
-            "overruns_ungoverned": ungoverned.overruns,
-            "peak_rows_governed": governed.peak_rows_max,
-            "peak_rows_ungoverned": ungoverned.peak_rows_max,
-            "p99_baseline_s": baseline.p99_s(WELL_BEHAVED),
-            "p99_governed_s": governed.p99_s(WELL_BEHAVED),
-            "p99_ungoverned_s": ungoverned.p99_s(WELL_BEHAVED),
-            "checkpoints_governed": governed.checkpoints,
-        },
-    )
-    print(f"[obs] snapshot written: {path}")
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

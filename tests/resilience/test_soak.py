@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import FaultError
 from repro.resilience import SoakConfig, run_soak, soak_plan
-from repro.resilience.soak import SoakReport
+from repro.resilience.soak import BURST_COUNT, FLAPS_PER_BACKEND, SoakReport
 
 
 def short_config(**kwargs):
@@ -26,10 +26,8 @@ class TestSoakPlan:
     def test_plan_has_flaps_and_bursts(self):
         plan = soak_plan(short_config())
         config = short_config()
-        assert len(plan.endpoint_flaps) == (
-            config.backends * config.flaps_per_backend
-        )
-        assert len(plan.overload_bursts) == config.burst_count
+        assert len(plan.endpoint_flaps) == config.backends * FLAPS_PER_BACKEND
+        assert len(plan.overload_bursts) == BURST_COUNT
 
 
 class TestInvariants:
