@@ -8,8 +8,8 @@ advantage grows with data size (per-solution Python dict overhead vs flat
 numpy id-arrays), reaching >= 5x on a five-pattern join + filter over a
 >= 100k-triple graph, while returning byte-identical solution multisets at
 every size (parity is asserted, not assumed) — including through the
-GeoStore's spatial-candidate plans, where the candidate scan runs via the
-interpreted fallback and still feeds vectorized joins.
+GeoStore's spatial-candidate plans, where the R-tree candidates are a VALUES
+table that runs on columns like the joins it feeds.
 """
 
 import random
@@ -147,8 +147,8 @@ def test_e22_vector_vs_interpreted(benchmark):
     assert fallbacks["conditional"] == 0, "conditional OPTIONAL fell back"
     assert fallbacks["nested"] > 0, "nested correlated OPTIONAL did not fall back"
 
-    # Spatial plans: the R-tree candidate scan is a custom operator (vector
-    # engine runs it through the interpreted fallback, joins stay columnar).
+    # Spatial plans: the R-tree candidates are a planted VALUES table, run
+    # on columns by the vector engine like the joins it drives.
     store = GeoStore()
     rng = random.Random(SEED)
     for i in range(400):

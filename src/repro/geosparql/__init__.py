@@ -7,7 +7,7 @@ Adds geospatial semantics on top of :mod:`repro.rdf` and :mod:`repro.sparql`:
   (:mod:`repro.geosparql.functions`)
 * :class:`~repro.geosparql.store.GeoStore` — a triple store that maintains an
   R-tree over geometry literals and rewrites spatial filters into index-backed
-  candidate scans, plus :class:`~repro.geosparql.store.NaiveGeoStore`, the
+  candidate tables, plus :class:`~repro.geosparql.store.NaiveGeoStore`, the
   scan-everything baseline used by experiment E2.
 
 The paper's motivating claim (Section 1): "the state-of-the art geospatial and

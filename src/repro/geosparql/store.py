@@ -3,15 +3,16 @@
 :class:`GeoStore` is the Strabon-like engine: it maintains an R-tree over all
 ``geo:wktLiteral`` objects in the graph and rewrites indexable spatial filters
 (``geof:sfIntersects/sfContains/sfWithin`` between a variable and a constant
-geometry) into an index-backed candidate scan that feeds the join, after which
-the exact predicate still runs. :class:`NaiveGeoStore` shares everything but
+geometry) into an index-backed candidate table — a plain VALUES operator,
+so the algebra stays closed — that feeds the join, after which the exact
+predicate still runs. :class:`NaiveGeoStore` shares everything but
 the rewrite — every spatial filter is evaluated by brute force — making the
 pair the two arms of experiment E2/E3.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, TYPE_CHECKING, Union
+from typing import Dict, List, Optional, Set, TYPE_CHECKING, Union
 
 from repro.geometry import BoundingBox, RTree, contains as geom_contains
 from repro.geosparql.functions import (
@@ -26,10 +27,12 @@ from repro.rdf.term import Literal, Term, Triple
 from repro.sparql.algebra import (
     AlgebraOp,
     CompileOptions,
+    ExtendOp,
     FilterOp,
     JoinOp,
     LeftJoinOp,
     ScanOp,
+    TableOp,
     UnionOp,
     order_patterns,
 )
@@ -41,51 +44,18 @@ from repro.sparql.ast import (
     Variable,
     VarExpr,
 )
-from repro.sparql.evaluator import Bindings, FunctionRegistry
+from repro.sparql.evaluator import Bindings
 from repro.sparql.parser import parse_query
 from repro.sparql.pipeline import compile_plan, run_query
-from repro.sparql.vector.cost import _collect_region, _rebuild_region
+from repro.sparql.vector.cost import (
+    _collect_region,
+    _rebuild_region,
+    definitely_bound,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache.plan import PlanCache
     from repro.sparql.governor import QueryBudget
-
-
-class _SpatialCandidateOp(AlgebraOp):
-    """Binds a variable to geometry literals whose bbox matches a constant.
-
-    Yields a superset of the literals satisfying the spatial relation; the
-    exact geof: filter above it removes false positives.
-    """
-
-    def __init__(self, variable: Variable, candidates: List[Literal]):
-        self.variable = variable
-        self.candidates = candidates
-
-    def bound_variables(self):
-        """Hook for :func:`repro.sparql.algebra.operator_variables`."""
-        return {self.variable}
-
-    def evaluate_custom(
-        self, graph: Graph, bindings: Bindings, registry: FunctionRegistry
-    ) -> Iterator[Bindings]:
-        bound = bindings.get(self.variable)
-        if bound is not None:
-            # Variable already bound upstream: act as a membership check.
-            if bound in self._candidate_set():
-                yield dict(bindings)
-            return
-        for literal in self.candidates:
-            new_bindings = dict(bindings)
-            new_bindings[self.variable] = literal
-            yield new_bindings
-
-    def _candidate_set(self) -> Set[Literal]:
-        cached = getattr(self, "_cached_set", None)
-        if cached is None:
-            cached = set(self.candidates)
-            self._cached_set = cached
-        return cached
 
 
 class GeoStore:
@@ -200,9 +170,8 @@ class GeoStore:
         """Evaluate a (Geo)SPARQL query with spatial-index acceleration.
 
         The shared pipeline (:func:`repro.sparql.pipeline.run_query`) with
-        this store's spatial rewrite as its plan hook; on the vector engine
-        the candidate scan runs through the interpreted fallback (it is a
-        custom operator) and feeds the vectorized hash joins.
+        this store's spatial rewrite as its plan hook; the candidates are a
+        VALUES table, which either engine runs like one the user wrote.
 
         With a :attr:`plan_cache` attached, *string* queries reuse parsed
         ASTs and compiled (spatially rewritten) plans across calls. They are
@@ -255,11 +224,9 @@ class GeoStore:
             elif isinstance(op, FilterOp):
                 lines.append(f"{pad}Filter({_expression_text(op.expression)})")
                 walk(op.operand, depth + 1)
-            elif isinstance(op, _SpatialCandidateOp):
-                lines.append(
-                    f"{pad}SpatialCandidates(?{op.variable.name}, "
-                    f"{len(op.candidates)} candidates)"
-                )
+            elif isinstance(op, TableOp):
+                names = " ".join(f"?{v.name}" for v in op.variables)
+                lines.append(f"{pad}Values({names}, {len(op.rows)} rows)")
             else:
                 lines.append(f"{pad}{type(op).__name__}")
 
@@ -267,14 +234,14 @@ class GeoStore:
         return "\n".join(lines)
 
     def _rewrite(self, tree: AlgebraOp) -> AlgebraOp:
-        """The pipeline's plan hook: plant R-tree candidate scans."""
+        """The pipeline's plan hook: plant R-tree candidate tables."""
         if not self.use_spatial_index:
             return tree
         rebuilt = self._rewrite_spatial_global(tree)
         return rebuilt if rebuilt is not None else self._rewrite_spatial(tree)
 
     def _rewrite_spatial_global(self, tree: AlgebraOp) -> Optional[AlgebraOp]:
-        """Rebuild a pure scan/join/filter tree so the spatial candidate scan
+        """Rebuild a pure scan/join/filter tree so the spatial candidate table
         *drives* the join: candidates bind the geometry variable first and
         index lookups walk outward, instead of candidates being re-enumerated
         per upstream row. Returns None when the tree has other operators
@@ -283,28 +250,49 @@ class GeoStore:
         if flat is None:
             return None
         scans, filters = flat
-        spatial = next(
+        table = next(
             (
-                (expr, parsed)
+                planted
                 for expr in filters
-                if (parsed := self._indexable_parts(expr)) is not None
+                if (planted := self._candidate_table(expr, tree)) is not None
             ),
             None,
         )
-        if spatial is None:
+        if table is None:
             return None
-        expression, (variable, candidates) = spatial
-        self._stats["spatial_rewrites"] += 1
-        self._stats["candidates_examined"] += len(candidates)
         ordered = order_patterns(
-            [s.pattern for s in scans], self.graph, bound_vars={variable}
+            [s.pattern for s in scans],
+            self.graph,
+            bound_vars=set(table.variables),
         )
         # The re-pushed filters include the spatial predicate itself: bbox
         # candidates are a superset, the exact test lands just above the
-        # candidate scan.
-        return _rebuild_region(
-            ordered, filters, _SpatialCandidateOp(variable, candidates)
-        )
+        # candidate table.
+        return _rebuild_region(ordered, filters, table)
+
+    def _candidate_table(
+        self, expression, operand: AlgebraOp
+    ) -> Optional[TableOp]:
+        """``VALUES ?g { candidates }`` for an indexable spatial filter over
+        *operand*, else None.
+
+        Joining with the table drops every solution whose ``?g`` is not an
+        indexed literal, so it is sound only where each solution of *operand*
+        takes ``?g`` from a triple pattern: a VALUES row or a BIND can supply
+        a geometry the store never saw, and a variable the operand leaves
+        unbound would be *bound* by the table instead of failing the filter.
+        """
+        parts = self._indexable_parts(expression)
+        if parts is None:
+            return None
+        variable, candidates = parts
+        if variable not in definitely_bound(operand) or _binds_inline(
+            operand, variable
+        ):
+            return None
+        self._stats["spatial_rewrites"] += 1
+        self._stats["candidates_examined"] += len(candidates)
+        return TableOp([variable], [[c] for c in candidates])
 
     def _indexable_parts(self, expression):
         """(variable, candidates) for an indexable spatial filter, else None."""
@@ -343,9 +331,12 @@ class GeoStore:
     def _rewrite_spatial(self, op: AlgebraOp) -> AlgebraOp:
         if isinstance(op, FilterOp):
             inner = self._rewrite_spatial(op.operand)
-            rewritten = self._try_index_filter(op.expression, inner)
-            if rewritten is not None:
-                return rewritten
+            # Judged on the operand as written: a table planted further down
+            # holds indexed literals only.
+            table = self._candidate_table(op.expression, op.operand)
+            if table is not None:
+                variable = table.variables[0]
+                inner = JoinOp(table, self._reorder_for_bound(inner, variable))
             return FilterOp(op.expression, inner)
         if isinstance(op, JoinOp):
             return JoinOp(self._rewrite_spatial(op.left), self._rewrite_spatial(op.right))
@@ -357,24 +348,9 @@ class GeoStore:
             return UnionOp([self._rewrite_spatial(o) for o in op.operands])
         return op
 
-    def _try_index_filter(
-        self, expression, inner: AlgebraOp
-    ) -> Optional[AlgebraOp]:
-        """If the filter is an indexable spatial relation var-vs-constant,
-        plant a candidate scan in front of the operand."""
-        parts = self._indexable_parts(expression)
-        if parts is None:
-            return None
-        variable, candidates = parts
-        self._stats["spatial_rewrites"] += 1
-        self._stats["candidates_examined"] += len(candidates)
-        candidate_op = _SpatialCandidateOp(variable, candidates)
-        inner = self._reorder_for_bound(inner, variable)
-        return FilterOp(expression, JoinOp(candidate_op, inner))
-
     def _reorder_for_bound(self, inner: AlgebraOp, variable: Variable) -> AlgebraOp:
         """Re-order a pure scan/join/filter subtree knowing *variable* is
-        bound by the candidate scan, so the join starts from the geometry
+        bound by the candidate table, so the join starts from the geometry
         pattern instead of scanning an unrelated predicate per candidate."""
         flat = _flatten_scans(inner)
         if flat is None:
@@ -396,6 +372,23 @@ def _flatten_scans(op: AlgebraOp):
     if not _collect_region(op, scans, filters) or not scans:
         return None
     return scans, filters
+
+
+def _binds_inline(op: AlgebraOp, variable: Variable) -> bool:
+    """Whether a VALUES table or a BIND inside *op* can bind *variable*."""
+    if isinstance(op, TableOp):
+        return variable in op.variables
+    if isinstance(op, ExtendOp):
+        return op.variable == variable or _binds_inline(op.operand, variable)
+    if isinstance(op, (JoinOp, LeftJoinOp)):
+        return _binds_inline(op.left, variable) or _binds_inline(
+            op.right, variable
+        )
+    if isinstance(op, UnionOp):
+        return any(_binds_inline(o, variable) for o in op.operands)
+    if isinstance(op, FilterOp):
+        return _binds_inline(op.operand, variable)
+    return False
 
 
 def _pattern_text(pattern) -> str:

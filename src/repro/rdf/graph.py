@@ -37,7 +37,6 @@ class Graph:
 
     def __init__(self, name: str = "default"):
         self.name = name
-        self._triples: Set[Triple] = set()
         # Monotonic mutation counter: bumped on every successful add/remove,
         # so plan caches can key on content identity (see repro.cache).
         self._version = 0
@@ -52,11 +51,11 @@ class Graph:
         # triple, in no particular order. Stored as array('q') so columnar
         # consumers can snapshot them through the buffer protocol (a memcpy,
         # not a per-element conversion). _row_of maps a triple to its row so
-        # remove can swap-pop in O(1).
+        # remove can swap-pop in O(1); its keys, in insertion order, *are*
+        # the triple set.
         self._row_s = array("q")
         self._row_p = array("q")
         self._row_o = array("q")
-        self._row_triples: List[Triple] = []
         self._row_of: Dict[Triple, int] = {}
 
     @property
@@ -71,9 +70,8 @@ class Graph:
     def add(self, subject: Term, predicate: Term, obj: Term) -> bool:
         """Add a triple. Returns False if it was already present."""
         triple = make_triple(subject, predicate, obj)
-        if triple in self._triples:
+        if triple in self._row_of:
             return False
-        self._triples.add(triple)
         self._version += 1
         s, p, o = triple
         self._spo[s][p].add(o)
@@ -83,7 +81,6 @@ class Graph:
         self._row_s.append(self._intern(s))
         self._row_p.append(self._intern(p))
         self._row_o.append(self._intern(o))
-        self._row_triples.append(triple)
         return True
 
     def add_triple(self, triple: Triple) -> bool:
@@ -96,27 +93,26 @@ class Graph:
     def remove(self, subject: Term, predicate: Term, obj: Term) -> bool:
         """Remove a triple. Returns False if it was not present."""
         triple = Triple(subject, predicate, obj)
-        if triple not in self._triples:
+        row = self._row_of.pop(triple, None)
+        if row is None:
             return False
-        self._triples.discard(triple)
         self._version += 1
         s, p, o = triple
         self._prune(self._spo, s, p, o)
         self._prune(self._pos, p, o, s)
         self._prune(self._osp, o, s, p)
-        row = self._row_of.pop(triple)
-        last = len(self._row_triples) - 1
+        last = len(self._row_s) - 1
         if row != last:
-            moved = self._row_triples[last]
-            self._row_s[row] = self._row_s[last]
-            self._row_p[row] = self._row_p[last]
-            self._row_o[row] = self._row_o[last]
-            self._row_triples[row] = moved
-            self._row_of[moved] = row
+            # The last row moves into the hole; the triple whose row that
+            # was is read back from its three ids.
+            s_id = self._row_s[row] = self._row_s[last]
+            p_id = self._row_p[row] = self._row_p[last]
+            o_id = self._row_o[row] = self._row_o[last]
+            terms = self._id_terms
+            self._row_of[Triple(terms[s_id], terms[p_id], terms[o_id])] = row
         self._row_s.pop()
         self._row_p.pop()
         self._row_o.pop()
-        self._row_triples.pop()
         return True
 
     @staticmethod
@@ -177,20 +173,20 @@ class Graph:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return len(self._row_of)
 
     def __contains__(self, triple: Triple) -> bool:
-        return triple in self._triples
+        return triple in self._row_of
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self._triples)
+        return iter(self._row_of)
 
     def triples(self, pattern: Pattern) -> Iterator[Triple]:
         """Yield triples matching a pattern of bound terms and ``None`` wildcards."""
         s, p, o = pattern
         if s is not None and p is not None and o is not None:
             triple = Triple(s, p, o)
-            if triple in self._triples:
+            if triple in self._row_of:
                 yield triple
             return
         if s is not None and p is not None:
@@ -220,7 +216,7 @@ class Graph:
                 for pred in preds:
                     yield Triple(subj, pred, o)
             return
-        yield from self._triples
+        yield from self._row_of
 
     def count(self, pattern: Pattern) -> int:
         """Number of triples matching *pattern*.
@@ -233,9 +229,9 @@ class Graph:
         """
         s, p, o = pattern
         if s is None and p is None and o is None:
-            return len(self._triples)
+            return len(self._row_of)
         if s is not None and p is not None and o is not None:
-            return 1 if Triple(s, p, o) in self._triples else 0
+            return 1 if Triple(s, p, o) in self._row_of else 0
         if s is not None and p is not None:
             return len(self._spo.get(s, {}).get(p, ()))
         if p is not None and o is not None:

@@ -154,7 +154,6 @@ class Gateway:
         shed_retry_after_s: float = 0.1,
         obs: Optional[Observability] = None,
         budget_policy: Optional[BudgetPolicy] = None,
-        injector=None,
     ):
         if isinstance(backends, Backend):
             backends = {backends.kind: backends}
@@ -166,7 +165,6 @@ class Gateway:
         self._coalesce_enabled = coalesce
         self._shed_retry_after_s = shed_retry_after_s
         self._budget_policy = budget_policy
-        self._injector = injector
         self._obs = resolve(obs)
         self.tenants = TenantRegistry(clock=self._clock)
         self.queue = WeightedFairQueue()
@@ -357,7 +355,6 @@ class Gateway:
             max_bytes=policy.max_bytes,
             cancel=entry.cancel,
             label=f"{entry.key[0]}:{tenant}",
-            injector=self._injector,
             checkpoint_charge_s=policy.checkpoint_charge_s,
             row_charge_s=policy.row_charge_s,
         )

@@ -135,9 +135,6 @@ def expression_variables(expression: Expression) -> FrozenSet[Variable]:
 
 def operator_variables(op: AlgebraOp) -> FrozenSet[Variable]:
     """Variables that an operator's solutions may bind."""
-    custom = getattr(op, "bound_variables", None)
-    if custom is not None:
-        return frozenset(custom())
     if isinstance(op, ScanOp):
         return frozenset(op.pattern.variables())
     if isinstance(op, (JoinOp, LeftJoinOp)):
@@ -199,7 +196,7 @@ def order_patterns(
     """Greedy join ordering: most selective first, preferring connected patterns.
 
     ``bound_vars`` declares variables already bound by an upstream operator
-    (e.g. a spatial candidate scan), so patterns touching them are treated as
+    (e.g. a spatial candidate table), so patterns touching them are treated as
     connected from the start. ``filter_vars`` are variables constrained by a
     pushable filter — patterns binding them get a selectivity bonus, since
     the filter will thin their output immediately.

@@ -22,7 +22,7 @@ Robustness model
   when that node holds a live replica, otherwise from the lowest-id live,
   reachable replica (paying the transfer). A live-but-partitioned replica
   set is *transient*: the driver resubmits a fresh task after a backoff,
-  up to ``max_data_retries``. No live replica at all is *permanent*:
+  up to ``MAX_DATA_RETRIES``. No live replica at all is *permanent*:
   :class:`~repro.errors.PartitionUnavailable` (typed, retryable), or — only
   with ``allow_partial=True`` — an explicitly flagged
   :class:`PartialResult` missing that partition.
@@ -30,7 +30,7 @@ Robustness model
   exhausted, dependency cascade) whose output *was* committed settles from
   the store; one with no output is resubmitted fresh (its compute is
   deterministic and side-effect-free until commit), bounded by
-  ``max_data_retries``.
+  ``MAX_DATA_RETRIES``.
 * **Budget kill.** Every task's compute starts at a
   :class:`~repro.sparql.governor.QueryBudget` checkpoint; the first
   budget/cancel error aborts the run, which cancels all in-flight tasks
@@ -74,6 +74,19 @@ from repro.sparql.dist.plan import (
 
 #: Modelled bytes per binding cell, matching the governor's accounting.
 BYTES_PER_CELL = 8
+
+#: Simulated seconds a task waits for a slot on a node holding its data.
+LOCALITY_WAIT_S = 0.002
+
+#: A running attempt this many times over its nominal duration gets a twin.
+SPECULATION_FACTOR = 2.0
+
+#: Scheduler retries of one task before it is abandoned to the driver.
+MAX_RETRIES = 3
+
+#: Fresh resubmissions of one stage unit (replicas unreachable, or abandoned
+#: with no committed output) before the driver gives up on it.
+MAX_DATA_RETRIES = 8
 
 #: Fixed odd radix for the shuffle's polynomial key packing: the
 #: repartitioning analogue of the join's mixed-radix ``_pack_keys``, but with
@@ -203,13 +216,8 @@ class DistRuntime:
         partitions: int = 4,
         replication: int = 2,
         broadcast_threshold_rows: float = 64.0,
-        shuffle_buckets: Optional[int] = None,
-        locality_wait_s: float = 0.002,
         speculation: bool = True,
-        speculation_factor: float = 2.0,
         blacklist_after: Optional[int] = None,
-        max_retries: int = 3,
-        max_data_retries: int = 8,
         data_retry_backoff_s: float = 0.05,
         task_overhead_s: float = 1e-3,
         row_cost_s: float = 2e-6,
@@ -224,15 +232,11 @@ class DistRuntime:
             graph, self.spec, partitions=partitions, replication=replication
         )
         self.broadcast_threshold_rows = broadcast_threshold_rows
-        self.shuffle_buckets = (
-            shuffle_buckets if shuffle_buckets is not None else partitions
-        )
-        self.locality_wait_s = locality_wait_s
+        #: A shuffle repartitions into as many buckets as the store has
+        #: partitions.
+        self.shuffle_buckets = partitions
         self.speculation = speculation
-        self.speculation_factor = speculation_factor
         self.blacklist_after = blacklist_after
-        self.max_retries = max_retries
-        self.max_data_retries = max_data_retries
         self.data_retry_backoff_s = data_retry_backoff_s
         self.task_overhead_s = task_overhead_s
         self.row_cost_s = row_cost_s
@@ -320,13 +324,13 @@ class _DistRun:
         self.budget = ctx.budget
         self.scheduler = Scheduler(
             runtime.spec,
-            locality_wait_s=runtime.locality_wait_s,
+            locality_wait_s=LOCALITY_WAIT_S,
             injector=runtime.injector,
             crash_recovery=True,
             speculation=runtime.speculation,
-            speculation_factor=runtime.speculation_factor,
+            speculation_factor=SPECULATION_FACTOR,
             blacklist_after=runtime.blacklist_after,
-            max_retries=runtime.max_retries,
+            max_retries=MAX_RETRIES,
             admission=runtime.admission,
         )
         self.placement = self.store.place(self.scheduler.nodes)
@@ -461,7 +465,7 @@ class _DistRun:
             if reason == "lost":
                 self._fragment_lost(spec, index, settled)
                 return
-            if state["attempts"] >= self.runtime.max_data_retries:
+            if state["attempts"] >= MAX_DATA_RETRIES:
                 if spec.get("pid") is not None:
                     self._fragment_lost(spec, index, settled)
                 else:

@@ -9,15 +9,16 @@ subject id), which is the invariant that makes partition-local scans a true
 disjoint cover of any pattern's extent — union of fragments == the
 single-process scan, as a multiset.
 
-The snapshot is keyed on ``graph.version`` like the vector engine's
-``_id_table`` cache: mutations invalidate it, and within one version the
-partition arrays are immutable, so replicas are by construction identical
-and a failed-over read returns byte-identical rows.
+The partitions are cut from the vector engine's per-version snapshot
+(:func:`repro.sparql.vector.ops.id_table`) and keyed on ``graph.version``
+like it: mutations invalidate them, and within one version the partition
+arrays are immutable, so replicas are by construction identical and a
+failed-over read returns byte-identical rows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from repro.errors import SPARQLError
 from repro.rdf.graph import Graph
 from repro.sparql.ast import TriplePattern, Variable
 from repro.sparql.vector.batch import Batch
+from repro.sparql.vector.ops import IdTable, id_table, scan_table
 
 #: Modelled storage width of one triple row: three int64 id cells.
 BYTES_PER_ROW = 24
@@ -84,7 +86,7 @@ class PartitionedTripleStore:
         self.replication = replication
         self.partitioner = RangePartitioner(graph.term_count, partitions)
         self._version: Optional[int] = None
-        self._columns: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._columns: List[IdTable] = []
         self.sync()
 
     # ------------------------------------------------------------------
@@ -98,25 +100,12 @@ class PartitionedTripleStore:
         self.partitioner = RangePartitioner(
             self.graph.term_count, self.partitions
         )
-        raw = self.graph.id_columns()
-        table = tuple(
-            np.frombuffer(column, dtype=np.int64).copy()
-            if len(column)
-            else np.empty(0, dtype=np.int64)
-            for column in raw
-        )
-        subjects = table[0]
-        pids = (
-            self.partitioner.partition_column(subjects)
-            if len(subjects)
-            else np.empty(0, dtype=np.int64)
-        )
+        table = id_table(self.graph)
+        pids = self.partitioner.partition_column(table[0])
         self._columns = []
         for pid in range(self.partitions):
             rows = np.flatnonzero(pids == pid)
-            self._columns.append(
-                (table[0][rows], table[1][rows], table[2][rows])
-            )
+            self._columns.append(tuple(column[rows] for column in table))
         self._version = self.graph.version
 
     def place(self, nodes: List[Node]) -> Dict[int, List[int]]:
@@ -150,52 +139,9 @@ class PartitionedTripleStore:
         return [self.partitioner.partition_of(subject_id)]
 
     def scan_partition(self, pid: int, pattern: TriplePattern) -> Batch:
-        """The pattern's extent *within* one partition, as id columns.
-
-        Same masking semantics as the single-process
-        :func:`repro.sparql.vector.ops.scan_batch`, restricted to the
-        partition's rows; the union over partitions is the full scan.
-        """
-        positions = (pattern.subject, pattern.predicate, pattern.object)
-        constant_ids: List[Optional[int]] = []
-        for position in positions:
-            if isinstance(position, Variable):
-                constant_ids.append(None)
-                continue
-            term_id = self.graph.term_id(position)
-            if term_id is None:
-                return Batch.empty(pattern.variables())
-            constant_ids.append(term_id)
-
-        table = self._columns[pid]
-        var_slots = [
-            (i, p) for i, p in enumerate(positions) if isinstance(p, Variable)
-        ]
-        mask: Optional[np.ndarray] = None
-        for slot, constant_id in enumerate(constant_ids):
-            if constant_id is None:
-                continue
-            hits = table[slot] == constant_id
-            mask = hits if mask is None else (mask & hits)
-
-        if not var_slots:
-            # All-constant pattern: the triple lives in exactly one
-            # partition, so at most one fragment contributes the unit row.
-            matched = bool(mask.any()) if mask is not None else len(table[0]) > 0
-            return Batch.unit() if matched else Batch.empty()
-
-        rows = None if mask is None else np.flatnonzero(mask)
-        columns: Dict[Variable, np.ndarray] = {}
-        keep: Optional[np.ndarray] = None
-        for slot, variable in var_slots:
-            column = table[slot] if rows is None else table[slot][rows]
-            if variable in columns:
-                equal = columns[variable] == column
-                keep = equal if keep is None else keep & equal
-            else:
-                columns[variable] = column
-        nrows = len(table[0]) if rows is None else len(rows)
-        batch = Batch(columns, nrows)
-        if keep is not None:
-            batch = batch.mask(keep)
-        return batch
+        """The pattern's extent *within* one partition, as id columns: the
+        single-process scan kernel restricted to the partition's rows, so
+        the union over partitions is the full scan. (An all-constant
+        pattern's triple lives in exactly one partition: at most one
+        fragment contributes the unit row.)"""
+        return scan_table(self._columns[pid], pattern, self.graph.term_id)

@@ -7,9 +7,9 @@ fragment — the invariant all the join strategies lean on):
 
 * :class:`PScan` — one partition-local scan fragment per store partition;
 * :class:`PLocal` — a single driver-side fragment via the vector engine's
-  own ``_execute`` (custom operators, VALUES/empty leaves, and joins with
-  expression/OPTIONAL correlation where substitution semantics force the
-  engines' shared fallback);
+  own ``_execute`` (VALUES/empty leaves, and joins with expression/OPTIONAL
+  correlation where substitution semantics force the engines' shared
+  fallback);
 * :class:`PMap` — a per-fragment FILTER/BIND, no data movement;
 * :class:`PBroadcastJoin` — the small side (below
   ``broadcast_threshold_rows``, judged from ``Graph.count`` statistics) is
@@ -116,8 +116,6 @@ class PShuffleJoin(PNode):
 
 def estimate_rows(op: AlgebraOp, graph: Graph) -> float:
     """Cheap cardinality estimate from the E22 index statistics."""
-    if getattr(op, "evaluate_custom", None) is not None:
-        return float(max(len(graph), 1))
     if isinstance(op, ScanOp):
         return float(pattern_extent(op.pattern, graph))
     if isinstance(op, (JoinOp, LeftJoinOp)):
@@ -146,8 +144,6 @@ def estimate_rows(op: AlgebraOp, graph: Graph) -> float:
 
 def _distributable(op: AlgebraOp) -> bool:
     """Whether *op* has a fragment-parallel plan (else it runs as PLocal)."""
-    if getattr(op, "evaluate_custom", None) is not None:
-        return False
     if isinstance(op, ScanOp):
         return True
     if isinstance(op, (JoinOp, LeftJoinOp)):
@@ -225,7 +221,7 @@ def build_plan(
     return PLocal(op)
 
 
-def plan_shape(node: PNode) -> str:  # pragma: no cover - debugging aid
+def plan_shape(node: PNode) -> str:
     """Compact s-expression of the physical plan, for tests and logs."""
     if isinstance(node, PScan):
         return "scan"

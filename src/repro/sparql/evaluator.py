@@ -357,10 +357,6 @@ def _op_iter(
     op: AlgebraOp, ctx: ExecContext, bindings: Bindings
 ) -> Iterator[Bindings]:
     registry = ctx.registry
-    custom = getattr(op, "evaluate_custom", None)
-    if custom is not None:
-        yield from custom(ctx.graph, bindings, registry)
-        return
     if isinstance(op, EmptyOp):
         yield dict(bindings)
         return

@@ -2,7 +2,7 @@
 
 Selected per query via ``CompileOptions(engine="vector")``; see
 :mod:`repro.sparql.vector.engine` for the execution model and the
-per-operator fallback rules that keep its semantics identical to the
+correlated-join fallback that keeps its semantics identical to the
 interpreted evaluator.
 """
 

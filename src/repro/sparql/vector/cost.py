@@ -18,7 +18,7 @@ cardinalities:
 The rewrite only touches pure scan/join/filter regions — exactly the shape
 :func:`repro.sparql.algebra.compile_group` emits for a BGP with pushed
 filters — and re-pushes the filters afterwards; OPTIONAL/UNION/BIND
-boundaries and custom operators (e.g. the GeoStore's spatial candidate scan)
+boundaries and VALUES tables (the GeoStore's spatial candidates among them)
 are left untouched and recursed into.
 """
 
@@ -164,11 +164,9 @@ def definitely_bound(op: AlgebraOp) -> frozenset:
     A variable outside this set may carry UNBOUND cells: unbound-tolerant
     compatibility cannot be bucketed (the distributed planner's shuffle
     legality), and an expression reading it sees whatever an enclosing join
-    binds (:func:`free_expression_variables`). Conservative for
-    custom/unknown operators (empty set).
+    binds (:func:`free_expression_variables`). Conservative for unknown
+    operators (empty set).
     """
-    if getattr(op, "evaluate_custom", None) is not None:
-        return frozenset()
     if isinstance(op, ScanOp):
         return frozenset(op.pattern.variables())
     if isinstance(op, JoinOp):

@@ -6,17 +6,15 @@ columns: scans materialize id arrays, joins are vectorized hash joins,
 FILTER/BIND run through :mod:`repro.sparql.vector.expr`, and DISTINCT /
 ORDER BY / slicing happen on arrays before terms are ever decoded.
 
-Per-operator fallback keeps semantics exact where vectorization cannot:
-
-* operators with an ``evaluate_custom`` hook (the GeoStore's spatial
-  candidate scan) and unknown operator types run through the interpreted
-  ``_op_iter`` and are re-encoded into a batch;
-* a join whose right side carries *free expression variables* that the left
-  side binds (OPTIONAL/FILTER correlation, where substitution semantics
-  differ from bottom-up evaluation) falls back to correlated interpreted
-  evaluation of the right side, row by row — except the conditional
-  OPTIONAL, ``LeftJoin(L, Filter(e, R))`` with ``e`` the only correlation,
-  which runs on columns as the spec's ``LeftJoin(Ω1, Ω2, e)``.
+The algebra is closed — every operator is one of the
+:mod:`repro.sparql.algebra` dataclasses, anything else raises — and one
+fallback keeps semantics exact where vectorization cannot: a join whose
+right side carries *free expression variables* that the left side binds
+(OPTIONAL/FILTER correlation, where substitution semantics differ from
+bottom-up evaluation) falls back to correlated interpreted evaluation of the
+right side, row by row — except the conditional OPTIONAL,
+``LeftJoin(L, Filter(e, R))`` with ``e`` the only correlation, which runs on
+columns as the spec's ``LeftJoin(Ω1, Ω2, e)``.
 
 Aggregation groups on packed id columns (1-D ``np.unique``) with vectorized
 COUNT / SUM / AVG / COUNT(DISTINCT *) fast paths; every other aggregate
@@ -118,18 +116,6 @@ def _encode_solutions(
             count=nrows,
         )
     return Batch(columns, nrows)
-
-
-def _fallback_batch(op: AlgebraOp, ctx: ExecContext) -> Batch:
-    """Run an operator through the interpreted iterator, re-encode columns.
-
-    Routed through ``_evaluate_op`` on the same context, so a budget's
-    per-solution checkpoints (the interpreted engine's own governance)
-    apply inside the fallback.
-    """
-    _note_fallback(ctx, op)
-    solutions = list(_evaluate_op(op, ctx, {}))
-    return _encode_solutions(solutions, operator_variables(op), ctx)
 
 
 def _correlated_join(
@@ -265,15 +251,10 @@ def apply_extend(op: ExtendOp, batch: Batch, ctx: ExecContext) -> Batch:
 
 
 def _execute_op(op: AlgebraOp, ctx: ExecContext) -> Batch:
-    custom = getattr(op, "evaluate_custom", None)
-    if custom is not None:
-        _note_fallback(ctx, op)
-        solutions = list(custom(ctx.graph, {}, ctx.registry))
-        return _encode_solutions(solutions, operator_variables(op), ctx)
     if isinstance(op, EmptyOp):
         return Batch.unit()
     if isinstance(op, ScanOp):
-        return scan_batch(ctx.graph, ctx.encoder, op.pattern)
+        return scan_batch(ctx.graph, op.pattern)
     if isinstance(op, (JoinOp, LeftJoinOp)):
         outer = isinstance(op, LeftJoinOp)
         left = _execute(op.left, ctx)
@@ -303,7 +284,7 @@ def _execute_op(op: AlgebraOp, ctx: ExecContext) -> Batch:
                 count=len(op.rows),
             )
         return Batch(columns, len(op.rows))
-    return _fallback_batch(op, ctx)
+    raise SPARQLError(f"unknown operator {type(op).__name__}")
 
 
 # ---------------------------------------------------------------------------

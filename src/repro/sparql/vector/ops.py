@@ -19,15 +19,15 @@ cannot for realistic dictionaries), a Python dict join takes over.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Callable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from repro.rdf.graph import Graph
+from repro.rdf.term import Term
 from repro.sparql.ast import TriplePattern, Variable
 from repro.sparql.vector.batch import UNBOUND, Batch
-from repro.sparql.vector.dictionary import TermEncoder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sparql.governor import QueryBudget
@@ -37,14 +37,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # Scans
 # ---------------------------------------------------------------------------
 
+#: Parallel (subject, predicate, object) int64 id columns, one row per triple.
+IdTable = Tuple[np.ndarray, ...]
+
 #: Per-graph numpy snapshot of Graph.id_columns(), keyed on graph version.
-_TABLES: "WeakKeyDictionary[Graph, Tuple[int, Tuple[np.ndarray, ...]]]" = (
-    WeakKeyDictionary()
-)
+_TABLES: "WeakKeyDictionary[Graph, Tuple[int, IdTable]]" = WeakKeyDictionary()
 
 
-def _id_table(graph: Graph) -> Tuple[np.ndarray, ...]:
-    """The graph's id-row table as int64 arrays (cached per version)."""
+def id_table(graph: Graph) -> IdTable:
+    """The graph's id-row table as int64 arrays (cached per version): the
+    one snapshot both the scans here and the distributed engine's
+    partitions are cut from."""
     entry = _TABLES.get(graph)
     if entry is None or entry[0] != graph.version:
         # array('q') exposes the buffer protocol: the snapshot is a memcpy.
@@ -59,64 +62,50 @@ def _id_table(graph: Graph) -> Tuple[np.ndarray, ...]:
     return entry[1]
 
 
-def scan_batch(
-    graph: Graph, encoder: TermEncoder, pattern: TriplePattern
+def scan_table(
+    table: IdTable,
+    pattern: TriplePattern,
+    term_id: Callable[[Term], Optional[int]],
 ) -> Batch:
-    """Materialize the full extent of a triple pattern as id columns.
+    """The extent of a triple pattern within *table*, as id columns.
 
-    Bound positions become equality masks over the graph's id-row table —
-    pure numpy, no per-triple Python iteration — except under a constant
-    subject, which probes the subject's index bucket. Row order is whatever
-    the table (or bucket) holds: scans feed multiset operators; ORDER BY
-    sorts later.
+    *table* is any row subset of a graph's id-row table — the whole snapshot
+    or one partition of it — and *term_id* the graph's dictionary. Bound
+    positions become equality masks: pure numpy, no per-triple Python
+    iteration. Row order is the table's: scans feed multiset operators;
+    ORDER BY sorts later.
     """
     positions = (pattern.subject, pattern.predicate, pattern.object)
-    constant_ids: List[Optional[int]] = []
-    for position in positions:
+    mask: Optional[np.ndarray] = None
+    for slot, position in enumerate(positions):
         if isinstance(position, Variable):
-            constant_ids.append(None)
             continue
-        term_id = graph.term_id(position)
-        if term_id is None:
+        constant_id = term_id(position)
+        if constant_id is None:
             # A constant the graph never interned cannot match anything.
             return Batch.empty(pattern.variables())
-        constant_ids.append(term_id)
+        hits = table[slot] == constant_id
+        mask = hits if mask is None else (mask & hits)
+    if mask is None:
+        return _project(positions, table.__getitem__, len(table[0]))
+    rows = np.flatnonzero(mask)
+    return _project(positions, lambda slot: table[slot][rows], len(rows))
 
-    var_slots: List[Tuple[int, Variable]] = [
-        (i, p) for i, p in enumerate(positions) if isinstance(p, Variable)
-    ]
-    if not var_slots:
-        query = tuple(positions)
-        matched = any(True for _ in graph.triples(query))  # type: ignore[arg-type]
-        return Batch.unit() if matched else Batch.empty()
 
-    if constant_ids[0] is not None:
-        # A subject holds a handful of triples: enumerating its SPO bucket
-        # beats masking the whole id-row table once per bound position.
-        query = tuple(None if isinstance(p, Variable) else p for p in positions)
-        matches = list(graph.triples(query))  # type: ignore[arg-type]
-        nrows = len(matches)
-
-        def column_of(slot: int) -> np.ndarray:
-            ids = (graph.term_id(triple[slot]) for triple in matches)
-            return np.fromiter(ids, dtype=np.int64, count=nrows)
-    else:
-        table = _id_table(graph)
-        mask: Optional[np.ndarray] = None
-        for slot, constant_id in enumerate(constant_ids):
-            if constant_id is None:
-                continue
-            hits = table[slot] == constant_id
-            mask = hits if mask is None else (mask & hits)
-        rows = None if mask is None else np.flatnonzero(mask)
-        nrows = len(table[0]) if rows is None else len(rows)
-
-        def column_of(slot: int) -> np.ndarray:
-            return table[slot] if rows is None else table[slot][rows]
-
+def _project(
+    positions: Sequence,
+    column_of: Callable[[int], np.ndarray],
+    nrows: int,
+) -> Batch:
+    """The variable positions of *nrows* matched triples as a batch, the id
+    column of position ``slot`` being ``column_of(slot)``. Matched triples
+    are distinct, so an all-constant pattern comes out as the unit row or
+    as nothing."""
     columns = {}
     keep: Optional[np.ndarray] = None
-    for slot, variable in var_slots:
+    for slot, variable in enumerate(positions):
+        if not isinstance(variable, Variable):
+            continue
         column = column_of(slot)
         if variable in columns:
             # Repeated variable in one pattern (?x :p ?x): keep equal rows.
@@ -128,6 +117,25 @@ def scan_batch(
     if keep is not None:
         batch = batch.mask(keep)
     return batch
+
+
+def scan_batch(graph: Graph, pattern: TriplePattern) -> Batch:
+    """Materialize the full extent of a triple pattern as id columns:
+    :func:`scan_table` over the graph's snapshot — except under a constant
+    subject, which probes the subject's index bucket instead."""
+    if isinstance(pattern.subject, Variable):
+        return scan_table(id_table(graph), pattern, graph.term_id)
+    # A subject holds a handful of triples: enumerating its SPO bucket beats
+    # masking the whole id-row table once per bound position.
+    positions = (pattern.subject, pattern.predicate, pattern.object)
+    query = tuple(None if isinstance(p, Variable) else p for p in positions)
+    matches = list(graph.triples(query))  # type: ignore[arg-type]
+
+    def column_of(slot: int) -> np.ndarray:
+        ids = (graph.term_id(triple[slot]) for triple in matches)
+        return np.fromiter(ids, dtype=np.int64, count=len(matches))
+
+    return _project(positions, column_of, len(matches))
 
 
 # ---------------------------------------------------------------------------

@@ -36,18 +36,18 @@ def spatial_query():
 class TestExplain:
     def test_spatial_plan_shows_candidates(self, store):
         plan = store.explain(spatial_query())
-        assert "SpatialCandidates(?g" in plan
+        assert "Values(?g" in plan
         assert "sfIntersects" in plan
         assert "Scan(" in plan
-        # The candidate scan drives the join: it appears before any Scan.
-        assert plan.index("SpatialCandidates") < plan.index("Scan(")
+        # The candidate table drives the join: it appears before any Scan.
+        assert plan.index("Values(") < plan.index("Scan(")
 
     def test_naive_plan_has_no_candidates(self, store):
         naive = NaiveGeoStore()
         for triple in store.graph:
             naive.add(*triple)
         plan = naive.explain(spatial_query())
-        assert "SpatialCandidates" not in plan
+        assert "Values(" not in plan
         assert "sfIntersects" in plan
 
     def test_plain_query_plan(self, store):
@@ -69,4 +69,12 @@ class TestExplain:
     def test_candidate_count_in_plan(self, store):
         plan = store.explain(spatial_query())
         # Box [0,25] covers f0, f1, f2 -> 3 candidates.
-        assert "3 candidates" in plan
+        assert "Values(?g, 3 rows)" in plan
+
+    def test_user_values_render_like_planted_ones(self, store):
+        plan = store.explain(
+            PREFIXES
+            + "SELECT ?f WHERE { VALUES (?f ?k) { (ex:f0 'even') (ex:f1 UNDEF) } "
+            + "?f ex:kind ?k }"
+        )
+        assert "Values(?f ?k, 2 rows)" in plan

@@ -10,7 +10,10 @@ from repro.geometry import Point, Polygon
 from repro.geosparql import GeoStore, NaiveGeoStore, geometry_literal
 from repro.rdf import GEO, Namespace
 from repro.rdf.term import Literal
-from repro.sparql import Variable
+from repro.sparql import CompileOptions, ExecContext, Variable, parse_query
+from repro.sparql.algebra import TableOp, operator_variables
+from repro.sparql.evaluator import _evaluate_op
+from repro.sparql.pipeline import compile_plan
 
 EX = Namespace("http://ex.org/")
 PREFIXES = (
@@ -29,17 +32,29 @@ def load_points(store, coords):
     return store
 
 
+def wkt(geometry):
+    return f'"{geometry_literal(geometry).lexical}"^^geo:wktLiteral'
+
+
+def in_box(variable, min_x, min_y, max_x, max_y):
+    box = wkt(Polygon.box(min_x, min_y, max_x, max_y))
+    return f"FILTER (geof:sfIntersects({variable}, {box}))"
+
+
 def selection_query(min_x, min_y, max_x, max_y):
-    box = geometry_literal(Polygon.box(min_x, min_y, max_x, max_y))
     return (
         PREFIXES
         + "SELECT ?f WHERE { ?f geo:asWKT ?g . "
-        + f'FILTER (geof:sfIntersects(?g, "{box.lexical}"^^geo:wktLiteral)) }}'
+        + in_box("?g", min_x, min_y, max_x, max_y)
+        + " }"
     )
 
 
 def result_ids(result):
     return {s[Variable("f")] for s in result}
+
+
+ENGINES = [CompileOptions(), CompileOptions(engine="vector")]
 
 
 class TestSelection:
@@ -201,6 +216,32 @@ class TestIndexBaselineParity:
         query = selection_query(wx, wy, wx + 20, wy + 20)
         assert result_ids(indexed.query(query)) == result_ids(naive.query(query))
 
+    @given(
+        points=st.lists(
+            st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=12
+        ),
+        supplied=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+        window=st.tuples(st.integers(0, 30), st.integers(0, 30)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_values_supplied_geometry_parity(self, points, supplied, window):
+        """A geometry the query brings along (possibly one the store also
+        holds) is filtered like a stored one: the index never saw it."""
+        indexed = load_points(GeoStore(), points)
+        naive = load_points(NaiveGeoStore(), points)
+        wx, wy = window
+        query = (
+            PREFIXES
+            + "SELECT ?g WHERE { { ?f geo:asWKT ?g } UNION "
+            + f"{{ VALUES ?g {{ {wkt(Point(*supplied))} }} }} "
+            + in_box("?g", wx, wy, wx + 10, wy + 10)
+            + " }"
+        )
+        for options in ENGINES:
+            got = sorted(str(s[Variable("g")]) for s in indexed.query(query, options))
+            want = sorted(str(s[Variable("g")]) for s in naive.query(query, options))
+            assert got == want, options.engine
+
     def test_bulk_load_matches_incremental(self):
         coords = [(i * 3.0, i * 7.0 % 50) for i in range(200)]
         incremental = load_points(GeoStore(), coords)
@@ -269,39 +310,93 @@ class TestSolutionModifiers:
 
 
 class TestSpatialCandidateOp:
-    """The already-bound membership path of the rewrite's custom operator."""
+    """The rewrite's candidate scan is a plain VALUES table: these are the
+    custom operator's old cases, asserted on the table the store plants."""
 
-    def make_op(self):
-        from repro.geosparql.store import _SpatialCandidateOp
+    COORDS = [(0, 0), (5, 5), (99, 99)]
 
-        candidates = [
-            geometry_literal(Point(0, 0)),
-            geometry_literal(Point(5, 5)),
-        ]
-        return _SpatialCandidateOp(Variable("g"), candidates), candidates
+    def planted(self):
+        store = load_points(GeoStore(), self.COORDS)
+        query = parse_query(selection_query(-1, -1, 6, 6))
+        op = compile_plan(query.where, store.graph, None, store._rewrite)
+        while not isinstance(op, TableOp):  # leftmost leaf: it drives the join
+            op = getattr(op, "left", None) or op.operand
+        box = Polygon.box(-1, -1, 6, 6).bbox
+        return store, op, list(store._rtree.search(box))
 
-    def evaluate(self, op, bindings):
-        from repro.rdf import Graph
-        from repro.sparql import FunctionRegistry
-
-        return list(op.evaluate_custom(Graph(), bindings, FunctionRegistry()))
+    def evaluate(self, store, op, bindings):
+        ctx = ExecContext(store.graph, store.registry)
+        return list(_evaluate_op(op, ctx, bindings))
 
     def test_unbound_variable_yields_all_candidates(self):
-        op, candidates = self.make_op()
-        solutions = self.evaluate(op, {})
+        store, op, candidates = self.planted()
+        solutions = self.evaluate(store, op, {})
+        assert len(candidates) == 2
         assert [s[Variable("g")] for s in solutions] == candidates
 
     def test_bound_candidate_passes_membership(self):
-        op, candidates = self.make_op()
+        store, op, candidates = self.planted()
         bindings = {Variable("g"): candidates[1], Variable("f"): EX.f1}
-        solutions = self.evaluate(op, bindings)
+        solutions = self.evaluate(store, op, bindings)
         assert solutions == [bindings]
         assert solutions[0] is not bindings  # a copy, not the caller's dict
 
     def test_bound_non_candidate_is_filtered(self):
-        op, _ = self.make_op()
-        assert self.evaluate(op, {Variable("g"): geometry_literal(Point(99, 99))}) == []
+        store, op, _ = self.planted()
+        outside = {Variable("g"): geometry_literal(Point(99, 99))}
+        assert self.evaluate(store, op, outside) == []
 
     def test_bound_variables_reports_its_variable(self):
-        op, _ = self.make_op()
-        assert op.bound_variables() == {Variable("g")}
+        _, op, _ = self.planted()
+        assert operator_variables(op) == {Variable("g")}
+
+
+class TestRewriteSoundness:
+    """The candidate table holds indexed literals only, so it may be planted
+    only where ?g can come from nowhere but a triple pattern. Each shape
+    returned 0 rows (or lost ?n) on GeoStore before the rule existed."""
+
+    NEAR = wkt(Point(1, 1))
+    BOX = in_box("?g", 0, 0, 2, 2)
+    SHAPES = {
+        "values": f"SELECT ?g WHERE {{ VALUES ?g {{ {NEAR} }} {BOX} }}",
+        "bind": f"SELECT ?g WHERE {{ BIND({NEAR} AS ?g) {BOX} }}",
+        "bound-outside-optional": (
+            f"SELECT ?g ?n WHERE {{ VALUES ?g {{ {NEAR} }} "
+            f"OPTIONAL {{ ex:a ex:name ?n {BOX} }} }}"
+        ),
+        "union-branch": (
+            "SELECT ?f ?g WHERE { { ?f geo:asWKT ?g } UNION "
+            f"{{ VALUES (?f ?g) {{ (ex:v {NEAR}) }} }} {BOX} }}"
+        ),
+    }
+
+    def stores(self):
+        stores = GeoStore(), NaiveGeoStore()
+        for store in stores:
+            store.add(EX.far, GEO.asWKT, geometry_literal(Point(50, 50)))
+            store.add(EX.a, EX.name, Literal("A"))
+        return stores
+
+    @pytest.mark.parametrize("options", ENGINES, ids=lambda o: o.engine)
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_indexed_answers_like_naive(self, shape, options):
+        indexed, naive = self.stores()
+        query = PREFIXES + self.SHAPES[shape]
+        rows = indexed.query(query, options)
+        assert rows == naive.query(query, options)
+        [row] = rows
+        assert row[Variable("g")] == geometry_literal(Point(1, 1))
+        if shape == "bound-outside-optional":
+            assert row[Variable("n")] == Literal("A")
+        assert indexed.stats["spatial_rewrites"] == 0
+
+    def test_stored_geometries_still_use_the_index(self):
+        indexed, _ = self.stores()
+        query = PREFIXES + (
+            "SELECT ?f WHERE { { ?f geo:asWKT ?g } UNION { ?f ex:shape ?g } "
+            + in_box("?g", 40, 40, 60, 60)
+            + " }"
+        )
+        assert result_ids(indexed.query(query)) == {EX.far}
+        assert indexed.stats["spatial_rewrites"] == 1

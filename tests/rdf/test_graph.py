@@ -62,6 +62,16 @@ class TestMutation:
         assert Triple(iri("alice"), iri("knows"), iri("bob")) in graph
         assert Triple(iri("bob"), iri("knows"), iri("alice")) not in graph
 
+    def test_iteration_is_insertion_order(self, graph):
+        """Not set order: a dump must not depend on PYTHONHASHSEED. The
+        swap-pop inside ``remove`` moves a row, not a place in this order."""
+        first, second, third, fourth = list(graph)
+        assert (first.object, fourth.object) == (iri("bob"), Literal("Alice"))
+        graph.remove(*first)
+        graph.add(*first)
+        assert list(graph) == [second, third, fourth, first]
+        assert list(graph.triples((None, None, None))) == list(graph)
+
 
 class TestPatterns:
     def test_all_eight_patterns(self, graph):

@@ -36,7 +36,6 @@ from repro.sparql.evaluator import _EMPTY_REGISTRY
 from repro.sparql.parser import parse_query
 from repro.sparql.vector.engine import compile_vector_plan
 from repro.sparql.vector.ops import scan_batch
-from repro.sparql.vector.dictionary import TermEncoder
 
 
 def build_graph(n=300, subjects=60):
@@ -93,7 +92,7 @@ class TestPartitionedStore:
         pattern = parse_query(
             "SELECT * WHERE { ?s <http://ex/p> ?v }"
         ).where.children[0].patterns[0]
-        whole = scan_batch(graph, TermEncoder(graph), pattern)
+        whole = scan_batch(graph, pattern)
         parts = [store.scan_partition(pid, pattern) for pid in range(4)]
         assert sum(p.nrows for p in parts) == whole.nrows
         # Disjoint: each subject id appears in exactly one partition.

@@ -471,8 +471,7 @@ def bench_costs(products):
 def test_bench_shapes_cost_pin():
     small, large = bench_costs(500), bench_costs(2000)  # 2k and 8k triples
     for shape, (fallback_ops, _) in small.items():
-        # The R-tree candidate scan is a custom operator: one fallback.
-        assert fallback_ops == (1 if shape == "spatial" else 0), shape
+        assert fallback_ops == 0, shape
     # Four times the left rows, not one more checkpoint.
     assert large["optional"] == small["optional"]
     assert small["optional"][1] < 12
@@ -583,6 +582,87 @@ class TestConstantSubjectScan:
         def no_table(_graph):
             raise AssertionError("constant-subject scan touched the id table")
 
-        monkeypatch.setattr(ops, "_id_table", no_table)
+        monkeypatch.setattr(ops, "id_table", no_table)
         rows = evaluate(graph, PREFIX + "SELECT ?o WHERE { ex:a ex:p ?o }", options=VECTOR)
         assert sorted(str(row[Variable("o")]) for row in rows) == [str(EX.b), str(EX.c)]
+
+
+# ---------------------------------------------------------------------------
+# One scan kernel, one closed algebra
+# ---------------------------------------------------------------------------
+
+SCAN_PATTERNS = [
+    "?s ?p ?o", "ex:a ?p ?o", "?s ex:p ?o", "?s ?p ex:a",
+    "ex:a ex:p ?o", "ex:a ?p ex:b", "?s ex:p ex:a", "ex:a ex:p ex:b",
+    "?x ex:p ?x", "?x ?x ?x", "?s ex:nope ?o", "ex:a ex:p ex:nope",
+]
+
+
+@pytest.mark.parametrize("text", SCAN_PATTERNS)
+def test_scan_table_on_slices_covers_scan_batch(text):
+    """`scan_table` over any row split of the snapshot — what a dist
+    partition is — adds up to `scan_batch` over the graph, and both to the
+    triple-at-a-time match."""
+    from repro.sparql.vector.ops import id_table, scan_batch, scan_table
+
+    graph = Graph()
+    for s, p, o in [("a", "p", "b"), ("a", "p", "c"), ("a", "q", "q"),
+                    ("a", "a", "a"), ("b", "p", "a"), ("b", "p", "b"),
+                    ("c", "p", "c"), ("c", "q", "a"), ("p", "p", "p")]:
+        graph.add(EX[s], EX[p], EX[o])
+    pattern = parse_query(
+        PREFIX + f"SELECT * WHERE {{ {text} }}"
+    ).where.children[0].patterns[0]
+    positions = (pattern.subject, pattern.predicate, pattern.object)
+
+    def rows(batch):
+        variables = sorted(batch.columns, key=str)
+        assert set(variables) == set(pattern.variables())
+        cells = zip(*(batch.columns[v].tolist() for v in variables))
+        return sorted(cells) if variables else [()] * batch.nrows
+
+    def match(triple):
+        binding = {}
+        for position, term in zip(positions, triple):
+            if not isinstance(position, Variable):
+                if position != term:
+                    return None
+            elif binding.setdefault(position, term) != term:
+                return None
+        return tuple(graph.term_id(binding[v]) for v in sorted(binding, key=str))
+
+    expected = sorted(row for row in map(match, graph) if row is not None)
+    whole = scan_batch(graph, pattern)
+    assert rows(whole) == expected
+
+    table = id_table(graph)
+    parts = [
+        scan_table(tuple(c[k::3] for c in table), pattern, graph.term_id)
+        for k in range(3)
+    ]
+    assert sorted(sum((rows(part) for part in parts), [])) == rows(whole)
+
+
+def test_operator_outside_the_algebra_is_refused():
+    """No interpreted fallback for whole operators: both engines raise."""
+    from repro.errors import SPARQLError
+    from repro.sparql import ExecContext
+    from repro.sparql.algebra import AlgebraOp, JoinOp, ScanOp
+    from repro.sparql.evaluator import _evaluate_op
+
+    class Foreign(AlgebraOp):
+        pass
+
+    graph = Graph()
+    graph.add(EX.a, EX.p, EX.b)
+    scan = ScanOp(
+        parse_query(PREFIX + "SELECT * WHERE { ?s ex:p ?o }")
+        .where.children[0].patterns[0]
+    )
+    with pytest.raises(SPARQLError, match="unknown operator Foreign"):
+        execute_tree(Foreign(), graph, FunctionRegistry())
+    with pytest.raises(SPARQLError, match="unknown operator Foreign"):
+        execute_tree(JoinOp(scan, Foreign()), graph, FunctionRegistry())
+    with pytest.raises(SPARQLError, match="unknown operator Foreign"):
+        list(_evaluate_op(Foreign(), ExecContext(graph, FunctionRegistry()), {}))
+
