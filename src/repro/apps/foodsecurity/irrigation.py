@@ -20,7 +20,7 @@ from repro.geosparql.store import GeoStore
 from repro.rdf.namespace import GEO, RDF, Namespace
 from repro.rdf.term import IRI, Literal
 from repro.raster.grid import RasterGrid
-from repro.raster.stats import rasterize_polygon
+from repro.raster.stats import polygon_window_mask
 
 AGRI = Namespace("http://extremeearth.eu/agri#")
 
@@ -53,11 +53,16 @@ def irrigation_advice(
     advice: List[FieldAdvice] = []
     shape = (availability.height, availability.width)
     for index, (boundary, crop) in enumerate(fields):
-        mask = rasterize_polygon(boundary, availability.transform, shape)
+        # Rasterized on the field's own pixel window, not the whole map.
+        (row0, row1, col0, col1), mask = polygon_window_mask(
+            boundary, availability.transform, shape
+        )
         if not mask.any():
             continue
-        mean_availability = float(availability.band(0)[mask].mean())
-        mean_demand = float(demand.band(0)[mask].mean())
+        mean_availability = float(
+            availability.band(0)[row0:row1, col0:col1][mask].mean()
+        )
+        mean_demand = float(demand.band(0)[row0:row1, col0:col1][mask].mean())
         advice.append(
             FieldAdvice(
                 field_id=f"field{index:05d}",

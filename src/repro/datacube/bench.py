@@ -10,6 +10,9 @@ land-cover field, one scene per acquisition day), then measures
   equal the dense in-memory ndarray oracle exactly;
 * **tiled vs whole-scene wall clock** — a windowed temporal mean computed
   by streaming pruned chunks vs materializing the whole cube and slicing;
+* **zonal series** — seeded hexagonal fields, planned per polygon: the
+  per-field means must match full-grid masks applied to the dense oracle,
+  and the call must read fewer chunks than the variable has sealed;
 * **append-only storage** — after ingest, no chunk path was written twice.
 
 ``python -m repro.datacube.bench`` runs the full configuration;
@@ -28,9 +31,11 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import DatacubeError
+from repro.geometry import Polygon
 from repro.obs import Observability
 from repro.raster.grid import GeoTransform
 from repro.raster.sentinel import landcover_field, sentinel2_scene
+from repro.raster.stats import polygon_masks
 from repro.datacube.cube import Cube, CubeSchema
 from repro.datacube.ingest import CubeIngestor, S2_DEFAULT_VARIABLES
 from repro.datacube.storage import ChunkStore
@@ -132,6 +137,22 @@ def seeded_queries(config: DatacubeBenchConfig, days: Sequence[int],
         yield variable, float(days[lo]), float(days[hi]), (min_x, min_y, max_x, max_y)
 
 
+def seeded_fields(config: DatacubeBenchConfig,
+                  transform: GeoTransform) -> List[Polygon]:
+    """Four seeded hexagonal fields, each about a tenth of the grid across."""
+    rng = random.Random(f"{config.seed}:fields")  # not seeded_queries' stream
+    extent_x = config.width * transform.pixel_size
+    extent_y = config.height * transform.pixel_size
+    return [
+        Polygon.regular(
+            transform.origin_x + rng.uniform(0.15, 0.85) * extent_x,
+            transform.origin_y - rng.uniform(0.15, 0.85) * extent_y,
+            0.06 * min(extent_x, extent_y), 6,
+        )
+        for _ in range(4)
+    ]
+
+
 def run_datacube_bench(config: DatacubeBenchConfig,
                        obs: Optional[Observability] = None) -> Dict:
     obs = obs if obs is not None else Observability()
@@ -179,6 +200,23 @@ def run_datacube_bench(config: DatacubeBenchConfig,
         and np.allclose(whole_mean, expected_mean, rtol=1e-6, atol=1e-7)
     )
 
+    # Zonal series over the seeded fields vs full-grid masks on the oracle.
+    fields = seeded_fields(config, transform)
+    chunks_read = obs.metrics.counter("datacube.chunks_read")
+    read_before = chunks_read.value
+    series = cube.zonal_series("nir", fields)
+    zonal_chunks_read = chunks_read.value - read_before
+    masks = polygon_masks(fields, transform, (config.height, config.width))
+    slabs = dense["nir"].astype(np.float64)
+    expected_series = np.array([
+        [slab[mask].mean() if mask.any() else np.nan for slab in slabs]
+        for mask in masks
+    ])
+    zonal_parity = bool(
+        series.shape == expected_series.shape
+        and np.allclose(series, expected_series, rtol=1e-9, equal_nan=True)
+    )
+
     max_path_writes = max(cube.store.writes.values())
     report = {
         "experiment": "E24",
@@ -198,6 +236,9 @@ def run_datacube_bench(config: DatacubeBenchConfig,
         "whole_s": round(whole_s, 6),
         "speedup": round(whole_s / tiled_s, 3) if tiled_s > 0 else float("inf"),
         "max_path_writes": max_path_writes,
+        "zonal_parity": zonal_parity,
+        "zonal_chunks_read": zonal_chunks_read,
+        "zonal_chunks_total": cube.sealed_chunks // len(cube.schema.variables),
     }
     return report
 
@@ -216,6 +257,10 @@ def verify_report(report: Dict) -> None:
         # Windowed tiled aggregation beats materializing the whole cube.
         check("tiled mean vs whole-cube scan (s)",
               report["tiled_s"], "<", report["whole_s"])
+        check.that(report["zonal_parity"],
+                   "zonal parity: series diverged from full-grid masks on the oracle")
+        check("zonal chunks read < total",
+              report["zonal_chunks_read"], "<", report["zonal_chunks_total"])
 
 
 def _scenario(smoke: bool, seed: int, _size: None):

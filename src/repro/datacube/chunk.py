@@ -12,6 +12,7 @@ when it was sealed, and the processing lineage that produced its values.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -67,7 +68,11 @@ def encode_chunk(array: np.ndarray) -> bytes:
 
 
 def decode_chunk(payload: bytes) -> np.ndarray:
-    """Inverse of :func:`encode_chunk`; validates magic, header, and length."""
+    """Inverse of :func:`encode_chunk`; validates magic, header, and length.
+
+    The result is a **read-only** view over *payload* (which is immutable
+    and stays alive with it): decoding copies nothing.
+    """
     if not payload.startswith(CHUNK_MAGIC):
         raise DatacubeError("not a cube chunk: bad magic")
     offset = len(CHUNK_MAGIC)
@@ -76,17 +81,23 @@ def decode_chunk(payload: bytes) -> np.ndarray:
     try:
         header = json.loads(payload[offset : offset + header_len].decode("utf-8"))
         dtype = np.dtype(header["dtype"])
-        shape = tuple(int(n) for n in header["shape"])
+        shape = tuple(header["shape"])
     except (ValueError, KeyError, TypeError) as exc:
         raise DatacubeError(f"corrupt chunk header: {exc}") from exc
-    offset += header_len
-    body = payload[offset:]
-    expected = dtype.itemsize * int(np.prod(shape))
-    if len(body) != expected:
+    # What encode_chunk writes, and nothing else: a forged negative pair
+    # would multiply to the right length.
+    if len(shape) != 3 or not all(type(n) is int and n >= 0 for n in shape):
         raise DatacubeError(
-            f"chunk body is {len(body)} bytes, header says {expected}"
+            f"corrupt chunk header: shape {shape} is not three non-negative integers"
         )
-    return np.frombuffer(body, dtype=dtype).reshape(shape).copy()
+    offset += header_len
+    body, expected = len(payload) - offset, dtype.itemsize * math.prod(shape)
+    if body != expected:
+        raise DatacubeError(f"chunk body is {body} bytes, header says {expected}")
+    try:
+        return np.frombuffer(payload, dtype=dtype, offset=offset).reshape(shape)
+    except ValueError as exc:  # a dtype no buffer can back: object, zero-width
+        raise DatacubeError(f"corrupt chunk header: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ the full dense slab.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -42,8 +43,8 @@ import numpy as np
 from repro.errors import DatacubeError
 from repro.geometry import BoundingBox, Polygon
 from repro.obs import Observability, resolve
-from repro.raster.grid import GeoTransform
-from repro.raster.stats import polygon_masks
+from repro.raster.grid import GeoTransform, Window, pixel_window
+from repro.raster.stats import polygon_window_mask
 from repro.datacube.chunk import (
     ChunkKey,
     ChunkProvenance,
@@ -155,10 +156,14 @@ class Cube:
         self._slabs: List[Tuple[int, int]] = []
         #: Dense chunk index: (variable, tc, yc, xc) -> HopsFS path.
         self._index: Dict[Tuple[str, int, int, int], str] = {}
-        # The open tail: appended but not yet sealed.
+        # The open tail: appended but not yet sealed. Each variable owns one
+        # preallocated (chunk_t, H, W) slab whose first len(_tail_times)
+        # steps are live, so tail reads and the seal slice it, never stack.
         self._tail_times: List[float] = []
         self._tail_sources: List[str] = []
-        self._tail: Dict[str, List[np.ndarray]] = {v: [] for v in schema.variables}
+        self._tail: Dict[str, np.ndarray] = {
+            v: self._empty_slab() for v in schema.variables
+        }
         self._lineage: Dict[str, Tuple[str, ...]] = {v: () for v in schema.variables}
         self._seal_seq = 0
         self._finalized = False
@@ -197,6 +202,11 @@ class Cube:
                 cube._finalized = True  # a partial tail slab closed the cube
         cube._seal_seq = len(cube._slabs)
         return cube
+
+    def _empty_slab(self) -> np.ndarray:
+        schema = self.schema
+        return np.empty((schema.chunk_t, schema.height, schema.width),
+                        dtype=schema.dtype)
 
     def _register_slab(self, tc: int) -> None:
         for variable in self.schema.variables:
@@ -250,9 +260,10 @@ class Cube:
                 f"append variables mismatch: missing {sorted(missing)}, "
                 f"unknown {sorted(extra)}"
             )
-        if self.times and time <= self.times[-1]:
+        times = self._tail_times or self._times
+        if times and time <= times[-1]:
             raise DatacubeError(
-                f"time axis is append-only: {time} <= last {self.times[-1]}"
+                f"time axis is append-only: {time} <= last {times[-1]}"
             )
         step: Dict[str, np.ndarray] = {}
         for variable, array in arrays.items():
@@ -262,12 +273,12 @@ class Cube:
                     f"variable {variable!r} has shape {array.shape}, cube is "
                     f"{(self.schema.height, self.schema.width)}"
                 )
-            # Own the bytes: the caller's scene buffer must not alias cube
-            # contents (the window-view bug class this layer is built on top
-            # of fixing).
-            step[variable] = array.astype(self.schema.dtype, copy=True)
+            step[variable] = array
         for variable, array in step.items():
-            self._tail[variable].append(array)
+            # Own the bytes: the cast into the slab is the copy, so the
+            # caller's scene buffer never aliases cube contents (the
+            # window-view bug class this layer is built on top of fixing).
+            self._tail[variable][len(self._tail_times)] = array
         self._tail_times.append(float(time))
         self._tail_sources.append(source_id)
         self.obs.metrics.counter("datacube.appends").inc()
@@ -293,14 +304,12 @@ class Cube:
             sources = tuple(s for s in self._tail_sources if s)
             self._seal_seq += 1
             for variable in self.schema.variables:
-                slab = np.stack(self._tail[variable])  # (n, H, W)
+                slab = self._tail[variable][: len(times)]  # (n, H, W)
                 for yc in range(self.schema.y_chunks):
                     for xc in range(self.schema.x_chunks):
                         key = ChunkKey(tc, yc, xc)
                         row0, row1, col0, col1 = self.schema.chunk_window(key)
-                        block = np.ascontiguousarray(
-                            slab[:, row0:row1, col0:col1]
-                        )
+                        block = slab[:, row0:row1, col0:col1]
                         path = chunk_path(self.root, variable, key)
                         if yc == 0 and xc == 0:
                             self.store.makedirs(
@@ -319,7 +328,8 @@ class Cube:
                             provenance_path(self.root, variable, key),
                             provenance.to_json(),
                         )
-                self._tail[variable] = []
+                # A fresh slab: blocks handed out over the old one stay valid.
+                self._tail[variable] = self._empty_slab()
             self.store.put(
                 f"{self.root}/time/{first:06d}.json",
                 json.dumps(
@@ -346,62 +356,55 @@ class Cube:
     # Lazy selection
     # ------------------------------------------------------------------
 
-    def _pixel_window(self, bbox: Optional[BBoxLike]) -> Tuple[int, int, int, int]:
-        """Rows/cols whose pixel centers fall inside *bbox* (inclusive)."""
-        if bbox is None:
-            return 0, self.schema.height, 0, self.schema.width
-        if not isinstance(bbox, BoundingBox):
-            bbox = BoundingBox(*bbox)
-        t = self.schema.transform
-        size = t.pixel_size
-        # Center of col c is origin_x + (c + 0.5) * size; keep centers with
-        # min_x <= center <= max_x (and the same for y, rows counted from
-        # the northern edge).
-        col0 = int(np.ceil((bbox.min_x - t.origin_x) / size - 0.5))
-        col1 = int(np.floor((bbox.max_x - t.origin_x) / size - 0.5)) + 1
-        row0 = int(np.ceil((t.origin_y - bbox.max_y) / size - 0.5))
-        row1 = int(np.floor((t.origin_y - bbox.min_y) / size - 0.5)) + 1
-        col0, col1 = max(col0, 0), min(col1, self.schema.width)
-        row0, row1 = max(row0, 0), min(row1, self.schema.height)
-        if col0 >= col1 or row0 >= row1:
-            return 0, 0, 0, 0
-        return row0, row1, col0, col1
-
     def _step_range(self, t_min: Optional[float], t_max: Optional[float]) -> Tuple[int, int]:
         """Half-open index range of time steps with t_min <= time <= t_max."""
-        times = self.times
-        i0 = 0
-        i1 = len(times)
-        if t_min is not None:
-            i0 = int(np.searchsorted(times, t_min, side="left"))
-        if t_max is not None:
-            i1 = int(np.searchsorted(times, t_max, side="right"))
+        # Every tail time follows every sealed one, so positions in the
+        # concatenated axis are sums of positions in the two sorted lists.
+        sealed, tail = self._times, self._tail_times
+        i0 = 0 if t_min is None else (
+            bisect_left(sealed, t_min) + bisect_left(tail, t_min))
+        i1 = len(sealed) + len(tail) if t_max is None else (
+            bisect_right(sealed, t_max) + bisect_right(tail, t_max))
         return i0, max(i0, i1)
 
-    def sel(self, variable: str, t_min: Optional[float] = None,
-            t_max: Optional[float] = None,
-            bbox: Optional[BBoxLike] = None) -> "SlicePlan":
-        """Plan a selection — pruning happens here, before any I/O."""
+    def _footprints(self, window: Window) -> Iterator[Tuple[int, int]]:
+        """``(yc, xc)`` of every spatial chunk a pixel window meets (none for
+        the empty window ``(0, 0, 0, 0)``)."""
+        row0, row1, col0, col1 = window
+        for yc in range(row0 // self.schema.chunk_y,
+                        (row1 - 1) // self.schema.chunk_y + 1):
+            for xc in range(col0 // self.schema.chunk_x,
+                            (col1 - 1) // self.schema.chunk_x + 1):
+                yield yc, xc
+
+    def _plan(self, variable: str, t_min: Optional[float],
+              t_max: Optional[float], windows: Sequence[Window]) -> "SlicePlan":
+        """The one plan constructor — pruning happens here, before any I/O.
+
+        The plan names the sorted union of the chunks meeting *any* of the
+        pixel *windows* inside the time range; its own window is their hull.
+        """
         if variable not in self.schema.variables:
             raise DatacubeError(f"unknown variable {variable!r}")
         i0, i1 = self._step_range(t_min, t_max)
-        row0, row1, col0, col1 = self._pixel_window(bbox)
+        windows = [w for w in windows if w[1] > w[0] and w[3] > w[2]]
+        hull = (0, 0, 0, 0)
+        if windows:
+            row0s, row1s, col0s, col1s = zip(*windows)
+            hull = (min(row0s), max(row1s), min(col0s), max(col1s))
         keys: List[ChunkKey] = []
-        if i1 > i0 and row1 > row0 and col1 > col0:
-            yc0, yc1 = row0 // self.schema.chunk_y, (row1 - 1) // self.schema.chunk_y
-            xc0, xc1 = col0 // self.schema.chunk_x, (col1 - 1) // self.schema.chunk_x
+        if i1 > i0:
+            footprints = sorted({f for w in windows for f in self._footprints(w)})
             for tc, (first, n_steps) in enumerate(self._slabs):
                 if first + n_steps <= i0 or first >= i1:
                     continue
-                for yc in range(yc0, yc1 + 1):
-                    for xc in range(xc0, xc1 + 1):
-                        keys.append(ChunkKey(tc, yc, xc))
+                keys.extend(ChunkKey(tc, yc, xc) for yc, xc in footprints)
         chunks_total = len(self._slabs) * self.schema.y_chunks * self.schema.x_chunks
         plan = SlicePlan(
             cube=self,
             variable=variable,
             step_range=(i0, i1),
-            window=(row0, row1, col0, col1),
+            window=hull,
             chunk_keys=tuple(keys),
             chunks_total=chunks_total,
         )
@@ -409,6 +412,20 @@ class Cube:
         self.obs.metrics.counter("datacube.chunks_planned").inc(len(keys))
         self.obs.metrics.counter("datacube.chunks_pruned").inc(plan.chunks_pruned)
         return plan
+
+    def sel(self, variable: str, t_min: Optional[float] = None,
+            t_max: Optional[float] = None,
+            bbox: Optional[BBoxLike] = None) -> "SlicePlan":
+        """Plan a selection of the pixels whose centers fall inside *bbox*
+        (borders included; the whole grid without one)."""
+        shape = (self.schema.height, self.schema.width)
+        if bbox is None:
+            window = (0, shape[0], 0, shape[1])
+        else:
+            if not isinstance(bbox, BoundingBox):
+                bbox = BoundingBox(*bbox)
+            window = pixel_window(self.schema.transform, shape, bbox)
+        return self._plan(variable, t_min, t_max, [window])
 
     # ------------------------------------------------------------------
     # Cross-variable / zonal tiled compute
@@ -441,11 +458,9 @@ class Cube:
             red_plan.iter_blocks(), nir_plan.iter_blocks()
         ):
             denominator = nir_block + red_block
-            ndvi = np.where(
-                denominator == 0.0, 0.0, (nir_block - red_block) / np.where(
-                    denominator == 0.0, 1.0, denominator
-                )
-            )
+            ndvi = np.zeros_like(denominator)  # 0 where nir + red == 0
+            np.divide(nir_block - red_block, denominator, out=ndvi,
+                      where=denominator != 0.0)
             total[rows[0] - row0 : rows[1] - row0,
                   cols[0] - col0 : cols[1] - col0] += ndvi.sum(axis=0)
         return (total / steps).astype(np.float64)
@@ -497,28 +512,38 @@ class Cube:
                      t_max: Optional[float] = None) -> np.ndarray:
         """Per-polygon per-time-step mean: ``(len(polygons), n_steps)``.
 
-        The per-field temporal aggregation workload. Each polygon is
-        rasterized **once** on the cube grid (the hoisted-mask path of the
-        E24 satellite fix), then every time step reuses the masks.
+        The per-field temporal aggregation workload, planned per polygon:
+        each one is rasterized once, on the pixel window of its own bounding
+        box; only chunks meeting some window are read, each once, and a
+        chunk is applied only to the polygons whose window meets it.
         """
-        plan = self.sel(variable, t_min, t_max, bbox=None)
+        shape = (self.schema.height, self.schema.width)
+        fields = [polygon_window_mask(polygon, self.schema.transform, shape)
+                  for polygon in polygons]
+        plan = self._plan(variable, t_min, t_max, [window for window, _ in fields])
         steps = plan.step_range[1] - plan.step_range[0]
         if steps == 0:
             raise DatacubeError("empty selection")
-        masks = polygon_masks(
-            polygons, self.schema.transform,
-            (self.schema.height, self.schema.width),
-        )
+        meeting: Dict[Tuple[int, int], List[int]] = {}
+        for index, (window, _) in enumerate(fields):
+            for footprint in self._footprints(window):
+                meeting.setdefault(footprint, []).append(index)
         sums = np.zeros((len(polygons), steps), dtype=np.float64)
-        counts = np.array([int(mask.sum()) for mask in masks], dtype=np.int64)
         i0 = plan.step_range[0]
         for rows, cols, block in plan.iter_blocks():
             t0 = block.t_offset - i0  # type: ignore[attr-defined]
-            for index, mask in enumerate(masks):
-                sub = mask[rows[0] : rows[1], cols[0] : cols[1]]
-                if not sub.any():
-                    continue
-                sums[index, t0 : t0 + block.shape[0]] += block[:, sub].sum(axis=1)
+            # One chunk footprint under a sealed block, the hull's under the tail.
+            under = self._footprints((*rows, *cols))
+            for index in sorted({i for f in under for i in meeting.get(f, ())}):
+                (row0, row1, col0, col1), mask = fields[index]
+                r0, r1 = max(rows[0], row0), min(rows[1], row1)
+                c0, c1 = max(cols[0], col0), min(cols[1], col1)
+                sub = mask[r0 - row0 : r1 - row0, c0 - col0 : c1 - col0]
+                cut = block[:, r0 - rows[0] : r1 - rows[0], c0 - cols[0] : c1 - cols[0]]
+                sums[index, t0 : t0 + block.shape[0]] += cut.sum(
+                    axis=(1, 2), dtype=np.float64, where=sub
+                )
+        counts = np.array([int(mask.sum()) for _, mask in fields], dtype=np.int64)
         empty = counts == 0
         series = sums / np.where(empty, 1, counts)[:, np.newaxis]
         series[empty] = np.nan
@@ -530,7 +555,7 @@ class SlicePlan:
 
     def __init__(self, cube: Cube, variable: str,
                  step_range: Tuple[int, int],
-                 window: Tuple[int, int, int, int],
+                 window: Window,
                  chunk_keys: Tuple[ChunkKey, ...],
                  chunks_total: int):
         self.cube = cube
@@ -570,7 +595,9 @@ class SlicePlan:
 
         Blocks are clipped to the selection's time and pixel window; the
         block array carries its absolute time offset in ``block.t_offset``.
-        Tail (unsealed) steps stream last, sliced from the in-memory buffer.
+        Tail (unsealed) steps stream last, sliced from the in-memory slab.
+        Blocks are **read-only** views — of the stored chunk payload or of
+        the open slab — and copy nothing; :meth:`read` returns a fresh array.
         """
         i0, i1 = self.step_range
         row0, row1, col0, col1 = self.window
@@ -592,16 +619,15 @@ class SlicePlan:
                 ]
                 block = _TBlock(block, t_offset=t_lo)
                 yield (brow0, brow1), (bcol0, bcol1), block
-            # Tail steps live only in memory; stream them as one block per
-            # spatial chunk footprint so downstream tiling stays uniform.
+            # Tail steps live only in memory: one block, the plan's window
+            # cut out of the open slab in place.
             sealed = self.cube.sealed_steps
             tail_lo = max(i0, sealed)
-            if tail_lo < i1 and self.cube._tail_times:
-                stack = np.stack(
-                    self.cube._tail[self.variable][tail_lo - sealed : i1 - sealed]
-                )
-                block = _TBlock(stack[:, row0:row1, col0:col1], t_offset=tail_lo)
-                yield (row0, row1), (col0, col1), block
+            if tail_lo < i1:
+                block = self.cube._tail[self.variable][
+                    tail_lo - sealed : i1 - sealed, row0:row1, col0:col1
+                ]
+                yield (row0, row1), (col0, col1), _TBlock(block, t_offset=tail_lo)
 
     def read(self) -> np.ndarray:
         """Materialize the selection as a dense ``(t, y, x)`` array."""
@@ -664,6 +690,7 @@ class _TBlock(np.ndarray):
 
     def __new__(cls, array: np.ndarray, t_offset: int):
         view = np.asarray(array).view(cls)
+        view.flags.writeable = False
         view.t_offset = t_offset
         return view
 

@@ -7,7 +7,7 @@ fields, plus the grid/product machinery the pipeline and the applications
 operate on.
 """
 
-from repro.raster.grid import GeoTransform, RasterGrid
+from repro.raster.grid import GeoTransform, RasterGrid, pixel_window
 from repro.raster.products import Product, ProductArchive, ProductLevel, Mission
 from repro.raster.sentinel import (
     LandCover,
@@ -26,7 +26,9 @@ from repro.raster.timeseries import (
 )
 from repro.raster.stats import (
     polygon_masks,
+    polygon_window_mask,
     rasterize_polygon,
+    rasterize_window,
     zonal_mean,
     zonal_stats,
 )
@@ -46,8 +48,11 @@ __all__ = [
     "ice_concentration_profile",
     "iter_tiles",
     "landcover_field",
+    "pixel_window",
     "polygon_masks",
+    "polygon_window_mask",
     "rasterize_polygon",
+    "rasterize_window",
     "scene_time_series",
     "sea_ice_field",
     "sentinel1_scene",

@@ -46,6 +46,55 @@ class GeoTransform:
         return row, col
 
 
+#: A half-open pixel window ``(row0, row1, col0, col1)``; ``(0, 0, 0, 0)``
+#: when empty.
+Window = Tuple[int, int, int, int]
+
+
+def _center_range(origin: float, size: float, count: int,
+                  low: float, high: float) -> Tuple[int, int]:
+    """Half-open range of the indices ``i`` in ``[0, count)`` whose center
+    ``origin + (i + 0.5) * size`` lies in ``[low, high]``.
+
+    The divisions only guess; each end then moves until the centers
+    themselves agree, because with a pixel size like 0.1 the guess alone
+    drops a center lying exactly on the bound.
+    """
+    start = min(max(int((low - origin) / size), 0), count)
+    while start > 0 and origin + (start - 1 + 0.5) * size >= low:
+        start -= 1
+    while start < count and origin + (start + 0.5) * size < low:
+        start += 1
+    stop = min(max(int((high - origin) / size), start), count)
+    while stop > start and origin + (stop - 1 + 0.5) * size > high:
+        stop -= 1
+    while stop < count and origin + (stop + 0.5) * size <= high:
+        stop += 1
+    return start, stop
+
+
+def pixel_window(
+    transform: GeoTransform, shape: Tuple[int, int], bbox: BoundingBox
+) -> Window:
+    """The :data:`Window` of the pixels of a ``(height, width)`` grid whose
+    *centers* lie in *bbox*, borders included.
+
+    Decided on the very center coordinates of :meth:`GeoTransform.
+    pixel_to_map`, so it agrees bit for bit with a rasterizer or a dense
+    ``centers >= min_x`` mask over the same grid. Rows run north to south:
+    negating the y axis (exact in floating point) makes them ascending.
+    """
+    height, width = shape
+    size = transform.pixel_size
+    col0, col1 = _center_range(transform.origin_x, size, width,
+                               bbox.min_x, bbox.max_x)
+    row0, row1 = _center_range(-transform.origin_y, size, height,
+                               -bbox.max_y, -bbox.min_y)
+    if col0 >= col1 or row0 >= row1:
+        return 0, 0, 0, 0
+    return row0, row1, col0, col1
+
+
 class RasterGrid:
     """A georeferenced multi-band raster."""
 

@@ -23,6 +23,7 @@ from repro.ml import accuracy
 from repro.raster import GeoTransform, LandCover, RasterGrid
 from repro.raster.sentinel import landcover_field, sentinel2_scene
 from repro.sparql import Variable
+from tests.raster.test_rasterize_window import reference_mask
 
 
 class TestCropClassifier:
@@ -229,6 +230,35 @@ class TestIrrigationAdvice:
         wet = next(a for a in advice if a.crop == 4)
         assert dry.irrigate and not wet.irrigate
         assert dry.demand_mm > wet.demand_mm
+
+    def test_windowed_fields_give_the_full_grid_floats(self):
+        """Each field is rasterized on its own pixel window; the values it
+        gathers are the full-grid mask's, in the same order, so the means are
+        bit-identical to ``band[full_grid_mask].mean()`` — fields inside,
+        across the map edge, off the map, and on pixel centers included."""
+        transform = GeoTransform(3.0, 97.0, 0.3)
+        rng = np.random.default_rng(4)
+        availability = RasterGrid(rng.random((40, 50)), transform)
+        demand = RasterGrid(rng.random((40, 50)) * 40.0, transform)
+        center_x, center_y = transform.pixel_to_map(7, 9)
+        fields = [
+            (Polygon.regular(8.0, 92.0, 3.1, 7), 1),
+            (Polygon.box(center_x, center_y - 2.0, center_x + 2.4, center_y), 2),
+            (Polygon.box(-5.0, 80.0, 6.0, 120.0), 3),  # across the corner
+            (Polygon.box(500.0, 500.0, 510.0, 510.0), 4),  # off the map
+            (Polygon([(4.0, 90.0), (17.0, 95.5), (9.5, 86.0), (16.0, 85.5)]), 5),
+        ]
+        advice = irrigation_advice(fields, availability, demand)
+        assert [item.crop for item in advice] == [1, 2, 3, 5]
+        by_crop = {item.crop: item for item in advice}
+        for boundary, crop in fields:
+            mask = reference_mask(boundary, transform, (40, 50))
+            if crop == 4:
+                assert not mask.any()
+                continue
+            item = by_crop[crop]
+            assert item.mean_availability == float(availability.band(0)[mask].mean())
+            assert item.demand_mm == float(demand.band(0)[mask].mean())
 
     def test_threshold_validation(self):
         fields, availability, demand = self.setup_maps()

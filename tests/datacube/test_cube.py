@@ -1,6 +1,9 @@
 """Unit tests for the E24 data cube: chunking, append-only storage,
 pruning, provenance, and the HopsFS integration (E17/E20 apply to chunks)."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,10 @@ from repro.datacube import (
     decode_chunk,
     encode_chunk,
 )
+from repro.datacube.chunk import CHUNK_MAGIC
 from repro.durability import BlockChecksums
 from repro.errors import BlockCorruption, DatacubeError
+from repro.geometry import Polygon
 from repro.hopsfs.blocks import BlockManager
 from repro.hopsfs.filesystem import HopsFS
 from repro.obs import Observability
@@ -55,6 +60,31 @@ class TestChunkCodec:
     def test_bad_magic(self):
         with pytest.raises(DatacubeError, match="magic"):
             decode_chunk(b"nope" * 10)
+
+    @staticmethod
+    def forged(header, body):
+        header = json.dumps(header).encode("utf-8")
+        return CHUNK_MAGIC + len(header).to_bytes(4, "big") + header + body
+
+    @pytest.mark.parametrize("shape", [[-2, -3, 4], [24], [2, 12]])
+    def test_forged_shape_is_a_corrupt_header(self, shape):
+        """The negative pair multiplies to the right length (it used to
+        reach ``reshape``: a bare ValueError); 1-D and 2-D shapes decoded to
+        arrays ``encode_chunk`` itself refuses to write."""
+        payload = self.forged({"dtype": "<f4", "shape": shape}, b"\0" * 96)
+        with pytest.raises(DatacubeError, match="corrupt chunk header"):
+            decode_chunk(payload)
+
+    def test_forged_dtype_is_a_corrupt_header(self):
+        payload = self.forged({"dtype": "O", "shape": [1, 1, 1]}, b"\0" * 8)
+        with pytest.raises(DatacubeError, match="corrupt chunk header"):
+            decode_chunk(payload)
+
+    def test_decode_is_a_read_only_view_of_the_payload(self):
+        payload = encode_chunk(np.ones((2, 3, 4), dtype=np.float32))
+        array = decode_chunk(payload)
+        assert not array.flags.writeable
+        assert np.shares_memory(array, np.frombuffer(payload, dtype=np.uint8))
 
     def test_truncated_body(self):
         payload = encode_chunk(np.zeros((1, 2, 2), dtype=np.float32))
@@ -195,6 +225,41 @@ class TestSelection:
         with pytest.raises(DatacubeError, match="unknown variable"):
             cube.sel("nope")
 
+    def test_bbox_edge_on_a_pixel_center_keeps_it(self):
+        """At pixel size 0.1 the center of column 1 is 0.15000000000000002;
+        the parent's ``ceil(x / size - 0.5)`` made that column 2 and returned
+        nothing for a box whose edge is that very center."""
+        transform = GeoTransform(0.0, 0.0, 0.1)
+        schema = CubeSchema(transform, 4, 4, ("a",), chunk_t=1,
+                            chunk_y=2, chunk_x=2)
+        cube = Cube.create(ChunkStore(), "/cubes/tenth", schema)
+        data = np.arange(16.0).reshape(4, 4)
+        cube.append(0.0, {"a": data})
+        x, y = transform.pixel_to_map(1, 1)
+        got = cube.sel("a", bbox=(x, y, x, y)).read()
+        assert np.array_equal(got, data[np.newaxis, 1:2, 1:2])
+
+    def test_read_is_writable_blocks_are_not(self):
+        cube = make_cube(chunk_t=2)
+        fill(cube, 3, seed=20)  # one sealed slab and a one-step tail
+        plan = cube.sel("a")
+        blocks = [block for _, _, block in plan.iter_blocks()]
+        assert blocks and not any(block.flags.writeable for block in blocks)
+        out = plan.read()
+        out[:] = -1.0  # a fresh array: the cube is not written through it
+        assert float(cube.sel("a").read().min()) >= 0.0
+
+    def test_times_is_a_list_across_seal_and_tail(self):
+        cube = make_cube(chunk_t=2)
+        fill(cube, 3, seed=21)
+        assert cube.times == [0.0, 10.0, 20.0] and isinstance(cube.times, list)
+        # Windows ending inside the sealed part, inside the tail, and on both.
+        assert cube.sel("a", t_min=10, t_max=10).step_range == (1, 2)
+        assert cube.sel("a", t_min=15).step_range == (2, 3)
+        assert cube.sel("a", t_min=5, t_max=25).step_range == (1, 3)
+        assert cube.sel("a", t_max=-1).step_range == (0, 0)
+        assert cube.sel("a", t_min=21).step_range == (3, 3)
+
     def test_tail_visible_before_seal(self):
         cube = make_cube(chunk_t=4)
         dense = fill(cube, 3, seed=8)  # all in the tail
@@ -215,6 +280,62 @@ class TestSelection:
         assert np.array_equal(plan.reduce_time("max"), window.max(axis=0))
         with pytest.raises(DatacubeError, match="reduction"):
             plan.reduce_time("median")
+
+
+class TestZonal:
+    """Zonal reads are planned per polygon, through the one plan constructor."""
+
+    # On the 80x60 grid of make_cube (10 m pixels, 32 px chunks: 3 x 2
+    # footprints): a field inside chunk (0, 0), one across the corner shared
+    # by chunks (0, 0), (0, 1), (1, 0), (1, 1), and one off the grid.
+    INSIDE = Polygon.box(20, -200, 180, -40)
+    CORNER = Polygon.box(250, -400, 400, -250)
+    OUTSIDE = Polygon.box(5000, -300, 5200, -100)
+
+    def test_chunks_read_is_slabs_times_chunks_meeting_a_window(self):
+        obs = Observability()
+        cube = make_cube(chunk_t=2, obs=obs)
+        fill(cube, 5, seed=30)  # two sealed slabs and a one-step tail
+        chunks_read = obs.metrics.counter("datacube.chunks_read")
+        before = chunks_read.value
+        cube.zonal_series("a", [self.INSIDE, self.CORNER, self.OUTSIDE])
+        # (0, 0) is met by both fields and read once per slab.
+        assert chunks_read.value - before == 2 * 4
+        before = chunks_read.value
+        cube.zonal_series("a", [self.INSIDE, self.OUTSIDE], t_max=15)
+        assert chunks_read.value - before == 1 * 1
+
+    def test_zonal_plan_keeps_the_plan_arithmetic_and_counters(self):
+        obs = Observability()
+        cube = make_cube(chunk_t=2, obs=obs)
+        fill(cube, 4, seed=31)
+        windows = [(4, 20, 2, 18), (25, 40, 25, 40), (0, 0, 0, 0)]
+        planned = obs.metrics.counter("datacube.chunks_planned").value
+        plan = cube._plan("a", None, None, windows)
+        assert plan.chunks_total == 2 * 3 * 2
+        assert plan.chunks_touched == 2 * 4
+        assert plan.chunks_touched + plan.chunks_pruned == plan.chunks_total
+        assert plan.window == (4, 40, 2, 40)  # the hull of the live windows
+        assert list(plan.chunk_keys) == sorted(plan.chunk_keys)
+        assert obs.metrics.counter("datacube.chunks_planned").value == planned + 8
+        # sel is the same constructor with one window.
+        one = cube.sel("a", bbox=(20, -200, 180, -40))
+        assert one.window == (4, 20, 2, 18) and one.chunks_touched == 2
+
+    def test_errors_match_sel(self):
+        cube = make_cube(chunk_t=2)
+        fill(cube, 2, seed=32)
+        with pytest.raises(DatacubeError, match="unknown variable"):
+            cube.zonal_series("nope", [self.INSIDE])
+        with pytest.raises(DatacubeError, match="empty selection"):
+            cube.zonal_series("a", [self.INSIDE], t_min=1e9)
+
+    def test_tail_only_cube(self):
+        cube = make_cube(chunk_t=4)
+        dense = fill(cube, 3, seed=33)  # nothing sealed yet
+        series = cube.zonal_series("a", [self.INSIDE, self.OUTSIDE])
+        assert np.allclose(series[0], dense["a"][:, 4:20, 2:18].mean(axis=(1, 2)))
+        assert np.isnan(series[1]).all()
 
 
 class TestProvenance:
@@ -310,6 +431,118 @@ class TestStorageIntegration:
             checksums.corrupt_replica(block_id,
                                       blocks.block_locations(block_id)[0])
         assert np.array_equal(cube.sel("a").read(), dense["a"])
+
+
+def make_tiled_block_cube(blocks):
+    """Block-layout chunks on a 2 x 2 chunk grid: 2 x 32 x 32 float32 is
+    8 KiB a chunk, over a 1 KiB inline threshold."""
+    fs = HopsFS(blocks=blocks, small_file_threshold=1024)
+    return make_cube(height=64, width=64, chunk_t=2, chunk_y=32, chunk_x=32,
+                     variables=("a",), store=ChunkStore(fs=fs))
+
+
+def chunk_blocks(cube, key):
+    """Block ids of one sealed chunk of variable ``a``."""
+    path = cube._index[("a", key.t, key.y, key.x)]
+    return cube.store.fs.stat(path).block_ids
+
+
+class TestZonalStorageIntegration:
+    """The three block-layer tests above, through ``zonal_series``: pruning
+    the read set must not take any read past the block manager."""
+
+    #: Inside chunk (0, 0) of the 2 x 2 grid; chunk (1, 1) is never under it.
+    FIELD = Polygon.box(40, -280, 260, -30)
+
+    @staticmethod
+    def expected(dense):
+        return dense["a"][:, 3:28, 4:26].mean(axis=(1, 2), dtype=np.float64)
+
+    def test_replica_fallback_read(self):
+        blocks = BlockManager(node_count=4, replication=3)
+        cube = make_tiled_block_cube(blocks)
+        dense = fill(cube, 2, seed=40)
+        assert blocks.block_count > 0
+        blocks.fail_node(0)
+        series = cube.zonal_series("a", [self.FIELD])
+        assert np.allclose(series[0], self.expected(dense), rtol=1e-9)
+
+    def test_single_corrupt_replica_fails_over(self):
+        checksums = BlockChecksums(verify=True)
+        blocks = BlockManager(node_count=4, replication=3, checksums=checksums)
+        cube = make_tiled_block_cube(blocks)
+        dense = fill(cube, 2, seed=41)
+        for block_id in blocks.block_table():
+            checksums.corrupt_replica(block_id,
+                                      blocks.block_locations(block_id)[0])
+        series = cube.zonal_series("a", [self.FIELD])
+        assert np.allclose(series[0], self.expected(dense), rtol=1e-9)
+
+    def test_corrupt_chunk_under_a_polygon_is_detected(self):
+        checksums = BlockChecksums(verify=True)
+        blocks = BlockManager(node_count=3, replication=3, checksums=checksums)
+        cube = make_tiled_block_cube(blocks)
+        dense = fill(cube, 2, seed=42)
+
+        def rot(key):
+            for block_id in chunk_blocks(cube, key):
+                for node_id in blocks.block_locations(block_id):
+                    checksums.corrupt_replica(block_id, node_id)
+
+        # Rotten, but outside every polygon's window: never read.
+        rot(ChunkKey(0, 1, 1))
+        series = cube.zonal_series("a", [self.FIELD])
+        assert np.allclose(series[0], self.expected(dense), rtol=1e-9)
+        # A polygon reaching it reads it, and the read must fail.
+        with pytest.raises(BlockCorruption):
+            cube.zonal_series("a", [self.FIELD, Polygon.box(400, -600, 600, -400)])
+        # So must one under the first polygon.
+        rot(ChunkKey(0, 0, 0))
+        with pytest.raises(BlockCorruption):
+            cube.zonal_series("a", [self.FIELD])
+
+
+class TestSealPayloads:
+    """The seal slices each chunk out of the open slab instead of stacking
+    the slab first: same paths, same order, same bytes, each written once."""
+
+    @staticmethod
+    def steps(count, height=80, width=60):
+        """Exact integer-valued steps (no RNG stream to drift)."""
+        cells = np.arange(height * width, dtype=np.int64)
+        return [
+            ((cells * 7919 + step * 104729) % 65521).reshape(height, width)
+            for step in range(count)
+        ]
+
+    def test_payloads_are_the_stacked_slab_sliced(self):
+        cube = make_cube(chunk_t=3, variables=("a",))
+        steps = self.steps(5)
+        for index, step in enumerate(steps):
+            cube.append(float(index), {"a": step})
+        cube.flush()  # a full slab and a partial one
+        assert max(cube.store.writes.values()) == 1
+        digest = hashlib.blake2b(digest_size=16)
+        for (_, tc, yc, xc), path in sorted(cube._index.items()):
+            first, count = cube._slabs[tc]
+            slab = np.stack(steps[first : first + count]).astype("float32")
+            row0, row1, col0, col1 = cube.schema.chunk_window(ChunkKey(tc, yc, xc))
+            payload = cube.store.get(path)
+            assert payload == encode_chunk(
+                np.ascontiguousarray(slab[:, row0:row1, col0:col1])
+            ), path
+            digest.update(path.encode("utf-8") + payload)
+        # Recorded on the parent commit (np.stack of the whole slab first).
+        assert digest.hexdigest() == "f565c170098e52e63802c841ac8046ca"
+
+    def test_put_order_is_unchanged(self):
+        cube = make_cube(chunk_t=2, variables=("a", "b"))
+        fill(cube, 2, seed=50)
+        chunk_puts = [path for path in cube.store.writes if path.endswith(".chunk")]
+        assert chunk_puts == [
+            f"/cubes/test/{variable}/t00000/y{yc:03d}_x{xc:03d}.chunk"
+            for variable in ("a", "b") for yc in range(3) for xc in range(2)
+        ]
 
 
 class TestObservability:

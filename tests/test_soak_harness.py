@@ -306,6 +306,7 @@ class TestE24Gate:
         "pruning_ratio": 6.0, "parity_checked": 20, "parity_equal": 20,
         "mean_parity": True, "max_path_writes": 1,
         "tiled_s": 0.001, "whole_s": 0.01,
+        "zonal_parity": True, "zonal_chunks_read": 15, "zonal_chunks_total": 48,
     }
 
     def test_passing_report(self):
@@ -318,6 +319,8 @@ class TestE24Gate:
         ({"mean_parity": False}, "tiled mean diverged"),
         ({"max_path_writes": 2}, "most-written chunk path: 2 is not == 1"),
         ({"tiled_s": 0.02}, "whole-cube scan .s.: 0.02 is not < 0.01"),
+        ({"zonal_parity": False}, "zonal parity"),
+        ({"zonal_chunks_read": 48}, "zonal chunks read < total: 48 is not < 48"),
     ])
     def test_violation_raises(self, change, message):
         with pytest.raises(DatacubeError, match=message):
