@@ -32,6 +32,17 @@ from repro.rdf.term import Term, Triple, make_triple
 Pattern = Tuple[Optional[Term], Optional[Term], Optional[Term]]
 
 
+class _ObjectIndex(defaultdict):
+    """One predicate's POS entry (object -> subjects) and its triple count,
+    so a predicate-only count is one lookup, not a sum over the buckets."""
+
+    __slots__ = ("triples",)
+
+    def __init__(self) -> None:
+        super().__init__(set)
+        self.triples = 0
+
+
 class Graph:
     """A set of RDF triples with pattern-matching access paths."""
 
@@ -42,7 +53,7 @@ class Graph:
         self._version = 0
         # index[first][second] -> set of third
         self._spo: Dict[Term, Dict[Term, Set[Term]]] = defaultdict(lambda: defaultdict(set))
-        self._pos: Dict[Term, Dict[Term, Set[Term]]] = defaultdict(lambda: defaultdict(set))
+        self._pos: Dict[Term, _ObjectIndex] = defaultdict(_ObjectIndex)
         self._osp: Dict[Term, Dict[Term, Set[Term]]] = defaultdict(lambda: defaultdict(set))
         # Term dictionary: dense ids in first-seen order, never recycled.
         self._term_ids: Dict[Term, int] = {}
@@ -75,7 +86,9 @@ class Graph:
         self._version += 1
         s, p, o = triple
         self._spo[s][p].add(o)
-        self._pos[p][o].add(s)
+        objects = self._pos[p]
+        objects[o].add(s)
+        objects.triples += 1
         self._osp[o][s].add(p)
         self._row_of[triple] = len(self._row_s)
         self._row_s.append(self._intern(s))
@@ -99,7 +112,7 @@ class Graph:
         self._version += 1
         s, p, o = triple
         self._prune(self._spo, s, p, o)
-        self._prune(self._pos, p, o, s)
+        self._prune(self._pos, p, o, s).triples -= 1
         self._prune(self._osp, o, s, p)
         last = len(self._row_s) - 1
         if row != last:
@@ -116,13 +129,17 @@ class Graph:
         return True
 
     @staticmethod
-    def _prune(index, a, b, c) -> None:
-        bucket = index[a][b]
+    def _prune(index, a, b, c):
+        """Discard ``index[a][b][c]``, dropping emptied levels; returns
+        ``index[a]`` (detached if it emptied)."""
+        second = index[a]
+        bucket = second[b]
         bucket.discard(c)
         if not bucket:
-            del index[a][b]
-            if not index[a]:
+            del second[b]
+            if not second:
                 del index[a]
+        return second
 
     # ------------------------------------------------------------------
     # Term dictionary
@@ -224,7 +241,8 @@ class Graph:
         Used by the federation planner and the vector engine's cost model.
         Every shape short of fully-bound is answered from index bucket sizes
         without materializing triples: two-bound shapes are one bucket
-        lookup, single-bound shapes sum bucket sizes (O(buckets), not
+        lookup, as is the predicate-only shape (a kept per-predicate count);
+        subject- or object-only shapes sum bucket sizes (O(buckets), not
         O(matching triples)).
         """
         s, p, o = pattern
@@ -241,7 +259,7 @@ class Graph:
         if s is not None:
             return sum(len(objs) for objs in self._spo.get(s, {}).values())
         if p is not None:
-            return sum(len(subjs) for subjs in self._pos.get(p, {}).values())
+            return self.predicate_count(p)
         return sum(len(preds) for preds in self._osp.get(o, {}).values())
 
     def subjects(self, predicate: Optional[Term] = None, obj: Optional[Term] = None) -> Iterator[Term]:
@@ -274,7 +292,8 @@ class Graph:
 
     def predicate_count(self, predicate: Term) -> int:
         """Total triples with the given predicate (planner statistics)."""
-        return sum(len(s) for s in self._pos.get(predicate, {}).values())
+        objects = self._pos.get(predicate)
+        return 0 if objects is None else objects.triples
 
     # ------------------------------------------------------------------
     # Index statistics (O(1); feed the vector engine's cost model)

@@ -3,14 +3,16 @@
 The third execution engine, entered through its runtime —
 ``DistRuntime(graph, ...).query(text)`` runs the shared pipeline
 (:mod:`repro.sparql.pipeline`) with the runtime's own engine row: the E22
-vector plans, compiled unchanged, are mapped onto a range-partitioned + replicated layout of the graph's
-id-row table (:mod:`repro.sparql.dist.partition`), planned into
-locality-aware stage DAGs (:mod:`repro.sparql.dist.plan` — partition-local
-scans, broadcast joins under a :meth:`Graph.count`-driven cost threshold,
-hash-repartitioned shuffle joins on definitely-bound keys), and executed as
-:mod:`repro.cluster.scheduler` tasks under crash recovery, speculation,
-blacklisting, replica failover and idempotent output commit
-(:mod:`repro.sparql.dist.engine`).
+vector plans, compiled unchanged, are mapped onto a range-partitioned +
+replicated layout of the graph's id-row table, keyed on subject id
+(:mod:`repro.sparql.dist.partition`), planned into locality-aware stage DAGs
+(:mod:`repro.sparql.dist.plan` — subject-aligned stages that fuse
+co-located joins, FILTER/BIND and gathered small sides into one task per
+partition; broadcast joins under a :meth:`Graph.count`-driven cost
+threshold and hash-repartitioned shuffle joins on definitely-bound keys for
+inputs that are not aligned), and executed as :mod:`repro.cluster.scheduler`
+tasks under crash recovery, speculation, blacklisting, replica failover and
+idempotent output commit (:mod:`repro.sparql.dist.engine`).
 
 Robustness contract: identical solution multisets to the single-process
 engines, or a *typed* failure — retryable
@@ -38,10 +40,9 @@ from repro.sparql.dist.partition import (
 from repro.sparql.dist.plan import (
     PBroadcastJoin,
     PLocal,
-    PMap,
     PNode,
-    PScan,
     PShuffleJoin,
+    PStage,
     PUnion,
     build_plan,
     definitely_bound,
@@ -55,10 +56,9 @@ __all__ = [
     "DistRuntime",
     "PBroadcastJoin",
     "PLocal",
-    "PMap",
     "PNode",
-    "PScan",
     "PShuffleJoin",
+    "PStage",
     "PUnion",
     "PartialResult",
     "PartitionedTripleStore",

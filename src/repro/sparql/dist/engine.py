@@ -6,6 +6,12 @@ gets a fresh deterministic :class:`~repro.cluster.scheduler.Scheduler` run
 drives it to a settled answer — or a typed failure — under whatever the
 fault injector throws at it.
 
+Every task but a shuffle map runs the vector engine's own ``_execute`` on
+its plan node's ``op`` (:meth:`ExecContext.reading`): a stage task scans its
+partition's id rows, and its inputs — gathered sides, a big-side fragment,
+a shuffle bucket — are planted. All tasks share the query's term encoder,
+so a term a BIND computes in two partitions gets one id.
+
 Robustness model
 ----------------
 
@@ -18,7 +24,7 @@ Robustness model
   twice; the store refuses the duplicate and counts it. Rows are therefore
   never double-counted, and budget charging (done at first commit) stays
   exactly-once.
-* **Replica failover.** A scan task reads its partition from its own node
+* **Replica failover.** A stage task reads its partition from its own node
   when that node holds a live replica, otherwise from the lowest-id live,
   reachable replica (paying the transfer). A live-but-partitioned replica
   set is *transient*: the driver resubmits a fresh task after a backoff,
@@ -32,7 +38,8 @@ Robustness model
   deterministic and side-effect-free until commit), bounded by
   ``MAX_DATA_RETRIES``.
 * **Budget kill.** Every task's compute starts at a
-  :class:`~repro.sparql.governor.QueryBudget` checkpoint; the first
+  :class:`~repro.sparql.governor.QueryBudget` checkpoint (``_execute``'s
+  own governance, or the shuffle map's); the first
   budget/cancel error aborts the run, which cancels all in-flight tasks
   through :meth:`Scheduler.cancel_task` — admission tickets are released
   exactly once, audited by ``tickets_issued == tickets_released``.
@@ -41,35 +48,36 @@ Robustness model
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.cluster.resources import ClusterSpec
 from repro.cluster.scheduler import Scheduler, Task
-from repro.errors import ClusterError, PartitionUnavailable, SPARQLError
-from repro.sparql.algebra import AlgebraOp, CompileOptions, FilterOp
+from repro.errors import ClusterError, PartitionUnavailable
+from repro.sparql.algebra import (
+    AlgebraOp,
+    CompileOptions,
+    JoinOp,
+    LeftJoinOp,
+    ScanOp,
+    operator_variables,
+)
 from repro.sparql.ast import AskQuery, SelectQuery
 from repro.sparql.evaluator import ExecContext
 from repro.sparql.pipeline import Engine, run_query
 from repro.sparql.vector.batch import Batch
-from repro.sparql.vector.engine import (
-    _execute,
-    apply_extend,
-    apply_filter,
-    finish_select,
-)
-from repro.sparql.vector.ops import hash_join
+from repro.sparql.vector.engine import _execute, finish_select
 from repro.sparql.dist.partition import PartitionedTripleStore
 from repro.sparql.dist.plan import (
     PBroadcastJoin,
     PLocal,
-    PMap,
     PNode,
-    PScan,
     PShuffleJoin,
+    PStage,
     PUnion,
     build_plan,
+    stage_ops,
 )
 
 #: Modelled bytes per binding cell, matching the governor's accounting.
@@ -397,9 +405,9 @@ class _DistRun:
     def _fragment_bytes(batch: Batch) -> float:
         return float(batch.nrows * max(1, len(batch.columns)) * BYTES_PER_CELL)
 
-    def _checkpoint(self, where: str) -> None:
-        if self.budget is not None:
-            self.budget.checkpoint(where)
+    def _ship_s(self, nbytes: float) -> float:
+        """Modelled time to ship *nbytes* to a task (nothing to ship: 0)."""
+        return self.runtime.spec.transfer_time_s(nbytes) if nbytes else 0.0
 
     # ------------------------------------------------------------------
     # Abort path
@@ -513,7 +521,7 @@ class _DistRun:
         return launch(spec.get("depends_on") or ())
 
     def _fragment_lost(self, spec, index, settled) -> None:
-        """Every replica of a scan unit's partition is gone (or stayed
+        """Every replica of a stage unit's partition is gone (or stayed
         unreachable past the retry budget): partial result or typed error."""
         pid = spec.get("pid")
         owners = self.placement.get(pid, [])
@@ -562,60 +570,82 @@ class _DistRun:
     # ------------------------------------------------------------------
 
     def _start(self, node: PNode, done: Callable[[List[Fragment]], None]) -> None:
-        if isinstance(node, PScan):
-            self._start_scan(node, done)
-        elif isinstance(node, PLocal):
-            self._start_local(node, done)
-        elif isinstance(node, PMap):
-            self._start_map(node, done)
-        elif isinstance(node, PUnion):
-            self._start_union(node, done)
-        elif isinstance(node, PBroadcastJoin):
-            self._start_broadcast_join(node, done)
-        elif isinstance(node, PShuffleJoin):
-            self._start_shuffle_join(node, done)
-        else:  # pragma: no cover - planner emits only the above
-            raise SPARQLError(f"unknown plan node {type(node).__name__}")
+        start = {
+            PStage: self._start_stage,
+            PLocal: self._start_local,
+            PUnion: self._start_union,
+            PBroadcastJoin: self._start_broadcast_join,
+            PShuffleJoin: self._start_shuffle_join,
+        }[type(node)]
+        start(node, done)
 
-    def _start_scan(self, node: PScan, done) -> None:
-        pattern = node.op.pattern
-        pids = self.store.relevant_partitions(pattern)
+    def _gather(self, fragments: List[Fragment]) -> Batch:
+        """A broadcast side as one relation, to ship to every task."""
+        self._count("dist.broadcast_joins")
+        return Batch.concat([f.batch for f in fragments])
+
+    def _start_stage(self, node: PStage, done) -> None:
+        pids = self.store.partitions_of(node.key)
         if not pids:
-            # Constant subject the graph never interned: empty, inline.
-            done([Fragment(Batch.empty(pattern.variables()), None)])
+            # A constant subject the graph never interned: empty, inline.
+            done([Fragment(Batch.empty(operator_variables(node.op)), None)])
             return
-        label = self._label("scan")
-        specs = []
-        for pid in pids:
-            specs.append(
-                {
-                    "pid": pid,
-                    "variables": pattern.variables(),
-                    "compute": self._make_scan_compute(pid, pattern),
-                    "work_s": self.runtime.task_overhead_s
-                    + self.store.partition_rows(pid) * self.runtime.row_cost_s,
-                    "input_bytes": float(self.store.partition_bytes(pid)),
-                    "preferred": set(self.placement[pid]),
-                }
-            )
-        self._count("dist.scan_stages")
-        self._run_stage(label, specs, done)
 
-    def _make_scan_compute(self, pid: int, pattern):
+        def ready(sides: List[List[Fragment]]) -> None:
+            planted = {
+                id(gather.op): self._gather(fragments)
+                for gather, fragments in zip(node.gathers, sides)
+            }
+            gathered_rows = sum(batch.nrows for batch in planted.values())
+            gathered_bytes = sum(map(self._fragment_bytes, planted.values()))
+            own = list(stage_ops(node))
+            scans = sum(isinstance(op, ScanOp) for op in own)
+            joins = sum(isinstance(op, (JoinOp, LeftJoinOp)) for op in own)
+            if joins > len(node.gathers):  # one gathered side per fused join
+                self._count("dist.colocated_joins", joins - len(node.gathers))
+            self._count("dist.scan_stages")
+            specs = []
+            for pid in pids:
+                # A gathered subtree's scans are its own stage's work.
+                rows = scans * self.store.partition_rows(pid) + gathered_rows
+                specs.append(
+                    {
+                        "pid": pid,
+                        "variables": operator_variables(node.op),
+                        "compute": self._make_compute(node.op, planted, pid),
+                        "work_s": self.runtime.task_overhead_s
+                        + rows * self.runtime.row_cost_s
+                        + self._ship_s(gathered_bytes),
+                        "input_bytes": float(self.store.partition_bytes(pid)),
+                        "preferred": set(self.placement[pid]),
+                    }
+                )
+                self._account_comm(gathered_bytes)
+
+            def stage_done(out: List[Fragment]) -> None:
+                for fragments in sides:
+                    self._release_fragments(fragments)
+                done(out)
+
+            self._run_stage(self._label("stage"), specs, stage_done)
+
+        self._start_all(node.gathers, ready)
+
+    def _make_compute(self, op: AlgebraOp, planted, pid: Optional[int] = None):
+        """A task running *op* with *planted* inputs over partition *pid*'s
+        rows, read from a live replica — or, with no *pid*, over no rows."""
+
         def compute(task: Task, state: Dict[str, Any]):
-            self._checkpoint("dist.scan")
+            if pid is None:
+                return _execute(op, self.ctx.reading(None, planted))
             owners = self.placement[pid]
-            dead = self.scheduler.dead_nodes
-            live_owners = [n for n in owners if n not in dead]
+            live_owners = [n for n in owners if n not in self.scheduler.dead_nodes]
             if not live_owners:
                 state["retry"] = "lost"
                 return _RETRY
             node_id = task.ran_on
             if node_id not in live_owners:
-                reachable = sorted(
-                    n for n in live_owners if self._reachable(node_id, n)
-                )
-                if not reachable:
+                if not any(self._reachable(node_id, n) for n in live_owners):
                     # Live replicas exist but the network keeps them away:
                     # transient — back off and try again.
                     state["retry"] = "unreachable"
@@ -627,31 +657,18 @@ class _DistRun:
                     # a surviving replica, paying the transfer again.
                     self._count("dist.replica_failovers")
                     self._account_comm(float(self.store.partition_bytes(pid)))
-            batch = self.store.scan_partition(pid, pattern)
-            self._charge_payload(batch, "dist.scan")
-            return batch
+            return _execute(op, self.ctx.reading(self.store.table(pid), planted))
 
         return compute
 
     def _start_local(self, node: PLocal, done) -> None:
-        label = self._label("local")
-
-        def compute(task: Task, state):
-            # The vector engine's _execute does its own budget governance.
-            return _execute(node.op, self.ctx)
-
         self._count("dist.local_stages")
-        self._run_stage(
-            label,
-            [
-                {
-                    "compute": compute,
-                    "work_s": self.runtime.task_overhead_s,
-                    "preferred": set(),
-                }
-            ],
-            done,
-        )
+        spec = {
+            # The vector engine's _execute does its own budget governance.
+            "compute": lambda task, state: _execute(node.op, self.ctx),
+            "work_s": self.runtime.task_overhead_s,
+        }
+        self._run_stage(self._label("local"), [spec], done)
 
     def _fragment_spec(
         self, fragment: Fragment, compute, extra_s: float = 0.0, extra_rows: int = 0
@@ -667,45 +684,16 @@ class _DistRun:
             "preferred": {fragment.home} if fragment.home is not None else set(),
         }
 
-    def _start_map(self, node: PMap, done) -> None:
-        def child_done(fragments: List[Fragment]) -> None:
-            if self.error is not None:
-                return
-            label = self._label("map")
-            specs = []
-            for fragment in fragments:
-                specs.append(
-                    self._fragment_spec(
-                        fragment, self._make_map_compute(node.op, fragment)
-                    )
-                )
-
-            def stage_done(out: List[Fragment]) -> None:
-                self._release_fragments(fragments)
-                done(out)
-
-            self._run_stage(label, specs, stage_done)
-
-        self._start(node.child, child_done)
-
-    def _make_map_compute(self, op, fragment: Fragment):
-        apply = apply_filter if isinstance(op, FilterOp) else apply_extend
-
-        def compute(task: Task, state):
-            self._checkpoint(f"dist.{type(op).__name__}")
-            out = apply(op, fragment.batch, self.ctx)
-            self._charge_payload(out, "dist.map")
-            return out
-
-        return compute
-
     def _start_all(
         self,
         nodes: Sequence[PNode],
         ready: Callable[[List[List[Fragment]]], None],
     ) -> None:
         """Start *nodes* in order; once every one has settled, ``ready`` gets
-        their fragment lists in that same order."""
+        their fragment lists in that same order (at once, for no nodes)."""
+        if not nodes:
+            ready([])
+            return
         results: List[Optional[List[Fragment]]] = [None] * len(nodes)
         remaining = [len(nodes)]
         for position, node in enumerate(nodes):
@@ -729,27 +717,17 @@ class _DistRun:
     def _start_broadcast_join(self, node: PBroadcastJoin, done) -> None:
         def ready(sides: List[List[Fragment]]) -> None:
             big_frags, small_frags = sides
-            small_batch = (
-                Batch.concat([f.batch for f in small_frags])
-                if small_frags
-                else Batch.empty()
-            )
-            small_bytes = self._fragment_bytes(small_batch)
-            self._count("dist.broadcast_joins")
-            label = self._label("bjoin")
+            small = self._gather(small_frags)
+            small_bytes = self._fragment_bytes(small)
             specs = []
             for fragment in big_frags:
-                transfer = (
-                    self.runtime.spec.transfer_time_s(small_bytes)
-                    if small_bytes
-                    else 0.0
-                )
+                planted = {id(node.big.op): fragment.batch, id(node.small.op): small}
                 specs.append(
                     self._fragment_spec(
                         fragment,
-                        self._make_bjoin_compute(node, fragment, small_batch),
-                        extra_s=transfer,
-                        extra_rows=small_batch.nrows,
+                        self._make_compute(node.op, planted),
+                        extra_s=self._ship_s(small_bytes),
+                        extra_rows=small.nrows,
                     )
                 )
                 # The gathered small relation ships to every executor.
@@ -760,21 +738,9 @@ class _DistRun:
                 self._release_fragments(small_frags)
                 done(out)
 
-            self._run_stage(label, specs, stage_done)
+            self._run_stage(self._label("bjoin"), specs, stage_done)
 
         self._start_all([node.big, node.small], ready)
-
-    def _make_bjoin_compute(self, node: PBroadcastJoin, fragment, small_batch):
-        def compute(task: Task, state):
-            self._checkpoint("dist.broadcast_join")
-            left, right = fragment.batch, small_batch
-            if node.small_is_left:  # inner joins only: see build_plan
-                left, right = right, left
-            out = hash_join(left, right, outer=node.outer, budget=self.budget)
-            self._charge_payload(out, "dist.join")
-            return out
-
-        return compute
 
     def _start_shuffle_join(self, node: PShuffleJoin, done) -> None:
         def ready(sides: List[List[Fragment]]) -> None:
@@ -817,7 +783,7 @@ class _DistRun:
                 reduce_specs.append(
                     {
                         "compute": self._make_reduce_compute(
-                            left_keys, right_keys, bucket
+                            node, left_keys, right_keys, bucket
                         ),
                         "work_s": self.runtime.task_overhead_s
                         + self.runtime.spec.transfer_time_s(per_bucket_bytes)
@@ -848,7 +814,8 @@ class _DistRun:
 
     def _make_shuffle_map_compute(self, fragment: Fragment, keys, buckets: int):
         def compute(task: Task, state):
-            self._checkpoint("dist.shuffle_map")
+            if self.budget is not None:
+                self.budget.checkpoint("dist.shuffle_map")
             batch = fragment.batch
             if batch.nrows == 0:
                 splits = tuple(batch for _ in range(buckets))
@@ -862,24 +829,22 @@ class _DistRun:
 
         return compute
 
-    def _make_reduce_compute(self, left_keys, right_keys, bucket: int):
+    def _make_reduce_compute(self, node: PShuffleJoin, left_keys, right_keys,
+                             bucket: int):
         def compute(task: Task, state):
-            self._checkpoint("dist.shuffle_reduce")
             for key in left_keys + right_keys:
                 if not self.shuffle.has(key):
                     # A mapper's output is not committed yet (it is being
                     # resubmitted): transient, retry.
                     state["retry"] = "inputs"
                     return _RETRY
-            left = Batch.concat(
-                [self.shuffle.get(key)[bucket] for key in left_keys]
-            )
-            right = Batch.concat(
-                [self.shuffle.get(key)[bucket] for key in right_keys]
-            )
-            out = hash_join(left, right, outer=False, budget=self.budget)
-            self._charge_payload(out, "dist.shuffle_reduce")
-            return out
+            planted = {
+                id(side.op): Batch.concat(
+                    [self.shuffle.get(key)[bucket] for key in keys]
+                )
+                for side, keys in ((node.left, left_keys), (node.right, right_keys))
+            }
+            return _execute(node.op, self.ctx.reading(None, planted))
 
         return compute
 
@@ -892,11 +857,7 @@ class _DistRun:
             for fragment in fragments:
                 if fragment.home is not None:
                     self._account_comm(self._fragment_bytes(fragment.batch))
-            batch = (
-                Batch.concat([f.batch for f in fragments])
-                if fragments
-                else Batch.empty()
-            )
+            batch = Batch.concat([f.batch for f in fragments])
             self._release_fragments(fragments)
             self._charge_payload(batch, "dist.gather")
             self.result_batch = batch

@@ -18,13 +18,14 @@ failed-over read returns byte-identical rows.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
 from repro.cluster.resources import ClusterSpec, Node
 from repro.errors import SPARQLError
 from repro.rdf.graph import Graph
+from repro.rdf.term import Term
 from repro.sparql.ast import TriplePattern, Variable
 from repro.sparql.vector.batch import Batch
 from repro.sparql.vector.ops import IdTable, id_table, scan_table
@@ -127,16 +128,24 @@ class PartitionedTripleStore:
         return self.partition_rows(pid) * BYTES_PER_ROW
 
     def relevant_partitions(self, pattern: TriplePattern) -> List[int]:
-        """Partitions that can hold matches: a constant, interned subject
-        pins the scan to one range; a variable (or uninterned) subject scans
-        them all (uninterned constants yield no partitions at all)."""
-        subject = pattern.subject
+        """Partitions that can hold the pattern's matches: those of its
+        subject (:meth:`partitions_of`)."""
+        return self.partitions_of(pattern.subject)
+
+    def partitions_of(self, subject: Union[Variable, Term]) -> List[int]:
+        """Partitions whose rows can carry *subject*: a variable reaches
+        them all, a constant, interned subject pins its one range, and an
+        uninterned constant none at all."""
         if isinstance(subject, Variable):
             return list(range(self.partitions))
         subject_id = self.graph.term_id(subject)
         if subject_id is None:
             return []
         return [self.partitioner.partition_of(subject_id)]
+
+    def table(self, pid: int) -> IdTable:
+        """One partition's rows of the id-row table (read-only)."""
+        return self._columns[pid]
 
     def scan_partition(self, pid: int, pattern: TriplePattern) -> Batch:
         """The pattern's extent *within* one partition, as id columns: the

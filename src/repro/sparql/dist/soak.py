@@ -69,7 +69,7 @@ CHAOS_RATES = dict(
 #: Metrics a ``BENCH_E25.json`` must carry (checked where it is written).
 REQUIRED_METRICS = (
     "dist.tasks", "dist.scan_stages", "dist.shuffle_joins",
-    "dist.broadcast_joins", "dist.aborts",
+    "dist.broadcast_joins", "dist.colocated_joins", "dist.aborts",
 )
 
 

@@ -24,6 +24,7 @@ evaluator takes the raw path, byte-identical to pre-E23 code.
 
 from __future__ import annotations
 
+import copy
 from functools import cached_property
 from typing import (
     Callable,
@@ -110,6 +111,12 @@ class ExecContext:
     ``encoder``/``codec`` are the vector engine's per-execution term<->id
     mapping and the graph's shared decode tables, built on first use so an
     interpreted run never pays for them.
+
+    ``scan_rows`` and ``computed`` say what the vector engine's operators
+    read: a ``ScanOp`` matches against ``scan_rows`` (None: the graph's own
+    id-row snapshot), and an operator whose ``id()`` keys ``computed`` is
+    not run — its batch is given. :meth:`reading` sets both for one task of
+    a distributed stage.
     """
 
     def __init__(
@@ -125,6 +132,20 @@ class ExecContext:
         self.budget = budget
         #: Operators the vector engine handed to the interpreted one.
         self.fallback_ops = 0
+        self.scan_rows = None
+        self.computed: Dict[int, object] = {}
+
+    def reading(self, scan_rows, computed: Dict[int, object]) -> "ExecContext":
+        """This execution, as one task sees it: scans read *scan_rows* (one
+        partition's slice of the id-row table, or None) and *computed*
+        subtrees are given. Budget, observability and the term encoder are
+        the execution's own, so a term the query computes — a BIND result —
+        has one id in every task."""
+        task = copy.copy(self)
+        task.encoder = self.encoder
+        task.scan_rows = scan_rows
+        task.computed = computed
+        return task
 
     @cached_property
     def encoder(self):

@@ -69,6 +69,7 @@ from repro.sparql.vector.ops import (
     hash_join,
     pack_keys,
     scan_batch,
+    scan_table,
 )
 
 Bindings = Dict[Variable, Term]
@@ -229,7 +230,7 @@ def _execute(op: AlgebraOp, ctx: ExecContext) -> Batch:
 
 def apply_filter(op: FilterOp, batch: Batch, ctx: ExecContext) -> Batch:
     """FILTER over an already computed operand batch (an error drops the
-    row); shared with the distributed engine's per-fragment map stage."""
+    row)."""
     if batch.nrows == 0:
         return batch
     return batch.mask(filter_keep_mask(op.expression, batch, ExprContext(ctx)))
@@ -237,7 +238,7 @@ def apply_filter(op: FilterOp, batch: Batch, ctx: ExecContext) -> Batch:
 
 def apply_extend(op: ExtendOp, batch: Batch, ctx: ExecContext) -> Batch:
     """BIND over an already computed operand batch (an error leaves the
-    cell unbound); shared with the distributed engine's map stage."""
+    cell unbound)."""
     existing = batch.columns.get(op.variable)
     if existing is not None and (existing != UNBOUND).any():
         raise SPARQLError(
@@ -251,10 +252,16 @@ def apply_extend(op: ExtendOp, batch: Batch, ctx: ExecContext) -> Batch:
 
 
 def _execute_op(op: AlgebraOp, ctx: ExecContext) -> Batch:
+    if ctx.computed:
+        computed = ctx.computed.get(id(op))
+        if computed is not None:
+            return computed
     if isinstance(op, EmptyOp):
         return Batch.unit()
     if isinstance(op, ScanOp):
-        return scan_batch(ctx.graph, op.pattern)
+        if ctx.scan_rows is None:
+            return scan_batch(ctx.graph, op.pattern)
+        return scan_table(ctx.scan_rows, op.pattern, ctx.graph.term_id)
     if isinstance(op, (JoinOp, LeftJoinOp)):
         outer = isinstance(op, LeftJoinOp)
         left = _execute(op.left, ctx)

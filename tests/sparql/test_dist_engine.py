@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec
+from repro.cluster.scheduler import Scheduler
 from repro.errors import (
     PartitionUnavailable,
     QueryBudgetExceeded,
@@ -22,20 +23,27 @@ from repro.rdf import Graph
 from repro.rdf.term import IRI, Literal
 from repro.resilience.admission import AdmissionController
 from repro.sparql import CompileOptions, QueryBudget, evaluate
+from repro.sparql.algebra import JoinOp, ScanOp
 from repro.sparql.dist import (
     DistRuntime,
     PartialResult,
     PartitionedTripleStore,
+    PBroadcastJoin,
+    PStage,
     RangePartitioner,
     ShuffleStore,
     bucket_codes,
     build_plan,
+    estimate_rows,
     plan_shape,
 )
+from repro.sparql.ast import Variable
 from repro.sparql.evaluator import _EMPTY_REGISTRY
 from repro.sparql.parser import parse_query
-from repro.sparql.vector.engine import compile_vector_plan
+from repro.sparql.vector.engine import compile_vector_plan, execute_tree
 from repro.sparql.vector.ops import scan_batch
+
+from tests.sparql.test_vector_kernels import bench_store
 
 
 def build_graph(n=300, subjects=60):
@@ -145,31 +153,86 @@ class TestPlanShapes:
         return plan_shape(build_plan(tree, graph, threshold, 4))
 
     def test_scan_and_map(self):
+        """A FILTER rides inside its scan's stage: no map stage."""
         graph = build_graph()
         assert self._plan(graph, "SELECT * WHERE { ?s <http://ex/p> ?v }") == "scan"
         shape = self._plan(
             graph,
             "SELECT * WHERE { ?s <http://ex/p> ?v FILTER(?v != 3) }",
         )
-        assert shape == "map[FilterOp](scan)"
+        assert shape == "stage[?s]"
 
     def test_join_is_shuffle_above_threshold(self):
+        """An object-key join is not co-located: it shuffles above the
+        threshold and gathers its small side below it."""
         graph = build_graph()
-        text = (
-            "SELECT * WHERE { ?s <http://ex/p> ?v . ?s <http://ex/type> ?t }"
-        )
-        assert "shuffle[?s]" in self._plan(graph, text, threshold=1.0)
-        assert "bcast" in self._plan(graph, text, threshold=1e9)
+        text = "SELECT * WHERE { ?a <http://ex/q> ?b . ?b <http://ex/type> ?c }"
+        assert self._plan(graph, text, threshold=1.0) == "shuffle[?b](scan, scan)"
+        assert self._plan(graph, text, threshold=1e9) == "stage[?b](scan)"
 
     def test_optional_always_broadcasts(self):
+        """An OPTIONAL off the subject key broadcasts its optional side
+        whatever its size: padding needs the whole right relation."""
         graph = build_graph()
-        shape = self._plan(
-            graph,
-            "SELECT * WHERE { ?s <http://ex/p> ?v "
-            "OPTIONAL { ?s <http://ex/q> ?o } }",
-            threshold=1.0,
+        text = (
+            "SELECT * WHERE { ?s <http://ex/q> ?o "
+            "OPTIONAL { ?o <http://ex/p> ?v } }"
         )
-        assert shape.startswith("bcast-outer(")
+        assert self._plan(graph, text, threshold=1.0) == "bcast-outer(scan, scan)"
+        assert self._plan(graph, text, threshold=1e9) == "stage[?s](scan)"
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, 64.0, 1e9])
+    def test_subject_star_is_one_stage_at_every_threshold(self, threshold):
+        graph = build_graph()
+        text = (
+            "SELECT * WHERE { ?s <http://ex/p> ?v . ?s <http://ex/type> ?t . "
+            "?s <http://ex/q> ?o FILTER(?v != 3) BIND(?t AS ?u) }"
+        )
+        assert self._plan(graph, text, threshold) == "stage[?s]"
+
+    def test_colocated_optional_pads_exactly(self):
+        graph = build_graph()
+        text = (
+            "SELECT ?s ?v ?o WHERE { ?s <http://ex/p> ?v "
+            "OPTIONAL { ?s <http://ex/q> ?o } }"
+        )
+        assert self._plan(graph, text, threshold=1.0) == "stage[?s]"
+        runtime = DistRuntime(
+            graph, partitions=4, replication=2, broadcast_threshold_rows=1.0
+        )
+        rows = run_dist(graph, text, runtime)
+        assert canonical(rows) == canonical(run_vector(graph, text))
+        padded = [row for row in rows if Variable("o") not in row]
+        assert 0 < len(padded) < len(rows)
+        counters = runtime.last_report.counters
+        assert counters["dist.colocated_joins"] == 1
+        assert "dist.broadcast_joins" not in counters
+
+    def test_constant_subject_join_is_one_task_on_its_partition(self):
+        graph = build_graph()
+        runtime = DistRuntime(graph, partitions=4, replication=2)
+        subject = IRI("http://ex/s7")
+        text = (
+            f"SELECT ?v ?t WHERE {{ {subject.n3()} <http://ex/p> ?v . "
+            f"{subject.n3()} <http://ex/type> ?t }}"
+        )
+        assert self._plan(graph, text) == f"stage[{subject.n3()}]"
+        assert canonical(run_dist(graph, text, runtime)) == canonical(
+            run_vector(graph, text)
+        )
+        report = runtime.last_report
+        assert report.tasks_completed == 1
+        assert report.locality_rate == 1.0  # on a node holding the partition
+
+    def test_uninterned_constant_subject_runs_no_task(self):
+        graph = build_graph()
+        runtime = DistRuntime(graph, partitions=4, replication=2)
+        text = (
+            "SELECT ?v ?t WHERE { <http://nowhere/x> <http://ex/p> ?v . "
+            "<http://nowhere/x> <http://ex/type> ?t }"
+        )
+        assert run_dist(graph, text, runtime) == []
+        assert runtime.last_report.tasks_completed == 0
 
     def test_union_concatenates(self):
         graph = build_graph()
@@ -250,8 +313,8 @@ class TestDistExecution:
             graph, partitions=4, replication=2, broadcast_threshold_rows=1.0
         )
         text = (
-            "SELECT ?s ?v ?t WHERE { ?s <http://ex/p> ?v . "
-            "?s <http://ex/type> ?t }"
+            "SELECT ?a ?b ?c WHERE { ?a <http://ex/q> ?b . "
+            "?b <http://ex/type> ?c }"
         )
         assert canonical(run_dist(graph, text, runtime)) == canonical(
             run_vector(graph, text)
@@ -354,6 +417,180 @@ class TestReplicaFailover:
         runtime.injector = FaultInjector(self.loss_plan(0, 1, 2, 3))
         with pytest.raises(PartitionUnavailable):
             run_dist(graph, "ASK { ?s <http://nowhere/p> ?v }", runtime)
+
+
+class TestStageFaultsAndIds:
+    """Failover, typed loss, partial results, budget kills and computed
+    term ids inside a fused stage: one task per partition runs the whole
+    subject-star join."""
+
+    TEXT = TestReplicaFailover.TEXT
+
+    def runtime(self, graph, lost, **kwargs):
+        # One slot per node and ~30 ms stage tasks: a loss at 5 ms strikes
+        # mid-stage, and the retried task cannot wait out the surviving
+        # replica's busy slot.
+        runtime = DistRuntime(
+            graph,
+            spec=ClusterSpec(node_count=4, cpu_slots_per_node=1),
+            partitions=4,
+            replication=2,
+            row_cost_s=1e-4,
+            **kwargs,
+        )
+        runtime.injector = FaultInjector(
+            FaultPlan(
+                node_losses=tuple(NodeLoss(node_id=n, at_s=0.005) for n in lost)
+            )
+        )
+        return runtime
+
+    def lost_partition(self, runtime, lost):
+        placement = runtime.store.place(Scheduler(runtime.spec).nodes)
+        (pid,) = [p for p, owners in placement.items() if set(owners) <= set(lost)]
+        return pid
+
+    def test_one_replica_lost_mid_stage_reads_a_survivor(self):
+        graph = build_graph()
+        runtime = self.runtime(graph, lost=(0,))
+        assert canonical(run_dist(graph, self.TEXT, runtime)) == canonical(
+            run_vector(graph, self.TEXT)
+        )
+        counters = runtime.last_report.counters
+        assert counters["dist.scan_stages"] == 1
+        assert counters["dist.remote_reads"] > 0
+
+    def test_every_replica_lost_names_that_partition(self):
+        graph = build_graph()
+        runtime = self.runtime(graph, lost=(0, 1))
+        with pytest.raises(PartitionUnavailable) as excinfo:
+            run_dist(graph, self.TEXT, runtime)
+        assert excinfo.value.partition == self.lost_partition(runtime, (0, 1))
+        report = runtime.last_report
+        assert report.tickets_issued == report.tickets_released
+
+    def test_partial_result_misses_exactly_that_partition(self):
+        graph = build_graph()
+        runtime = self.runtime(graph, lost=(0, 1), allow_partial=True)
+        result = run_dist(graph, self.TEXT, runtime)
+        pid = self.lost_partition(runtime, (0, 1))
+        assert isinstance(result, PartialResult)
+        assert result.missing_partitions == (pid,)
+        owner = runtime.store.partitioner.partition_of
+        kept = [
+            row
+            for row in run_vector(graph, self.TEXT)
+            if owner(graph.term_id(row[Variable("s")])) != pid
+        ]
+        assert 0 < len(kept) and canonical(result) == canonical(kept)
+
+    def test_budget_kill_inside_a_stage_releases_every_ticket(self):
+        graph = build_graph()
+        admission = AdmissionController(max_in_flight=256, max_queue=256)
+        runtime = DistRuntime(
+            graph, partitions=4, replication=2, admission=admission
+        )
+        with pytest.raises(QueryBudgetExceeded):
+            run_dist(graph, self.TEXT, runtime, budget=QueryBudget(max_rows=50))
+        report = runtime.last_report
+        assert report.counters["dist.scan_stages"] == 1
+        assert report.counters["dist.aborts"] == 1
+        assert report.tickets_issued == report.tickets_released > 0
+        assert admission._in_flight == 0
+
+    def test_bind_computed_key_has_one_id_across_partitions(self):
+        """Every partition computes the same three literals, none of them in
+        the graph; grouping on them is right only if all tasks share the
+        query's encoder."""
+        graph = build_graph()
+        text = (
+            "SELECT ?k (COUNT(?s) AS ?n) WHERE { ?s <http://ex/type> ?t "
+            "BIND(UCASE(STR(?t)) AS ?k) } GROUP BY ?k"
+        )
+        runtime = DistRuntime(graph, partitions=4, replication=2)
+        rows = run_dist(graph, text, runtime)
+        assert canonical(rows) == canonical(run_vector(graph, text))
+        assert len(rows) == 3
+        assert runtime.last_report.counters["dist.scan_stages"] == 1
+        assert runtime.last_report.tasks_completed == 4
+
+
+def algebra_subtrees(op):
+    yield op
+    for name in ("left", "right", "operand"):
+        if hasattr(op, name):
+            yield from algebra_subtrees(getattr(op, name))
+    for operand in getattr(op, "operands", ()):
+        yield from algebra_subtrees(operand)
+
+
+def gathered_sides(node):
+    """Every plan node whose relation is gathered whole and shipped."""
+    if isinstance(node, PStage):
+        yield from node.gathers
+    if isinstance(node, PBroadcastJoin):
+        yield node.small
+    for name in ("gathers", "children"):
+        for child in getattr(node, name, ()):
+            yield from gathered_sides(child)
+    for name in ("big", "small", "left", "right"):
+        if hasattr(node, name):
+            yield from gathered_sides(getattr(node, name))
+
+
+class TestBenchShapes:
+    """The bench's ``sparql_dist`` shapes on its product graph, small."""
+
+    #: (tasks_completed, bytes_transferred) at 8 partitions x 2 replicas.
+    COSTS = {
+        "join5": (24, 14528.0),
+        "group": (8, 12000.0),
+        "topk": (8, 600.0),
+        "lookup": (1, 16.0),
+        "optional": (1, 240.0),
+    }
+
+    def test_dist_cost_pin(self):
+        store, texts = bench_store(500)  # 2k triples
+        runtime = DistRuntime(store.graph, partitions=8, replication=2)
+        for shape, cost in self.COSTS.items():
+            rows = runtime.query(texts[shape], store.registry)
+            assert canonical(rows) == canonical(
+                evaluate(
+                    store.graph,
+                    texts[shape],
+                    store.registry,
+                    options=CompileOptions(engine="vector"),
+                )
+            ), shape
+            report = runtime.last_report
+            assert (report.tasks_completed, report.bytes_transferred) == cost, shape
+
+    def test_key_join_estimate_is_never_the_gathered_side(self):
+        """``?c ex:region ?r . ?p ex:cat ?c`` joins 20 regions to every
+        product: estimated at left*right/|G| it looked tiny and was shipped
+        to every task."""
+        store, texts = bench_store(500)
+        graph = store.graph
+        tree = compile_vector_plan(
+            parse_query(texts["join5"]).where, graph, CompileOptions(engine="vector")
+        )
+        (subtree,) = [
+            op
+            for op in algebra_subtrees(tree)
+            if isinstance(op, JoinOp)
+            and isinstance(op.left, ScanOp)
+            and isinstance(op.right, ScanOp)
+            and {op.left.pattern.predicate.value, op.right.pattern.predicate.value}
+            == {"http://ex.org/region", "http://ex.org/cat"}
+        ]
+        real = execute_tree(subtree, graph, store.registry)[0].nrows
+        assert real == 500
+        assert estimate_rows(subtree, graph) >= real
+        for threshold in (1.0, 64.0, 1e9):
+            plan = build_plan(tree, graph, threshold, 8)
+            for side in gathered_sides(plan):
+                assert all(op is not subtree for op in algebra_subtrees(side.op))
 
 
 class TestBudgetIntegration:
