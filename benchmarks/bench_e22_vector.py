@@ -122,10 +122,10 @@ def test_e22_vector_vs_interpreted(benchmark):
     assert at_scale["triples"] >= 100_000
     assert at_scale["speedup"] >= 5.0, at_scale
 
-    # Conditional OPTIONAL (one filter on top of the optional group, reading
-    # a left variable) runs as LeftJoin(L, R, expr) on columns; a filter one
-    # OPTIONAL deeper still needs substitution semantics, so that join falls
-    # back to interpreted evaluation. The counter proves which path ran.
+    # Correlated OPTIONALs run on columns as a dependent join: the filter on
+    # top of the optional group, and one a whole OPTIONAL deeper, both read
+    # the left row's ?v. Nothing falls back to the interpreted engine, so
+    # the fallback counter is never emitted and both counts stay 0.
     graph = build_graph(500)
     conditional = (
         PREFIX + "SELECT ?p ?t WHERE { ?p ex:price ?v . "
@@ -145,7 +145,7 @@ def test_e22_vector_vs_interpreted(benchmark):
             evaluate(graph, query, options=INTERPRETED)
         )
     assert fallbacks["conditional"] == 0, "conditional OPTIONAL fell back"
-    assert fallbacks["nested"] > 0, "nested correlated OPTIONAL did not fall back"
+    assert fallbacks["nested"] == 0, "nested correlated OPTIONAL fell back"
 
     # Spatial plans: the R-tree candidates are a planted VALUES table, run
     # on columns by the vector engine like the joins it drives.
@@ -188,7 +188,7 @@ def test_e22_vector_vs_interpreted(benchmark):
             "fallback_ops": fallbacks["nested"],
             "conditional_optional_fallback_ops": fallbacks["conditional"],
         },
-        require=("sparql.vector.result_rows", "sparql.vector.fallback_ops"),
+        require=("sparql.vector.result_rows",),
     )
 
 

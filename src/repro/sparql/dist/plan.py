@@ -141,8 +141,8 @@ def estimate_rows(op: AlgebraOp, graph: Graph) -> float:
 
 
 def _correlated(op: AlgebraOp) -> bool:
-    """Whether a join's right side reads the left's bindings (the vector
-    engine's own substitution-semantics fallback)."""
+    """Whether a join's right side reads the left's bindings: the vector
+    engine's dependent join, which runs driver-side as one ``PLocal``."""
     return bool(correlation_variables(op.right) & operator_variables(op.left))
 
 

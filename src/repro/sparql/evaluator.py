@@ -106,8 +106,7 @@ _EMPTY_REGISTRY = FunctionRegistry()
 class ExecContext:
     """What one execution carries that is not plan state.
 
-    Built once per query run and handed to whichever engine runs the tree
-    (and to the interpreted operators the vector engine falls back to).
+    Built once per query run and handed to whichever engine runs the tree.
     ``encoder``/``codec`` are the vector engine's per-execution term<->id
     mapping and the graph's shared decode tables, built on first use so an
     interpreted run never pays for them.
@@ -130,7 +129,9 @@ class ExecContext:
         self.registry = registry
         self.obs = obs if obs is not None and obs.enabled else None
         self.budget = budget
-        #: Operators the vector engine handed to the interpreted one.
+        #: Always 0: the vector engine never hands an operator to the
+        #: interpreted one. Kept because ``bench/`` reads it (ROADMAP item 9
+        #: drops it).
         self.fallback_ops = 0
         self.scan_rows = None
         self.computed: Dict[int, object] = {}

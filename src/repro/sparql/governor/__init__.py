@@ -83,8 +83,7 @@ class QueryBudget:
     """One query's resource envelope plus its enforcement counters.
 
     Engines call :meth:`checkpoint` at operator boundaries and inside their
-    tight loops (join build/probe, correlated fallback rows, aggregate
-    groups), :meth:`admit_rows` *before* a sized allocation, and
+    tight loops (join build/probe, aggregate groups), :meth:`admit_rows` *before* a sized allocation, and
     :meth:`charge_rows`/:meth:`release_to` around operator results so
     ``resident_rows``/``resident_bytes`` track live intermediate state and
     ``peak_rows``/``peak_bytes`` record the high-water mark.

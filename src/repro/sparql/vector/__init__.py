@@ -1,9 +1,10 @@
 """Columnar (vectorized) SPARQL execution engine — E22.
 
 Selected per query via ``CompileOptions(engine="vector")``; see
-:mod:`repro.sparql.vector.engine` for the execution model and the
-correlated-join fallback that keeps its semantics identical to the
-interpreted evaluator.
+:mod:`repro.sparql.vector.engine` for the execution model and the dependent
+join that runs correlated OPTIONAL, FILTER and BIND on columns with the
+interpreted evaluator's semantics. No module here calls the interpreted
+engine.
 """
 
 from repro.sparql.vector.batch import UNBOUND, Batch

@@ -242,7 +242,7 @@ def optional_blind_variables(op: AlgebraOp) -> frozenset:
     (so a mismatch falls back to the bare left row), while an independent
     hash join would first extend with the unconstrained match and then drop
     the row. The vector engine treats these like expression correlation and
-    falls back to interpreted evaluation for the enclosing join.
+    runs the enclosing join as a dependent join.
     """
     from repro.sparql.algebra import operator_variables
 

@@ -7,14 +7,14 @@ FILTER/BIND run through :mod:`repro.sparql.vector.expr`, and DISTINCT /
 ORDER BY / slicing happen on arrays before terms are ever decoded.
 
 The algebra is closed — every operator is one of the
-:mod:`repro.sparql.algebra` dataclasses, anything else raises — and one
-fallback keeps semantics exact where vectorization cannot: a join whose
-right side carries *free expression variables* that the left side binds
-(OPTIONAL/FILTER correlation, where substitution semantics differ from
-bottom-up evaluation) falls back to correlated interpreted evaluation of the
-right side, row by row — except the conditional OPTIONAL,
-``LeftJoin(L, Filter(e, R))`` with ``e`` the only correlation, which runs on
-columns as the spec's ``LeftJoin(Ω1, Ω2, e)``.
+:mod:`repro.sparql.algebra` dataclasses, anything else raises — and every
+operator runs on columns. A join whose right side can read the left's
+bindings (a FILTER or BIND over a variable the left binds, an
+optional-blind variable: ``cost.correlation_variables``), where
+substitution semantics differ from bottom-up evaluation, runs as a
+*dependent join*: :func:`_under` evaluates the right side once for every
+left row, as the interpreted nested loop does, but a whole batch of left
+rows at a time.
 
 Aggregation groups on packed id columns (1-D ``np.unique``) with vectorized
 COUNT / SUM / AVG / COUNT(DISTINCT *) fast paths; every other aggregate
@@ -44,8 +44,6 @@ from repro.sparql.algebra import (
     TableOp,
     UnionOp,
     compile_group,
-    expression_variables,
-    operator_variables,
 )
 from repro.sparql.ast import (
     Aggregate,
@@ -56,7 +54,6 @@ from repro.sparql.ast import (
 from repro.sparql.evaluator import (
     ExecContext,
     _apply_aggregate,
-    _evaluate_op,
     _order_key,
     order_and_slice,
 )
@@ -88,124 +85,9 @@ def compile_vector_plan(
     return tree
 
 
-def _note_fallback(ctx: ExecContext, op: AlgebraOp) -> None:
-    ctx.fallback_ops += 1
-    if ctx.obs is not None:
-        ctx.obs.metrics.counter(
-            "sparql.vector.fallback_ops", op=type(op).__name__
-        ).inc()
-
-
 # ---------------------------------------------------------------------------
 # Operator execution
 # ---------------------------------------------------------------------------
-
-def _encode_solutions(
-    solutions: List[Bindings], variables, ctx: ExecContext
-) -> Batch:
-    encode = ctx.encoder.encode
-    variables = list(variables)
-    nrows = len(solutions)
-    columns = {}
-    for variable in variables:
-        columns[variable] = np.fromiter(
-            (
-                encode(sol[variable]) if variable in sol else UNBOUND
-                for sol in solutions
-            ),
-            dtype=np.int64,
-            count=nrows,
-        )
-    return Batch(columns, nrows)
-
-
-def _correlated_join(
-    right: AlgebraOp, left_batch: Batch, ctx: ExecContext, outer: bool
-) -> Batch:
-    """Interpreted right side, evaluated once per left row (substitution
-    semantics) — the exact nested-loop the interpreted engine runs."""
-    _note_fallback(ctx, right)
-    budget = ctx.budget
-    decoded = {
-        v: ctx.encoder.decode_column(col)
-        for v, col in left_batch.columns.items()
-    }
-    width = max(
-        1,
-        len(left_batch.columns)
-        + len(operator_variables(right) - set(left_batch.columns)),
-    )
-    out: List[Bindings] = []
-    for row in range(left_batch.nrows):
-        if budget is not None:
-            budget.checkpoint("CorrelatedJoin")
-        bindings = {}
-        for variable, terms in decoded.items():
-            term = terms[row]
-            if term is not None:
-                bindings[variable] = term
-        matched = False
-        for solution in _evaluate_op(right, ctx, bindings):
-            matched = True
-            out.append(solution)
-        if outer and not matched:
-            out.append(bindings)
-        if budget is not None:
-            budget.admit_rows(len(out), width, "CorrelatedJoin")
-    variables = list(left_batch.columns) + [
-        v
-        for v in operator_variables(right)
-        if v not in left_batch.columns
-    ]
-    return _encode_solutions(out, variables, ctx)
-
-
-def _is_conditional(right: AlgebraOp, left_vars: frozenset) -> bool:
-    """Whether ``LeftJoin(L, right)`` is the spec's ``LeftJoin(L, R, expr)``.
-
-    True for ``right = Filter(expr, R)`` when the filter is the *only* way
-    the left side reaches into the right: ``R`` on its own is uncorrelated,
-    and every variable of ``expr`` is bound by one of the two sides.
-    """
-    if type(right) is not FilterOp:
-        return False
-    inner = right.operand
-    return not (correlation_variables(inner) & left_vars) and (
-        expression_variables(right.expression)
-        <= left_vars | operator_variables(inner)
-    )
-
-
-#: Column carrying each left row's index through the conditional join; the
-#: tokenizer cannot produce an empty variable name.
-_LEFT_ROW = Variable("")
-
-
-def _conditional_left_join(
-    condition: FilterOp, left: Batch, ctx: ExecContext
-) -> Batch:
-    """``LeftJoin(Ω1, Ω2, expr)``: join, filter the joined rows (an error
-    drops the row), and keep every left row no surviving match extends.
-
-    Rows come out grouped by left row, in left order, like the nested loop
-    the interpreted engine runs.
-    """
-    right = _execute(condition.operand, ctx)
-    tagged = left.with_column(
-        _LEFT_ROW, np.arange(left.nrows, dtype=np.int64)
-    )
-    joined = hash_join(tagged, right, budget=ctx.budget)
-    if joined.nrows:
-        joined = joined.mask(
-            filter_keep_mask(condition.expression, joined, ExprContext(ctx))
-        )
-    extended = np.zeros(left.nrows, dtype=bool)
-    extended[joined.columns[_LEFT_ROW]] = True
-    out = Batch.concat([joined, tagged.mask(~extended)])
-    out = out.take(np.argsort(out.columns[_LEFT_ROW], kind="stable"))
-    del out.columns[_LEFT_ROW]
-    return out
-
 
 def _execute(op: AlgebraOp, ctx: ExecContext) -> Batch:
     """Run one operator, with E23 governance when a budget rides along.
@@ -262,16 +144,10 @@ def _execute_op(op: AlgebraOp, ctx: ExecContext) -> Batch:
         if ctx.scan_rows is None:
             return scan_batch(ctx.graph, op.pattern)
         return scan_table(ctx.scan_rows, op.pattern, ctx.graph.term_id)
-    if isinstance(op, (JoinOp, LeftJoinOp)):
-        outer = isinstance(op, LeftJoinOp)
-        left = _execute(op.left, ctx)
-        left_vars = operator_variables(op.left)
-        if correlation_variables(op.right) & left_vars:
-            if outer and _is_conditional(op.right, left_vars):
-                return _conditional_left_join(op.right, left, ctx)
-            return _correlated_join(op.right, left, ctx, outer)
-        right = _execute(op.right, ctx)
-        return hash_join(left, right, outer=outer, budget=ctx.budget)
+    if isinstance(op, JoinOp):
+        return _under(op.right, _execute(op.left, ctx), ctx)
+    if isinstance(op, LeftJoinOp):
+        return _optional_under(op.right, _execute(op.left, ctx), ctx)
     if isinstance(op, UnionOp):
         return Batch.concat([_execute(operand, ctx) for operand in op.operands])
     if isinstance(op, FilterOp):
@@ -292,6 +168,63 @@ def _execute_op(op: AlgebraOp, ctx: ExecContext) -> Batch:
             )
         return Batch(columns, len(op.rows))
     raise SPARQLError(f"unknown operator {type(op).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# The dependent join
+# ---------------------------------------------------------------------------
+
+def _under(op: AlgebraOp, outer: Batch, ctx: ExecContext) -> Batch:
+    """*op* evaluated under every row of *outer*: each output row extends
+    the outer row it was evaluated under — the interpreted engine's
+    substitution semantics (``evaluator._op_iter``), on columns.
+
+    A subtree that cannot read the outer bindings runs once and is joined
+    on. Otherwise the operator distributes over the outer rows: FILTER and
+    BIND see the outer columns, a UNION concatenates its branches, and a
+    join nests its right side under its left, as the nested loop does.
+    """
+    if not correlation_variables(op) & outer.columns.keys():
+        return hash_join(outer, _execute(op, ctx), budget=ctx.budget)
+    if isinstance(op, FilterOp):
+        return apply_filter(op, _under(op.operand, outer, ctx), ctx)
+    if isinstance(op, ExtendOp):
+        return apply_extend(op, _under(op.operand, outer, ctx), ctx)
+    if isinstance(op, UnionOp):
+        return Batch.concat(
+            [_under(operand, outer, ctx) for operand in op.operands]
+        )
+    if isinstance(op, JoinOp):
+        return _under(op.right, _under(op.left, outer, ctx), ctx)
+    if isinstance(op, LeftJoinOp):
+        return _optional_under(op.right, _under(op.left, outer, ctx), ctx)
+    raise SPARQLError(f"unknown operator {type(op).__name__}")
+
+
+def _optional_under(op: AlgebraOp, outer: Batch, ctx: ExecContext) -> Batch:
+    """``LeftJoin(outer, op)``: every outer row extended by *op* evaluated
+    under it, or kept bare when nothing extends it.
+
+    Correlated, the outer rows carry their index in a tag column through
+    :func:`_under`; rows come out grouped by outer row, in outer order, like
+    the nested loop the interpreted engine runs.
+    """
+    if not correlation_variables(op) & outer.columns.keys():
+        return hash_join(
+            outer, _execute(op, ctx), outer=True, budget=ctx.budget
+        )
+    # The tokenizer never produces a variable named by digits, and a batch
+    # under a tag has more columns than the tagged one: each nesting level
+    # gets its own tag.
+    tag = Variable(str(len(outer.columns)))
+    tagged = outer.with_column(tag, np.arange(outer.nrows, dtype=np.int64))
+    joined = _under(op, tagged, ctx)
+    extended = np.zeros(outer.nrows, dtype=bool)
+    extended[joined.columns[tag]] = True
+    out = Batch.concat([joined, tagged.mask(~extended)])
+    out = out.take(np.argsort(out.columns[tag], kind="stable"))
+    del out.columns[tag]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Each fast path is picked by a property the kernel sees in its input, so each
 test feeds both kinds of input and compares with the obvious implementation:
 the bound-key hash join against a nested loop and against the mask-partitioned
-path, packed group keys against ``np.unique(axis=0)``, the conditional
-OPTIONAL against the interpreted engine, bulk row materialisation against the
-cell-by-cell loop, and the float64 tables against Python integers.
+path, packed group keys against ``np.unique(axis=0)``, the dependent join
+(every correlated OPTIONAL, FILTER and BIND) against the interpreted engine,
+bulk row materialisation against the cell-by-cell loop, and the float64 tables
+against Python integers.
 """
 
 import random
@@ -15,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import QueryBudgetExceeded
+from repro.errors import QueryBudgetExceeded, QueryCancelled
 from repro.rdf import Graph, Literal, Namespace
 from repro.sparql import (
+    CancelToken,
     CompileOptions,
     FunctionRegistry,
     QueryBudget,
@@ -216,7 +218,7 @@ def test_packed_group_keys_match_row_wise_unique(rows, width, huge):
 
 
 # ---------------------------------------------------------------------------
-# (c) conditional OPTIONAL vs the interpreted engine
+# (c) the dependent join vs the interpreted engine
 # ---------------------------------------------------------------------------
 
 conditions = st.one_of(
@@ -287,7 +289,7 @@ CONDITIONAL = {
         "?p ex:price ?v . OPTIONAL { { ?p ex:stock ?t . FILTER(?v > 500) } }",
 }
 
-STILL_CORRELATED = {
+CORRELATED = {
     "filter one group deeper, under a nested OPTIONAL":
         "?p ex:price ?v . OPTIONAL { ?p ex:stock ?t . "
         "OPTIONAL { ?p ex:tag ?g . FILTER(?v > 500) } }",
@@ -312,16 +314,16 @@ def test_filter_over_a_maybe_unbound_variable_reads_the_outer_binding():
     graph.add(EX.s1, EX.p0, EX.o0)
     graph.add(EX.s4, EX.p0, Literal.from_python(4))
     group = "ex:s1 ?a ?b . VALUES ?c { ex:o0 UNDEF } FILTER(BOUND(?b) && ?c > 2)"
-    for where, fallbacks in (
-        (f"ex:s4 ?a ?c . OPTIONAL {{ {group} }}", 0),
-        (f"ex:s4 ?a ?c . {{ {group} }}", 1),
+    for where in (
+        f"ex:s4 ?a ?c . OPTIONAL {{ {group} }}",
+        f"ex:s4 ?a ?c . {{ {group} }}",
     ):
         text = f"{PREFIX}SELECT * WHERE {{ {where} }}"
         rows, fallback_ops = run_vector(graph, text)
         assert canonical(rows) == canonical(
             evaluate(graph, text, options=CompileOptions())
         )
-        assert rows[0][Variable("b")] == EX.o0 and fallback_ops == fallbacks
+        assert rows[0][Variable("b")] == EX.o0 and fallback_ops == 0
 
 
 @pytest.mark.parametrize("form", ["SELECT * WHERE", "ASK"])
@@ -339,26 +341,34 @@ def test_conditional_optional_is_vectorised(name, form):
 
 
 def test_conditional_optional_keeps_left_row_order():
+    """Every correlated OPTIONAL shape: rows come out grouped by left row,
+    in left order (each left row is one ?p)."""
     graph = stock_graph()
     subject = Variable("p")
-    left_only, _ = run_vector(graph, PREFIX + "SELECT ?p WHERE { ?p ex:price ?v }")
-    rows, _ = run_vector(graph, PREFIX + "SELECT ?p ?t WHERE { "
-                         + CONDITIONAL["both sides"] + " }")
-    assert len(rows) > len(left_only)  # some left rows extend twice
-    in_order = list(dict.fromkeys(row[subject] for row in rows))
-    assert in_order == [row[subject] for row in left_only]
-    runs = [row[subject] for i, row in enumerate(rows)
-            if i == 0 or rows[i - 1][subject] != row[subject]]
-    assert runs == in_order  # each left row's matches are contiguous
+    shapes = [CONDITIONAL["both sides"]] + [
+        where for where in CORRELATED.values() if " OPTIONAL " in where
+    ]
+    extended_twice = 0
+    for where in shapes:
+        left = where.split(" OPTIONAL ", 1)[0]
+        left_only, _ = run_vector(graph, f"{PREFIX}SELECT ?p WHERE {{ {left} }}")
+        rows, _ = run_vector(graph, f"{PREFIX}SELECT * WHERE {{ {where} }}")
+        extended_twice += len(rows) > len(left_only)
+        in_order = list(dict.fromkeys(row[subject] for row in rows))
+        assert in_order == [row[subject] for row in left_only], where
+        runs = [row[subject] for i, row in enumerate(rows)
+                if i == 0 or rows[i - 1][subject] != row[subject]]
+        assert runs == in_order, where  # each left row's rows are contiguous
+    assert extended_twice >= len(shapes) - 1
 
 
-@pytest.mark.parametrize("name", list(STILL_CORRELATED))
-def test_other_correlated_shapes_keep_the_fallback(name):
+@pytest.mark.parametrize("name", list(CORRELATED))
+def test_correlated_shapes_run_on_columns(name):
     graph = stock_graph()
-    text = f"{PREFIX}SELECT * WHERE {{ {STILL_CORRELATED[name]} }}"
+    text = f"{PREFIX}SELECT * WHERE {{ {CORRELATED[name]} }}"
     expected = evaluate(graph, text, options=CompileOptions())
     actual, fallback_ops = run_vector(graph, text)
-    assert fallback_ops > 0
+    assert fallback_ops == 0
     assert canonical(actual) == canonical(expected)
 
 
@@ -370,6 +380,91 @@ def test_rebinding_bind_inside_optional_still_raises():
     for options in (CompileOptions(), VECTOR):
         with pytest.raises(SPARQLError):
             evaluate(stock_graph(), text, options=options)
+
+
+def test_vector_engine_never_names_the_interpreted_operators():
+    """No module of the vector engine reaches the interpreted iterator."""
+    import ast
+    from pathlib import Path
+
+    import repro.sparql.vector as vector
+
+    forbidden = {"_evaluate_op", "_op_iter"}
+    for path in sorted(Path(vector.__file__).parent.rglob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+        assert not names & forbidden, path.name
+
+
+# ---------------------------------------------------------------------------
+# Governance of the dependent join
+# ---------------------------------------------------------------------------
+
+#: A correlated OPTIONAL whose sides share no variable: the dependent join's
+#: inner hash join is a cartesian product of the left rows and ex:q.
+UNSHARED = (PREFIX + "SELECT * WHERE { ?a ex:p ?x "
+            "OPTIONAL { ?b ex:q ?y FILTER(?y > ?x) } }")
+
+
+def unshared_graph(left=40, right=50):
+    graph = Graph()
+    for i in range(left):
+        graph.add(EX[f"a{i}"], EX.p, Literal.from_python(i))
+    for j in range(right):
+        graph.add(EX[f"b{j}"], EX.q, Literal.from_python(100 + j))
+    return graph
+
+
+@pytest.mark.parametrize("engine", ["interpreted", "vector"])
+def test_dependent_join_cross_product_is_refused(engine):
+    budget = QueryBudget(max_rows=1000)
+    with pytest.raises(QueryBudgetExceeded) as caught:
+        evaluate(unshared_graph(), UNSHARED,
+                 options=CompileOptions(engine=engine), budget=budget)
+    assert caught.value.resource == "rows"
+    assert budget.peak_rows <= 1000
+    if engine == "vector":
+        # Refused at the cartesian pre-admission: the 40 x 50 pairs are
+        # counted while only the two scans (40 + 50 rows) exist.
+        assert "hash_join.cartesian" in str(caught.value)
+        assert caught.value.observed == 40 + 50 + 40 * 50
+        assert budget.peak_rows == 40 + 50
+
+
+class CancelAt(CancelToken):
+    """A token its owner fires when the engine polls it the *polls*-th
+    time: a kill that lands in the middle of the query."""
+
+    __slots__ = ("polls",)
+
+    def __init__(self, polls):
+        super().__init__()
+        self.polls = polls
+
+    @property
+    def cancelled(self):
+        self.polls -= 1
+        if self.polls == 0:
+            self.cancel("killed mid-query")
+        return super().cancelled
+
+
+@pytest.mark.parametrize("engine", ["interpreted", "vector"])
+def test_dependent_join_honours_a_mid_query_cancel(engine):
+    # Third checkpoint: in the vector engine, after the left scan and
+    # before the inner hash join.
+    budget = QueryBudget(cancel=CancelAt(3))
+    with pytest.raises(QueryCancelled) as caught:
+        evaluate(unshared_graph(4, 5), UNSHARED,
+                 options=CompileOptions(engine=engine), budget=budget)
+    assert caught.value.reason == "killed mid-query"
+    assert budget.checkpoints == 3
 
 
 # ---------------------------------------------------------------------------
