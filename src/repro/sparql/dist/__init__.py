@@ -5,14 +5,15 @@ The third execution engine, entered through its runtime —
 (:mod:`repro.sparql.pipeline`) with the runtime's own engine row: the E22
 vector plans, compiled unchanged, are mapped onto a range-partitioned +
 replicated layout of the graph's id-row table, keyed on subject id
-(:mod:`repro.sparql.dist.partition`), planned into locality-aware stage DAGs
-(:mod:`repro.sparql.dist.plan` — subject-aligned stages that fuse
-co-located joins, FILTER/BIND and gathered small sides into one task per
-partition; broadcast joins under a :meth:`Graph.count`-driven cost
-threshold and hash-repartitioned shuffle joins on definitely-bound keys for
-inputs that are not aligned), and executed as :mod:`repro.cluster.scheduler`
-tasks under crash recovery, speculation, blacklisting, replica failover and
-idempotent output commit (:mod:`repro.sparql.dist.engine`).
+(:mod:`repro.sparql.dist.partition`), planned into trees of :class:`Stage`
+joined by :class:`Exchange` edges (:mod:`repro.sparql.dist.plan` —
+subject-aligned stages fuse co-located joins, FILTER/BIND and ``gather``
+inputs into one task per partition; inputs that are not aligned reach a
+join by ``split`` + ``gather`` under a :meth:`Graph.count`-driven cost
+threshold, or by ``shuffle`` on definitely-bound keys), and executed as
+:mod:`repro.cluster.scheduler` tasks under crash recovery, speculation,
+blacklisting, replica failover and idempotent output commit
+(:mod:`repro.sparql.dist.engine`).
 
 Robustness contract: identical solution multisets to the single-process
 engines, or a *typed* failure — retryable
@@ -38,12 +39,8 @@ from repro.sparql.dist.partition import (
     RangePartitioner,
 )
 from repro.sparql.dist.plan import (
-    PBroadcastJoin,
-    PLocal,
-    PNode,
-    PShuffleJoin,
-    PStage,
-    PUnion,
+    Exchange,
+    Stage,
     build_plan,
     definitely_bound,
     estimate_rows,
@@ -54,16 +51,12 @@ __all__ = [
     "BYTES_PER_ROW",
     "DistReport",
     "DistRuntime",
-    "PBroadcastJoin",
-    "PLocal",
-    "PNode",
-    "PShuffleJoin",
-    "PStage",
-    "PUnion",
+    "Exchange",
     "PartialResult",
     "PartitionedTripleStore",
     "RangePartitioner",
     "ShuffleStore",
+    "Stage",
     "bucket_codes",
     "build_plan",
     "definitely_bound",

@@ -7,10 +7,11 @@ drives it to a settled answer — or a typed failure — under whatever the
 fault injector throws at it.
 
 Every task but a shuffle map runs the vector engine's own ``_execute`` on
-its plan node's ``op`` (:meth:`ExecContext.reading`): a stage task scans its
-partition's id rows, and its inputs — gathered sides, a big-side fragment,
-a shuffle bucket — are planted. All tasks share the query's term encoder,
-so a term a BIND computes in two partitions gets one id.
+its :class:`~repro.sparql.dist.plan.Stage`'s ``op``
+(:meth:`ExecContext.reading`): a keyed stage's task scans its partition's id
+rows, and the stage's exchange inputs — gathered relations, a ``split``
+fragment, a shuffle bucket — are planted. All tasks share the query's term
+encoder, so a term a BIND computes in two partitions gets one id.
 
 Robustness model
 ----------------
@@ -48,6 +49,7 @@ Robustness model
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -69,16 +71,7 @@ from repro.sparql.pipeline import Engine, run_query
 from repro.sparql.vector.batch import Batch
 from repro.sparql.vector.engine import _execute, finish_select
 from repro.sparql.dist.partition import PartitionedTripleStore
-from repro.sparql.dist.plan import (
-    PBroadcastJoin,
-    PLocal,
-    PNode,
-    PShuffleJoin,
-    PStage,
-    PUnion,
-    build_plan,
-    stage_ops,
-)
+from repro.sparql.dist.plan import Stage, build_plan, stage_ops
 
 #: Modelled bytes per binding cell, matching the governor's accounting.
 BYTES_PER_CELL = 8
@@ -405,6 +398,13 @@ class _DistRun:
     def _fragment_bytes(batch: Batch) -> float:
         return float(batch.nrows * max(1, len(batch.columns)) * BYTES_PER_CELL)
 
+    def _placed_at(self, fragment: Fragment) -> Dict[str, Any]:
+        """A task reading *fragment*: its input bytes, placed where it is."""
+        return {
+            "input_bytes": self._fragment_bytes(fragment.batch),
+            "preferred": set() if fragment.home is None else {fragment.home},
+        }
+
     def _ship_s(self, nbytes: float) -> float:
         """Modelled time to ship *nbytes* to a task (nothing to ship: 0)."""
         return self.runtime.spec.transfer_time_s(nbytes) if nbytes else 0.0
@@ -539,6 +539,24 @@ class _DistRun:
             )
         )
 
+    def _barrier(self, count: int, done: Callable[[List[Any]], None]):
+        """``done`` gets *count* indexed arrivals in order once all are in (at
+        once, for none); repeats, and arrivals after an abort, are dropped."""
+        results: List[Any] = [None] * count
+        remaining = [count]
+
+        def arrive(index: int, value: Any) -> None:
+            if self.error is not None or results[index] is not None:
+                return
+            results[index] = value
+            remaining[0] -= 1
+            if remaining[0] == 0:
+                done(results)
+
+        if not count:
+            done(results)
+        return arrive
+
     def _run_stage(
         self,
         label: str,
@@ -546,19 +564,10 @@ class _DistRun:
         done: Callable[[List[Fragment]], None],
     ) -> List[Task]:
         """Submit one task per spec; fire ``done`` when every unit settles."""
-        if not specs:
-            done([])
-            return []
-        fragments: List[Optional[Fragment]] = [None] * len(specs)
-        remaining = [len(specs)]
+        arrive = self._barrier(len(specs), done)
 
         def settled(index: int, payload: Any, home: Optional[int]) -> None:
-            if fragments[index] is not None:
-                return
-            fragments[index] = Fragment(payload, home)
-            remaining[0] -= 1
-            if remaining[0] == 0 and self.error is None:
-                done(list(fragments))  # type: ignore[arg-type]
+            arrive(index, Fragment(payload, home))
 
         return [
             self._submit_unit(label, index, spec, settled)
@@ -566,70 +575,94 @@ class _DistRun:
         ]
 
     # ------------------------------------------------------------------
-    # Stage builders
+    # Stages
     # ------------------------------------------------------------------
 
-    def _start(self, node: PNode, done: Callable[[List[Fragment]], None]) -> None:
-        start = {
-            PStage: self._start_stage,
-            PLocal: self._start_local,
-            PUnion: self._start_union,
-            PBroadcastJoin: self._start_broadcast_join,
-            PShuffleJoin: self._start_shuffle_join,
-        }[type(node)]
-        start(node, done)
-
-    def _gather(self, fragments: List[Fragment]) -> Batch:
-        """A broadcast side as one relation, to ship to every task."""
-        self._count("dist.broadcast_joins")
-        return Batch.concat([f.batch for f in fragments])
-
-    def _start_stage(self, node: PStage, done) -> None:
-        pids = self.store.partitions_of(node.key)
-        if not pids:
-            # A constant subject the graph never interned: empty, inline.
-            done([Fragment(Batch.empty(operator_variables(node.op)), None)])
-            return
+    def _start(self, stage: Stage, done: Callable[[List[Fragment]], None]) -> None:
+        """Run *stage* once its inputs have settled; ``done`` gets its
+        fragments. Its units are the partitions of its key, the fragments
+        of its ``split`` input, or one driver-side task (a UNION has none:
+        its fragments are its inputs'); each unit's task runs ``op`` with
+        the gathered inputs planted."""
+        if stage.key is not None:
+            pids = self.store.partitions_of(stage.key)
+            if not pids:
+                # A constant subject the graph never interned: empty, inline.
+                done([Fragment(Batch.empty(operator_variables(stage.op)), None)])
+                return
 
         def ready(sides: List[List[Fragment]]) -> None:
+            if stage.kinds == {"split"}:
+                done([fragment for fragments in sides for fragment in fragments])
+                return
+            if "shuffle" in stage.kinds:
+                self._shuffle(stage, sides, done)
+                return
             planted = {
-                id(gather.op): self._gather(fragments)
-                for gather, fragments in zip(node.gathers, sides)
+                id(exchange.stage.op): Batch.concat([f.batch for f in fragments])
+                for exchange, fragments in zip(stage.inputs, sides)
+                if exchange.kind == "gather"
             }
-            gathered_rows = sum(batch.nrows for batch in planted.values())
-            gathered_bytes = sum(map(self._fragment_bytes, planted.values()))
-            own = list(stage_ops(node))
-            scans = sum(isinstance(op, ScanOp) for op in own)
-            joins = sum(isinstance(op, (JoinOp, LeftJoinOp)) for op in own)
-            if joins > len(node.gathers):  # one gathered side per fused join
-                self._count("dist.colocated_joins", joins - len(node.gathers))
-            self._count("dist.scan_stages")
+            if planted:
+                self._count("dist.broadcast_joins", len(planted))
+            rows = sum(batch.nrows for batch in planted.values())
+            nbytes = sum(map(self._fragment_bytes, planted.values()))
+            ship_s = self._ship_s(nbytes)
+            overhead = self.runtime.task_overhead_s
+            row_cost = self.runtime.row_cost_s
             specs = []
-            for pid in pids:
-                # A gathered subtree's scans are its own stage's work.
-                rows = scans * self.store.partition_rows(pid) + gathered_rows
-                specs.append(
-                    {
+            if stage.key is not None:
+                own = list(stage_ops(stage))
+                scans = sum(isinstance(op, ScanOp) for op in own)
+                joins = sum(isinstance(op, (JoinOp, LeftJoinOp)) for op in own)
+                if joins > len(planted):  # one gathered side per fused join
+                    self._count("dist.colocated_joins", joins - len(planted))
+                self._count("dist.scan_stages")
+                label = "stage"
+                for pid in pids:
+                    # A gathered subtree's scans are its own stage's work.
+                    unit_rows = scans * self.store.partition_rows(pid) + rows
+                    specs.append({
                         "pid": pid,
-                        "variables": operator_variables(node.op),
-                        "compute": self._make_compute(node.op, planted, pid),
-                        "work_s": self.runtime.task_overhead_s
-                        + rows * self.runtime.row_cost_s
-                        + self._ship_s(gathered_bytes),
+                        "variables": operator_variables(stage.op),
+                        "compute": self._make_compute(stage.op, planted, pid),
+                        "work_s": overhead + unit_rows * row_cost + ship_s,
                         "input_bytes": float(self.store.partition_bytes(pid)),
                         "preferred": set(self.placement[pid]),
-                    }
-                )
-                self._account_comm(gathered_bytes)
+                    })
+            else:
+                split = [
+                    (id(exchange.stage.op), fragments)
+                    for exchange, fragments in zip(stage.inputs, sides)
+                    if exchange.kind == "split"
+                ]
+                if split:
+                    label, ((split_id, fragments),) = "bjoin", split
+                else:
+                    self._count("dist.local_stages")
+                    label, split_id = "local", None
+                    fragments = [Fragment(Batch.empty())]  # one unit of no rows
+                for fragment in fragments:
+                    batch = fragment.batch
+                    unit = planted if split_id is None else {**planted, split_id: batch}
+                    specs.append({
+                        "compute": self._make_compute(stage.op, unit),
+                        "work_s": overhead + ship_s + (batch.nrows + rows) * row_cost,
+                        **self._placed_at(fragment),
+                    })
+            for _ in specs:  # the gathered relations ship to every task
+                self._account_comm(nbytes)
 
             def stage_done(out: List[Fragment]) -> None:
                 for fragments in sides:
                     self._release_fragments(fragments)
                 done(out)
 
-            self._run_stage(self._label("stage"), specs, stage_done)
+            self._run_stage(self._label(label), specs, stage_done)
 
-        self._start_all(node.gathers, ready)
+        arrive = self._barrier(len(stage.inputs), ready)
+        for index, exchange in enumerate(stage.inputs):
+            self._start(exchange.stage, partial(arrive, index))
 
     def _make_compute(self, op: AlgebraOp, planted, pid: Optional[int] = None):
         """A task running *op* with *planted* inputs over partition *pid*'s
@@ -661,156 +694,74 @@ class _DistRun:
 
         return compute
 
-    def _start_local(self, node: PLocal, done) -> None:
-        self._count("dist.local_stages")
-        spec = {
-            # The vector engine's _execute does its own budget governance.
-            "compute": lambda task, state: _execute(node.op, self.ctx),
-            "work_s": self.runtime.task_overhead_s,
-        }
-        self._run_stage(self._label("local"), [spec], done)
+    def _shuffle(self, stage: Stage, sides: List[List[Fragment]], done) -> None:
+        """A shuffle join: one map task per input fragment splits it into
+        hash buckets on the exchange keys, then one reduce task per bucket
+        runs ``op`` with every input's bucket planted."""
+        buckets = max(1, stage.inputs[0].buckets)
+        keys = list(stage.inputs[0].keys)
+        self._count("dist.shuffle_joins")
+        map_label = self._label("shuffle-map")
+        reduce_label = self._label("shuffle-reduce")
+        overhead = self.runtime.task_overhead_s
+        row_cost = self.runtime.row_cost_s
 
-    def _fragment_spec(
-        self, fragment: Fragment, compute, extra_s: float = 0.0, extra_rows: int = 0
-    ) -> Dict[str, Any]:
-        """Spec of a task consuming one upstream fragment: modelled work is
-        overhead + *extra_s* + per-row cost, placed where the fragment is."""
-        return {
-            "compute": compute,
-            "work_s": self.runtime.task_overhead_s
-            + extra_s
-            + (fragment.batch.nrows + extra_rows) * self.runtime.row_cost_s,
-            "input_bytes": self._fragment_bytes(fragment.batch),
-            "preferred": {fragment.home} if fragment.home is not None else set(),
-        }
+        all_inputs = [fragment for fragments in sides for fragment in fragments]
+        map_specs = [
+            {
+                "compute": self._make_shuffle_map_compute(fragment, keys, buckets),
+                "work_s": overhead + fragment.batch.nrows * row_cost,
+                **self._placed_at(fragment),
+            }
+            for fragment in all_inputs
+        ]
 
-    def _start_all(
-        self,
-        nodes: Sequence[PNode],
-        ready: Callable[[List[List[Fragment]]], None],
-    ) -> None:
-        """Start *nodes* in order; once every one has settled, ``ready`` gets
-        their fragment lists in that same order (at once, for no nodes)."""
-        if not nodes:
-            ready([])
-            return
-        results: List[Optional[List[Fragment]]] = [None] * len(nodes)
-        remaining = [len(nodes)]
-        for position, node in enumerate(nodes):
+        def maps_done(map_frags: List[Fragment]) -> None:
+            # Map outputs are the resident state now; the inputs retire.
+            for fragments in sides:
+                self._release_fragments(fragments)
 
-            def child_done(fragments, position=position):
-                if self.error is not None:
-                    return
-                results[position] = fragments
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    ready(results)  # type: ignore[arg-type]
+        map_tasks = self._run_stage(map_label, map_specs, maps_done)
+        dependency_ids = [t.task_id for t in map_tasks]
+        # Each input's map output keys, in fragment order.
+        index = iter(range(len(all_inputs)))
+        outputs = [
+            (exchange, [(map_label, next(index)) for _ in fragments])
+            for exchange, fragments in zip(stage.inputs, sides)
+        ]
+        per_bucket_rows = sum(f.batch.nrows for f in all_inputs) / buckets
+        per_bucket_bytes = sum(self._fragment_bytes(f.batch) for f in all_inputs)
+        per_bucket_bytes /= buckets
+        reduce_specs = [
+            {
+                "compute": self._make_reduce_compute(stage.op, outputs, bucket),
+                "work_s": overhead
+                + self.runtime.spec.transfer_time_s(per_bucket_bytes)
+                + per_bucket_rows * row_cost,
+                "input_bytes": per_bucket_bytes,
+                "preferred": set(),
+                "depends_on": dependency_ids,
+            }
+            for bucket in range(buckets)
+        ]
+        for _ in reduce_specs:
+            # All-remote assumption: each reducer pulls its bucket over the
+            # network from every mapper.
+            self._account_comm(per_bucket_bytes)
 
-            self._start(node, child_done)
+        def reduces_done(out: List[Fragment]) -> None:
+            # Retire the map outputs (the reducers consumed them).
+            self._release_fragments(
+                [
+                    Fragment(self.shuffle.get(key))
+                    for _, map_keys in outputs
+                    for key in map_keys
+                    if self.shuffle.has(key)
+                ]
+            )
+            done(out)
 
-    def _start_union(self, node: PUnion, done) -> None:
-        self._start_all(
-            node.children,
-            lambda results: done([f for frags in results for f in frags]),
-        )
-
-    def _start_broadcast_join(self, node: PBroadcastJoin, done) -> None:
-        def ready(sides: List[List[Fragment]]) -> None:
-            big_frags, small_frags = sides
-            small = self._gather(small_frags)
-            small_bytes = self._fragment_bytes(small)
-            specs = []
-            for fragment in big_frags:
-                planted = {id(node.big.op): fragment.batch, id(node.small.op): small}
-                specs.append(
-                    self._fragment_spec(
-                        fragment,
-                        self._make_compute(node.op, planted),
-                        extra_s=self._ship_s(small_bytes),
-                        extra_rows=small.nrows,
-                    )
-                )
-                # The gathered small relation ships to every executor.
-                self._account_comm(small_bytes)
-
-            def stage_done(out: List[Fragment]) -> None:
-                self._release_fragments(big_frags)
-                self._release_fragments(small_frags)
-                done(out)
-
-            self._run_stage(self._label("bjoin"), specs, stage_done)
-
-        self._start_all([node.big, node.small], ready)
-
-    def _start_shuffle_join(self, node: PShuffleJoin, done) -> None:
-        def ready(sides: List[List[Fragment]]) -> None:
-            left_frags, right_frags = sides
-            buckets = max(1, node.buckets)
-            keys = list(node.keys)
-            self._count("dist.shuffle_joins")
-            map_label = self._label("shuffle-map")
-            reduce_label = self._label("shuffle-reduce")
-
-            all_inputs = left_frags + right_frags
-            map_specs = []
-            for fragment in all_inputs:
-                map_specs.append(
-                    self._fragment_spec(
-                        fragment,
-                        self._make_shuffle_map_compute(fragment, keys, buckets),
-                    )
-                )
-
-            def maps_done(map_frags: List[Fragment]) -> None:
-                # Map outputs are the resident state now; the inputs retire.
-                self._release_fragments(left_frags)
-                self._release_fragments(right_frags)
-
-            map_tasks = self._run_stage(map_label, map_specs, maps_done)
-            dependency_ids = [t.task_id for t in map_tasks]
-            left_keys = [(map_label, i) for i in range(len(left_frags))]
-            right_keys = [
-                (map_label, len(left_frags) + i)
-                for i in range(len(right_frags))
-            ]
-            total_rows = sum(f.batch.nrows for f in all_inputs)
-            total_bytes = sum(self._fragment_bytes(f.batch) for f in all_inputs)
-            per_bucket_rows = total_rows / buckets if buckets else 0.0
-            per_bucket_bytes = total_bytes / buckets if buckets else 0.0
-
-            reduce_specs = []
-            for bucket in range(buckets):
-                reduce_specs.append(
-                    {
-                        "compute": self._make_reduce_compute(
-                            node, left_keys, right_keys, bucket
-                        ),
-                        "work_s": self.runtime.task_overhead_s
-                        + self.runtime.spec.transfer_time_s(per_bucket_bytes)
-                        + per_bucket_rows * self.runtime.row_cost_s,
-                        "input_bytes": per_bucket_bytes,
-                        "preferred": set(),
-                        "depends_on": dependency_ids,
-                    }
-                )
-                # All-remote assumption: each reducer pulls its bucket over
-                # the network from every mapper.
-                self._account_comm(per_bucket_bytes)
-
-            def reduces_done(out: List[Fragment]) -> None:
-                # Retire the map outputs (the reducers consumed them).
-                self._release_fragments(
-                    [
-                        Fragment(self.shuffle.get(key))
-                        for key in left_keys + right_keys
-                        if self.shuffle.has(key)
-                    ]
-                )
-                done(out)
-
-            self._run_stage(reduce_label, reduce_specs, reduces_done)
-
-        self._start_all([node.left, node.right], ready)
+        self._run_stage(reduce_label, reduce_specs, reduces_done)
 
     def _make_shuffle_map_compute(self, fragment: Fragment, keys, buckets: int):
         def compute(task: Task, state):
@@ -829,22 +780,21 @@ class _DistRun:
 
         return compute
 
-    def _make_reduce_compute(self, node: PShuffleJoin, left_keys, right_keys,
-                             bucket: int):
+    def _make_reduce_compute(self, op: AlgebraOp, outputs, bucket: int):
         def compute(task: Task, state):
-            for key in left_keys + right_keys:
-                if not self.shuffle.has(key):
+            for _, map_keys in outputs:
+                if not all(self.shuffle.has(key) for key in map_keys):
                     # A mapper's output is not committed yet (it is being
                     # resubmitted): transient, retry.
                     state["retry"] = "inputs"
                     return _RETRY
             planted = {
-                id(side.op): Batch.concat(
-                    [self.shuffle.get(key)[bucket] for key in keys]
+                id(exchange.stage.op): Batch.concat(
+                    [self.shuffle.get(key)[bucket] for key in map_keys]
                 )
-                for side, keys in ((node.left, left_keys), (node.right, right_keys))
+                for exchange, map_keys in outputs
             }
-            return _execute(node.op, self.ctx.reading(None, planted))
+            return _execute(op, self.ctx.reading(None, planted))
 
         return compute
 
@@ -852,7 +802,7 @@ class _DistRun:
     # Driver
     # ------------------------------------------------------------------
 
-    def execute(self, plan: PNode) -> Batch:
+    def execute(self, plan: Stage) -> Batch:
         def root_done(fragments: List[Fragment]) -> None:
             for fragment in fragments:
                 if fragment.home is not None:

@@ -13,7 +13,9 @@ The partitions are cut from the vector engine's per-version snapshot
 (:func:`repro.sparql.vector.ops.id_table`) and keyed on ``graph.version``
 like it: mutations invalidate them, and within one version the partition
 arrays are immutable, so replicas are by construction identical and a
-failed-over read returns byte-identical rows.
+failed-over read returns byte-identical rows. A task scans its partition's
+rows (:meth:`PartitionedTripleStore.table`) with the single-process
+``scan_table`` kernel, so the fragments cannot drift from the whole scan.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from repro.cluster.resources import ClusterSpec, Node
 from repro.errors import SPARQLError
 from repro.rdf.graph import Graph
 from repro.rdf.term import Term
-from repro.sparql.ast import TriplePattern, Variable
-from repro.sparql.vector.batch import Batch
-from repro.sparql.vector.ops import IdTable, id_table, scan_table
+from repro.sparql.ast import Variable
+from repro.sparql.vector.ops import IdTable, id_table
 
 #: Modelled storage width of one triple row: three int64 id cells.
 BYTES_PER_ROW = 24
@@ -127,11 +128,6 @@ class PartitionedTripleStore:
     def partition_bytes(self, pid: int) -> int:
         return self.partition_rows(pid) * BYTES_PER_ROW
 
-    def relevant_partitions(self, pattern: TriplePattern) -> List[int]:
-        """Partitions that can hold the pattern's matches: those of its
-        subject (:meth:`partitions_of`)."""
-        return self.partitions_of(pattern.subject)
-
     def partitions_of(self, subject: Union[Variable, Term]) -> List[int]:
         """Partitions whose rows can carry *subject*: a variable reaches
         them all, a constant, interned subject pins its one range, and an
@@ -146,11 +142,3 @@ class PartitionedTripleStore:
     def table(self, pid: int) -> IdTable:
         """One partition's rows of the id-row table (read-only)."""
         return self._columns[pid]
-
-    def scan_partition(self, pid: int, pattern: TriplePattern) -> Batch:
-        """The pattern's extent *within* one partition, as id columns: the
-        single-process scan kernel restricted to the partition's rows, so
-        the union over partitions is the full scan. (An all-constant
-        pattern's triple lives in exactly one partition: at most one
-        fragment contributes the unit row.)"""
-        return scan_table(self._columns[pid], pattern, self.graph.term_id)

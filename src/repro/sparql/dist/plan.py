@@ -1,40 +1,38 @@
-"""Physical planning: vector algebra trees -> distributable stage DAGs.
+"""Physical planning: vector algebra trees -> stages joined by exchanges.
 
-The store range-partitions the id rows by *subject*, so a scan's every row
-lives in its subject's partition. A subtree is *aligned* on a key when the
-key decides which partition each of its rows comes from:
+A plan is a :class:`Stage`: an operator run by one task per unit, whose
+inputs are :class:`Exchange` edges — ``gather`` ships a child's whole
+relation to every task, ``split`` hands each task one fragment, ``shuffle``
+one hash bucket. Each input's ``stage.op`` sits inside ``op`` by identity: a
+task runs the vector engine's own ``_execute`` on ``op`` with its inputs
+planted by ``id``. A stage's fragments are a disjoint multiset cover of the
+relation of its ``op``.
 
-* a ``ScanOp`` on its subject variable (a constant subject pins one
-  partition); FILTER and BIND on their operand's key — they are row-local;
-* an uncorrelated Join or LeftJoin of two sides aligned on the same key, on
-  that key: it is bound in every row of both sides, so every compatible
-  pair, and every OPTIONAL miss, is decided inside one partition;
-* a join of an aligned side with a side estimated at no more than
-  ``broadcast_threshold_rows``, on the aligned side's key: the small side is
-  *gathered* once and shipped whole to every task, exact because solution
-  compatibility is row-local. For a LeftJoin only the optional side may be
-  gathered — padding a left row needs the whole right relation.
-
-Every node's *fragments* are a disjoint multiset cover of the relation of
-its ``op``. An aligned subtree is a :class:`PStage`: one task per partition
-its key reaches, running the vector engine's own ``_execute`` on that
-partition's rows with the gathered subtrees planted. :class:`PLocal` is one
-driver-side ``_execute`` (VALUES and empty leaves, correlated joins);
-:class:`PUnion` concatenates, a FILTER or BIND above it pushed into every
-branch. Unaligned joins stay :class:`PBroadcastJoin` (small side by
-``Graph.count`` estimate, or the optional side) or :class:`PShuffleJoin`
-(hash-repartitioned on shared variables *definitely bound* on both sides:
-an UNBOUND cell is compatible with every key, which no bucketing
-preserves); each task runs the join's ``op``, any FILTER/BIND above the
-join included, with its two inputs planted. Rows move only at a gather,
-the final gather, and a shuffle on a key the store is not partitioned by.
+The store range-partitions the id rows by *subject*. A subtree is *aligned*
+on a key when the key decides which partition each of its rows comes from:
+a ``ScanOp`` on its subject (a constant pins one partition); FILTER and BIND
+on their operand's key; an uncorrelated join of two sides aligned on one key
+(bound in every row of both, so every compatible pair and every OPTIONAL miss
+is decided inside one partition); and a join of an aligned side with a side
+estimated at no more than ``broadcast_threshold_rows``, which is *gathered*
+(exact: compatibility is row-local; a LeftJoin gathers only its optional
+side). An aligned subtree is a *keyed* stage: a task per partition its key
+reaches, every input ``gather``. The stages without a key are a broadcast
+join (a ``split`` big side by ``Graph.count`` estimate — a LeftJoin's left —
+and a ``gather`` small side), a shuffle join (two ``shuffle`` inputs on the
+shared variables *definitely bound* on both sides: an UNBOUND cell is
+compatible with every key, which no bucketing preserves), a UNION (every
+input ``split``, no task of its own; a FILTER or BIND above it goes into
+every branch) and a driver-side task (no inputs: VALUES, empty leaves,
+correlated joins). A FILTER or BIND above a join rides inside its tasks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import FrozenSet, Iterator, Optional, Tuple, Union
 
+from repro.errors import SPARQLError
 from repro.rdf.graph import Graph
 from repro.rdf.term import Term
 from repro.sparql.algebra import (
@@ -61,48 +59,30 @@ Key = Union[Variable, Term]
 
 
 @dataclass
-class PNode:
-    """A distributed plan node; its fragments cover the relation of ``op``."""
+class Stage:
+    """``op`` once per unit: each partition ``key`` reaches, else each
+    fragment of the ``split`` input or bucket of the ``shuffle`` ones, else
+    (no inputs) once on the driver."""
 
     op: AlgebraOp
+    key: Optional[Key] = None
+    inputs: Tuple["Exchange", ...] = ()
+
+    @property
+    def kinds(self) -> FrozenSet[str]:
+        return frozenset(exchange.kind for exchange in self.inputs)
 
 
 @dataclass
-class PLocal(PNode):
-    """Driver-side vector execution of a whole subtree (one fragment)."""
+class Exchange:
+    """How ``stage``'s rows reach the tasks of the stage that reads them:
+    ``gather`` (whole, to every task), ``split`` (a fragment per task) or
+    ``shuffle`` (hash bucket per task on ``keys``, ``buckets`` of them)."""
 
-
-@dataclass
-class PStage(PNode):
-    """``op`` once per partition ``key`` reaches, the ``gathers`` planted."""
-
-    key: Key
-    gathers: Tuple[PNode, ...] = ()
-
-
-@dataclass
-class PUnion(PNode):
-    """Fragment-list concatenation of the children."""
-
-    children: List[PNode]
-
-
-@dataclass
-class PBroadcastJoin(PNode):
-    """``op`` once per ``big`` fragment, with the gathered ``small`` side."""
-
-    big: PNode
-    small: PNode
-
-
-@dataclass
-class PShuffleJoin(PNode):
-    """``op`` once per hash bucket of both sides on the shared ``keys``."""
-
-    left: PNode
-    right: PNode
-    keys: Tuple[Variable, ...]
-    buckets: int = 4
+    kind: str
+    stage: Stage
+    keys: Tuple[Variable, ...] = ()
+    buckets: int = 1
 
 
 # ---------------------------------------------------------------------------
@@ -137,62 +117,19 @@ def estimate_rows(op: AlgebraOp, graph: Graph) -> float:
         return float(len(op.rows))
     if isinstance(op, EmptyOp):
         return 1.0
-    return float(max(len(graph), 1))
+    raise SPARQLError(f"unknown operator {type(op).__name__}")
 
 
 def _correlated(op: AlgebraOp) -> bool:
     """Whether a join's right side reads the left's bindings: the vector
-    engine's dependent join, which runs driver-side as one ``PLocal``."""
+    engine's dependent join, which runs as one driver-side task."""
     return bool(correlation_variables(op.right) & operator_variables(op.left))
 
 
-def _distributable(op: AlgebraOp) -> bool:
-    """Whether *op* has a fragment-parallel plan (else it runs as PLocal)."""
-    if isinstance(op, ScanOp):
-        return True
-    if isinstance(op, (JoinOp, LeftJoinOp)):
-        if _correlated(op):
-            return False
-        return _distributable(op.left) or _distributable(op.right)
-    if isinstance(op, UnionOp):
-        return any(_distributable(operand) for operand in op.operands)
-    if isinstance(op, (FilterOp, ExtendOp)):
-        return _distributable(op.operand)
-    return False
-
-
-def _aligned(
-    op: AlgebraOp, graph: Graph, threshold: float
-) -> Optional[Tuple[Key, Tuple[AlgebraOp, ...]]]:
-    """The key *op* is aligned on and the subtrees its stage gathers, or
-    None when *op* is not aligned (see the module docstring)."""
-    if isinstance(op, ScanOp):
-        return op.pattern.subject, ()
-    if isinstance(op, (FilterOp, ExtendOp)):
-        return _aligned(op.operand, graph, threshold)
-    if not isinstance(op, (JoinOp, LeftJoinOp)) or _correlated(op):
-        return None
-    left = _aligned(op.left, graph, threshold)
-    right = _aligned(op.right, graph, threshold)
-    if left is not None and right is not None and left[0] == right[0]:
-        return left[0], left[1] + right[1]
-    # (estimate of the side to gather, the aligned side, the side to gather)
-    candidates = []
-    if left is not None:
-        candidates.append((estimate_rows(op.right, graph), left, op.right))
-    if right is not None and isinstance(op, JoinOp):
-        candidates.append((estimate_rows(op.left, graph), right, op.left))
-    small = [c for c in candidates if c[0] <= threshold]
-    if not small:
-        return None
-    _, (key, gathers), side = min(small, key=lambda c: c[0])
-    return key, gathers + (side,)
-
-
-def stage_ops(node: PStage) -> Iterator[AlgebraOp]:
-    """The operators a stage's tasks run: its ``op`` but the gathered ones."""
-    planted = {id(gather.op) for gather in node.gathers}
-    pending = [node.op]
+def stage_ops(stage: Stage) -> Iterator[AlgebraOp]:
+    """The operators a stage's tasks run: its ``op`` but the planted ones."""
+    planted = {id(exchange.stage.op) for exchange in stage.inputs}
+    pending = [stage.op]
     while pending:
         op = pending.pop()
         if id(op) in planted:
@@ -213,67 +150,107 @@ def build_plan(
     graph: Graph,
     broadcast_threshold_rows: float,
     shuffle_buckets: int,
-) -> PNode:
-    """Map one vector algebra tree onto a distributed physical plan."""
+) -> Stage:
+    """Map one vector algebra tree onto a distributed physical plan,
+    bottom-up: every operator's stage is built from its children's."""
 
-    def plan(sub: AlgebraOp) -> PNode:
-        return build_plan(sub, graph, broadcast_threshold_rows, shuffle_buckets)
+    def plan(op: AlgebraOp) -> Stage:
+        if isinstance(op, ScanOp):
+            return Stage(op, op.pattern.subject)
+        if isinstance(op, (FilterOp, ExtendOp)):
+            return row_local(op, plan(op.operand))
+        if isinstance(op, UnionOp):
+            branches = [plan(operand) for operand in op.operands]
+            if all(_on_driver(branch) for branch in branches):
+                return Stage(op)
+            return _union(op, branches)
+        if isinstance(op, (JoinOp, LeftJoinOp)):
+            if _correlated(op):
+                return Stage(op)
+            return join(op, plan(op.left), plan(op.right))
+        if isinstance(op, (TableOp, EmptyOp)):
+            return Stage(op)
+        raise SPARQLError(f"unknown operator {type(op).__name__}")
 
-    if not _distributable(op):
-        return PLocal(op)
-    aligned = _aligned(op, graph, broadcast_threshold_rows)
-    if aligned is not None:
-        key, gathered = aligned
-        return PStage(op, key, tuple(plan(side) for side in gathered))
-    if isinstance(op, UnionOp):
-        return PUnion(op, [plan(operand) for operand in op.operands])
-    if isinstance(op, (FilterOp, ExtendOp)):
-        child = plan(op.operand)
-        if isinstance(child, PUnion):
-            # Row-local: the same rows survive, or get the same binding, in
-            # whichever branch they come from.
-            return PUnion(
-                op,
-                [plan(replace(op, operand=branch.op)) for branch in child.children],
-            )
-        return replace(child, op=op)  # rides inside the join's tasks
-    left, right = plan(op.left), plan(op.right)
-    if isinstance(op, LeftJoinOp):
-        # Outer padding needs the complete right relation at every left
-        # fragment: always broadcast the optional side.
-        return PBroadcastJoin(op, left, right)
-    est_left = estimate_rows(op.left, graph)
-    est_right = estimate_rows(op.right, graph)
-    shared = operator_variables(op.left) & operator_variables(op.right)
-    bound = definitely_bound(op.left) & definitely_bound(op.right)
-    big = min(est_left, est_right) > broadcast_threshold_rows
-    if shared and shared <= bound and big:
-        keys = tuple(sorted(shared, key=lambda v: v.name))
-        return PShuffleJoin(op, left, right, keys=keys, buckets=shuffle_buckets)
-    if est_right <= est_left:
-        return PBroadcastJoin(op, left, right)
-    return PBroadcastJoin(op, right, left)
+    def row_local(op: AlgebraOp, child: Stage) -> Stage:
+        if child.kinds != {"split"}:
+            # Keeps the child's key, or rides inside its tasks.
+            return replace(child, op=op)
+        # Through a UNION: the same rows survive, or get the same binding,
+        # in whichever branch they come from.
+        return _union(op, [
+            row_local(replace(op, operand=branch.stage.op), branch.stage)
+            for branch in child.inputs
+        ])
+
+    def join(op: AlgebraOp, left: Stage, right: Stage) -> Stage:
+        if _on_driver(left) and _on_driver(right):
+            return Stage(op)
+        if left.key is not None and right.key is not None and left.key == right.key:
+            return Stage(op, left.key, left.inputs + right.inputs)
+        est_left = estimate_rows(op.left, graph)
+        est_right = estimate_rows(op.right, graph)
+        # (estimate of the side to gather, the aligned side, the side to gather)
+        candidates = []
+        if left.key is not None:
+            candidates.append((est_right, left, right))
+        if right.key is not None and isinstance(op, JoinOp):
+            candidates.append((est_left, right, left))
+        small = [c for c in candidates if c[0] <= broadcast_threshold_rows]
+        if small:
+            _, aligned, side = min(small, key=lambda c: c[0])
+            gather = Exchange("gather", side)
+            return Stage(op, aligned.key, aligned.inputs + (gather,))
+        if isinstance(op, LeftJoinOp):
+            # Outer padding needs the complete right relation at every left
+            # fragment: always broadcast the optional side.
+            return _broadcast(op, left, right)
+        shared = operator_variables(op.left) & operator_variables(op.right)
+        bound = definitely_bound(op.left) & definitely_bound(op.right)
+        big = min(est_left, est_right) > broadcast_threshold_rows
+        if shared and shared <= bound and big:
+            keys = tuple(sorted(shared, key=lambda v: v.name))
+            return Stage(op, inputs=tuple(
+                Exchange("shuffle", side, keys, shuffle_buckets)
+                for side in (left, right)
+            ))
+        if est_right <= est_left:
+            return _broadcast(op, left, right)
+        return _broadcast(op, right, left)
+
+    return plan(op)
 
 
-def plan_shape(node: PNode) -> str:
+def _on_driver(stage: Stage) -> bool:
+    """A stage with neither key nor inputs: one driver-side task."""
+    return stage.key is None and not stage.inputs
+
+
+def _broadcast(op: AlgebraOp, big: Stage, small: Stage) -> Stage:
+    return Stage(op, inputs=(Exchange("split", big), Exchange("gather", small)))
+
+
+def _union(op: AlgebraOp, branches) -> Stage:
+    return Stage(op, inputs=tuple(Exchange("split", b) for b in branches))
+
+
+def plan_shape(stage: Stage) -> str:
     """Compact s-expression of the physical plan, for tests and logs."""
-    if isinstance(node, PStage):
-        if isinstance(node.op, ScanOp):
+    inner = ", ".join(plan_shape(exchange.stage) for exchange in stage.inputs)
+    if stage.key is not None:
+        if isinstance(stage.op, ScanOp):
             return "scan"
-        key = str(node.key) if isinstance(node.key, Variable) else node.key.n3()
-        gathers = ", ".join(plan_shape(g) for g in node.gathers)
-        return f"stage[{key}]" + (f"({gathers})" if gathers else "")
-    if isinstance(node, PLocal):
-        return f"local[{type(node.op).__name__}]"
-    if isinstance(node, PUnion):
-        return f"union({', '.join(plan_shape(c) for c in node.children)})"
-    if isinstance(node, PBroadcastJoin):
-        join = node.op
-        while isinstance(join, (FilterOp, ExtendOp)):
-            join = join.operand
-        kind = "bcast-outer" if isinstance(join, LeftJoinOp) else "bcast"
-        return f"{kind}({plan_shape(node.big)}, {plan_shape(node.small)})"
-    if isinstance(node, PShuffleJoin):
-        keys = ",".join(f"?{v.name}" for v in node.keys)
-        return f"shuffle[{keys}]({plan_shape(node.left)}, {plan_shape(node.right)})"
-    return type(node).__name__
+        key = str(stage.key) if isinstance(stage.key, Variable) else stage.key.n3()
+        return f"stage[{key}]" + (f"({inner})" if inner else "")
+    if not stage.inputs:
+        return f"local[{type(stage.op).__name__}]"
+    if "shuffle" in stage.kinds:
+        keys = ",".join(f"?{v.name}" for v in stage.inputs[0].keys)
+        return f"shuffle[{keys}]({inner})"
+    if stage.kinds == {"split"}:
+        return f"union({inner})"
+    join = stage.op
+    while isinstance(join, (FilterOp, ExtendOp)):
+        join = join.operand
+    kind = "bcast-outer" if isinstance(join, LeftJoinOp) else "bcast"
+    return f"{kind}({inner})"

@@ -9,6 +9,8 @@ serving-gateway translation of :class:`PartitionUnavailable` to ``Shed``.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec
 from repro.cluster.scheduler import Scheduler
@@ -26,10 +28,9 @@ from repro.sparql import CompileOptions, QueryBudget, evaluate
 from repro.sparql.algebra import JoinOp, ScanOp
 from repro.sparql.dist import (
     DistRuntime,
+    Exchange,
     PartialResult,
     PartitionedTripleStore,
-    PBroadcastJoin,
-    PStage,
     RangePartitioner,
     ShuffleStore,
     bucket_codes,
@@ -37,12 +38,22 @@ from repro.sparql.dist import (
     estimate_rows,
     plan_shape,
 )
+from repro.sparql.dist.soak import QUERY_POOL, DistSoakConfig
+from repro.sparql.dist.soak import build_graph as soak_graph
 from repro.sparql.ast import Variable
 from repro.sparql.evaluator import _EMPTY_REGISTRY
 from repro.sparql.parser import parse_query
 from repro.sparql.vector.engine import compile_vector_plan, execute_tree
-from repro.sparql.vector.ops import scan_batch
+from repro.sparql.vector.ops import scan_batch, scan_table
 
+from tests.sparql.test_engine_equivalence import (
+    PREFIX,
+    aggregate_queries,
+    correlated_selects,
+    dense_graphs,
+    graphs,
+    select_queries,
+)
 from tests.sparql.test_vector_kernels import bench_store
 
 
@@ -101,7 +112,9 @@ class TestPartitionedStore:
             "SELECT * WHERE { ?s <http://ex/p> ?v }"
         ).where.children[0].patterns[0]
         whole = scan_batch(graph, pattern)
-        parts = [store.scan_partition(pid, pattern) for pid in range(4)]
+        parts = [
+            scan_table(store.table(pid), pattern, graph.term_id) for pid in range(4)
+        ]
         assert sum(p.nrows for p in parts) == whole.nrows
         # Disjoint: each subject id appears in exactly one partition.
         seen = {}
@@ -120,11 +133,16 @@ class TestPartitionedStore:
         pattern = parse_query(
             "SELECT * WHERE { <http://ex/s7> <http://ex/p> ?v }"
         ).where.children[0].patterns[0]
-        assert len(store.relevant_partitions(pattern)) == 1
+        (pid,) = store.partitions_of(pattern.subject)
+        rows = [
+            scan_table(store.table(p), pattern, graph.term_id).nrows
+            for p in range(4)
+        ]
+        assert rows[pid] == sum(rows) == scan_batch(graph, pattern).nrows > 0
         unknown = parse_query(
             "SELECT * WHERE { <http://nowhere/x> <http://ex/p> ?v }"
         ).where.children[0].patterns[0]
-        assert store.relevant_partitions(unknown) == []
+        assert store.partitions_of(unknown.subject) == []
 
     def test_sync_tracks_graph_version(self):
         graph = build_graph(n=10)
@@ -144,19 +162,22 @@ class TestPartitionedStore:
             )
 
 
-class TestPlanShapes:
-    def _plan(self, graph, text, threshold=64.0):
-        query = parse_query(text)
-        tree = compile_vector_plan(
-            query.where, graph, CompileOptions(engine="vector")
-        )
-        return plan_shape(build_plan(tree, graph, threshold, 4))
+def vector_tree(graph, text):
+    return compile_vector_plan(
+        parse_query(text).where, graph, CompileOptions(engine="vector")
+    )
 
+
+def shape_of(graph, text, threshold=64.0):
+    return plan_shape(build_plan(vector_tree(graph, text), graph, threshold, 4))
+
+
+class TestPlanShapes:
     def test_scan_and_map(self):
         """A FILTER rides inside its scan's stage: no map stage."""
         graph = build_graph()
-        assert self._plan(graph, "SELECT * WHERE { ?s <http://ex/p> ?v }") == "scan"
-        shape = self._plan(
+        assert shape_of(graph, "SELECT * WHERE { ?s <http://ex/p> ?v }") == "scan"
+        shape = shape_of(
             graph,
             "SELECT * WHERE { ?s <http://ex/p> ?v FILTER(?v != 3) }",
         )
@@ -167,8 +188,8 @@ class TestPlanShapes:
         threshold and gathers its small side below it."""
         graph = build_graph()
         text = "SELECT * WHERE { ?a <http://ex/q> ?b . ?b <http://ex/type> ?c }"
-        assert self._plan(graph, text, threshold=1.0) == "shuffle[?b](scan, scan)"
-        assert self._plan(graph, text, threshold=1e9) == "stage[?b](scan)"
+        assert shape_of(graph, text, threshold=1.0) == "shuffle[?b](scan, scan)"
+        assert shape_of(graph, text, threshold=1e9) == "stage[?b](scan)"
 
     def test_optional_always_broadcasts(self):
         """An OPTIONAL off the subject key broadcasts its optional side
@@ -178,8 +199,8 @@ class TestPlanShapes:
             "SELECT * WHERE { ?s <http://ex/q> ?o "
             "OPTIONAL { ?o <http://ex/p> ?v } }"
         )
-        assert self._plan(graph, text, threshold=1.0) == "bcast-outer(scan, scan)"
-        assert self._plan(graph, text, threshold=1e9) == "stage[?s](scan)"
+        assert shape_of(graph, text, threshold=1.0) == "bcast-outer(scan, scan)"
+        assert shape_of(graph, text, threshold=1e9) == "stage[?s](scan)"
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0, 64.0, 1e9])
     def test_subject_star_is_one_stage_at_every_threshold(self, threshold):
@@ -188,7 +209,7 @@ class TestPlanShapes:
             "SELECT * WHERE { ?s <http://ex/p> ?v . ?s <http://ex/type> ?t . "
             "?s <http://ex/q> ?o FILTER(?v != 3) BIND(?t AS ?u) }"
         )
-        assert self._plan(graph, text, threshold) == "stage[?s]"
+        assert shape_of(graph, text, threshold) == "stage[?s]"
 
     def test_colocated_optional_pads_exactly(self):
         graph = build_graph()
@@ -196,7 +217,7 @@ class TestPlanShapes:
             "SELECT ?s ?v ?o WHERE { ?s <http://ex/p> ?v "
             "OPTIONAL { ?s <http://ex/q> ?o } }"
         )
-        assert self._plan(graph, text, threshold=1.0) == "stage[?s]"
+        assert shape_of(graph, text, threshold=1.0) == "stage[?s]"
         runtime = DistRuntime(
             graph, partitions=4, replication=2, broadcast_threshold_rows=1.0
         )
@@ -216,7 +237,7 @@ class TestPlanShapes:
             f"SELECT ?v ?t WHERE {{ {subject.n3()} <http://ex/p> ?v . "
             f"{subject.n3()} <http://ex/type> ?t }}"
         )
-        assert self._plan(graph, text) == f"stage[{subject.n3()}]"
+        assert shape_of(graph, text) == f"stage[{subject.n3()}]"
         assert canonical(run_dist(graph, text, runtime)) == canonical(
             run_vector(graph, text)
         )
@@ -236,7 +257,7 @@ class TestPlanShapes:
 
     def test_union_concatenates(self):
         graph = build_graph()
-        shape = self._plan(
+        shape = shape_of(
             graph,
             "SELECT * WHERE { { ?s <http://ex/p> ?v } "
             "UNION { ?s <http://ex/q> ?v } }",
@@ -245,7 +266,7 @@ class TestPlanShapes:
 
     def test_values_runs_local(self):
         graph = build_graph()
-        shape = self._plan(
+        shape = shape_of(
             graph,
             "SELECT * WHERE { VALUES ?s { <http://ex/s1> } "
             "?s <http://ex/p> ?v }",
@@ -254,6 +275,100 @@ class TestPlanShapes:
         # The VALUES table is tiny: it is the broadcast (or local) side,
         # never a shuffle key source (its ?s could be UNDEF in general).
         assert "shuffle" not in shape
+
+
+class TestPlanPins:
+    """Plans recorded before the planner moved to stages and exchanges; a
+    refactor of the planner or of ``plan_shape`` must reproduce them."""
+
+    #: E25's ``QUERY_POOL`` on the soak graph, at thresholds 1.0 and 64.0.
+    POOL = (
+        ("scan", "scan"),
+        ("scan", "scan"),
+        ("stage[?s]", "stage[?s]"),
+        ("shuffle[?b](scan, scan)", "stage[?b](scan)"),
+        (
+            "shuffle[?c](shuffle[?b](scan, scan), scan)",
+            "stage[?c](stage[?a](scan))",
+        ),
+        ("stage[?s]", "stage[?s]"),
+        ("union(scan, scan)", "union(scan, scan)"),
+        ("stage[?s]", "stage[?s]"),
+        ("stage[?s]", "stage[?s]"),
+        ("scan", "scan"),
+        ("scan", "scan"),
+        ("scan", "scan"),
+    )
+
+    #: The ``sparql_dist`` shapes on ``bench_store(500)`` at 1, 64 and 1e9.
+    BENCH = {
+        "join5": (
+            "shuffle[?s](shuffle[?p](shuffle[?p](shuffle[?c](scan, scan), "
+            "stage[?p]), scan), scan)",
+            "stage[?p](scan, scan)",
+            "stage[?p](scan, scan)",
+        ),
+        "group": ("stage[?p]", "stage[?p]", "stage[?p]"),
+        "topk": ("stage[?p]", "stage[?p]", "stage[?p]"),
+        "lookup": ("stage[<http://ex.org/prod82>]",) * 3,
+        "optional": ("local[LeftJoinOp]",) * 3,
+    }
+
+    def test_soak_pool(self):
+        graph = soak_graph(DistSoakConfig())
+        assert len(QUERY_POOL) == len(self.POOL)
+        for text, pinned in zip(QUERY_POOL, self.POOL):
+            shapes = tuple(shape_of(graph, text, t) for t in (1.0, 64.0))
+            assert shapes == pinned, text
+
+    def test_bench_shapes(self):
+        store, texts = bench_store(500)
+        for name, pinned in self.BENCH.items():
+            shapes = tuple(
+                shape_of(store.graph, texts[name], t) for t in (1.0, 64.0, 1e9)
+            )
+            assert shapes == pinned, name
+
+
+def algebra_children(op):
+    for name in ("left", "right", "operand"):
+        if hasattr(op, name):
+            yield getattr(op, name)
+    yield from getattr(op, "operands", ())
+
+
+def assert_inputs_planted(stage):
+    """Every input's ``stage.op`` sits inside ``stage.op`` by identity, and
+    not inside another input's: a task plants its inputs by ``id``, so an
+    operator the planner copied would silently run instead of being
+    planted. A UNION runs no task and plants nothing (a FILTER or BIND
+    above it is copied into each branch), so only its branches recurse."""
+    if stage.kinds != {"split"}:
+        wanted = {id(exchange.stage.op) for exchange in stage.inputs}
+        found = []
+        pending = [stage.op]
+        while pending:
+            op = pending.pop()
+            if id(op) in wanted:
+                found.append(id(op))
+            else:
+                pending += algebra_children(op)
+        assert sorted(found) == sorted(wanted), plan_shape(stage)
+    for exchange in stage.inputs:
+        assert isinstance(exchange, Exchange)
+        assert exchange.kind in ("gather", "split", "shuffle")
+        assert_inputs_planted(exchange.stage)
+
+
+@given(
+    graph=graphs | dense_graphs,
+    query=st.one_of(select_queries(), correlated_selects(), aggregate_queries()),
+    threshold=st.sampled_from([0.0, 1.0, 4.0, 64.0, 1e9]),
+)
+@settings(max_examples=60, deadline=None)
+def test_exchange_inputs_are_planted_by_identity(graph, query, threshold):
+    tree = vector_tree(graph, PREFIX + query)
+    assert_inputs_planted(build_plan(tree, graph, threshold, 4))
 
 
 class TestBucketCodes:
@@ -524,18 +639,12 @@ def algebra_subtrees(op):
         yield from algebra_subtrees(operand)
 
 
-def gathered_sides(node):
-    """Every plan node whose relation is gathered whole and shipped."""
-    if isinstance(node, PStage):
-        yield from node.gathers
-    if isinstance(node, PBroadcastJoin):
-        yield node.small
-    for name in ("gathers", "children"):
-        for child in getattr(node, name, ()):
-            yield from gathered_sides(child)
-    for name in ("big", "small", "left", "right"):
-        if hasattr(node, name):
-            yield from gathered_sides(getattr(node, name))
+def gathered_sides(stage):
+    """Every stage whose relation is gathered whole and shipped."""
+    for exchange in stage.inputs:
+        if exchange.kind == "gather":
+            yield exchange.stage
+        yield from gathered_sides(exchange.stage)
 
 
 class TestBenchShapes:

@@ -13,7 +13,7 @@ acceptable, and every run must release its admission tickets exactly once.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ClusterError, FaultError, PartitionUnavailable
+from repro.errors import ClusterError, FaultError, PartitionUnavailable, SPARQLError
 from repro.faults import FaultInjector, FaultPlan
 from repro.sparql import CompileOptions, evaluate
 from repro.sparql.dist import DistRuntime, PartialResult
@@ -22,7 +22,10 @@ from tests.sparql.test_engine_equivalence import (
     PREFIX,
     aggregate_queries,
     canonical,
+    correlated_selects,
+    dense_graphs,
     graphs,
+    outcome,
     select_queries,
     where_clauses,
 )
@@ -67,6 +70,28 @@ def test_aggregate_multiset_equivalence(graph, query, layout):
     vector = evaluate(graph, text, options=CompileOptions(engine="vector"))
     dist = run_dist(graph, text, layout)
     assert canonical(dist) == canonical(vector), text
+
+
+@given(graph=graphs | dense_graphs, query=correlated_selects(), layout=layouts)
+@settings(max_examples=80, deadline=None)
+def test_correlated_multiset_equivalence(graph, query, layout):
+    """Correlated OPTIONAL, FILTER and BIND groups: the dependent joins run
+    as driver-side stages, the uncorrelated parts around them distributed."""
+    text = PREFIX + query
+    partitions, replication, threshold = layout
+    runtime = DistRuntime(
+        graph,
+        partitions=partitions,
+        replication=replication,
+        broadcast_threshold_rows=threshold,
+    )
+    try:
+        dist = canonical(runtime.query(text))
+    except SPARQLError:
+        dist = SPARQLError
+    assert dist == outcome(graph, text, "vector"), text
+    report = runtime.last_report
+    assert report.tickets_issued == report.tickets_released, text
 
 
 @given(graph=graphs, query=where_clauses(), layout=layouts)

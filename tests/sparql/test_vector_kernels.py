@@ -760,4 +760,13 @@ def test_operator_outside_the_algebra_is_refused():
         execute_tree(JoinOp(scan, Foreign()), graph, FunctionRegistry())
     with pytest.raises(SPARQLError, match="unknown operator Foreign"):
         list(_evaluate_op(Foreign(), ExecContext(graph, FunctionRegistry()), {}))
+    # Nor does the distributed planner plan, or estimate, one.
+    from repro.sparql.dist import build_plan, estimate_rows
+
+    for tree in (Foreign(), JoinOp(scan, Foreign())):
+        for threshold in (0.0, 1e9):
+            with pytest.raises(SPARQLError, match="unknown operator Foreign"):
+                build_plan(tree, graph, threshold, 4)
+    with pytest.raises(SPARQLError, match="unknown operator Foreign"):
+        estimate_rows(JoinOp(scan, Foreign()), graph)
 
