@@ -1,5 +1,11 @@
 """Federated execution: bind joins over planned patterns.
 
+The executor only produces matches: a breadth-first bind join over the
+plan's steps, each remote call under retry, breaker, result cache and
+degradation handling. The plan's filters, solution modifiers and aggregates
+then run through :func:`~repro.sparql.pipeline.finish_solutions`, so a
+federated answer is exactly the centralised answer over the matches.
+
 Fault tolerance (experiment E17): when endpoints are chaos-injected, every
 remote call runs under a shared :class:`~repro.faults.RetryPolicy`; an
 endpoint whose calls permanently fail (dead) is dropped from the rest of the
@@ -35,8 +41,8 @@ from repro.federation.endpoint import Endpoint
 from repro.obs import Observability, resolve
 from repro.federation.planner import FederatedPlan, plan_query
 from repro.sparql.ast import SelectQuery, TriplePattern, Variable
-from repro.sparql.evaluator import Bindings, FunctionRegistry, evaluate_expression
-from repro.sparql.functions import EvaluationError, effective_boolean_value
+from repro.sparql.evaluator import Bindings, FunctionRegistry, _substitute
+from repro.sparql.pipeline import finish_solutions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache.federation import FederationResultCache
@@ -271,32 +277,9 @@ def _execute_admitted(
             if not solutions:
                 break
 
-    # Local filters.
-    for expression in plan.filters:
-        kept = []
-        for solution in solutions:
-            try:
-                if effective_boolean_value(
-                    evaluate_expression(expression, solution, registry)
-                ):
-                    kept.append(solution)
-            except EvaluationError:
-                continue
-        solutions = kept
-
-    if plan.variables:
-        solutions = [
-            {v: s[v] for v in plan.variables if v in s} for s in solutions
-        ]
-    if plan.distinct:
-        seen = set()
-        unique = []
-        for solution in solutions:
-            key = frozenset(solution.items())
-            if key not in seen:
-                seen.add(key)
-                unique.append(solution)
-        solutions = unique
+    solutions = finish_solutions(
+        plan.query, [solutions], plan.filters, registry
+    )
 
     metrics = FederationMetrics(
         requests=sum(e.requests for e in endpoints),
@@ -316,17 +299,6 @@ def _execute_admitted(
     if dead:
         counters.counter("federation.degraded_queries").inc()
     return solutions, metrics
-
-
-def _substitute(pattern: TriplePattern, bindings: Bindings) -> TriplePattern:
-    def resolve(position):
-        if isinstance(position, Variable) and position in bindings:
-            return bindings[position]
-        return position
-
-    return TriplePattern(
-        resolve(pattern.subject), resolve(pattern.predicate), resolve(pattern.object)
-    )
 
 
 def _extend(bindings: Bindings, pattern: TriplePattern, triple) -> Optional[Bindings]:

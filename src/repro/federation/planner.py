@@ -2,22 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Union
+from dataclasses import dataclass
+from typing import List, Sequence, Set, Union
 
 from repro.errors import FederationError
 from repro.federation.endpoint import Endpoint
 from repro.federation.sourcesel import select_sources
-from repro.sparql.ast import (
-    BGP,
-    Expression,
-    FilterPattern,
-    GroupPattern,
-    SelectQuery,
-    TriplePattern,
-    Variable,
-)
+from repro.sparql.ast import Expression, SelectQuery, TriplePattern, Variable
 from repro.sparql.parser import parse_query
+from repro.sparql.pipeline import flat_bgp
 
 
 @dataclass
@@ -31,12 +24,12 @@ class PlannedPattern:
 
 @dataclass
 class FederatedPlan:
-    """An ordered pattern list plus locally-applied filters."""
+    """An ordered pattern list, the filters applied after its joins, and the
+    query whose modifiers finish the answer."""
 
     steps: List[PlannedPattern]
-    filters: List[Expression] = field(default_factory=list)
-    variables: List[Variable] = field(default_factory=list)
-    distinct: bool = False
+    filters: List[Expression]
+    query: SelectQuery
 
     @property
     def total_sources(self) -> int:
@@ -45,21 +38,7 @@ class FederatedPlan:
 
 def _extract_bgp(query: SelectQuery) -> tuple:
     """Pull the flat BGP + filters out of a (simple) federated query."""
-    patterns: List[TriplePattern] = []
-    filters: List[Expression] = []
-    for child in query.where.children:
-        if isinstance(child, BGP):
-            patterns.extend(child.patterns)
-        elif isinstance(child, FilterPattern):
-            filters.append(child.expression)
-        else:
-            raise FederationError(
-                "federated queries support flat BGP + FILTER only "
-                f"(got {type(child).__name__})"
-            )
-    if not patterns:
-        raise FederationError("federated query has no triple patterns")
-    return patterns, filters
+    return flat_bgp(query, FederationError)
 
 
 def plan_query(
@@ -107,9 +86,4 @@ def plan_query(
         ordered.append(best)
         bound.update(best.pattern.variables())
 
-    return FederatedPlan(
-        steps=ordered,
-        filters=filters,
-        variables=query.variables,
-        distinct=query.distinct,
-    )
+    return FederatedPlan(steps=ordered, filters=filters, query=query)

@@ -11,10 +11,11 @@ This package reproduces that architecture:
 * :mod:`repro.obda.relational` — a small in-memory relational engine
   (tables, typed columns, predicate-pushdown scans)
 * :class:`~repro.obda.virtual.VirtualGeoStore` — answers SPARQL
-  (BGP + FILTER, including ``geof:`` spatial filters) by translating the
-  query into table scans and hash joins over
-  :class:`~repro.geotriples.mapping.TriplesMap` mappings — **no triple is
-  ever materialised**.
+  (BGP + FILTER, including ``geof:`` spatial filters, under any solution
+  modifier) by unfolding the query into table scans over
+  :class:`~repro.geotriples.mapping.TriplesMap` mappings, whose rows the
+  shared SPARQL pipeline joins and finishes — **no triple is ever
+  materialised**.
 """
 
 from repro.obda.relational import Column, Database, Table

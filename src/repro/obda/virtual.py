@@ -3,21 +3,26 @@
 A :class:`VirtualGeoStore` holds no triples. SPARQL BGPs are grouped by
 subject, each group is matched to a registered (table, mapping) pair, column
 comparisons and spatial bounding-box filters are pushed into the table scan,
-and groups are hash-joined on shared variables. The GeoSPARQL two-hop
+and each group's rows become one solution list. The GeoSPARQL two-hop
 pattern (``?f geo:hasGeometry ?g . ?g geo:asWKT ?wkt``) is folded into the
 feature group, mirroring how Ontop-spatial virtualises geometry tables.
 
-Supported query form: ``SELECT [DISTINCT] ... WHERE { BGP . FILTER ... }``
-with constant predicates — the fragment Ontop's core rewriting covers.
+The store only unfolds and scans: the per-group solution lists are joined,
+filtered and finished by :func:`~repro.sparql.pipeline.finish_solutions`,
+the same vector-engine code that answers a materialised store.
+
+Supported query form: any SELECT — DISTINCT, ORDER BY, LIMIT/OFFSET,
+aggregates — whose WHERE is a flat ``{ BGP . FILTER ... }`` with constant
+predicates, the fragment Ontop's core rewriting covers. OPTIONAL, UNION,
+BIND and variable predicates raise :class:`~repro.errors.ReproError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
-from repro.errors import ReproError
-from repro.geometry import Geometry
+from repro.errors import MappingError, ReproError
 from repro.geosparql.functions import INDEXABLE_RELATIONS, geo_function_registry
 from repro.geosparql.literals import geometry_literal, is_geometry_literal, literal_geometry
 from repro.geotriples.mapping import ObjectMap, TriplesMap, expand_template, template_variables
@@ -25,10 +30,8 @@ from repro.obda.relational import Database, Predicate, Table
 from repro.rdf.namespace import GEO, RDF
 from repro.rdf.term import IRI, Literal, Term
 from repro.sparql.ast import (
-    BGP,
     BinaryOp,
     Expression,
-    FilterPattern,
     FunctionCall,
     SelectQuery,
     TermExpr,
@@ -36,9 +39,9 @@ from repro.sparql.ast import (
     Variable,
     VarExpr,
 )
-from repro.sparql.evaluator import Bindings, evaluate_expression
-from repro.sparql.functions import EvaluationError, effective_boolean_value
+from repro.sparql.evaluator import Bindings
 from repro.sparql.parser import parse_query
+from repro.sparql.pipeline import finish_solutions, flat_bgp
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache.plan import PlanCache
@@ -115,8 +118,8 @@ class VirtualGeoStore:
                 query = self.plan_cache.parse(text)
             else:
                 query = parse_query(text)
-        if not isinstance(query, SelectQuery) or query.is_aggregate:
-            raise ReproError("VirtualGeoStore supports plain SELECT queries")
+        if not isinstance(query, SelectQuery):
+            raise ReproError("VirtualGeoStore supports SELECT queries only")
         if self.plan_cache is not None and text is not None:
             filters, groups = self.plan_cache.plan(
                 self,
@@ -127,69 +130,19 @@ class VirtualGeoStore:
             )
         else:
             filters, groups = self._rewrite(query)
-        solution_sets = [self._evaluate_group(g, filters) for g in groups]
-
-        solutions = [{}]
-        for solution_set in solution_sets:
-            solutions = _hash_join(solutions, solution_set)
-            if not solutions:
-                break
-
-        # Residual filters (cross-group or not pushable) run last.
-        for expression in filters:
-            solutions = [
-                s for s in solutions if self._filter_ok(expression, s)
-            ]
-        if query.variables:
-            solutions = [
-                {v: s[v] for v in query.variables if v in s} for s in solutions
-            ]
-        if query.distinct:
-            seen = set()
-            unique = []
-            for solution in solutions:
-                key = frozenset(solution.items())
-                if key not in seen:
-                    seen.add(key)
-                    unique.append(solution)
-            solutions = unique
-        if query.offset:
-            solutions = solutions[query.offset:]
-        if query.limit is not None:
-            solutions = solutions[: query.limit]
-        return solutions
+        return finish_solutions(
+            query,
+            [self._evaluate_group(g, filters) for g in groups],
+            filters,
+            self._registry,
+        )
 
     def _rewrite(
         self, query: SelectQuery
     ) -> Tuple[List[Expression], List[_SubjectGroup]]:
         """The cacheable rewrite: pattern extraction + subject grouping."""
-        patterns, filters = self._extract(query)
+        patterns, filters = flat_bgp(query, ReproError)
         return filters, self._group_by_subject(patterns)
-
-    def _filter_ok(self, expression: Expression, solution: Bindings) -> bool:
-        try:
-            return effective_boolean_value(
-                evaluate_expression(expression, solution, self._registry)
-            )
-        except EvaluationError:
-            return False
-
-    @staticmethod
-    def _extract(query: SelectQuery):
-        patterns: List[TriplePattern] = []
-        filters: List[Expression] = []
-        for child in query.where.children:
-            if isinstance(child, BGP):
-                patterns.extend(child.patterns)
-            elif isinstance(child, FilterPattern):
-                filters.append(child.expression)
-            else:
-                raise ReproError(
-                    f"unsupported pattern {type(child).__name__} in virtual query"
-                )
-        if not patterns:
-            raise ReproError("virtual query has no triple patterns")
-        return patterns, filters
 
     # ------------------------------------------------------------------
     # Grouping (with geometry-hop folding)
@@ -246,16 +199,13 @@ class VirtualGeoStore:
         self, group: _SubjectGroup, filters: Sequence[Expression]
     ) -> List[Bindings]:
         source = self._match_source(group)
-        predicates, residual_equalities = self._pushable_predicates(
-            group, source, filters
-        )
-        solutions: List[Bindings] = []
         subject_vars = template_variables(source.mapping.subject_template)
-        for row in source.table.scan(predicates):
+        solutions: List[Bindings] = []
+        for row in source.table.scan(
+            self._pushable_predicates(group, source, filters)
+        ):
             bindings = self._row_bindings(group, source, row, subject_vars)
-            if bindings is None:
-                continue
-            if all(self._filter_ok(e, bindings) for e in residual_equalities):
+            if bindings is not None:
                 solutions.append(bindings)
         return solutions
 
@@ -290,10 +240,10 @@ class VirtualGeoStore:
         group: _SubjectGroup,
         source: _MappedSource,
         filters: Sequence[Expression],
-    ) -> Tuple[List[Predicate], List[Expression]]:
-        """(scan predicates, equality filters that must still run per row)."""
+    ) -> List[Predicate]:
+        """Scan predicates: what the table can test before a row is mapped.
+        Every filter still runs on the joined answer."""
         predicates: List[Predicate] = []
-        residual: List[Expression] = []
 
         # Constant objects on column-backed predicates become = predicates.
         for predicate_iri, obj in group.properties:
@@ -322,7 +272,7 @@ class VirtualGeoStore:
                 bbox = _spatial_bbox(expression, group.wkt_object)
                 if bbox is not None:
                     predicates.append((geometry_map.column, "bbox_intersects", bbox))
-        return predicates, residual
+        return predicates
 
     def _row_bindings(
         self,
@@ -387,7 +337,7 @@ class VirtualGeoStore:
         if object_map.template is not None:
             try:
                 return IRI(expand_template(object_map.template, row))
-            except Exception:
+            except MappingError:
                 return None
         value = row.get(object_map.column)
         if value is None:
@@ -447,37 +397,3 @@ def _spatial_bbox(expression: Expression, wkt_variable: Variable):
     if constant is None or not is_geometry_literal(constant):
         return None
     return literal_geometry(constant).bbox
-
-
-def _hash_join(left: List[Bindings], right: List[Bindings]) -> List[Bindings]:
-    """Natural join of two solution lists on their shared variables."""
-    if not left or not right:
-        return []
-    shared = set(left[0].keys())
-    for solution in left:
-        shared &= set(solution.keys())
-    right_vars = set(right[0].keys())
-    for solution in right:
-        right_vars &= set(solution.keys())
-    join_vars = tuple(sorted(shared & right_vars, key=lambda v: v.name))
-    if not join_vars:
-        return [{**a, **b} for a in left for b in right]
-    buckets: Dict[Tuple, List[Bindings]] = {}
-    for solution in right:
-        buckets.setdefault(
-            tuple(solution[v] for v in join_vars), []
-        ).append(solution)
-    joined: List[Bindings] = []
-    for solution in left:
-        key = tuple(solution[v] for v in join_vars)
-        for match in buckets.get(key, ()):  # compatible on join vars
-            merged = dict(solution)
-            conflict = False
-            for variable, term in match.items():
-                if variable in merged and merged[variable] != term:
-                    conflict = True
-                    break
-                merged[variable] = term
-            if not conflict:
-                joined.append(merged)
-    return joined

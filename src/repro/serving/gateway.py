@@ -78,6 +78,22 @@ OK = "ok"
 FAILED = "failed"
 EXPIRED = "expired"
 
+#: Internal overload signal -> (``Shed.reason``, message before the retry
+#: hint), first match wins. A lost partition (E25) is transient by design —
+#: replicas get re-placed — so it sheds rather than failing the tenant.
+_SHED_TABLE = {
+    QueryBudgetExceeded: (
+        "query_budget", "query exceeded its resource budget ({error.resource})"
+    ),
+    QueryCancelled: ("cancelled", "query cancelled"),
+    PartitionUnavailable: (
+        "partition_unavailable",
+        "store partition unavailable ({error.partition})",
+    ),
+    Overloaded: ("overloaded", "backend overloaded"),
+    CircuitOpen: ("breaker_open", "backend circuit open"),
+}
+
 
 class GatewayRequest:
     """One tenant request travelling through the gateway."""
@@ -550,48 +566,15 @@ class Gateway:
         self, error: BaseException, request: GatewayRequest
     ) -> BaseException:
         """Internal overload signals become typed per-tenant errors."""
-        tenant = request.session.name
-        if isinstance(error, QueryBudgetExceeded):
-            return Shed(
-                f"query exceeded its resource budget ({error.resource}); "
-                f"retry after {self._shed_retry_after_s}s",
-                tenant=tenant,
-                retry_after_s=self._shed_retry_after_s,
-                reason="query_budget",
-            )
-        if isinstance(error, QueryCancelled):
-            return Shed(
-                f"query cancelled; retry after {self._shed_retry_after_s}s",
-                tenant=tenant,
-                retry_after_s=self._shed_retry_after_s,
-                reason="cancelled",
-            )
-        if isinstance(error, PartitionUnavailable):
-            # E25: a distributed query lost every replica of a partition.
-            # Transient by design (replicas get re-placed), so it sheds —
-            # come back later — rather than failing the tenant outright.
-            return Shed(
-                f"store partition unavailable ({error.partition}); retry "
-                f"after {self._shed_retry_after_s}s",
-                tenant=tenant,
-                retry_after_s=self._shed_retry_after_s,
-                reason="partition_unavailable",
-            )
-        if isinstance(error, Overloaded):
-            return Shed(
-                f"backend overloaded; retry after {self._shed_retry_after_s}s",
-                tenant=tenant,
-                retry_after_s=self._shed_retry_after_s,
-                reason="overloaded",
-            )
-        if isinstance(error, CircuitOpen):
-            return Shed(
-                f"backend circuit open; retry after "
-                f"{self._shed_retry_after_s}s",
-                tenant=tenant,
-                retry_after_s=self._shed_retry_after_s,
-                reason="breaker_open",
-            )
+        for error_type, (reason, message) in _SHED_TABLE.items():
+            if isinstance(error, error_type):
+                return Shed(
+                    f"{message.format(error=error)}; retry after "
+                    f"{self._shed_retry_after_s}s",
+                    tenant=request.session.name,
+                    retry_after_s=self._shed_retry_after_s,
+                    reason=reason,
+                )
         return error
 
     # ------------------------------------------------------------------

@@ -14,10 +14,16 @@ cache key's options component; budget and observability are *execution*
 state and go into the context. :func:`evaluate`, ``GeoStore.query`` and
 ``DistRuntime.query`` are thin callers of :func:`run_query`; the distributed
 runtime brings its own table row, which is why it is not an engine label.
+
+Callers that produce matches without a :class:`Graph` — the federation's
+bind join, the virtual OBDA store's table scans — hand them to
+:func:`finish_solutions`, which runs stages 3 and 4 on the vector row, so
+every answer is joined, filtered and modified by the same code.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import (
     Any,
     Callable,
@@ -25,14 +31,30 @@ from typing import (
     List,
     NamedTuple,
     Optional,
+    Sequence,
     TYPE_CHECKING,
     Union,
 )
 
 from repro.obs import Observability, resolve as resolve_obs
 from repro.rdf.graph import Graph
-from repro.sparql.algebra import AlgebraOp, CompileOptions, compile_group
-from repro.sparql.ast import AskQuery, GroupPattern, SelectQuery
+from repro.sparql.algebra import (
+    AlgebraOp,
+    CompileOptions,
+    FilterOp,
+    JoinOp,
+    TableOp,
+    compile_group,
+)
+from repro.sparql.ast import (
+    BGP,
+    AskQuery,
+    Expression,
+    FilterPattern,
+    GroupPattern,
+    SelectQuery,
+    TriplePattern,
+)
 from repro.sparql.evaluator import (
     _EMPTY_REGISTRY,
     Bindings,
@@ -199,3 +221,51 @@ def evaluate(
     return run_query(
         graph, query, registry, options, budget=budget, obs=obs, cache=cache
     )
+
+
+def flat_bgp(query: SelectQuery, error: type) -> tuple:
+    """``(patterns, filters)`` of a WHERE that is one flat BGP plus FILTERs —
+    the shape a caller matching patterns itself can answer; any other shape
+    raises *error*, the caller's own typed error."""
+    patterns: List[TriplePattern] = []
+    filters: List[Expression] = []
+    for child in query.where.children:
+        if isinstance(child, BGP):
+            patterns.extend(child.patterns)
+        elif isinstance(child, FilterPattern):
+            filters.append(child.expression)
+        else:
+            raise error(
+                "only a flat BGP + FILTER is supported "
+                f"(got {type(child).__name__})"
+            )
+    if not patterns:
+        raise error("query has no triple patterns")
+    return patterns, filters
+
+
+def _table(solutions: List[Bindings]) -> TableOp:
+    variables = list(dict.fromkeys(v for s in solutions for v in s))
+    return TableOp(variables, [[s.get(v) for v in variables] for s in solutions])
+
+
+def finish_solutions(
+    query: SelectQuery,
+    tables: Sequence[List[Bindings]],
+    filters: Sequence[Expression],
+    registry: FunctionRegistry,
+) -> List[Bindings]:
+    """*query*'s answer from solution lists matched outside any graph.
+
+    The (non-empty) *tables* are natural-joined in order, every filter runs
+    on the join, and the SELECT is finished — ORDER BY, projection,
+    DISTINCT, slicing, aggregates — all on the vector row of
+    :data:`ENGINE_TABLE` against an empty :class:`Graph`, where every term
+    gets a local id.
+    """
+    tree = reduce(JoinOp, map(_table, tables))
+    for expression in filters:
+        tree = FilterOp(expression, tree)
+    engine = ENGINE_TABLE["vector"]
+    ctx = ExecContext(Graph(), registry)
+    return engine.select(query, engine.execute(tree, ctx), ctx)

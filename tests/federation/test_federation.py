@@ -202,3 +202,49 @@ class TestExecution:
         # The rainfall pattern never ran: no solutions to bind.
         weather = next(e for e in endpoints if e.name == "weather")
         assert weather.requests == 0
+
+
+class TestSolutionModifiers:
+    """Modifiers and aggregates are answered like the centralised store."""
+
+    def test_order_by_desc(self, endpoints):
+        solutions, _ = execute_federated(
+            PREFIX
+            + "SELECT ?f ?r WHERE { ?f ex:crop ?c . ?f ex:rainfall ?r } "
+            "ORDER BY DESC(?r)",
+            endpoints,
+        )
+        assert [s[Variable("f")] for s in solutions] == [
+            EX.field4, EX.field3, EX.field2, EX.field1, EX.field0,
+        ]
+
+    @pytest.mark.parametrize(
+        "modifiers, expected",
+        [("LIMIT 2", [0, 1]), ("LIMIT 2 OFFSET 1", [1, 2]), ("OFFSET 3", [3, 4])],
+    )
+    def test_order_by_with_slice(self, endpoints, modifiers, expected):
+        solutions, metrics = execute_federated(
+            PREFIX
+            + "SELECT ?f WHERE { ?f ex:crop ?c . ?f ex:rainfall ?r } "
+            f"ORDER BY ?f {modifiers}",
+            endpoints,
+        )
+        assert solutions == [{Variable("f"): EX[f"field{i}"]} for i in expected]
+        assert metrics.results == len(expected)
+
+    def test_count(self, endpoints):
+        solutions, metrics = execute_federated(
+            PREFIX
+            + "SELECT (COUNT(?f) AS ?n) WHERE { ?f ex:crop ?c . ?f ex:rainfall ?r }",
+            endpoints,
+        )
+        assert solutions == [{Variable("n"): Literal.from_python(5)}]
+        assert metrics.results == 1
+
+    def test_tenant_backend_orders(self, endpoints):
+        from repro.serving.backends import FederationBackend
+
+        solutions, _ = FederationBackend(endpoints).execute(
+            PREFIX + "SELECT ?r WHERE { ?f ex:rainfall ?r } ORDER BY DESC(?r) LIMIT 1"
+        )
+        assert solutions == [{Variable("r"): Literal.from_python(140)}]

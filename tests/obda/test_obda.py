@@ -213,6 +213,23 @@ class TestVirtualQueries:
         )
         assert len(result) == 2
 
+    def test_order_by_desc_with_limit(self, virtual):
+        result = virtual.query(
+            PREFIXES + "SELECT ?f WHERE { ?f ex:areaHa ?a } ORDER BY DESC(?a) LIMIT 1"
+        )
+        assert result == [{Variable("f"): IRI(EX + "field/3")}]
+
+    def test_aggregates(self, virtual):
+        result = virtual.query(
+            PREFIXES
+            + "SELECT ?c (COUNT(?f) AS ?n) (SUM(?a) AS ?s) "
+            "WHERE { ?f ex:crop ?c . ?f ex:areaHa ?a } GROUP BY ?c ORDER BY ?c"
+        )
+        assert [
+            (str(s[Variable("c")]), int(str(s[Variable("n")])), int(str(s[Variable("s")])))
+            for s in result
+        ] == [("maize", 1, 7), ("rye", 1, 5), ("wheat", 2, 42)]
+
     def test_unmapped_predicate_rejected(self, virtual):
         with pytest.raises(ReproError):
             virtual.query(PREFIXES + "SELECT ?f WHERE { ?f ex:unknown ?x }")

@@ -6,6 +6,9 @@ from repro.errors import (
     AuthFailed,
     CircuitOpen,
     Overloaded,
+    PartitionUnavailable,
+    QueryBudgetExceeded,
+    QueryCancelled,
     QuotaExceeded,
     ServingError,
     Shed,
@@ -133,6 +136,49 @@ class TestShedding:
         with pytest.raises(Shed) as excinfo:
             gateway.query("key-a", "q")
         assert excinfo.value.reason == "breaker_open"
+        gateway.assert_drained()
+
+    @pytest.mark.parametrize(
+        "internal, reason, message",
+        [
+            (
+                QueryBudgetExceeded("detail", resource="bytes"),
+                "query_budget",
+                "query exceeded its resource budget (bytes); retry after 0.25s",
+            ),
+            (
+                QueryCancelled("detail", reason="killed"),
+                "cancelled",
+                "query cancelled; retry after 0.25s",
+            ),
+            (
+                PartitionUnavailable("detail", partition=3, replicas=(0, 1)),
+                "partition_unavailable",
+                "store partition unavailable (3); retry after 0.25s",
+            ),
+            (
+                Overloaded("detail", scope="kvstore"),
+                "overloaded",
+                "backend overloaded; retry after 0.25s",
+            ),
+            (
+                CircuitOpen("detail", breaker="x"),
+                "breaker_open",
+                "backend circuit open; retry after 0.25s",
+            ),
+        ],
+    )
+    def test_every_shed_reason_and_message(self, internal, reason, message):
+        def exploding(query):
+            raise internal
+
+        gateway = make_gateway(fn=exploding, shed_retry_after_s=0.25)
+        with pytest.raises(Shed) as excinfo:
+            gateway.query("key-a", "q")
+        assert excinfo.value.reason == reason
+        assert str(excinfo.value) == message
+        assert excinfo.value.tenant == "a"
+        assert excinfo.value.retry_after_s == 0.25
         gateway.assert_drained()
 
     def test_ordinary_backend_error_passes_through(self):
