@@ -1,7 +1,7 @@
-"""Range partitioning of the id-row table over simulated cluster nodes.
+"""Range partitioning of the graph's id rows over simulated cluster nodes.
 
-The distributed engine's storage layout (experiment E25): the graph's E22
-id-row table is split into ``partitions`` contiguous ranges of the *subject*
+The distributed engine's storage layout (experiment E25): the graph's id
+rows are split into ``partitions`` contiguous ranges of the *subject*
 term-id space, each replicated ``replication`` ways onto cluster nodes via
 the existing :meth:`repro.cluster.resources.ClusterSpec.place_partitions`
 round-robin. Every triple lives in exactly one partition (the one owning its
@@ -9,13 +9,15 @@ subject id), which is the invariant that makes partition-local scans a true
 disjoint cover of any pattern's extent — union of fragments == the
 single-process scan, as a multiset.
 
-The partitions are cut from the vector engine's per-version snapshot
-(:func:`repro.sparql.vector.ops.id_table`) and keyed on ``graph.version``
-like it: mutations invalidate them, and within one version the partition
-arrays are immutable, so replicas are by construction identical and a
-failed-over read returns byte-identical rows. A task scans its partition's
-rows (:meth:`PartitionedTripleStore.table`) with the single-process
-``scan_table`` kernel, so the fragments cannot drift from the whole scan.
+The graph's base columns are sorted by subject, so after
+:meth:`~repro.rdf.graph.Graph.compact` a partition is one contiguous slice
+of them: ``sync`` finds the cut points by binary search and copies nothing.
+The slices are keyed on ``graph.version``: mutations invalidate them, and
+within one version they are immutable, so replicas are by construction
+identical and a failed-over read returns byte-identical rows. A task scans
+its partition's rows (:meth:`PartitionedTripleStore.table`) with the
+single-process ``scan_table`` kernel, so the fragments cannot drift from
+the whole scan.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ class RangePartitioner:
 class PartitionedTripleStore:
     """The graph's id rows, range-partitioned and replicated.
 
-    ``sync()`` (re)builds the partition arrays when the graph version moved;
+    ``sync()`` re-cuts the partition slices when the graph version moved;
     ``place(nodes)`` computes the replica placement for one scheduler's node
     set through ``ClusterSpec.place_partitions`` (marking ``local_data`` so
     the locality machinery sees real partition residency).
@@ -96,18 +98,21 @@ class PartitionedTripleStore:
     # ------------------------------------------------------------------
 
     def sync(self) -> None:
-        """Rebuild the per-partition arrays if the graph mutated."""
+        """Re-cut the partition slices if the graph mutated."""
         if self._version == self.graph.version:
             return
         self.partitioner = RangePartitioner(
             self.graph.term_count, self.partitions
         )
+        self.graph.compact()
         table = id_table(self.graph)
+        # Sorted subjects: each partition's rows are one contiguous slice.
         pids = self.partitioner.partition_column(table[0])
-        self._columns = []
-        for pid in range(self.partitions):
-            rows = np.flatnonzero(pids == pid)
-            self._columns.append(tuple(column[rows] for column in table))
+        cuts = np.searchsorted(pids, np.arange(self.partitions + 1))
+        self._columns = [
+            tuple(column[lo:hi] for column in table)
+            for lo, hi in zip(cuts, cuts[1:])
+        ]
         self._version = self.graph.version
 
     def place(self, nodes: List[Node]) -> Dict[int, List[int]]:

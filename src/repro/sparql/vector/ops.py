@@ -1,5 +1,11 @@
 """Columnar physical operators: scans, hash joins, union, distinct.
 
+A scan asks the graph for a pattern's rows (:meth:`Graph.id_rows`): its
+constants prefix one of the graph's sorted orders, so the rows are one
+range of it, found by binary search, plus the small delta's matches.
+:func:`scan_table` masks any other id table — a dist partition's slice of
+the SPO-sorted columns — and both project through one routine.
+
 Joins are vectorized hash joins over term-id columns. SPARQL solution
 compatibility must tolerate *unbound* cells (OPTIONAL misses, VALUES UNDEF):
 two rows are compatible on a shared variable when either side is unbound or
@@ -20,11 +26,10 @@ cannot for realistic dictionaries), a Python dict join takes over.
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple, TYPE_CHECKING
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from repro.rdf.graph import Graph
+from repro.rdf.graph import Graph, IdRows
 from repro.rdf.term import Term
 from repro.sparql.ast import TriplePattern, Variable
 from repro.sparql.vector.batch import UNBOUND, Batch
@@ -38,28 +43,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # ---------------------------------------------------------------------------
 
 #: Parallel (subject, predicate, object) int64 id columns, one row per triple.
-IdTable = Tuple[np.ndarray, ...]
-
-#: Per-graph numpy snapshot of Graph.id_columns(), keyed on graph version.
-_TABLES: "WeakKeyDictionary[Graph, Tuple[int, IdTable]]" = WeakKeyDictionary()
+IdTable = IdRows
 
 
 def id_table(graph: Graph) -> IdTable:
-    """The graph's id-row table as int64 arrays (cached per version): the
-    one snapshot both the scans here and the distributed engine's
-    partitions are cut from."""
-    entry = _TABLES.get(graph)
-    if entry is None or entry[0] != graph.version:
-        # array('q') exposes the buffer protocol: the snapshot is a memcpy.
-        arrays = tuple(
-            np.frombuffer(column, dtype=np.int64).copy()
-            if len(column)
-            else np.empty(0, dtype=np.int64)
-            for column in graph.id_columns()
-        )
-        entry = (graph.version, arrays)
-        _TABLES[graph] = entry
-    return entry[1]
+    """Every live row of the graph as an id table (the graph's own columns
+    when it is compact: nothing is copied)."""
+    return graph.id_columns()
 
 
 def scan_table(
@@ -69,11 +59,10 @@ def scan_table(
 ) -> Batch:
     """The extent of a triple pattern within *table*, as id columns.
 
-    *table* is any row subset of a graph's id-row table — the whole snapshot
-    or one partition of it — and *term_id* the graph's dictionary. Bound
-    positions become equality masks: pure numpy, no per-triple Python
-    iteration. Row order is the table's: scans feed multiset operators;
-    ORDER BY sorts later.
+    *table* is any row subset of a graph's id rows — one dist partition of
+    them, say — and *term_id* the graph's dictionary. Bound positions become
+    equality masks: pure numpy, no per-triple Python iteration. Row order is
+    the table's: scans feed multiset operators; ORDER BY sorts later.
     """
     positions = (pattern.subject, pattern.predicate, pattern.object)
     mask: Optional[np.ndarray] = None
@@ -120,22 +109,14 @@ def _project(
 
 
 def scan_batch(graph: Graph, pattern: TriplePattern) -> Batch:
-    """Materialize the full extent of a triple pattern as id columns:
-    :func:`scan_table` over the graph's snapshot — except under a constant
-    subject, which probes the subject's index bucket instead."""
-    if isinstance(pattern.subject, Variable):
-        return scan_table(id_table(graph), pattern, graph.term_id)
-    # A subject holds a handful of triples: enumerating its SPO bucket beats
-    # masking the whole id-row table once per bound position.
+    """Materialize the full extent of a triple pattern as id columns: the
+    graph answers from the sorted order its constants prefix (a subject's
+    rows are one slice of the columns, a predicate's one range of a
+    permutation), so no scan masks the whole table."""
     positions = (pattern.subject, pattern.predicate, pattern.object)
     query = tuple(None if isinstance(p, Variable) else p for p in positions)
-    matches = list(graph.triples(query))  # type: ignore[arg-type]
-
-    def column_of(slot: int) -> np.ndarray:
-        ids = (graph.term_id(triple[slot]) for triple in matches)
-        return np.fromiter(ids, dtype=np.int64, count=len(matches))
-
-    return _project(positions, column_of, len(matches))
+    table = graph.id_rows(query)  # type: ignore[arg-type]
+    return _project(positions, table.__getitem__, len(table[0]))
 
 
 # ---------------------------------------------------------------------------

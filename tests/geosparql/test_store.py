@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import RDFError, WKTParseError
 from repro.geometry import Point, Polygon
 from repro.geosparql import GeoStore, NaiveGeoStore, geometry_literal
+from repro.geosparql.literals import WKT_DATATYPE
 from repro.rdf import GEO, Namespace
 from repro.rdf.term import Literal
 from repro.sparql import CompileOptions, ExecContext, Variable, parse_query
@@ -254,6 +256,41 @@ class TestIndexBaselineParity:
         query = selection_query(0, 0, 100, 30)
         assert result_ids(bulk.query(query)) == result_ids(incremental.query(query))
         assert bulk.geometry_count == incremental.geometry_count == 200
+
+
+class TestAtomicLoad:
+    """A load that raises leaves the store as it was: the graph, the
+    geometry set and the R-tree all unchanged, in both stores."""
+
+    POINTS = [(EX[f"f{i}"], GEO.asWKT, geometry_literal(Point(i, i))) for i in range(5)]
+    MALFORMED = (EX.bad, GEO.asWKT, Literal("POINT (oops", datatype=WKT_DATATYPE))
+    #: A bad triple and the typed error it raises.
+    BAD = {
+        "geometry": (MALFORMED, WKTParseError),
+        "subject": ((Literal("x"), GEO.asWKT, geometry_literal(Point(9, 9))), RDFError),
+    }
+
+    @pytest.mark.parametrize("store_class", [GeoStore, NaiveGeoStore])
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_bad_triple_leaves_the_store_unchanged(self, store_class, bad):
+        store = store_class()
+        store.add(EX.kept, EX.id, Literal.from_python(0))
+        version, terms = store.graph.version, store.graph.term_count
+        triple, error = self.BAD[bad]
+        with pytest.raises(error):
+            store.bulk_load(self.POINTS + [triple])
+        assert len(store) == 1 and store.geometry_count == 0
+        assert (store.graph.version, store.graph.term_count) == (version, terms)
+        assert store.bulk_load(self.POINTS) == 5
+        everything = selection_query(-1, -1, 10, 10)
+        for options in ENGINES:
+            assert len(store.query(everything, options)) == 5, options.engine
+
+    def test_bad_geometry_add_changes_nothing(self):
+        store = GeoStore()
+        with pytest.raises(WKTParseError):
+            store.add(*self.MALFORMED)
+        assert len(store) == 0 and store.graph.version == 0
 
 
 class TestSolutionModifiers:

@@ -4,12 +4,15 @@ Random add / remove / re-add sequences over a small term universe. After
 every step each read path — iteration, ``len``, membership, ``triples`` and
 ``count`` on all eight pattern shapes, the distinct-position statistics, the
 term dictionary and the id-row table decoded through it — must equal the
-model. The id table is the production engine's only view of the graph and
-``remove`` keeps it dense by swap-pop, so a stale or duplicated row there is
-a wrong query answer the object API would never show.
+model. The id rows are the production engine's only view of the graph and
+``remove`` only tombstones a sorted base row, so a stale or duplicated row
+there is a wrong query answer the object API would never show.
 
 Only the public surface is used, so a different storage layout (ROADMAP
-item 6) is held to this test unchanged.
+item 6) is held to this test unchanged. Two rules exercise that layout's
+own paths: ``add_all`` (the batched load, duplicates included) and
+``churn``, which removes and re-adds every triple in one step — more
+pending rows than the delta holds before it merges into the base.
 """
 
 from itertools import product
@@ -83,6 +86,23 @@ class GraphMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def add_back(self, data):
         self.add(data.draw(st.sampled_from(self.removed)))
+
+    @rule(batch=st.lists(triples, max_size=40))
+    def add_all(self, batch):
+        new = set(batch) - self.model
+        version = self.graph.version
+        assert self.graph.add_all(batch) == len(new)
+        assert self.graph.version - version == len(new)
+        self._changed(bool(new))
+        self.model |= new
+
+    @rule(data=st.data())
+    def churn(self, data):
+        doomed = data.draw(st.permutations(sorted(self.model, key=repr)))
+        for triple in doomed:
+            self.remove(triple)
+        for triple in reversed(doomed):
+            self.add(triple)
 
     @invariant()
     def object_api_equals_model(self):
