@@ -90,7 +90,7 @@ MAX_RETRIES = 3
 MAX_DATA_RETRIES = 8
 
 #: Fixed odd radix for the shuffle's polynomial key packing: the
-#: repartitioning analogue of the join's mixed-radix ``_pack_keys``, but with
+#: repartitioning analogue of the join's mixed-radix ``pack_keys``, but with
 #: a radix agreed up front so every map task — on any node, any attempt —
 #: sends equal keys to the same bucket.
 _HASH_RADIX = np.uint64(0x9E3779B97F4A7C15)

@@ -121,7 +121,7 @@ class Batch:
         return Batch(columns, nrows)
 
     def key_matrix(self, variables: Sequence[Variable]) -> np.ndarray:
-        """Rows-by-variables id matrix (used for joins, DISTINCT, grouping)."""
+        """Rows-by-variables id matrix (the dist shuffle's bucket keys)."""
         if not variables:
             return np.empty((self.nrows, 0), dtype=np.int64)
         return np.column_stack([self.column(v) for v in variables])

@@ -18,9 +18,11 @@ equi-join on the columns both sides actually bind; surviving unbound cells
 take the other side's value.
 
 The equi-join itself packs the key columns into a single ``int64`` (mixed
-radix over the id range) and uses a sort + ``searchsorted`` probe, so the
-whole pipeline stays inside numpy. If packing would overflow 62 bits (it
-cannot for realistic dictionaries), a Python dict join takes over.
+radix over the id range, or over dense per-column ranks when that radix
+would overflow 62 bits) and probes the sorted build side with
+``searchsorted``, so the whole pipeline stays inside numpy. The build side
+is sorted only if it is not already — scans come out subject-sorted — and a
+build side with unique keys is probed once, without expanding match runs.
 """
 
 from __future__ import annotations
@@ -126,14 +128,15 @@ def scan_batch(graph: Graph, pattern: TriplePattern) -> Batch:
 Columns = Sequence[np.ndarray]
 
 
-def pack_keys(*sides: Columns) -> Optional[List[np.ndarray]]:
+def pack_keys(*sides: Columns) -> List[np.ndarray]:
     """Pack each side's k id columns into one int64 key per row.
 
     One mixed radix over the largest id on any side, so equal rows get equal
     keys across sides and key order is the rows' lexicographic order
     (UNBOUND, shifted to digit 0, sorts first — as it does in the raw
-    columns). A single column is its own key. None when k digits of that
-    radix would not fit in 62 bits.
+    columns). A single column is its own key. When k digits of that radix
+    would not fit in 62 bits, the columns are renumbered densely instead
+    (:func:`_rank_keys`), which keeps both properties.
     """
     k = len(sides[0])
     if k == 1:
@@ -145,7 +148,7 @@ def pack_keys(*sides: Columns) -> Optional[List[np.ndarray]]:
     )
     radix = high + 2  # digits are id + 1, in 0..high + 1
     if radix**k >= 2**62:
-        return None
+        return _rank_keys(sides)
     packed = []
     for columns in sides:
         keys = columns[0] + 1
@@ -157,6 +160,20 @@ def pack_keys(*sides: Columns) -> Optional[List[np.ndarray]]:
     return packed
 
 
+def _rank_keys(sides: Sequence[Columns]) -> List[np.ndarray]:
+    """:func:`pack_keys` over dense ranks: each key column is renumbered by
+    its order among the values it takes on any side (``np.unique`` keeps
+    order, so UNBOUND stays first) and folded into the key so far, which is
+    ranked again. A rank is below the total row count n, so each fold fits
+    in 62 bits for any n below 2**31."""
+    lengths = [len(columns[0]) for columns in sides]
+    keys = np.zeros(sum(lengths), dtype=np.int64)
+    for column in zip(*sides):
+        values, digits = np.unique(np.concatenate(column), return_inverse=True)
+        _, keys = np.unique(keys * len(values) + digits, return_inverse=True)
+    return np.split(keys, np.cumsum(lengths)[:-1])
+
+
 def _equi_join_pairs(
     lcolumns: Columns,
     rcolumns: Columns,
@@ -164,17 +181,20 @@ def _equi_join_pairs(
     rn: int,
     budget: Optional["QueryBudget"] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """All (left_row, right_row) index pairs with equal, fully bound keys.
+    """All (left_row, right_row) index pairs with equal, fully bound keys,
+    left-major, each left row's matches in right-row order.
 
     The sides are given as parallel lists of key columns over *ln* and *rn*
-    rows. With a *budget*, the output size is admitted **before** the pair
+    rows. The right (build) side is sorted only if its keys are not in order
+    already, and when its keys are unique one ``searchsorted`` finds every
+    match. With a *budget*, the output size is admitted **before** the pair
     arrays are allocated — the exact point where an adversarial
     cross-product would otherwise blow up memory — so a cap violation raises
     :class:`~repro.errors.QueryBudgetExceeded` while the only cost paid so
-    far is the counts vector.
+    far is one vector over the left rows.
     """
+    empty = np.empty(0, dtype=np.int64)
     if ln == 0 or rn == 0:
-        empty = np.empty(0, dtype=np.int64)
         return empty, empty
     if not lcolumns:  # no key columns: cartesian product
         if budget is not None:
@@ -183,50 +203,34 @@ def _equi_join_pairs(
             np.repeat(np.arange(ln, dtype=np.int64), rn),
             np.tile(np.arange(rn, dtype=np.int64), ln),
         )
-    packed = pack_keys(lcolumns, rcolumns)
-    if packed is None:  # pragma: no cover - needs absurd dictionary sizes
-        return _dict_join_pairs(lcolumns, rcolumns, budget)
-    lkeys, rkeys = packed
-    order = np.argsort(rkeys, kind="stable")
-    sorted_rkeys = rkeys[order]
-    lo = np.searchsorted(sorted_rkeys, lkeys, side="left")
-    hi = np.searchsorted(sorted_rkeys, lkeys, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
+    lkeys, rkeys = pack_keys(lcolumns, rcolumns)
+    order: Optional[np.ndarray] = None
+    if (rkeys[1:] < rkeys[:-1]).any():
+        order = np.argsort(rkeys, kind="stable")
+        rkeys = rkeys[order]
+    unique = bool((rkeys[1:] != rkeys[:-1]).all())
+    lo = np.searchsorted(rkeys, lkeys, side="left")
+    if unique:  # at most one match per left row: the key at lo
+        hit = rkeys[np.minimum(lo, rn - 1)] == lkeys
+        total = int(np.count_nonzero(hit))
+    else:
+        counts = np.searchsorted(rkeys, lkeys, side="right") - lo
+        total = int(counts.sum())
     if total == 0:
-        empty = np.empty(0, dtype=np.int64)
         return empty, empty
     if budget is not None:
         budget.admit_rows(total, 2, "hash_join.pairs")
-    li = np.repeat(np.arange(ln, dtype=np.int64), counts)
-    starts = np.repeat(lo, counts)
-    # Within-match offsets: 0..count-1 per left row, built from one cumsum.
-    boundaries = np.repeat(np.cumsum(counts) - counts, counts)
-    within = np.arange(total, dtype=np.int64) - boundaries
-    ri = order[starts + within]
-    return li, ri
-
-
-def _dict_join_pairs(
-    lcolumns: Columns,
-    rcolumns: Columns,
-    budget: Optional["QueryBudget"] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fallback pair enumeration through a Python dict (overflow-safe)."""
-    buckets = {}
-    for index, row in enumerate(zip(*(c.tolist() for c in rcolumns))):
-        buckets.setdefault(row, []).append(index)
-    li: List[int] = []
-    ri: List[int] = []
-    for index, row in enumerate(zip(*(c.tolist() for c in lcolumns))):
-        if budget is not None:
-            budget.checkpoint("hash_join.probe")
-        for match in buckets.get(row, ()):
-            li.append(index)
-            ri.append(match)
-        if budget is not None:
-            budget.admit_rows(len(li), 2, "hash_join.probe")
-    return np.array(li, dtype=np.int64), np.array(ri, dtype=np.int64)
+    if unique:
+        li = np.flatnonzero(hit)
+        ri = lo[li]
+    else:
+        li = np.repeat(np.arange(ln, dtype=np.int64), counts)
+        starts = np.repeat(lo, counts)
+        # Within-match offsets: 0..count-1 per left row, built from one cumsum.
+        boundaries = np.repeat(np.cumsum(counts) - counts, counts)
+        within = np.arange(total, dtype=np.int64) - boundaries
+        ri = starts + within
+    return li, ri if order is None else order[ri]
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +390,6 @@ def distinct_rows(batch: Batch) -> Batch:
     """Drop duplicate rows, keeping the first occurrence of each."""
     if batch.nrows == 0 or not batch.columns:
         return batch.slice(0, 1) if batch.nrows else batch
-    matrix = batch.key_matrix(list(batch.columns))
-    _, first = np.unique(matrix, axis=0, return_index=True)
+    (keys,) = pack_keys(list(batch.columns.values()))
+    _, first = np.unique(keys, return_index=True)
     return batch.take(np.sort(first))

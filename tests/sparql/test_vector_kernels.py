@@ -33,6 +33,7 @@ from repro.sparql.vector import (
     Batch,
     TermEncoder,
     compile_vector_plan,
+    distinct_rows,
     execute_tree,
     finish_select,
     hash_join,
@@ -68,22 +69,38 @@ KEYS = [Variable(name) for name in ("k0", "k1", "k2")]
 LEFT_ONLY, RIGHT_ONLY = Variable("l"), Variable("r")
 
 
+#: How the right (build) side's key rows are drawn: each shape takes another
+#: branch of the equi-join (argsort or not, unique probe or run expansion).
+BUILD_SHAPES = (
+    "any", "sorted", "sorted and unique", "unsorted with duplicates",
+)
+
+
 @st.composite
 def batch_pairs(draw, unbound: bool):
     shared = KEYS[: draw(st.integers(0, 3))]
-    cell = st.integers(UNBOUND if unbound else 0, 3)
+    shape = draw(st.sampled_from(BUILD_SHAPES))
+    cell = st.integers(UNBOUND if unbound else 0, 3 if shape == "any" else 9)
+    key_rows = st.lists(st.tuples(*[cell] * len(shared)),
+                        max_size=7 if shape == "any" else 40)
 
-    def side(own):
-        nrows = draw(st.integers(0, 7))
+    def side(own, rows):
         columns = {
-            v: np.array(draw(st.lists(cell, min_size=nrows, max_size=nrows)),
-                        dtype=np.int64)
-            for v in shared
+            v: np.array([row[i] for row in rows], dtype=np.int64)
+            for i, v in enumerate(shared)
         }
-        columns[own] = np.arange(nrows, dtype=np.int64) + 100
-        return Batch(columns, nrows)
+        columns[own] = np.arange(len(rows), dtype=np.int64) + 100
+        return Batch(columns, len(rows))
 
-    return side(LEFT_ONLY), side(RIGHT_ONLY), shared
+    right = draw(key_rows)
+    if shape == "sorted":
+        right.sort()
+    elif shape == "sorted and unique":
+        right = sorted(set(right))
+    elif shape == "unsorted with duplicates" and right:
+        repeats = right[: draw(st.integers(1, len(right)))]
+        right = draw(st.permutations(right + repeats))
+    return side(LEFT_ONLY, draw(key_rows)), side(RIGHT_ONLY, right), shared
 
 
 def nested_loop_join(left, right, shared, outer):
@@ -174,6 +191,24 @@ def test_both_paths_refuse_a_cross_product_at_pre_admission(keys):
     assert refusals[0] == refusals[1] == ("rows", 2000, 1000)
 
 
+@pytest.mark.parametrize("keys", [1, 2])
+def test_unique_build_side_refuses_at_pre_admission(keys):
+    # The right keys are sorted and unique: each of the 40 left rows matches
+    # one right row, and those 40 pairs are refused before they exist.
+    shared = KEYS[:keys]
+    left = Batch({**{v: np.zeros(40, dtype=np.int64) for v in shared},
+                  LEFT_ONLY: np.arange(40, dtype=np.int64)}, 40)
+    right = Batch({**{v: np.arange(50, dtype=np.int64) for v in shared},
+                   RIGHT_ONLY: np.arange(50, dtype=np.int64)}, 50)
+    budget = QueryBudget(max_rows=30)
+    with pytest.raises(QueryBudgetExceeded) as caught:
+        hash_join(left, right, budget=budget)
+    error = caught.value
+    assert "hash_join.pairs" in str(error)
+    assert budget.peak_rows == 0
+    assert (error.resource, error.observed, error.limit) == ("rows", 40, 30)
+
+
 def test_one_checkpoint_per_equi_join():
     left = Batch({KEYS[0]: np.array([1, 2, 3]), LEFT_ONLY: np.arange(3)}, 3)
     right = Batch({KEYS[0]: np.array([2, 3, 4]), RIGHT_ONLY: np.arange(3)}, 3)
@@ -207,14 +242,64 @@ def test_packed_group_keys_match_row_wise_unique(rows, width, huge):
         # Ids near 2**40: two or three digits of that radix overflow 62 bits.
         matrix = np.where(matrix > 3, matrix + 2**40, matrix)
     columns = [matrix[:, i].copy() for i in range(width)]
-    assert (pack_keys(columns) is None) == (huge and width > 1
-                                            and int(matrix.max()) > 2**40)
+    # Past 62 bits the key is packed from dense ranks: it still sorts like
+    # the rows, and equal keys are equal rows.
+    (keys,) = pack_keys(columns)
+    assert keys.dtype == np.int64
+    assert np.argsort(keys, kind="stable").tolist() == np.lexsort(
+        matrix.T[::-1]).tolist()
+    _, key_inverse = np.unique(keys, return_inverse=True)
+    _, row_inverse = np.unique(matrix, axis=0, return_inverse=True)
+    assert key_inverse.tolist() == row_inverse.reshape(-1).tolist()
     uniq, inverse, ngroups = group_rows(columns)
     expected, expected_inverse = np.unique(matrix, axis=0, return_inverse=True)
     assert ngroups == len(expected)
     assert uniq.tolist() == expected.tolist()
     assert inverse.tolist() == expected_inverse.reshape(-1).tolist()
     assert [c.tolist() for c in columns] == matrix.T.tolist()  # inputs intact
+
+
+def test_ranked_keys_match_rows_across_sides():
+    from repro.sparql.vector.ops import pack_keys
+
+    # Eight columns of ~400 distinct ids near 2**40 each: neither the id
+    # radix nor the product of the per-column rank counts (~2**69) fits in
+    # 62 bits.
+    rng = np.random.default_rng(5)
+    matrix = rng.integers(2**40, 2**40 + 10**6, size=(600, 8))
+    matrix[::3] = matrix[1::3]  # equal rows across and within sides
+    left, right = matrix[:300], matrix[300:]
+    lkeys, rkeys = pack_keys([*left.T], [*right.T])
+    keys = np.concatenate([lkeys, rkeys])
+    assert np.argsort(keys, kind="stable").tolist() == np.lexsort(
+        matrix.T[::-1]).tolist()
+    _, key_inverse = np.unique(keys, return_inverse=True)
+    _, row_inverse = np.unique(matrix, axis=0, return_inverse=True)
+    assert key_inverse.tolist() == row_inverse.reshape(-1).tolist()
+
+
+@given(
+    rows=st.lists(
+        st.lists(st.integers(UNBOUND, 4), min_size=3, max_size=3),
+        max_size=40,
+    ),
+    width=st.integers(1, 3),
+    huge=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_distinct_rows_keep_first_occurrences(rows, width, huge):
+    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), 3)[:, :width]
+    if huge:
+        matrix = np.where(matrix > 2, matrix + 2**40, matrix)
+    batch = Batch(
+        {Variable(f"v{i}"): matrix[:, i].copy() for i in range(width)},
+        len(rows),
+    )
+    out = distinct_rows(batch)
+    assert list(out.columns) == list(batch.columns)
+    assert list(zip(*(c.tolist() for c in out.columns.values()))) == list(
+        dict.fromkeys(map(tuple, matrix.tolist()))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +594,34 @@ def test_batch_solutions_match_the_cell_loop(cells, width, all_bound):
         {Variable(f"v{i}"): ids[:, i].copy() for i in range(width)}, len(cells)
     )
     assert _batch_solutions(batch, ctx) == solutions_by_cell(batch, ctx.encoder)
+
+
+@pytest.mark.parametrize("all_bound", [True, False])
+@pytest.mark.parametrize("names", [
+    [f"v{i}" for i in range(300)],  # past the old 255-argument limit
+    ["3", "0", "a0", "k1", "x"],  # dependent-join tags; names in the source
+])
+def test_row_maker_on_wide_and_digit_named_batches(names, all_bound):
+    from repro.sparql import ExecContext
+    from repro.sparql.vector.engine import _batch_solutions
+
+    graph = Graph()
+    for i in range(6):
+        graph.add(EX[f"s{i}"], EX.p, Literal.from_python(i))
+    ctx = ExecContext(graph, FunctionRegistry())
+    rng = np.random.default_rng(len(names))
+    ids = rng.integers(0, graph.term_count, size=(9, len(names)))
+    if not all_bound:
+        ids[rng.random(ids.shape) < 0.2] = UNBOUND
+    batch = Batch(
+        {Variable(n): ids[:, i].copy() for i, n in enumerate(names)}, 9
+    )
+    solutions = _batch_solutions(batch, ctx)
+    assert solutions == solutions_by_cell(batch, ctx.encoder)
+    assert list(solutions[0]) == (
+        [Variable(n) for n in names] if all_bound
+        else [Variable(n) for n, i in zip(names, ids[0]) if i != UNBOUND]
+    )
 
 
 def test_decode_column_in_graph_ephemeral_and_unbound():
