@@ -64,10 +64,6 @@ class GridIndex(Generic[T]):
                     seen.add(marker)
                     yield item
 
-    def cell_items(self, key: CellKey) -> List[Tuple[BoundingBox, T]]:
-        """All entries registered under one cell (the interlinking "block")."""
-        return list(self._cells.get(key, ()))
-
     def cells(self) -> Iterator[Tuple[CellKey, List[Tuple[BoundingBox, T]]]]:
         """Iterate non-empty cells as (key, entries) — the block collection."""
         return iter(self._cells.items())

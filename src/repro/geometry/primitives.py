@@ -117,10 +117,6 @@ class Geometry:
     def bbox(self) -> BoundingBox:
         raise NotImplementedError
 
-    @property
-    def is_empty(self) -> bool:
-        return False
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         from repro.geometry.wkt import to_wkt
 

@@ -319,32 +319,3 @@ class DataParallelTrainer:
                 self.train_step(x[batch], y[batch])
         return self.report
 
-
-def time_to_accuracy(
-    make_model: Callable[[], Sequential],
-    make_trainer: Callable[[Sequential], DataParallelTrainer],
-    x_train: np.ndarray,
-    y_train: np.ndarray,
-    x_val: np.ndarray,
-    y_val: np.ndarray,
-    target_accuracy: float,
-    batch_size: int = 64,
-    max_epochs: int = 50,
-    eval_every: int = 1,
-) -> Tuple[Optional[float], DataParallelTrainer]:
-    """Simulated seconds to reach *target_accuracy* on validation data.
-
-    Returns (time or None if never reached, the trainer for inspection).
-    """
-    from repro.ml.metrics import accuracy as accuracy_fn
-
-    model = make_model()
-    trainer = make_trainer(model)
-    for epoch in range(max_epochs):
-        trainer.fit(x_train, y_train, epochs=1, batch_size=batch_size,
-                    shuffle_seed=epoch)
-        if (epoch + 1) % eval_every == 0:
-            score = accuracy_fn(model.predict(x_val), y_val)
-            if score >= target_accuracy:
-                return trainer.report.total_time_s, trainer
-    return None, trainer

@@ -156,6 +156,3 @@ class Database:
     @property
     def table_names(self) -> List[str]:
         return sorted(self._tables)
-
-    def total_rows_scanned(self) -> int:
-        return sum(t.rows_scanned for t in self._tables.values())

@@ -9,7 +9,7 @@ edge, consistent with imagery conventions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -194,13 +194,6 @@ class RasterGrid:
         if not (0 <= row < self.height and 0 <= col < self.width):
             raise RasterError(f"point ({x}, {y}) outside raster extent")
         return float(self.data[band, row, col])
-
-    def iter_pixel_centers(self) -> Iterator[Tuple[int, int, float, float]]:
-        """Yield (row, col, x, y) for every pixel center."""
-        for row in range(self.height):
-            for col in range(self.width):
-                x, y = self.transform.pixel_to_map(row, col)
-                yield row, col, x, y
 
     # ------------------------------------------------------------------
     # Resampling

@@ -24,10 +24,14 @@ unset):
   federation executor, and scheduler submission.
 
 :mod:`repro.resilience.soak` drives all three through a long, seeded chaos
-schedule (flapping backends, overload bursts) and checks the liveness and
-accounting invariants; ``python -m repro.resilience.soak`` prints the
-protected-vs-unprotected comparison and exits non-zero unless the E18
-acceptance gate holds, and benchmark E18 measures it.
+schedule (flapping backends, overload bursts): its protected arm is the
+real :class:`~repro.serving.Gateway` with this package's admission
+controller, deadlines and a breaker per backend, its unprotected arm a
+bare FIFO, both played by :func:`repro.serving.soak.run_arm`. It checks
+the liveness, accounting and ticket-audit invariants; ``python -m
+repro.resilience.soak`` prints the protected-vs-unprotected comparison and
+exits non-zero unless the E18 acceptance gate holds, and benchmark E18
+measures it.
 """
 
 from repro.errors import CircuitOpen, Overloaded

@@ -129,15 +129,6 @@ class AdmissionController:
         ).inc()
         return AdmissionTicket(self, priority)
 
-    def try_admit(
-        self, priority: int = PRIORITY_INTERACTIVE
-    ) -> Optional[AdmissionTicket]:
-        """Like :meth:`admit` but returns None instead of raising."""
-        try:
-            return self.admit(priority)
-        except Overloaded:
-            return None
-
     def _shed(self, priority: int, reason: str) -> None:
         self.shed += 1
         self._obs.metrics.counter(
@@ -175,11 +166,6 @@ class _NullAdmission(AdmissionController):
         super().__init__(scope="null")
 
     def admit(self, priority: int = PRIORITY_INTERACTIVE) -> AdmissionTicket:
-        return _NULL_TICKET
-
-    def try_admit(
-        self, priority: int = PRIORITY_INTERACTIVE
-    ) -> Optional[AdmissionTicket]:
         return _NULL_TICKET
 
     def _release(self, ticket: AdmissionTicket) -> None:

@@ -1,8 +1,9 @@
 """Deterministic chaos soak: the resilience layer under sustained abuse.
 
-A self-contained serving simulation — ``servers`` workers draining a FIFO
-queue of requests against named backends — driven for a long, seeded
-schedule of misbehaviour from an extended :class:`~repro.faults.FaultPlan`:
+E18's workload for the shared soak driver (:func:`repro.serving.soak.run_arm`):
+``SERVERS`` workers serve requests against named backends for a long,
+seeded schedule of misbehaviour from an extended
+:class:`~repro.faults.FaultPlan`:
 
 * **endpoint flaps** (:class:`~repro.faults.EndpointFlap`) take backends
   down for sim-time windows; an unprotected server burns the full request
@@ -16,6 +17,15 @@ schedule of misbehaviour from an extended :class:`~repro.faults.FaultPlan`:
   sim clock) let the protected side drop queued work that already expired
   instead of serving answers nobody is waiting for.
 
+The protected arm is the real :class:`~repro.serving.Gateway` — the same
+admission, deadline, queue and ticket path E21, E23 and the bench drive —
+with one :class:`~repro.resilience.CircuitBreakerSet` breaker per backend
+consulted at dispatch; the unprotected arm is E21's direct FIFO. Every
+request is unique, so nothing coalesces. The gateway never delivers a late
+answer: a request still queued or in service when its deadline passes is
+settled ``expired``, and an open breaker reaches the tenant as a typed
+:class:`~repro.errors.Shed` (``reason="breaker_open"``).
+
 Everything is deterministic: arrivals, priorities and backend choices come
 from seeded streams, the fault schedule is a pure function of the seed, and
 the discrete-event clock (:class:`~repro.cluster.simclock.Simulation`)
@@ -25,22 +35,20 @@ soak as a regression gate.
 
 The report's :meth:`SoakReport.verify` checks the liveness and accounting
 invariants the soak exists to prove: every arrival is accounted for in
-exactly one terminal state, no admission ticket leaks, the queue drains,
-and the simulation terminates. :func:`verify_comparison` holds the E18
-acceptance thresholds and :func:`snapshot_meta` the headline numbers, once,
-for ``python -m repro.resilience.soak`` (whose exit code is the gate) and
-``benchmarks/bench_e18_overload_resilience.py`` alike.
+exactly one terminal state, the gateway's drain and ticket audit comes
+back zero, and the simulation terminates. :func:`verify_comparison` holds
+the E18 acceptance thresholds and :func:`snapshot_meta` the headline
+numbers, once, for ``python -m repro.resilience.soak`` (whose exit code is
+the gate) and ``benchmarks/bench_e18_overload_resilience.py`` alike.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.cluster.simclock import Simulation
-from repro.errors import CircuitOpen, FaultError
+from repro.errors import FaultError, TimeoutExceeded
 from repro.faults.injector import (
     EndpointFlap,
     FaultInjector,
@@ -54,8 +62,18 @@ from repro.resilience.admission import (
     PRIORITY_INTERACTIVE,
 )
 from repro.resilience.breaker import CircuitBreakerSet
-from repro.resilience.deadline import Deadline
-from repro.soak import Gate, ServerPool, percentile, run_cli, stream_seed
+from repro.soak import Gate, percentile, run_cli, stream_seed
+
+#: The system and its traffic: a cluster that is healthy at the base
+#: arrival rate and melts under the chaos plan.
+BACKENDS = tuple(f"backend-{i}" for i in range(4))
+SERVERS = 8
+ARRIVAL_RATE = 60.0  #: base requests/s, before burst multipliers
+SERVICE_TIME_S = 0.1  #: a healthy backend's service time
+TIMEOUT_S = 1.0  #: time burned discovering a dead backend
+DEADLINE_S = 0.5  #: per-request latency target
+BATCH_FRACTION = 0.4  #: share of arrivals in the batch class
+TENANT = "soak"  #: the one tenant, with no quota
 
 #: The chaos shape (consumed by :func:`soak_plan`).
 FLAPS_PER_BACKEND = 3
@@ -70,30 +88,14 @@ REQUIRED_METRICS = ("resilience.shed", "resilience.breaker_opens")
 
 @dataclass(frozen=True)
 class SoakConfig:
-    """One soak run's knobs. The defaults describe a cluster that is
-    healthy at the base arrival rate and melts under the chaos plan."""
+    """One soak run: the seed and how many requests arrive."""
 
     seed: int = 0
     requests: int = 1200
-    backends: int = 4
-    servers: int = 8
-    arrival_rate: float = 60.0  #: base requests/s, before burst multipliers
-    service_time_s: float = 0.1  #: a healthy backend's service time
-    timeout_s: float = 1.0  #: time burned discovering a dead backend
-    deadline_s: float = 0.5  #: per-request latency target
-    batch_fraction: float = 0.4  #: share of arrivals in the batch class
 
     def __post_init__(self) -> None:
-        if self.requests < 1 or self.backends < 1 or self.servers < 1:
-            raise FaultError("soak needs >= 1 request, backend and server")
-        if min(self.arrival_rate, self.service_time_s, self.timeout_s,
-               self.deadline_s) <= 0:
-            raise FaultError("soak rates and times must be positive")
-        if not 0.0 <= self.batch_fraction <= 1.0:
-            raise FaultError("batch_fraction must be in [0, 1]")
-
-    def backend_names(self) -> Tuple[str, ...]:
-        return tuple(f"backend-{i}" for i in range(self.backends))
+        if self.requests < 1:
+            raise FaultError("soak needs >= 1 request")
 
 
 def soak_plan(config: SoakConfig) -> FaultPlan:
@@ -103,9 +105,9 @@ def soak_plan(config: SoakConfig) -> FaultPlan:
     besides the workload streams, fully consumed here.
     """
     rng = random.Random(stream_seed(config.seed, "soak-plan"))
-    horizon = config.requests / config.arrival_rate
+    horizon = config.requests / ARRIVAL_RATE
     flaps = []
-    for name in config.backend_names():
+    for name in BACKENDS:
         for _ in range(FLAPS_PER_BACKEND):
             down = rng.uniform(0.0, max(horizon - FLAP_DOWN_S, 0.1))
             flaps.append(EndpointFlap(name, down, down + FLAP_DOWN_S))
@@ -127,18 +129,16 @@ class SoakReport:
     protected: bool
     arrivals: int = 0
     ok: int = 0  #: completed within the deadline (goodput)
-    late: int = 0  #: completed, but past the deadline
-    failed: int = 0  #: backend down (burned timeout) or breaker fast-fail
+    late: int = 0  #: completed past the deadline (unprotected only)
+    failed: int = 0  #: backend down (unprotected) or breaker fast-fail
     shed: int = 0  #: rejected at admission
-    expired: int = 0  #: dropped from the queue, deadline already gone
+    expired: int = 0  #: deadline ran out while queued or in service
     fast_failures: int = 0  #: the failed subset rejected by an open breaker
     duration_s: float = 0.0
     events_processed: int = 0
     breaker_opens: int = 0
-    breaker_rejections: int = 0
-    admission_high_water: int = 0
     latencies_s: List[float] = field(default_factory=list)
-    #: set by verify(): leftover queue/servers/tickets at the end of the run
+    #: set by the run: leftover queue/servers/tickets, all zero when drained
     residual: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -150,7 +150,8 @@ class SoakReport:
 
     @property
     def p99_latency_s(self) -> float:
-        """p99 over *completed* request latencies (ok + late)."""
+        """p99 over *delivered* answers (ok + late; the gateway delivers
+        no late answer, so the protected arm's is over ok alone)."""
         return percentile(self.latencies_s, 0.99)
 
     def verify(self) -> None:
@@ -181,171 +182,63 @@ class SoakReport:
         }
 
 
-@dataclass
-class _Request:
-    index: int
-    arrived_at: float
-    backend: str
-    priority: int
-    deadline: Optional[Deadline]
-    ticket: object = None
+class _Workload:
+    """E18's traffic and system, in the shape the soak driver plays."""
 
+    servers = SERVERS
+    deadline_s = DEADLINE_S
+    tenants = (TENANT,)
+    tenant_rate = None
+    kinds = BACKENDS
+    coalesce = True
 
-class _Soak:
-    """One run of the serving simulation (protected or bare)."""
-
-    def __init__(self, config: SoakConfig, protected: bool,
-                 obs: Optional[Observability] = None):
+    def __init__(self, config: SoakConfig):
         self.config = config
-        self.sim = Simulation()
         self.injector = FaultInjector(soak_plan(config))
-        self.queue: Deque[_Request] = deque()
-        self.pool = ServerPool(
-            self.sim, config.servers,
-            take=self._next_servable, start=self._start, finish=self._finish,
-        )
-        self.report = SoakReport(protected=protected)
-        self.admission: Optional[AdmissionController] = None
-        self.breakers: Optional[CircuitBreakerSet] = None
-        if protected:
-            self.admission = AdmissionController(
-                max_in_flight=config.servers,
-                max_queue=4 * config.servers,
-                priority_floor=PRIORITY_INTERACTIVE,
-                scope="soak",
-                obs=obs,
-            )
-            self.breakers = CircuitBreakerSet(
-                clock=lambda: self.sim.now,
-                seed=stream_seed(config.seed, "soak-breakers"),
-                obs=obs,
-                failure_threshold=3,
-                window=8,
-                recovery_time_s=FLAP_DOWN_S / 2.0,
-                half_open_probes=1,
-                probe_admit=0.5,
-            )
 
-    # ------------------------------------------------------------------
-    # Workload generation
-    # ------------------------------------------------------------------
-
-    def _arrival_times(self) -> List[float]:
-        """Exponential interarrivals, inflated inside overload bursts."""
-        rng = random.Random(stream_seed(self.config.seed, "soak-arrivals"))
-        times: List[float] = []
+    def jobs(self):
+        """Exponential interarrivals, inflated inside overload bursts; each
+        request picks a backend and a priority class from its own stream."""
+        arrivals = random.Random(stream_seed(self.config.seed, "soak-arrivals"))
+        choices = random.Random(stream_seed(self.config.seed, "soak-requests"))
         now = 0.0
-        for _ in range(self.config.requests):
-            rate = self.config.arrival_rate * self.injector.arrival_multiplier(
-                now
+        for index in range(self.config.requests):
+            rate = ARRIVAL_RATE * self.injector.arrival_multiplier(now)
+            now += arrivals.expovariate(rate)
+            backend = BACKENDS[choices.randrange(len(BACKENDS))]
+            priority = (
+                PRIORITY_BATCH
+                if choices.random() < BATCH_FRACTION
+                else PRIORITY_INTERACTIVE
             )
-            now += rng.expovariate(rate)
-            times.append(now)
-        return times
+            yield now, TENANT, f"r{index}", backend, priority
 
-    def _requests(self) -> List[_Request]:
-        rng = random.Random(stream_seed(self.config.seed, "soak-requests"))
-        backends = self.config.backend_names()
-        requests = []
-        for index, at_s in enumerate(self._arrival_times()):
-            requests.append(
-                _Request(
-                    index=index,
-                    arrived_at=at_s,
-                    backend=backends[rng.randrange(len(backends))],
-                    priority=(
-                        PRIORITY_BATCH
-                        if rng.random() < self.config.batch_fraction
-                        else PRIORITY_INTERACTIVE
-                    ),
-                    deadline=None,
-                )
-            )
-        return requests
-
-    # ------------------------------------------------------------------
-    # Event handlers
-    # ------------------------------------------------------------------
-
-    def run(self) -> SoakReport:
-        report = self.report
-        self.pool.run(
-            ((request.arrived_at, request) for request in self._requests()),
-            self._arrive, report,
+    def admission(self, obs: Optional[Observability]) -> AdmissionController:
+        return AdmissionController(
+            max_in_flight=SERVERS,
+            max_queue=4 * SERVERS,
+            priority_floor=PRIORITY_INTERACTIVE,
+            scope="soak",
+            obs=obs,
         )
-        if self.breakers is not None:
-            report.breaker_opens = self.breakers.total_opens()
-            report.breaker_rejections = self.breakers.total_rejections()
-        if self.admission is not None:
-            report.admission_high_water = self.admission.high_water
-            report.residual["admission_in_flight"] = self.admission.in_flight
-        report.residual["queued"] = len(self.queue)
-        return report
 
-    def _arrive(self, request: _Request) -> None:
-        self.report.arrivals += 1
-        if self.admission is not None:
-            request.ticket = self.admission.try_admit(request.priority)
-            if request.ticket is None:
-                self.report.shed += 1
-                return
-            request.deadline = Deadline(
-                self.config.deadline_s,
-                clock=lambda: self.sim.now,
-                label=f"request-{request.index}",
-            )
-        self.queue.append(request)
-        self.pool.pump()
+    def breakers(self, clock, obs: Optional[Observability]) -> CircuitBreakerSet:
+        return CircuitBreakerSet(
+            clock=clock,
+            seed=stream_seed(self.config.seed, "soak-breakers"),
+            obs=obs,
+            failure_threshold=3,
+            window=8,
+            recovery_time_s=FLAP_DOWN_S / 2.0,
+            half_open_probes=1,
+            probe_admit=0.5,
+        )
 
-    def _next_servable(self) -> Optional[_Request]:
-        """Pop the queue up to the first request worth a server."""
-        while self.queue:
-            request = self.queue.popleft()
-            if request.deadline is not None and request.deadline.expired:
-                # Stale before service even began: drop it for free instead
-                # of burning a server on an answer nobody is waiting for.
-                self.report.expired += 1
-                self._settle(request)
-                continue
-            if self.breakers is not None:
-                breaker = self.breakers.for_key(request.backend)
-                try:
-                    breaker.before_call()
-                except CircuitOpen:
-                    self.report.failed += 1
-                    self.report.fast_failures += 1
-                    self._settle(request)
-                    continue
-            return request
-        return None
-
-    def _start(self, request: _Request) -> Tuple[float, bool]:
-        down = self.injector.endpoint_down_at(request.backend, self.sim.now)
-        busy = self.config.timeout_s if down else self.config.service_time_s
-        return busy, down
-
-    def _finish(self, request: _Request, failed: bool) -> None:
-        if self.breakers is not None:
-            breaker = self.breakers.for_key(request.backend)
-            if failed:
-                breaker.record_failure()
-            else:
-                breaker.record_success()
-        if failed:
-            self.report.failed += 1
-        else:
-            latency = self.sim.now - request.arrived_at
-            self.report.latencies_s.append(latency)
-            if latency <= self.config.deadline_s:
-                self.report.ok += 1
-            else:
-                self.report.late += 1
-        self._settle(request)
-
-    def _settle(self, request: _Request) -> None:
-        if request.ticket is not None:
-            request.ticket.release()
-            request.ticket = None
+    def service(self, kind: str, query: str,
+                now: float) -> Tuple[float, Optional[TimeoutExceeded]]:
+        if self.injector.endpoint_down_at(kind, now):
+            return TIMEOUT_S, TimeoutExceeded(f"{kind} is down")
+        return SERVICE_TIME_S, None
 
 
 def run_soak(
@@ -353,8 +246,29 @@ def run_soak(
     protected: bool = True,
     obs: Optional[Observability] = None,
 ) -> SoakReport:
-    """Run one deterministic soak; returns its verified-able report."""
-    return _Soak(config, protected, obs=obs).run()
+    """Run one deterministic soak; returns its verify()-able report."""
+    # The gateway imports this package, so the driver is imported late.
+    from repro.serving.soak import run_arm
+
+    arm = run_arm(_Workload(config), protected, obs)
+    served = arm.report
+    report = SoakReport(
+        protected=protected,
+        arrivals=served.arrivals,
+        ok=served.ok,
+        late=served.total("late"),
+        failed=served.total("failed"),
+        shed=served.total("shed"),
+        expired=served.total("expired"),
+        duration_s=served.duration_s,
+        events_processed=served.events_processed,
+        latencies_s=served.latencies_s,
+        residual=served.residual,
+    )
+    if arm.breakers is not None:
+        report.breaker_opens = arm.breakers.total_opens()
+        report.fast_failures = arm.breakers.total_rejections()
+    return report
 
 
 def verify_comparison(bare: SoakReport, protected: SoakReport) -> None:

@@ -34,6 +34,11 @@ numbers, once, for the CLI and ``benchmarks/bench_e21_serving.py`` alike;
 ``python -m repro.serving.soak --smoke`` runs a short comparison, writes
 ``BENCH_E21.json`` and exits non-zero if the gate is violated. The server
 loop, statistics and CLI plumbing are :mod:`repro.soak`'s.
+
+The two arms are one driver, :func:`run_arm`, over a *workload*: E21's
+tenant traffic here, and E18's flapping backends and overload bursts
+(:mod:`repro.resilience.soak`), which also reach the backends through the
+real gateway when protected and through the direct FIFO when not.
 """
 
 from __future__ import annotations
@@ -44,14 +49,14 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.simclock import Simulation
-from repro.errors import QuotaExceeded, ServingError, Shed
+from repro.errors import CircuitOpen, QuotaExceeded, ServingError, Shed
 from repro.obs import Observability
 from repro.resilience.admission import AdmissionController, PRIORITY_INTERACTIVE
 from repro.resilience.deadline import Deadline
 from repro.serving.backends import CallableBackend
 from repro.serving.gateway import Gateway, GatewayRequest, OK
 from repro.serving.tenant import TenantConfig
-from repro.serving.workload import Arrival, WorkloadConfig, generate_arrivals
+from repro.serving.workload import WorkloadConfig, generate_arrivals
 from repro.soak import (
     Gate,
     ServerPool,
@@ -78,9 +83,17 @@ TRAFFIC = dict(
     batch_fraction=0.25,
 )
 
+TENANTS = 8
+SERVERS = 8
+SERVICE_TIME_S = 0.008  #: base per-query service time
+DEADLINE_S = 0.5
+QUERY_POOL = 32
 SERVICE_SPREAD = 0.25  #: per-query service-time multiplier in [1-s, 1+s]
 QUOTA_HEADROOM = 1.12  #: tenant rate = fair share * headroom
 QUOTA_BURST = 32.0
+#: Each tenant's rate quota: its fair share of the pool's capacity at the
+#: mean service time, with :data:`QUOTA_HEADROOM`.
+TENANT_RATE = SERVERS / SERVICE_TIME_S / TENANTS * QUOTA_HEADROOM
 ADMISSION_QUEUE_FACTOR = 8  #: bulkhead queue = factor * servers
 
 #: Metrics a ``BENCH_E21.json`` must carry (checked where it is written).
@@ -92,45 +105,18 @@ REQUIRED_METRICS = (
 
 @dataclass(frozen=True)
 class ServingSoakConfig:
-    """One soak run: the system under test and how much of :data:`TRAFFIC`
-    it is offered."""
+    """One soak run: how much of :data:`TRAFFIC` the :data:`SERVERS`
+    backends are offered."""
 
     seed: int = 21
     requests: int = 20_000
-    tenants: int = 8
-    servers: int = 8
-    service_time_s: float = 0.008  #: base per-query service time
-    deadline_s: float = 0.5
-    query_pool: int = 32
     coalesce: bool = True
-
-    def __post_init__(self) -> None:
-        if self.servers < 1:
-            raise ServingError("soak needs >= 1 server")
-        if self.service_time_s <= 0 or self.deadline_s <= 0:
-            raise ServingError("soak times must be positive")
 
     def workload(self) -> WorkloadConfig:
         return WorkloadConfig(
-            seed=self.seed, tenants=self.tenants, requests=self.requests,
-            query_pool=self.query_pool, **TRAFFIC,
+            seed=self.seed, tenants=TENANTS, requests=self.requests,
+            query_pool=QUERY_POOL, **TRAFFIC,
         )
-
-    def capacity_rps(self) -> float:
-        """Backend pool throughput at the mean service time."""
-        return self.servers / self.service_time_s
-
-    def tenant_rate_quota(self) -> float:
-        return self.capacity_rps() / self.tenants * QUOTA_HEADROOM
-
-    def service_times(self) -> List[float]:
-        """Deterministic per-query service times (same in both modes)."""
-        rng = random.Random(stream_seed(self.seed, "serving-service"))
-        return [
-            self.service_time_s
-            * rng.uniform(1.0 - SERVICE_SPREAD, 1.0 + SERVICE_SPREAD)
-            for _ in range(self.query_pool)
-        ]
 
 
 @dataclass
@@ -144,11 +130,13 @@ class TenantOutcome:
     expired: int = 0  #: deadline ran out while queued/coalesced
     shed: int = 0  #: typed Shed (bulkhead full)
     quota_rejected: int = 0  #: typed QuotaExceeded (tenant's own limits)
+    failed: int = 0  #: backend error delivered (E18: dead backend, open breaker)
     coalesced: int = 0  #: rode another request's execution as a follower
 
     @property
     def accounted(self) -> int:
-        return self.ok + self.late + self.expired + self.shed + self.quota_rejected
+        return (self.ok + self.late + self.expired + self.shed
+                + self.quota_rejected + self.failed)
 
 
 @dataclass
@@ -245,67 +233,77 @@ class ServingSoakReport:
 
 
 # ---------------------------------------------------------------------------
-# Protected mode: through the gateway
+# The driver: one workload, two arms
 # ---------------------------------------------------------------------------
+#
+# A workload is what differs between the soaks that drive it (E21 below,
+# E18 in repro.resilience.soak):
+#
+#   servers, deadline_s    the backend pool and every request's deadline
+#   tenants, tenant_rate   tenant names and their rate quota (None: none)
+#   kinds, coalesce        the gateway's backends and its coalescing switch
+#   jobs()                 (at_s, tenant, query, kind, priority) in time order
+#   admission(obs)         the protected arm's AdmissionController
+#   breakers(clock, obs)   its CircuitBreakerSet per backend, or None
+#   service(kind, query, now) -> (service_s, error or None)
 
-def _new_report(
-    config: ServingSoakConfig, protected: bool
-) -> ServingSoakReport:
-    return ServingSoakReport(
-        protected=protected,
-        per_tenant={
-            name: TenantOutcome(name)
-            for name in config.workload().tenant_names()
-        },
-    )
+
+def _answer(query: str) -> str:
+    return f"result:{query}"
 
 
-class _ProtectedSoak:
-    def __init__(self, config: ServingSoakConfig,
-                 obs: Optional[Observability] = None):
-        self.config = config
+class _Arm:
+    """One arm on its own simulation clock: ``servers`` workers, the
+    workload's jobs arriving, and the ledger they fill."""
+
+    breakers = None
+
+    def __init__(self, workload, protected: bool):
+        self.workload = workload
         self.sim = Simulation()
-        self.service_times = config.service_times()
+        self.pool = ServerPool(
+            self.sim, workload.servers,
+            take=self._take, start=self._start, finish=self._finish,
+        )
+        self.report = ServingSoakReport(
+            protected=protected,
+            per_tenant={name: TenantOutcome(name) for name in workload.tenants},
+        )
+
+    def run(self) -> ServingSoakReport:
+        self.pool.run(self.workload.jobs(), self._arrive, self.report)
+        self._drain()
+        return self.report
+
+
+class _GatewayArm(_Arm):
+    """Protected: every job through ``Gateway.submit`` -> ``next_dispatch``
+    -> ``complete``; a backend's open breaker fails its entry at dispatch,
+    without taking a server."""
+
+    def __init__(self, workload, obs: Optional[Observability] = None):
+        super().__init__(workload, protected=True)
+        self.breakers = workload.breakers(lambda: self.sim.now, obs)
         self.gateway = Gateway(
-            CallableBackend(lambda q: f"result:{q}", kind="store"),
+            {kind: CallableBackend(_answer, kind=kind)
+             for kind in workload.kinds},
             clock=lambda: self.sim.now,
-            admission=AdmissionController(
-                max_in_flight=config.servers,
-                max_queue=ADMISSION_QUEUE_FACTOR * config.servers,
-                priority_floor=PRIORITY_INTERACTIVE,
-                scope="serving",
-                obs=obs,
-            ),
-            coalesce=config.coalesce,
+            admission=workload.admission(obs),
+            coalesce=workload.coalesce,
             obs=obs,
         )
-        rate = config.tenant_rate_quota()
-        for name in config.workload().tenant_names():
+        for name in workload.tenants:
             self.gateway.register_tenant(
                 TenantConfig(
                     name=name,
                     api_key=f"key-{name}",
-                    weight=1.0,
-                    rate=rate,
+                    rate=workload.tenant_rate,
                     burst=QUOTA_BURST,
                 )
             )
-        self.pool = ServerPool(
-            self.sim, config.servers,
-            take=self.gateway.next_dispatch,
-            start=self._start,
-            finish=self._finish,
-        )
-        self.report = _new_report(config, protected=True)
 
-    def run(self) -> ServingSoakReport:
-        names = self.config.workload().tenant_names()
+    def _drain(self) -> None:
         gateway, report = self.gateway, self.report
-        self.pool.run(
-            ((arrival.at_s, arrival, names[arrival.tenant])
-             for arrival in generate_arrivals(self.config.workload())),
-            self._arrive, report,
-        )
         # Ticket-leak / drain invariant first: a leak is a hard fail.
         report.residual.update(gateway_residual(gateway))
         for name, session in gateway.tenants.sessions.items():
@@ -314,26 +312,22 @@ class _ProtectedSoak:
             outcome.expired = session.expired
             outcome.shed = session.shed
             outcome.quota_rejected = session.quota_rejected
+            outcome.failed = session.failed
             outcome.coalesced = session.coalesced
-            # session.failed stays 0: the synthetic backend never errors.
-            if session.failed:
-                raise ServingError(
-                    f"unexpected backend failures for {name}: {session.failed}"
-                )
         report.executions = gateway.executions
-        return report
 
-    def _arrive(self, arrival: Arrival, tenant_name: str) -> None:
-        self.report.per_tenant[tenant_name].arrivals += 1
+    def _arrive(self, tenant: str, query: str, kind: str,
+                priority: int) -> None:
+        self.report.per_tenant[tenant].arrivals += 1
         request = GatewayRequest(
-            api_key=f"key-{tenant_name}",
-            query=f"q{arrival.query}",
-            kind="store",
-            priority=arrival.priority,
+            api_key=f"key-{tenant}",
+            query=query,
+            kind=kind,
+            priority=priority,
             deadline=Deadline(
-                self.config.deadline_s,
+                self.workload.deadline_s,
                 clock=lambda: self.sim.now,
-                label=tenant_name,
+                label=tenant,
             ),
         )
         try:
@@ -342,68 +336,130 @@ class _ProtectedSoak:
             return  # counted per-tenant by the gateway's sessions
         self.pool.pump()
 
-    def _start(self, entry) -> Tuple[float]:
-        return (self.service_times[int(entry.leader.query[1:])],)
+    def _take(self):
+        while True:
+            entry = self.gateway.next_dispatch()
+            if entry is None or self.breakers is None:
+                return entry
+            try:
+                self.breakers.for_key(entry.key[0]).before_call()
+            except CircuitOpen as exc:
+                self.gateway.complete(entry, error=exc)
+                continue
+            return entry
 
-    def _finish(self, entry) -> None:
-        query = entry.leader.query
-        settled = self.gateway.complete(entry, result=f"result:{query}")
+    def _start(self, entry) -> Tuple[float, Optional[Exception]]:
+        return self.workload.service(
+            entry.key[0], entry.leader.query, self.sim.now
+        )
+
+    def _finish(self, entry, error: Optional[Exception]) -> None:
+        if self.breakers is not None:
+            breaker = self.breakers.for_key(entry.key[0])
+            if error is None:
+                breaker.record_success()
+            else:
+                breaker.record_failure()
+        settled = self.gateway.complete(
+            entry, result=_answer(entry.leader.query), error=error
+        )
         now = self.sim.now
         for member in settled:
             if member.category == OK:
                 self.report.latencies_s.append(now - member.submitted_at)
 
 
-# ---------------------------------------------------------------------------
-# Unprotected mode: straight to the backends, one FIFO
-# ---------------------------------------------------------------------------
+class _DirectArm(_Arm):
+    """Unprotected: straight to the backends through one FIFO that never
+    refuses, sheds or expires anything."""
 
-@dataclass
-class _DirectRequest:
-    arrived_at: float
-    tenant: str
-    query: int
+    def __init__(self, workload):
+        super().__init__(workload, protected=False)
+        self.queue: Deque[tuple] = deque()
 
-
-class _UnprotectedSoak:
-    def __init__(self, config: ServingSoakConfig):
-        self.config = config
-        self.sim = Simulation()
-        self.service_times = config.service_times()
-        self.queue: Deque[_DirectRequest] = deque()
-        self.pool = ServerPool(
-            self.sim, config.servers,
-            take=lambda: self.queue.popleft() if self.queue else None,
-            start=lambda request: (self.service_times[request.query],),
-            finish=self._finish,
-        )
-        self.report = _new_report(config, protected=False)
-
-    def run(self) -> ServingSoakReport:
-        names = self.config.workload().tenant_names()
-        self.pool.run(
-            ((arrival.at_s, _DirectRequest(
-                arrival.at_s, names[arrival.tenant], arrival.query))
-             for arrival in generate_arrivals(self.config.workload())),
-            self._arrive, self.report,
-        )
+    def _drain(self) -> None:
         self.report.residual["queued"] = len(self.queue)
-        return self.report
 
-    def _arrive(self, request: _DirectRequest) -> None:
-        self.report.per_tenant[request.tenant].arrivals += 1
-        self.queue.append(request)
+    def _arrive(self, tenant: str, query: str, kind: str,
+                priority: int) -> None:
+        self.report.per_tenant[tenant].arrivals += 1
+        self.queue.append((self.sim.now, tenant, query, kind))
         self.pool.pump()
 
-    def _finish(self, request: _DirectRequest) -> None:
+    def _take(self):
+        return self.queue.popleft() if self.queue else None
+
+    def _start(self, job) -> Tuple[float, Optional[Exception]]:
+        _, _, query, kind = job
+        return self.workload.service(kind, query, self.sim.now)
+
+    def _finish(self, job, error: Optional[Exception]) -> None:
         self.report.executions += 1
-        latency = self.sim.now - request.arrived_at
+        arrived_at, tenant, _, _ = job
+        outcome = self.report.per_tenant[tenant]
+        if error is not None:
+            outcome.failed += 1
+            return
+        latency = self.sim.now - arrived_at
         self.report.latencies_s.append(latency)
-        outcome = self.report.per_tenant[request.tenant]
-        if latency <= self.config.deadline_s:
+        if latency <= self.workload.deadline_s:
             outcome.ok += 1
         else:
             outcome.late += 1
+
+
+def run_arm(workload, protected: bool, obs: Optional[Observability] = None):
+    """Play *workload* through one arm; the arm's ``report`` is filled and
+    its ``breakers`` (None unless the workload has some) are left to read."""
+    arm = _GatewayArm(workload, obs) if protected else _DirectArm(workload)
+    arm.run()
+    return arm
+
+
+# ---------------------------------------------------------------------------
+# E21's workload
+# ---------------------------------------------------------------------------
+
+class _Workload:
+    """Zipf-skewed tenants on one pooled-query store, under quotas."""
+
+    servers = SERVERS
+    deadline_s = DEADLINE_S
+    tenant_rate = TENANT_RATE
+    kinds = ("store",)
+
+    def __init__(self, config: ServingSoakConfig):
+        self.config = config
+        self.tenants = config.workload().tenant_names()
+        self.coalesce = config.coalesce
+        # Deterministic per-query service times, the same in both arms.
+        rng = random.Random(stream_seed(config.seed, "serving-service"))
+        self._service_times = [
+            SERVICE_TIME_S
+            * rng.uniform(1.0 - SERVICE_SPREAD, 1.0 + SERVICE_SPREAD)
+            for _ in range(QUERY_POOL)
+        ]
+
+    def jobs(self):
+        for arrival in generate_arrivals(self.config.workload()):
+            yield (arrival.at_s, self.tenants[arrival.tenant],
+                   f"q{arrival.query}", "store", arrival.priority)
+
+    def admission(self, obs: Optional[Observability]) -> AdmissionController:
+        return AdmissionController(
+            max_in_flight=SERVERS,
+            max_queue=ADMISSION_QUEUE_FACTOR * SERVERS,
+            priority_floor=PRIORITY_INTERACTIVE,
+            scope="serving",
+            obs=obs,
+        )
+
+    def breakers(self, clock, obs) -> None:
+        return None
+
+    def service(self, kind: str, query: str,
+                now: float) -> Tuple[float, None]:
+        return self._service_times[int(query[1:])], None
 
 
 def run_serving_soak(
@@ -412,9 +468,7 @@ def run_serving_soak(
     obs: Optional[Observability] = None,
 ) -> ServingSoakReport:
     """Run one deterministic soak; the report is verify()-able."""
-    if protected:
-        return _ProtectedSoak(config, obs=obs).run()
-    return _UnprotectedSoak(config).run()
+    return run_arm(_Workload(config), protected, obs).report
 
 
 def run_comparison(
@@ -459,7 +513,7 @@ def snapshot_meta(
         "experiment": "E21",
         "seed": config.seed,
         "requests": config.requests,
-        "tenants": config.tenants,
+        "tenants": TENANTS,
         "jain_protected": guarded.jain_goodput,
         "jain_unprotected": bare.jain_goodput,
         "p99_protected_s": guarded.p99_latency_s,

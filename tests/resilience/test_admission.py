@@ -79,12 +79,6 @@ class TestAdmission:
         with pytest.raises(FaultError):
             controller._release(ticket)
 
-    def test_try_admit_returns_none_instead_of_raising(self):
-        controller = make_controller(max_in_flight=1, max_queue=0)
-        assert controller.try_admit() is not None
-        assert controller.try_admit() is None
-        assert controller.shed == 1
-
     def test_high_water_tracks_peak(self):
         controller = make_controller()
         tickets = [controller.admit() for _ in range(3)]
@@ -123,4 +117,3 @@ class TestNullAdmission:
         assert NULL_ADMISSION.in_flight == 0
         for ticket in tickets:
             ticket.release()
-        assert NULL_ADMISSION.try_admit() is not None

@@ -2,9 +2,16 @@
 
 import pytest
 
-from repro.errors import FaultError
+from repro.errors import FaultError, Shed
 from repro.resilience import SoakConfig, run_soak, soak_plan
-from repro.resilience.soak import BURST_COUNT, FLAPS_PER_BACKEND, SoakReport
+from repro.resilience.soak import (
+    BACKENDS,
+    BURST_COUNT,
+    FLAPS_PER_BACKEND,
+    SoakReport,
+)
+from repro.serving import Gateway
+from repro.serving.gateway import FAILED
 
 
 def short_config(**kwargs):
@@ -25,8 +32,7 @@ class TestSoakPlan:
 
     def test_plan_has_flaps_and_bursts(self):
         plan = soak_plan(short_config())
-        config = short_config()
-        assert len(plan.endpoint_flaps) == config.backends * FLAPS_PER_BACKEND
+        assert len(plan.endpoint_flaps) == len(BACKENDS) * FLAPS_PER_BACKEND
         assert len(plan.overload_bursts) == BURST_COUNT
 
 
@@ -97,3 +103,31 @@ class TestShape:
         assert protected.shed > 0
         assert protected.breaker_opens > 0
         assert protected.fast_failures > 0
+
+
+class TestThroughTheGateway:
+    """The protected arm is the real Gateway, audit and typed errors too."""
+
+    def test_residual_is_the_gateway_drain_audit(self):
+        report = run_soak(short_config(), protected=True)
+        assert report.residual["ticket_leak"] == 0
+        assert report.residual["coalesce_in_flight"] == 0
+        assert report.residual["queued"] == 0
+        report.verify()
+
+    def test_breaker_fast_fail_reaches_the_tenant_as_shed(self, monkeypatch):
+        failures = []
+        complete = Gateway.complete
+
+        def spy(self, entry, result=None, error=None):
+            settled = complete(self, entry, result=result, error=error)
+            failures.extend(m.error for m in settled if m.category == FAILED)
+            return settled
+
+        monkeypatch.setattr(Gateway, "complete", spy)
+        report = run_soak(SoakConfig(seed=18), protected=True)
+        assert report.fast_failures > 0
+        assert len(failures) == report.failed == report.fast_failures
+        for error in failures:
+            assert isinstance(error, Shed)
+            assert error.reason == "breaker_open"

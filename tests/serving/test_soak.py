@@ -11,6 +11,7 @@ from repro.serving import (
     run_comparison,
     run_serving_soak,
 )
+from repro.serving.soak import DEADLINE_S
 
 # Small but fully-loaded run: overload, bursts and coalescing all engage.
 CONFIG = ServingSoakConfig(seed=21, requests=6000)
@@ -75,7 +76,7 @@ class TestThresholds:
 
     def test_gateway_cuts_tail_latency(self, comparison):
         bare, guarded = comparison
-        assert guarded.p99_latency_s <= CONFIG.deadline_s
+        assert guarded.p99_latency_s <= DEADLINE_S
         assert guarded.p99_latency_s < bare.p99_latency_s
 
     def test_coalescing_cuts_duplicate_executions(self, comparison):

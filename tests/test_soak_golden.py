@@ -8,6 +8,13 @@ one small seed, and the ``meta`` each ``--smoke`` CLI writes into its
 ``BENCH_E*.json``. This module uses only names that exist on both sides of
 the change, so it passes unchanged on either.
 
+One entry was re-recorded on purpose since: E18's protected arm now runs
+through the real serving ``Gateway``, which settles a late answer as
+``expired`` instead of delivering it. Its ``ok``, ``shed``, breaker opens
+and ``duration_s`` are unchanged; ``late``, ``failed``, ``expired`` and the
+p99 moved by that rule alone, and ``snapshot_meta.E18`` was added with the
+post-change values.
+
 The datacube report's wall-clock fields (``tiled_s``/``whole_s``/``speedup``)
 are excluded, as ``bench_e24``'s determinism test already does.
 """
@@ -21,6 +28,7 @@ from repro.datacube.bench import DatacubeBenchConfig, run_datacube_bench
 from repro.datacube.bench import main as datacube_main
 from repro.obs import read_snapshot
 from repro.resilience import SoakConfig, run_soak
+from repro.resilience.soak import main as resilience_main
 from repro.serving import ServingSoakConfig
 from repro.serving import run_comparison as serving_comparison
 from repro.serving.soak import main as serving_main
@@ -86,6 +94,7 @@ def test_datacube_report():
 
 
 @pytest.mark.parametrize("experiment, main", [
+    ("E18", resilience_main),
     ("E21", serving_main),
     ("E23", governor_main),
     ("E24", datacube_main),
