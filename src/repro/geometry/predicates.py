@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import GeometryError
 from repro.geometry.primitives import (
     Geometry,
@@ -138,6 +140,97 @@ def point_in_polygon(point: Point, polygon: Polygon) -> bool:
         if point_in_ring(point.x, point.y, hole):
             return False
     return True
+
+
+def points_in_polygon(xs, ys, polygon: Polygon) -> np.ndarray:
+    """:func:`point_in_polygon` over coordinate arrays: a bool array, cell
+    for cell equal to the scalar predicate.
+
+    It makes the same decisions in the same order (bbox first, then the
+    exterior, then each hole in ring order) with the same float expressions
+    and the same ``_EPS`` on-ring tolerance, so no cell near an edge can come
+    out differently. A cell leaves the computation once it is decided.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    box = polygon.bbox
+    result = (
+        (box.min_x <= xs) & (xs <= box.max_x) & (box.min_y <= ys) & (ys <= box.max_y)
+    )
+    undecided = np.flatnonzero(result)
+    for index, ring in enumerate(polygon.rings):
+        if not len(undecided):
+            break
+        segments = np.asarray(ring, dtype=np.float64)
+        # A point on any ring is in the polygon: it stays True, decided.
+        undecided = undecided[
+            ~_points_on_ring(xs[undecided], ys[undecided], segments)
+        ]
+        inside = _points_in_ring(xs[undecided], ys[undecided], segments)
+        # Outside the exterior, or strictly inside a hole: False, decided.
+        excluded = inside if index else ~inside
+        result[undecided[excluded]] = False
+        undecided = undecided[~excluded]
+    return result
+
+
+#: Cells per (points x segments) block: bounds the kernels' temporaries.
+_BLOCK_CELLS = 1 << 18
+
+
+def _ring_blocks(xs: np.ndarray, ys: np.ndarray, segments: np.ndarray):
+    """``(slice, px, py, ax, ay, bx, by)`` per block of points: the points as
+    a column against the ring's segments ``a -> b`` as a row."""
+    ax, ay = segments[:-1, 0], segments[:-1, 1]
+    bx, by = segments[1:, 0], segments[1:, 1]
+    step = max(1, _BLOCK_CELLS // len(ax))
+    for start in range(0, len(xs), step):
+        block = slice(start, start + step)
+        yield block, xs[block, None], ys[block, None], ax, ay, bx, by
+
+
+def _points_on_ring(xs: np.ndarray, ys: np.ndarray, segments: np.ndarray) -> np.ndarray:
+    """:func:`point_on_ring` per point: ``_on_segment(a, p, b)`` and
+    ``_orientation(a, b, p) == 0`` on some segment, with the scalar
+    arithmetic. The cheap box test goes first; the orientation is computed
+    only for the (point, segment) pairs that pass it."""
+    out = np.zeros(len(xs), dtype=bool)
+    with np.errstate(all="ignore"):
+        for block, px, py, ax, ay, bx, by in _ring_blocks(xs, ys, segments):
+            between = (
+                (np.minimum(ax, bx) - _EPS <= px)
+                & (px <= np.maximum(ax, bx) + _EPS)
+                & (np.minimum(ay, by) - _EPS <= py)
+                & (py <= np.maximum(ay, by) + _EPS)
+            )
+            point, segment = np.nonzero(between)
+            if not len(point):
+                continue
+            px, py = px[point, 0], py[point, 0]
+            ax, ay, bx, by = ax[segment], ay[segment], bx[segment], by[segment]
+            dx, dy, rx, ry = bx - ax, by - ay, px - ax, py - ay
+            value = dx * ry - dy * rx
+            scale = np.maximum(
+                np.maximum(np.maximum(np.abs(dx), np.abs(dy)), np.abs(rx)),
+                np.maximum(np.abs(ry), 1.0),
+            )
+            collinear = np.abs(value) <= _EPS * scale * scale
+            out[block.start + point[collinear]] = True
+    return out
+
+
+def _points_in_ring(xs: np.ndarray, ys: np.ndarray, segments: np.ndarray) -> np.ndarray:
+    """:func:`point_in_ring` per point: the parity of the crossings left of
+    it, each crossing computed as the scalar loop computes it."""
+    out = np.zeros(len(xs), dtype=bool)
+    with np.errstate(all="ignore"):
+        for block, px, py, x1, y1, x2, y2 in _ring_blocks(xs, ys, segments):
+            crosses = (y1 > py) != (y2 > py)
+            # Cells whose edge does not cross the point's row are masked
+            # out, so a horizontal edge's division by zero is discarded.
+            x_cross = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+            out[block] = np.count_nonzero(crosses & (px < x_cross), axis=1) % 2 == 1
+    return out
 
 
 def _rings_cross(

@@ -5,17 +5,28 @@ Registers the simple-features topological functions and metric helpers into a
 them. Arguments must be ``geo:wktLiteral`` values (or terms convertible to
 them); type errors surface as :class:`EvaluationError`, which SPARQL filter
 semantics turn into "row dropped".
+
+``sfIntersects``, ``sfWithin`` and ``sfContains`` also carry a column form,
+``function.column(terms, constant, var_first) -> (values, errors)``: the
+function over a whole decoded term column against one constant term, with
+the variable first or second. It equals the scalar function cell for cell;
+point cells against a ``Polygon`` constant go through one
+:func:`~repro.geometry.predicates.points_in_polygon` call where the scalar
+predicate is exactly ``point_in_polygon``.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import RDFError, WKTParseError
+import numpy as np
+
+from repro.errors import GeometryError, RDFError, WKTParseError
 from repro.geometry import Geometry, contains, disjoint, distance, intersects, within
-from repro.geometry.primitives import BoundingBox, Polygon
+from repro.geometry.predicates import points_in_polygon
+from repro.geometry.primitives import BoundingBox, Point, Polygon
 from repro.geosparql.literals import geometry_literal, literal_geometry
-from repro.rdf.term import Literal
+from repro.rdf.term import Literal, Term
 from repro.sparql.evaluator import FunctionRegistry
 from repro.sparql.functions import EvaluationError, Value
 
@@ -41,7 +52,12 @@ def _geometry_arg(value: Value, function: str) -> Geometry:
         raise EvaluationError(f"{function}: {exc}") from exc
 
 
-def _binary(name: str, predicate):
+def _binary(name: str, predicate, kernel_sides: Tuple[bool, ...] = ()):
+    """The scalar function; with *kernel_sides*, also its column form.
+
+    *kernel_sides* lists the ``var_first`` values for which ``predicate`` on
+    a Point and a Polygon is exactly ``point_in_polygon(point, polygon)``.
+    """
     def geo_function(args: List[Value]) -> bool:
         if len(args) != 2:
             raise EvaluationError(f"{name} takes 2 arguments, got {len(args)}")
@@ -49,7 +65,56 @@ def _binary(name: str, predicate):
         b = _geometry_arg(args[1], name)
         return predicate(a, b)
 
+    def column(
+        terms: Sequence[Optional[Term]], constant: Term, var_first: bool
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The function per cell of *terms* (None: unbound) against
+        *constant*: bool values and the cells that raised EvaluationError."""
+        values = np.zeros(len(terms), dtype=bool)
+        errors = np.zeros(len(terms), dtype=bool)
+        polygon = _polygon(constant) if var_first in kernel_sides else None
+        rows, xs, ys = [], [], []
+        for row, term in enumerate(terms):
+            if term is None:
+                errors[row] = True
+                continue
+            try:
+                if polygon is None:
+                    values[row] = geo_function(
+                        [term, constant] if var_first else [constant, term]
+                    )
+                    continue
+                geometry = _geometry_arg(term, name)
+            except EvaluationError:
+                errors[row] = True
+                continue
+            if isinstance(geometry, Point):
+                rows.append(row)
+                xs.append(geometry.x)
+                ys.append(geometry.y)
+            else:
+                values[row] = (
+                    predicate(geometry, polygon)
+                    if var_first
+                    else predicate(polygon, geometry)
+                )
+        if rows:
+            values[rows] = points_in_polygon(xs, ys, polygon)
+        return values, errors
+
+    if kernel_sides:
+        geo_function.column = column
     return geo_function
+
+
+def _polygon(term: Term) -> Optional[Polygon]:
+    """*term*'s geometry if it is a Polygon; None sends every cell through
+    the scalar function, which then meets any parse error itself."""
+    try:
+        geometry = literal_geometry(term)
+    except (RDFError, GeometryError):
+        return None
+    return geometry if isinstance(geometry, Polygon) else None
 
 
 def _distance(args: List[Value]) -> float:
@@ -85,9 +150,13 @@ def geo_function_registry() -> FunctionRegistry:
     """A fresh registry with all ``geof:`` *and* ``strdf:`` temporal
     functions installed (Strabon is a spatiotemporal store)."""
     registry = FunctionRegistry()
-    registry.register(SF_INTERSECTS, _binary("geof:sfIntersects", intersects))
-    registry.register(SF_CONTAINS, _binary("geof:sfContains", contains))
-    registry.register(SF_WITHIN, _binary("geof:sfWithin", within))
+    # Point-vs-polygon reduces to point_in_polygon for sfIntersects either
+    # way round, sfWithin(?g, C) and sfContains(C, ?g).
+    registry.register(
+        SF_INTERSECTS, _binary("geof:sfIntersects", intersects, (True, False))
+    )
+    registry.register(SF_CONTAINS, _binary("geof:sfContains", contains, (False,)))
+    registry.register(SF_WITHIN, _binary("geof:sfWithin", within, (True,)))
     registry.register(SF_DISJOINT, _binary("geof:sfDisjoint", disjoint))
     registry.register(DISTANCE, _distance)
     registry.register(ENVELOPE, _envelope)

@@ -5,7 +5,10 @@
 (``geof:sfIntersects/sfContains/sfWithin`` between a variable and a constant
 geometry) into an index-backed candidate table — a plain VALUES operator,
 so the algebra stays closed — that feeds the join, after which the exact
-predicate still runs. :class:`NaiveGeoStore` shares everything but
+predicate still runs: on the vector engine over the whole candidate column
+at once (the relations' column form, one point-in-polygon kernel call for
+point candidates), on the interpreted engine per row.
+:class:`NaiveGeoStore` shares everything but
 the rewrite — every spatial filter is evaluated by brute force — making the
 pair the two arms of experiment E2/E3.
 """

@@ -403,10 +403,13 @@ class Gateway:
         """
         if entry.state != RUNNING:
             raise ServingError("complete() on an entry that is not running")
-        self.executions += 1
-        self._obs.metrics.counter(
-            "serving.executions", kind=entry.key[0]
-        ).inc()
+        # An open breaker fails an entry before the backend is called: that
+        # is a fast-fail, not an execution.
+        if not isinstance(error, CircuitOpen):
+            self.executions += 1
+            self._obs.metrics.counter(
+                "serving.executions", kind=entry.key[0]
+            ).inc()
         settled = []
         for member in entry.members:
             if member.settled:

@@ -8,6 +8,11 @@ extension functions, lazy BOUND/IF/COALESCE) falls back to the interpreted
 :func:`~repro.sparql.evaluator.evaluate_expression` *per row that needs it*,
 so a partially-vectorizable filter still does most of its work in numpy.
 
+An extension function whose registered callable has a ``column`` attribute
+(the GeoSPARQL topological relations do) skips that fallback when it is
+called on one variable and one constant: ``column(terms, constant,
+var_first)`` answers for the whole decoded column at once.
+
 Errors never raise: every column carries a boolean error mask, and the
 SPARQL rules (error -> filter false, error -> BIND leaves unbound, Kleene
 logic for &&/||) are applied mask-wise.
@@ -23,12 +28,14 @@ from repro.rdf.term import Literal, XSD_DOUBLE, XSD_INTEGER
 from repro.sparql.ast import (
     BinaryOp,
     Expression,
+    FunctionCall,
     TermExpr,
     UnaryOp,
     Variable,
     VarExpr,
 )
 from repro.sparql.functions import (
+    BUILTINS,
     EvaluationError,
     _numeric,
     effective_boolean_value,
@@ -321,6 +328,10 @@ def eval_bool(expression: Expression, batch: Batch, ctx: ExprContext) -> BoolCol
             )
         except EvaluationError:
             return BoolCol(np.zeros(n, dtype=bool), np.ones(n, dtype=bool))
+    if isinstance(expression, FunctionCall):
+        column = _column_call(expression, batch, ctx)
+        if column is not None:
+            return column
     # Function calls and the rest: interpreted per-row + EBV.
     rows = np.arange(n, dtype=np.int64)
     raw, err = _row_eval(expression, batch, ctx, rows)
@@ -333,6 +344,31 @@ def eval_bool(expression: Expression, batch: Batch, ctx: ExprContext) -> BoolCol
         except EvaluationError:
             err[row] = True
     return BoolCol(values, err)
+
+
+def _column_call(
+    expression: FunctionCall, batch: Batch, ctx: ExprContext
+) -> Optional[BoolCol]:
+    """An extension call on one variable and one constant through the
+    function's column form, or None when it has none."""
+    if expression.name in BUILTINS or len(expression.args) != 2:
+        return None
+    column = getattr(ctx.registry.get(expression.name), "column", None)
+    if column is None:
+        return None
+    first, second = expression.args
+    if isinstance(first, VarExpr) and isinstance(second, TermExpr):
+        variable, constant, var_first = first.variable, second.term, True
+    elif isinstance(first, TermExpr) and isinstance(second, VarExpr):
+        variable, constant, var_first = second.variable, first.term, False
+    else:
+        return None
+    if variable in batch.columns:
+        terms = ctx.decoded(batch, variable)
+    else:
+        terms = [None] * batch.nrows
+    values, err = column(terms, constant, var_first)
+    return BoolCol(values & ~err, err)
 
 
 def _ebv_from_var(batch: Batch, ctx: ExprContext, variable: Variable) -> BoolCol:

@@ -131,3 +131,24 @@ class TestThroughTheGateway:
         for error in failures:
             assert isinstance(error, Shed)
             assert error.reason == "breaker_open"
+
+    def test_fast_fails_are_not_executions(self, monkeypatch):
+        """An entry an open breaker fails at dispatch never reached the
+        backend: the gateway counts only the entries the arm started."""
+        from repro.serving import soak as serving_soak
+        from repro.resilience.soak import _Workload
+
+        starts = []
+        start = serving_soak._GatewayArm._start
+
+        def spy(self, entry):
+            starts.append(entry)
+            return start(self, entry)
+
+        monkeypatch.setattr(serving_soak._GatewayArm, "_start", spy)
+        arm = serving_soak.run_arm(
+            _Workload(SoakConfig(seed=18, requests=1200)), protected=True
+        )
+        assert arm.breakers.total_rejections() > 0
+        assert arm.report.executions == arm.gateway.executions == len(starts)
+        assert len(starts) == 444
