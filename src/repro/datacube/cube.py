@@ -165,6 +165,9 @@ class Cube:
             v: self._empty_slab() for v in schema.variables
         }
         self._lineage: Dict[str, Tuple[str, ...]] = {v: () for v in schema.variables}
+        #: path -> (payload, decoded array) of every sealed chunk read so
+        #: far; the array is a read-only view over the payload's bytes.
+        self._decoded: Dict[str, Tuple[bytes, np.ndarray]] = {}
         self._seal_seq = 0
         self._finalized = False
 
@@ -584,8 +587,24 @@ class SlicePlan:
     # ------------------------------------------------------------------
 
     def _load_chunk(self, key: ChunkKey) -> np.ndarray:
+        """Read one sealed chunk through the store; decode it only once.
+
+        Every call is a ``store.get`` (block routing, checksums and the
+        ``chunks_read`` count all happen per read). When the store hands
+        back the very payload object it did last time, the array decoded
+        from it then is returned again: a sealed chunk never changes, and
+        the kept payload cannot be freed, so ``is`` cannot mistake a new
+        object for it. Any other payload — an inline chunk re-read after a
+        recover, say — is decoded afresh.
+        """
         path = self.cube._index[(self.variable, key.t, key.y, key.x)]
-        array = decode_chunk(self.cube.store.get(path))
+        payload = self.cube.store.get(path)
+        decoded = self.cube._decoded.get(path)
+        if decoded is not None and decoded[0] is payload:
+            array = decoded[1]
+        else:
+            array = decode_chunk(payload)
+            self.cube._decoded[path] = (payload, array)
         self.cube.obs.metrics.counter("datacube.chunks_read").inc()
         return array
 
@@ -598,6 +617,9 @@ class SlicePlan:
         Tail (unsealed) steps stream last, sliced from the in-memory slab.
         Blocks are **read-only** views — of the stored chunk payload or of
         the open slab — and copy nothing; :meth:`read` returns a fresh array.
+        Each sealed chunk is read from the store on every pass, but decoded
+        once per cube (:meth:`_load_chunk`): a block is a slice of that one
+        shared read-only array.
         """
         i0, i1 = self.step_range
         row0, row1, col0, col1 = self.window

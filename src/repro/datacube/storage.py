@@ -18,6 +18,17 @@ or corrupt block fails the chunk read exactly like the real system.
 of the cube's append-only contract: a second write of the same chunk path
 is a :class:`~repro.errors.DatacubeError`, not a silent overwrite. The
 per-path write counter exists so tests can pin that invariant.
+
+A sealed object is never rewritten, so its file metadata never changes:
+the store keeps the :class:`~repro.hopsfs.filesystem.FileStat` of every
+path it writes (``create``'s return value) or stats, and ``get`` resolves a
+path on the namenode only once. Only its bytes are read again — every block
+of every read still goes through the block manager, and inline objects
+still come from the metadata store. The exactness rule: a kept stat holds
+only while the namespace has lost no path. ``HopsFS.path_losses`` counts
+the operations that can take one away (``delete``, ``rename``, ``crash``,
+``recover``); when it has moved, the store drops every kept stat, so a
+deleted or moved chunk fails its read exactly as an unkept one does.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.errors import DatacubeError, StorageError
-from repro.hopsfs.filesystem import HopsFS
+from repro.hopsfs.filesystem import FileStat, HopsFS
 from repro.obs import Observability, resolve
 
 
@@ -41,6 +52,9 @@ class ChunkStore:
         # Simulated datanode contents for block-layout files (inode -> bytes);
         # inline files live in the metadata store itself.
         self._block_payloads: Dict[int, bytes] = {}
+        # path -> FileStat, valid while fs.path_losses equals _losses_seen.
+        self._stats: Dict[str, FileStat] = {}
+        self._losses_seen = self.fs.path_losses
 
     def makedirs(self, path: str) -> None:
         self.fs.makedirs(path)
@@ -57,13 +71,31 @@ class ChunkStore:
             raise
         if not stat.inline:
             self._block_payloads[stat.inode_id] = payload
+        self._kept_stats()[path] = stat
         self.writes[path] = self.writes.get(path, 0) + 1
         self.obs.metrics.counter("datacube.store_puts").inc()
         self.obs.metrics.counter("datacube.bytes_written").inc(len(payload))
 
+    def _kept_stats(self) -> Dict[str, FileStat]:
+        """The kept stats, all dropped first if a path was lost since."""
+        if self._losses_seen != self.fs.path_losses:
+            self._stats.clear()
+            self._losses_seen = self.fs.path_losses
+        return self._stats
+
     def get(self, path: str) -> bytes:
-        """Read an object back; block-layout reads verify every block."""
-        stat = self.fs.stat(path)
+        """Read an object back; block-layout reads verify every block.
+
+        The path's stat is taken from ``put`` or the first ``get`` and kept
+        (see the module docstring for when it is dropped); the bytes are
+        read every time. So a block-layout object whose stat is kept reads
+        without the metadata store — a shard outage no longer fails it —
+        while an inline object still reads from it.
+        """
+        stats = self._kept_stats()
+        stat = stats.get(path)
+        if stat is None:
+            stat = stats[path] = self.fs.stat(path)
         if stat.inline:
             payload = self.fs.read(path)
         else:

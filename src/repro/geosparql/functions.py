@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import GeometryError, RDFError, WKTParseError
+from repro.errors import GeometryError, RDFError
 from repro.geometry import Geometry, contains, disjoint, distance, intersects, within
 from repro.geometry.predicates import points_in_polygon
 from repro.geometry.primitives import BoundingBox, Point, Polygon
@@ -46,9 +46,12 @@ INDEXABLE_RELATIONS = frozenset({SF_INTERSECTS, SF_CONTAINS, SF_WITHIN})
 
 
 def _geometry_arg(value: Value, function: str) -> Geometry:
+    # GeometryError covers WKT that does not parse and WKT that parses but
+    # builds no valid geometry (a ring of fewer than 3 distinct vertices):
+    # either way the argument is a type error, and the row is dropped.
     try:
         return literal_geometry(value)  # type: ignore[arg-type]
-    except (RDFError, WKTParseError) as exc:
+    except (RDFError, GeometryError) as exc:
         raise EvaluationError(f"{function}: {exc}") from exc
 
 

@@ -83,6 +83,11 @@ class HopsFS:
         self.blocks = blocks if blocks is not None else BlockManager()
         self.small_file_threshold = small_file_threshold
         self._next_inode = ROOT_ID + 1
+        #: Operations that can take a path away: ``delete``, ``rename``,
+        #: ``crash`` and ``recover``. A :class:`FileStat` held since this
+        #: last moved still names the same file (``create`` refuses
+        #: existing paths, and nothing else rewrites a record).
+        self.path_losses = 0
         # Inode-hint cache (the HopsFS design): directory-path resolution is
         # cached so hot ancestors (/, /data, ...) don't serialise every
         # operation through the shards that own them. A bounded LRU with
@@ -306,6 +311,7 @@ class HopsFS:
                 # below the deleted directory can be stale — hot ancestors
                 # (/, /data, ...) stay cached across a sibling delete.
                 self._dir_cache.evict_prefix(tuple(self._split(path)))
+            self.path_losses += 1
             self.store.delete(parent, name, deadline=deadline)
 
     def rename(
@@ -335,6 +341,7 @@ class HopsFS:
                 # Remembered failures under the destination just became
                 # reachable paths.
                 self._dir_cache.evict_prefix(tuple(dst_parts))
+            self.path_losses += 1
             self.store.transact(
                 writes=[(dst_parent, dst_name, record)],
                 deletes=[(src_parent, src_name)],
@@ -348,6 +355,7 @@ class HopsFS:
     def crash(self) -> None:
         """Power loss on the metadata tier; needs a durability layer."""
         self.store.crash()
+        self.path_losses += 1
         # Volatile caches die with the process.
         self._dir_cache.clear()
 
@@ -358,6 +366,7 @@ class HopsFS:
         post-recovery creates cannot collide with surviving inodes.
         """
         report = self.store.recover()
+        self.path_losses += 1
         highest = ROOT_ID
         for shard in range(self.store.shard_count):
             for _, _, record in self.store.shard_items(shard):

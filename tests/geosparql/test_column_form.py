@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import GeometryError
 from repro.geometry import LineString, MultiPoint, MultiPolygon, Point, Polygon
-from repro.geosparql import geometry_literal
+from repro.geosparql import GeoStore, geometry_literal
 from repro.geosparql.functions import (
     SF_CONTAINS,
     SF_DISJOINT,
@@ -21,8 +20,14 @@ from repro.geosparql.functions import (
     geo_function_registry,
 )
 from repro.geosparql.literals import WKT_DATATYPE
+from repro.rdf import GEO, Namespace
 from repro.rdf.term import IRI, Literal
+from repro.sparql import CompileOptions
+from repro.sparql.ast import Variable
+from repro.sparql.dist import DistRuntime
 from repro.sparql.functions import EvaluationError
+
+EX = Namespace("http://ex.org/")
 
 REGISTRY = geo_function_registry()
 RELATIONS = [SF_INTERSECTS, SF_WITHIN, SF_CONTAINS]
@@ -116,17 +121,40 @@ def test_disjoint_has_no_column_form():
 @pytest.mark.parametrize("relation", RELATIONS)
 @pytest.mark.parametrize("var_first", [True, False])
 def test_geometry_error_is_raised_alike(relation, var_first):
-    """A WKT that parses but builds no valid polygon raises GeometryError,
-    not EvaluationError, out of the scalar function; the column form does
-    exactly what the scalar function does."""
+    """A WKT that parses but builds no valid polygon is a type error like
+    any other: the scalar function raises EvaluationError, and the column
+    form sets that cell's error bit and answers the other cells."""
     function = REGISTRY.get(relation)
     broken = Literal("POLYGON ((0 0, 1 1, 0 0))", datatype=WKT_DATATYPE)
     constant = geometry_literal(Polygon.box(0, 0, 2, 2))
     terms = [geometry_literal(Point(1, 1)), broken]
-    with pytest.raises(GeometryError):
-        scalar_outcomes(function, terms, constant, var_first)
-    with pytest.raises(GeometryError):
-        function.column(terms, constant, var_first)
+    outcomes = scalar_outcomes(function, terms, constant, var_first)
+    assert outcomes[1] == "error"
+    assert column_outcomes(function, terms, constant, var_first) == outcomes
+    with pytest.raises(EvaluationError):
+        function([broken, constant] if var_first else [constant, broken])
+
+
+def test_invalid_geometry_drops_the_row_on_every_engine():
+    """The invalid polygon in VALUES is dropped exactly like the unparsable
+    ``POINT (1)``: the interpreted, vector and distributed engines all keep
+    the one point inside the box instead of aborting the query."""
+    store = GeoStore()
+    store.bulk_load([(EX.f1, GEO.asWKT, geometry_literal(Point(1, 1)))])
+    cells = ["POINT (1 1)", "POINT (1)", "POLYGON ((0 0, 1 1, 0 0))", "POINT (5 5)"]
+    values = " ".join(f'"{wkt}"^^geo:wktLiteral' for wkt in cells)
+    box = geometry_literal(Polygon.box(0, 0, 2, 2)).lexical
+    text = (
+        "PREFIX geo: <http://www.opengis.net/ont/geosparql#> "
+        "PREFIX geof: <http://www.opengis.net/def/function/geosparql/> "
+        f"SELECT ?g WHERE {{ VALUES ?g {{ {values} }} "
+        f'FILTER(geof:sfIntersects(?g, "{box}"^^geo:wktLiteral)) }}'
+    )
+    expected = [{Variable("g"): Literal("POINT (1 1)", datatype=WKT_DATATYPE)}]
+    assert store.query(text, options=CompileOptions()) == expected
+    assert store.query(text, options=CompileOptions(engine="vector")) == expected
+    runtime = DistRuntime(store.graph, partitions=2, replication=1)
+    assert runtime.query(text, registry=store.registry) == expected
 
 
 def test_points_against_polygon_constant():
