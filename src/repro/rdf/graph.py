@@ -52,6 +52,7 @@ _MERGE_FRACTION = 0.125
 _MERGE_FLOOR = 16
 _EMPTY = np.empty(0, dtype=np.int64)
 _NO_ROWS: IdRows = (_EMPTY, _EMPTY, _EMPTY)
+_NO_TERMS = np.empty(0, dtype=object)
 _CHUNK = 4096  #: rows decoded per step when iterating
 #: Answers up to this many base rows are decoded in Python: below it, one
 #: numpy call costs more than the rows.
@@ -79,6 +80,9 @@ class Graph:
         self._version = 0
         self._term_ids: Dict[Term, int] = {}
         self._id_terms: List[Term] = []
+        # An object-array mirror of _id_terms for bulk decode, built on first
+        # use: (array, entries filled), the array's spare capacity unfilled.
+        self._term_array: Tuple[np.ndarray, int] = (_NO_TERMS, 0)
         # Live occurrences of every id in each position, and how many ids
         # occur at all in each position.
         self._uses = (array("q"), array("q"), array("q"))
@@ -280,6 +284,26 @@ class Graph:
         a :meth:`term_for_id` call per cell.
         """
         return self._id_terms
+
+    def id_term_array(self) -> np.ndarray:
+        """The term dictionary as an id-indexed numpy object array, so a
+        column of ids decodes with one ``take`` (read-only by contract).
+
+        Entries below :attr:`term_count` are filled; spare capacity past it
+        is not. The array is built on first use and then grows with the
+        dictionary by doubling, so a read after each write copies only the
+        new terms, amortised.
+        """
+        mirror, filled = self._term_array
+        count = len(self._id_terms)
+        if filled < count:
+            if count > len(mirror):
+                grown = np.empty(max(count, 2 * len(mirror)), dtype=object)
+                grown[:filled] = mirror[:filled]
+                mirror = grown
+            mirror[filled:count] = self._id_terms[filled:count]
+            self._term_array = (mirror, count)
+        return mirror
 
     # ------------------------------------------------------------------
     # Id rows

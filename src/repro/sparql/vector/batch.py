@@ -74,11 +74,10 @@ class Batch:
         )
 
     def mask(self, keep: np.ndarray) -> "Batch":
-        """Row subset by boolean mask."""
-        return Batch(
-            {v: col[keep] for v, col in self.columns.items()},
-            int(np.count_nonzero(keep)),
-        )
+        """Row subset by boolean mask: one ``flatnonzero``, then one
+        :meth:`take` per column, which beats a boolean index per column
+        from the second column on."""
+        return self.take(np.flatnonzero(keep))
 
     def slice(self, offset: int, limit) -> "Batch":
         stop = None if limit is None else offset + limit

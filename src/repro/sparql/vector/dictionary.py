@@ -19,18 +19,23 @@ Two pieces:
   **lazily**: :meth:`ColumnCodec.sync` only allocates, and consumers call
   :meth:`ColumnCodec.ensure` with the id columns they are about to index,
   so the Python-level term coercion runs once per *distinct id a query
-  actually touches* — not once per dictionary entry.
+  actually touches* — not once per dictionary entry. The codec also keeps
+  the encoded id columns of inline tables (VALUES, spatial candidates) whose
+  every cell is a graph term: such ids never change, so a cached plan's
+  table is encoded once per graph, not once per execution.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.rdf.graph import Graph
 from repro.rdf.term import Literal, Term
+from repro.sparql.algebra import TableOp
+from repro.sparql.ast import Variable
 from repro.sparql.functions import (
     EvaluationError,
     _numeric,
@@ -70,20 +75,22 @@ class TermEncoder:
         return self._local_terms[term_id - self.base]
 
     def decode_column(self, ids: np.ndarray) -> List[Optional[Term]]:
-        """Python-side decode of a column; UNBOUND rows decode to None."""
-        # ids.tolist() iterates native ints — much faster than numpy scalars.
-        values = ids.tolist()
-        if not values:
+        """Python-side decode of a column; UNBOUND rows decode to None.
+
+        A column of graph ids only is one ``take`` from the graph's term
+        array; a column with query-local or UNBOUND cells decodes per cell.
+        """
+        if not len(ids):
             return []
         base = self.base
-        terms = self.graph.id_terms()
         if int(ids.min()) > UNBOUND and int(ids.max()) < base:
-            # Every cell is a graph id: index the dictionary directly.
-            return list(map(terms.__getitem__, values))
+            return self.graph.id_term_array().take(ids).tolist()
+        terms = self.graph.id_terms()
         local = self._local_terms
+        # ids.tolist() iterates native ints — much faster than numpy scalars.
         return [
             None if i == UNBOUND else terms[i] if i < base else local[i - base]
-            for i in values
+            for i in ids.tolist()
         ]
 
 
@@ -135,6 +142,9 @@ class ColumnCodec:
         self.ebv_values = empty_b    # effective boolean value
         self.ebv_valid = empty_b
         self.computed = empty_b      # rows filled in by ensure()
+        # id(TableOp) -> (weak reference to it, its id columns); an entry
+        # leaves when its table is collected.
+        self._tables: Dict[int, Tuple[weakref.ref, Dict[Variable, np.ndarray]]] = {}
 
     def sync(self) -> None:
         """Extend the tables to cover every id the graph has assigned.
@@ -202,6 +212,43 @@ class ColumnCodec:
                 self.ebv_values[term_id] = ebv
                 self.ebv_valid[term_id] = True
             self.computed[term_id] = True
+
+    def table_columns(
+        self, op: TableOp, encoder: TermEncoder
+    ) -> Dict[Variable, np.ndarray]:
+        """The id columns of an inline table, None cells UNBOUND.
+
+        A table whose every cell is a graph term (or UNDEF) is encoded once
+        and its read-only columns kept for as long as the table lives: the
+        dictionary is append-only, so those ids stay valid across writes. A
+        table with a term the graph has not interned is encoded per
+        execution, since that term's id is the execution's own.
+        """
+        key = id(op)
+        entry = self._tables.get(key)
+        if entry is not None and entry[0]() is op:
+            return entry[1]
+        encode = encoder.encode
+        columns = {}
+        for index, variable in enumerate(op.variables):
+            columns[variable] = np.fromiter(
+                (
+                    UNBOUND if row[index] is None else encode(row[index])
+                    for row in op.rows
+                ),
+                dtype=np.int64,
+                count=len(op.rows),
+            )
+        if all(column.max(initial=UNBOUND) < encoder.base
+               for column in columns.values()):
+            for column in columns.values():
+                column.flags.writeable = False
+            tables = self._tables
+            self._tables[key] = (
+                weakref.ref(op, lambda _, key=key: tables.pop(key, None)),
+                columns,
+            )
+        return columns
 
 
 #: One codec per graph, shared across executions; decode tables are

@@ -16,8 +16,9 @@ substitution semantics differ from bottom-up evaluation, runs as a
 left row, as the interpreted nested loop does, but a whole batch of left
 rows at a time.
 
-Aggregation groups on packed id columns (1-D ``np.unique``) with vectorized
-COUNT / SUM / AVG / COUNT(DISTINCT *) fast paths; every other aggregate
+Aggregation groups on packed id columns (a presence table over a dense key
+span, else 1-D ``np.unique``) with vectorized COUNT / SUM / AVG /
+COUNT(DISTINCT *) fast paths; every other aggregate
 decodes the group's members and reuses the interpreted, spec-fixed
 ``_apply_aggregate`` — so both engines share one aggregate semantics.
 """
@@ -68,6 +69,7 @@ from repro.sparql.vector.ops import (
     pack_keys,
     scan_batch,
     scan_table,
+    unique_keys,
 )
 
 Bindings = Dict[Variable, Term]
@@ -156,18 +158,7 @@ def _execute_op(op: AlgebraOp, ctx: ExecContext) -> Batch:
     if isinstance(op, ExtendOp):
         return apply_extend(op, _execute(op.operand, ctx), ctx)
     if isinstance(op, TableOp):
-        encode = ctx.encoder.encode
-        columns = {}
-        for index, variable in enumerate(op.variables):
-            columns[variable] = np.fromiter(
-                (
-                    UNBOUND if row[index] is None else encode(row[index])
-                    for row in op.rows
-                ),
-                dtype=np.int64,
-                count=len(op.rows),
-            )
-        return Batch(columns, len(op.rows))
+        return Batch(ctx.codec.table_columns(op, ctx.encoder), len(op.rows))
     raise SPARQLError(f"unknown operator {type(op).__name__}")
 
 
@@ -324,14 +315,14 @@ def group_rows(columns: List[np.ndarray]):
     """Distinct rows of the key *columns*, in lexicographic order (UNBOUND
     first), the group index of every row, and the group count.
 
-    The columns are packed into one int64 key so the grouping is a 1-D
-    ``np.unique``, several times faster than row-wise ``np.unique(axis=0)``
-    even on one column.
+    The columns are packed into one int64 key, so grouping is one 1-D
+    :func:`~repro.sparql.vector.ops.unique_keys`: a presence table over a
+    dense key span, ``np.unique`` over a sparse one.
     """
     (keys,) = pack_keys(columns)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    first, inverse, ngroups = unique_keys(keys)
     uniq = np.column_stack([column[first] for column in columns])
-    return uniq, inverse.astype(np.int64), len(first)
+    return uniq, inverse, ngroups
 
 
 def _fast_aggregate(

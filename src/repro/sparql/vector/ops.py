@@ -19,10 +19,20 @@ take the other side's value.
 
 The equi-join itself packs the key columns into a single ``int64`` (mixed
 radix over the id range, or over dense per-column ranks when that radix
-would overflow 62 bits) and probes the sorted build side with
-``searchsorted``, so the whole pipeline stays inside numpy. The build side
-is sorted only if it is not already — scans come out subject-sorted — and a
-build side with unique keys is probed once, without expanding match runs.
+would overflow 62 bits), so the whole pipeline stays inside numpy. Term ids
+are dense — the graph numbers its terms ``0 .. term_count - 1`` and a query
+numbers its own terms on from there — so a key's offset from the smallest
+build key can address a table directly. When the build keys' span is small
+against the input and such a table costs less than binary search, a slot
+table (unique build keys) or per-key counts and run starts (duplicates)
+over the span are probed with one ``take``; duplicate keys are grouped by a
+stable radix sort on 16-bit digits, which numpy runs in O(n). Otherwise —
+small inputs, sparse spans such as packed multi-column keys — the build
+side is sorted (only if it is not already: scans come out subject-sorted)
+and probed with ``searchsorted``. Both paths emit the same pairs in the
+same order, and a build side with unique keys is probed once, without
+expanding match runs. :func:`distinct_rows` and GROUP BY group packed keys
+the same way: a presence table over a dense span, ``np.unique`` otherwise.
 """
 
 from __future__ import annotations
@@ -174,6 +184,103 @@ def _rank_keys(sides: Sequence[Columns]) -> List[np.ndarray]:
     return np.split(keys, np.cumsum(lengths)[:-1])
 
 
+#: Below this many input rows (both sides of a join, or the rows of a
+#: grouping) the sorted path runs: it makes fewer numpy calls, and under
+#: ~2k rows that fixed cost outweighs what a table saves.
+DENSE_MIN_ROWS = 2048
+#: A direct-address table has at most this many slots per input row, so its
+#: memory stays O(input); a sparser key span takes the sorted path.
+DENSE_SLOTS_PER_ROW = 4
+#: One binary-search step of the sorted path costs about this many table
+#: slots of the dense one.
+SEARCH_STEP_SLOTS = 2
+
+
+def _dense_span(lkeys: np.ndarray, rkeys: np.ndarray, ordered: bool):
+    """``(low, span)`` of the build keys when a direct-address table over
+    them is cheaper than the sorted path, else None.
+
+    The table costs O(span + rn + ln) slots; the sorted path O(ln log rn)
+    search steps for the probe, plus O(rn log rn) to sort an unsorted build
+    side.
+    """
+    ln, rn = len(lkeys), len(rkeys)
+    if ln + rn < DENSE_MIN_ROWS:
+        return None
+    if ordered:
+        low, high = int(rkeys[0]), int(rkeys[-1])
+    else:
+        low, high = int(rkeys.min()), int(rkeys.max())
+    span = high - low + 1
+    if span > DENSE_SLOTS_PER_ROW * (ln + rn):
+        return None
+    steps = rn.bit_length() * (ln if ordered else ln + rn)
+    if span + ln + rn > SEARCH_STEP_SLOTS * steps:
+        return None
+    return low, span
+
+
+def _sorted_matches(lkeys: np.ndarray, rkeys: np.ndarray, ordered: bool):
+    """``(order, unique, at, found)`` by binary search on the sorted build
+    keys: *order* sorts the build side (None if it already is); for unique
+    build keys *at* is each left row's match position and *found* whether it
+    has one, otherwise *at* is the start of its run of matches and *found*
+    the run length. Positions index the sorted build side."""
+    order: Optional[np.ndarray] = None
+    if not ordered:
+        order = np.argsort(rkeys, kind="stable")
+        rkeys = rkeys[order]
+    lo = np.searchsorted(rkeys, lkeys, side="left")
+    if (rkeys[1:] != rkeys[:-1]).all():
+        return order, True, lo, rkeys[np.minimum(lo, len(rkeys) - 1)] == lkeys
+    return order, False, lo, np.searchsorted(rkeys, lkeys, side="right") - lo
+
+
+def _dense_matches(
+    lkeys: np.ndarray, rkeys: np.ndarray, ordered: bool, low: int, span: int
+):
+    """:func:`_sorted_matches` from one direct-address table over the build
+    keys' span ``low .. low + span - 1``, probed with one ``take`` per left
+    row: no comparison sort, no binary search.
+
+    The table first holds each key's right row; if no two right rows share
+    a key, that is the answer (*order* None, *at* the right row itself).
+    Otherwise it is rebuilt as per-key counts whose running sum gives each
+    run's start, and an unsorted build side is grouped by a stable radix
+    sort of its span offsets. A left key outside the span probes the extra
+    slot ``span``, which holds no match.
+    """
+    rel = rkeys - low
+    # Negative offsets wrap to huge unsigned values: one minimum clamps both
+    # ends of the span onto the miss slot.
+    probe = np.minimum((lkeys - low).view(np.uint64), span).view(np.int64)
+    rows = np.arange(len(rkeys), dtype=np.int64)
+    slots = np.full(span + 1, -1, dtype=np.int64)
+    slots[rel] = rows
+    if (slots.take(rel) == rows).all():  # every right row kept its slot
+        at = slots.take(probe)
+        return None, True, at, at >= 0
+    del slots
+    counts = np.bincount(rel, minlength=span + 1)
+    found = counts.take(probe)
+    starts = np.cumsum(counts, out=counts).take(probe) - found
+    order = None if ordered else _radix_order(rel, span)
+    return order, False, starts, found
+
+
+def _radix_order(offsets: np.ndarray, span: int) -> np.ndarray:
+    """The stable order of *offsets* (each in ``0 .. span - 1``): an LSD
+    radix sort, one stable ``uint16`` argsort per 16-bit digit — numpy sorts
+    16-bit integers by radix, in O(n)."""
+    order = np.argsort((offsets & 0xFFFF).astype(np.uint16), kind="stable")
+    shift = 16
+    while (span - 1) >> shift:
+        digit = ((offsets[order] >> shift) & 0xFFFF).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
 def _equi_join_pairs(
     lcolumns: Columns,
     rcolumns: Columns,
@@ -185,13 +292,16 @@ def _equi_join_pairs(
     left-major, each left row's matches in right-row order.
 
     The sides are given as parallel lists of key columns over *ln* and *rn*
-    rows. The right (build) side is sorted only if its keys are not in order
-    already, and when its keys are unique one ``searchsorted`` finds every
-    match. With a *budget*, the output size is admitted **before** the pair
-    arrays are allocated — the exact point where an adversarial
+    rows. Matches come from direct-address tables over the build keys' span
+    when :func:`_dense_span` finds that cheaper, else from binary search on
+    the build keys, sorted only if they are not in order already; either
+    way a build side with unique keys is probed once, without expanding
+    match runs. With a *budget*, the output size is admitted **before** the
+    pair arrays are allocated — the exact point where an adversarial
     cross-product would otherwise blow up memory — so a cap violation raises
     :class:`~repro.errors.QueryBudgetExceeded` while the only cost paid so
-    far is one vector over the left rows.
+    far is O(input): vectors over the left rows and, on the dense path, one
+    table over the build keys' span.
     """
     empty = np.empty(0, dtype=np.int64)
     if ln == 0 or rn == 0:
@@ -204,30 +314,25 @@ def _equi_join_pairs(
             np.tile(np.arange(rn, dtype=np.int64), ln),
         )
     lkeys, rkeys = pack_keys(lcolumns, rcolumns)
-    order: Optional[np.ndarray] = None
-    if (rkeys[1:] < rkeys[:-1]).any():
-        order = np.argsort(rkeys, kind="stable")
-        rkeys = rkeys[order]
-    unique = bool((rkeys[1:] != rkeys[:-1]).all())
-    lo = np.searchsorted(rkeys, lkeys, side="left")
-    if unique:  # at most one match per left row: the key at lo
-        hit = rkeys[np.minimum(lo, rn - 1)] == lkeys
-        total = int(np.count_nonzero(hit))
+    ordered = not (rkeys[1:] < rkeys[:-1]).any()
+    dense = _dense_span(lkeys, rkeys, ordered)
+    if dense is None:
+        order, unique, at, found = _sorted_matches(lkeys, rkeys, ordered)
     else:
-        counts = np.searchsorted(rkeys, lkeys, side="right") - lo
-        total = int(counts.sum())
+        order, unique, at, found = _dense_matches(lkeys, rkeys, ordered, *dense)
+    total = int(np.count_nonzero(found) if unique else found.sum())
     if total == 0:
         return empty, empty
     if budget is not None:
         budget.admit_rows(total, 2, "hash_join.pairs")
-    if unique:
-        li = np.flatnonzero(hit)
-        ri = lo[li]
+    if unique:  # at most one match per left row
+        li = np.flatnonzero(found)
+        ri = at[li]
     else:
-        li = np.repeat(np.arange(ln, dtype=np.int64), counts)
-        starts = np.repeat(lo, counts)
+        li = np.repeat(np.arange(ln, dtype=np.int64), found)
+        starts = np.repeat(at, found)
         # Within-match offsets: 0..count-1 per left row, built from one cumsum.
-        boundaries = np.repeat(np.cumsum(counts) - counts, counts)
+        boundaries = np.repeat(np.cumsum(found) - found, found)
         within = np.arange(total, dtype=np.int64) - boundaries
         ri = starts + within
     return li, ri if order is None else order[ri]
@@ -386,10 +491,50 @@ def _assemble(
 # Distinct
 # ---------------------------------------------------------------------------
 
+def unique_keys(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+    """``np.unique(keys, return_index=True, return_inverse=True)``'s first
+    occurrences and inverse, plus the group count: groups in key order,
+    each group's first row, each row's group.
+
+    Keys over a dense span are grouped by :func:`_dense_groups`, without a
+    sort; the rest by ``np.unique``.
+    """
+    dense = _dense_groups(keys)
+    if dense is not None:
+        return dense
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse.astype(np.int64), len(first)
+
+
+def _dense_groups(keys: np.ndarray):
+    """:func:`unique_keys` from a presence table over the keys' span —
+    ``cumsum`` ranks the keys present, one ``minimum.at`` finds each
+    group's first row — or None when there are fewer than
+    :data:`DENSE_MIN_ROWS` keys or they span more than
+    :data:`DENSE_SLOTS_PER_ROW` slots a key."""
+    n = len(keys)
+    if n < DENSE_MIN_ROWS:
+        return None
+    low = int(keys.min())
+    span = int(keys.max()) - low + 1
+    if span > DENSE_SLOTS_PER_ROW * n:
+        return None
+    rel = keys - low
+    present = np.zeros(span, dtype=bool)
+    present[rel] = True
+    rank = np.cumsum(present, dtype=np.int64)
+    ngroups = int(rank[-1])
+    rank -= 1
+    inverse = rank.take(rel)
+    first = np.full(ngroups, n, dtype=np.int64)
+    np.minimum.at(first, inverse, np.arange(n, dtype=np.int64))
+    return first, inverse, ngroups
+
+
 def distinct_rows(batch: Batch) -> Batch:
     """Drop duplicate rows, keeping the first occurrence of each."""
     if batch.nrows == 0 or not batch.columns:
         return batch.slice(0, 1) if batch.nrows else batch
     (keys,) = pack_keys(list(batch.columns.values()))
-    _, first = np.unique(keys, return_index=True)
+    first, _, _ = unique_keys(keys)
     return batch.take(np.sort(first))

@@ -5,8 +5,9 @@ test feeds both kinds of input and compares with the obvious implementation:
 the bound-key hash join against a nested loop and against the mask-partitioned
 path, packed group keys against ``np.unique(axis=0)``, the dependent join
 (every correlated OPTIONAL, FILTER and BIND) against the interpreted engine,
-bulk row materialisation against the cell-by-cell loop, and the float64 tables
-against Python integers.
+bulk row materialisation against the cell-by-cell loop, the float64 tables
+against Python integers, and the direct-address join and grouping kernels
+over dense id spans against the sorted path and ``np.unique``.
 """
 
 import random
@@ -37,7 +38,9 @@ from repro.sparql.vector import (
     execute_tree,
     finish_select,
     hash_join,
+    ops,
 )
+from repro.sparql.vector.dictionary import codec_for
 from tests.sparql.test_engine_equivalence import (
     OBJECTS,
     VARIABLES,
@@ -883,3 +886,312 @@ def test_operator_outside_the_algebra_is_refused():
     with pytest.raises(SPARQLError, match="unknown operator Foreign"):
         estimate_rows(JoinOp(scan, Foreign()), graph)
 
+
+
+# ---------------------------------------------------------------------------
+# (f) direct-address kernels over dense id spans
+# ---------------------------------------------------------------------------
+
+
+def pairs_by(path, lkeys, rkeys):
+    """``_equi_join_pairs`` on one key column, its path forced to "dense" or
+    "sorted" (None: the path the input picks)."""
+    choose = ops._dense_span
+
+    def forced(lkeys, rkeys, ordered):
+        if path == "sorted":
+            return None
+        low = int(rkeys.min())
+        return low, int(rkeys.max()) - low + 1
+
+    if path is not None:
+        ops._dense_span = forced
+    try:
+        return ops._equi_join_pairs([lkeys], [rkeys], len(lkeys), len(rkeys))
+    finally:
+        ops._dense_span = choose
+
+
+@st.composite
+def dense_join_keys(draw):
+    """(left keys, right keys) above the dense size threshold, unless a side
+    is empty: unique or duplicate build keys, sorted or not, left keys
+    partly outside the build span, spans on both sides of the slot bound."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rn = draw(st.sampled_from([0, 1, 300, ops.DENSE_MIN_ROWS, 5000]))
+    ln = max(draw(st.sampled_from([0, 1, 300, 5000])),
+             ops.DENSE_MIN_ROWS - rn) if rn else 300
+    if draw(st.booleans()) and rn:
+        ln = 0
+    per_row = draw(st.sampled_from(
+        [0.01, 1.0, ops.DENSE_SLOTS_PER_ROW, 3 * ops.DENSE_SLOTS_PER_ROW]
+    ))
+    span = max(1, int(per_row * (ln + rn)))
+    base = draw(st.sampled_from([0, 84, 2**40]))
+    if draw(st.booleans()) and span >= rn:  # unique build keys
+        right = rng.choice(span, rn, replace=False)
+    else:
+        right = rng.integers(0, span, rn)
+    if draw(st.booleans()):
+        right = np.sort(right)
+    left = rng.integers(-(span // 4) - 1, span + span // 4 + 1, ln)
+    if rn and ln:
+        hits = rng.random(ln) < 0.5
+        left[hits] = rng.choice(right, int(hits.sum()))
+    return left + base, right + base
+
+
+@given(keys=dense_join_keys())
+@settings(max_examples=120, deadline=None)
+def test_dense_and_sorted_equi_joins_are_array_identical(keys):
+    left, right = keys
+    dense = pairs_by("dense", left, right)
+    chosen = pairs_by(None, left, right)
+    for pairs in (dense, chosen):
+        expected = pairs_by("sorted", left, right)
+        for got, want in zip(pairs, expected):
+            assert got.dtype == want.dtype == np.int64
+            assert got.tolist() == want.tolist()
+    if len(right) and len(left):
+        span = int(right.max()) - int(right.min()) + 1
+        if span > ops.DENSE_SLOTS_PER_ROW * (len(left) + len(right)):
+            ordered = not (right[1:] < right[:-1]).any()
+            assert ops._dense_span(left, right, ordered) is None
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 400),
+    span=st.sampled_from([1, 2, 300, 2**16, 2**16 + 1, 2**33]),
+)
+@settings(max_examples=100, deadline=None)
+def test_radix_order_is_the_stable_argsort(seed, n, span):
+    offsets = np.random.default_rng(seed).integers(0, span, n)
+    assert ops._radix_order(offsets, span).tolist() == np.argsort(
+        offsets, kind="stable").tolist()
+
+
+def test_dense_join_with_duplicates_over_a_wide_span():
+    # Duplicate, unsorted build keys over a span past 2**16: the radix sort
+    # takes two 16-bit digits.
+    rng = np.random.default_rng(3)
+    right = rng.integers(0, 150_000, 40_000)
+    left = rng.choice(right, 5_000)
+    assert ops._dense_span(left, right, False) is not None
+    for got, want in zip(pairs_by(None, left, right),
+                         pairs_by("sorted", left, right)):
+        assert got.tolist() == want.tolist()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, ops.DENSE_MIN_ROWS, 3000]),
+    per_row=st.sampled_from([0.001, 1.0, ops.DENSE_SLOTS_PER_ROW, 8.0]),
+    base=st.sampled_from([UNBOUND, 0, 2**40]),
+    width=st.integers(1, 2),
+)
+@settings(max_examples=60, deadline=None)
+def test_dense_grouping_is_np_unique(seed, n, per_row, base, width):
+    from repro.sparql.vector.engine import group_rows
+
+    rng = np.random.default_rng(seed)
+    span = max(1, int(per_row * n))
+    columns = [rng.integers(0, span, n) + base for _ in range(width)]
+    (keys,) = ops.pack_keys(columns)
+    first, inverse, ngroups = ops.unique_keys(keys)
+    _, want_first, want_inverse = np.unique(
+        keys, return_index=True, return_inverse=True
+    )
+    assert first.tolist() == want_first.tolist()
+    assert inverse.dtype == np.int64
+    assert inverse.tolist() == want_inverse.tolist()
+    assert ngroups == len(want_first)
+    matrix = np.column_stack(columns)
+    uniq, inverse, ngroups = group_rows(columns)
+    want, want_inverse = np.unique(matrix, axis=0, return_inverse=True)
+    assert uniq.tolist() == want.tolist() and ngroups == len(want)
+    assert inverse.tolist() == want_inverse.reshape(-1).tolist()
+    batch = Batch({Variable(f"v{i}"): c for i, c in enumerate(columns)}, n)
+    out = distinct_rows(batch)
+    rows = [tuple(row) for row in matrix.tolist()]
+    assert list(zip(*(c.tolist() for c in out.columns.values()))) == list(
+        dict.fromkeys(rows))
+
+
+@given(
+    columns=st.lists(
+        st.lists(st.integers(UNBOUND, 9), min_size=6, max_size=6),
+        max_size=3,
+    ),
+    keep=st.lists(st.booleans(), min_size=6, max_size=6),
+)
+@settings(max_examples=100, deadline=None)
+def test_batch_mask_is_boolean_indexing(columns, keep):
+    batch = Batch(
+        {Variable(f"v{i}"): np.array(c, dtype=np.int64)
+         for i, c in enumerate(columns)},
+        6,
+    )
+    keep = np.array(keep, dtype=bool)
+    out = batch.mask(keep)
+    assert out.nrows == int(keep.sum())
+    assert list(out.columns) == list(batch.columns)
+    for variable, column in batch.columns.items():
+        assert out.columns[variable].dtype == np.int64
+        assert out.columns[variable].tolist() == column[keep].tolist()
+
+
+def spy(monkeypatch, name):
+    """Wrap ``ops.<name>``; the returned list collects its results."""
+    results = []
+    real = getattr(ops, name)
+
+    def wrapper(*args):
+        result = real(*args)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(ops, name, wrapper)
+    return results
+
+
+def product_graph(products):
+    graph = Graph()
+    for c in range(20):
+        graph.add(EX[f"cat{c}"], EX.region, EX[f"region{c % 5}"])
+    rng = random.Random(7)
+    for i in range(products):
+        graph.add(EX[f"prod{i}"], EX.cat, EX[f"cat{rng.randrange(20)}"])
+        graph.add(EX[f"prod{i}"], EX.price,
+                  Literal.from_python(rng.randrange(1000)))
+    return graph
+
+
+@pytest.mark.parametrize("text", [
+    "SELECT ?p ?r ?v WHERE { ?p ex:cat ?c . ?c ex:region ?r . "
+    "?p ex:price ?v FILTER(?v >= 700) }",
+    "SELECT ?c (COUNT(?p) AS ?n) (AVG(?v) AS ?a) WHERE "
+    "{ ?p ex:cat ?c . ?p ex:price ?v } GROUP BY ?c",
+    "SELECT DISTINCT ?c ?r WHERE { ?p ex:cat ?c . ?c ex:region ?r }",
+])
+def test_dense_paths_run_and_answer_exactly(monkeypatch, text):
+    graph = product_graph(3000)
+    joins = spy(monkeypatch, "_dense_matches")
+    groups = spy(monkeypatch, "_dense_groups")
+    rows = evaluate(graph, PREFIX + text, options=VECTOR)
+    assert canonical(rows) == canonical(
+        evaluate(graph, PREFIX + text, options=CompileOptions())
+    )
+    assert joins, "no join took the dense path"
+    if "GROUP BY" in text or "DISTINCT" in text:
+        assert any(result is not None for result in groups)
+
+
+@pytest.mark.parametrize("unique", [True, False])
+def test_dense_path_refuses_at_pre_admission(monkeypatch, unique):
+    n = 3000
+    width = n if unique else 30
+    rng = np.random.default_rng(1)
+    left = Batch({KEYS[0]: np.arange(n, dtype=np.int64) % width,
+                  LEFT_ONLY: np.arange(n, dtype=np.int64)}, n)
+    right = Batch({KEYS[0]: rng.permutation(n) % width,
+                   RIGHT_ONLY: np.arange(n, dtype=np.int64)}, n)
+    total = n if unique else n * (n // width)
+    joins = spy(monkeypatch, "_dense_matches")
+    budget = QueryBudget(max_rows=total - 1)
+    with pytest.raises(QueryBudgetExceeded) as caught:
+        hash_join(left, right, budget=budget)
+    assert joins and joins[0][1] is unique
+    assert "hash_join.pairs" in str(caught.value)
+    assert budget.peak_rows == 0
+    error = caught.value
+    assert (error.resource, error.observed, error.limit) == (
+        "rows", total, total - 1)
+
+
+def test_decode_column_across_graph_growth():
+    graph = Graph()
+    graph.add(EX.s, EX.p, EX.o)
+    early = TermEncoder(graph)
+    assert early.decode_column(np.array([2, 0, 1])) == [EX.o, EX.s, EX.p]
+    for i in range(50):  # past the term array's capacity, more than once
+        graph.add(EX[f"s{i}"], EX.p, Literal.from_python(i))
+        if i % 7 == 0:
+            TermEncoder(graph).decode_column(np.array([0]))
+    encoder = TermEncoder(graph)
+    ids = np.arange(graph.term_count)[::-1].copy()
+    assert encoder.decode_column(ids) == [
+        graph.term_for_id(i) for i in ids.tolist()]
+    made = Literal("made")
+    mixed = np.array([encoder.encode(made), UNBOUND, 0, graph.term_count - 1])
+    assert encoder.decode_column(mixed) == [
+        made, None, EX.s, graph.term_for_id(graph.term_count - 1)]
+    # An encoder from before the growth still reads its own ids, and its
+    # query-local ids (which now collide with graph ids) as its own terms.
+    local = early.encode(made)
+    assert local == 3 and graph.term_for_id(3) != made
+    assert early.decode_column(np.array([local, 1, UNBOUND])) == [
+        made, EX.p, None]
+
+
+def test_term_array_grows_by_doubling():
+    graph = Graph()
+    graph.add(EX.s, EX.p, EX.o)
+    terms = graph.id_term_array()
+    assert len(terms) == 3
+    assert graph.id_term_array() is terms  # no write: nothing copied
+    graph.add(EX.s, EX.p, EX.o2)
+    grown = graph.id_term_array()
+    assert grown is not terms and len(grown) == 6
+    graph.add(EX.s, EX.p, EX.o3)
+    assert graph.id_term_array() is grown  # spare capacity: no copy
+    assert list(grown[: graph.term_count]) == list(graph.id_terms())
+
+
+def table_ops(op):
+    """Every TableOp in an algebra tree."""
+    from repro.sparql.algebra import AlgebraOp, TableOp
+
+    if isinstance(op, TableOp):
+        yield op
+    for child in vars(op).values():
+        children = child if isinstance(child, list) else [child]
+        for node in children:
+            if isinstance(node, AlgebraOp):
+                yield from table_ops(node)
+
+
+def test_values_table_is_encoded_once_and_stays_exact_across_writes():
+    graph = Graph()
+    graph.add(EX.a, EX.p, Literal.from_python(1))
+    graph.add(EX.b, EX.p, Literal.from_python(2))
+    text = PREFIX + (
+        "SELECT ?x ?v WHERE { VALUES ?x { ex:a ex:new UNDEF } ?x ex:p ?v }"
+    )
+    query = parse_query(text)
+    tree = compile_vector_plan(query.where, graph, VECTOR)
+    (table,) = table_ops(tree)
+    codec = codec_for(graph)
+
+    def check():
+        batch, ctx = execute_tree(tree, graph, FunctionRegistry())
+        rows = finish_select(query, batch, ctx)
+        assert canonical(rows) == canonical(
+            evaluate(graph, text, options=CompileOptions())
+        )
+        return rows
+
+    # ex:new is not in the graph: its id is the execution's own, so the
+    # encoded table is not kept.
+    assert len(check()) == 3
+    assert codec.table_columns(table, TermEncoder(graph)) is not (
+        codec.table_columns(table, TermEncoder(graph)))
+    graph.add(EX.new, EX.p, Literal.from_python(3))  # interned after plan
+    assert len(check()) == 5
+    kept = codec.table_columns(table, TermEncoder(graph))
+    assert codec.table_columns(table, TermEncoder(graph)) is kept
+    assert not any(column.flags.writeable for column in kept.values())
+    graph.add(EX.c, EX.p, Literal.from_python(4))
+    graph.add(EX.new, EX.p, Literal.from_python(5))
+    assert len(check()) == 8
+    assert codec.table_columns(table, TermEncoder(graph)) is kept
