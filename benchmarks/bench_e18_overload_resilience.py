@@ -13,8 +13,8 @@ import pytest
 
 from benchmarks.conftest import emit_bench_snapshot, print_series
 from repro.obs import Observability
-from repro.resilience import SoakConfig, run_soak
-from repro.resilience.soak import (
+from repro.soaks.resilience import SoakConfig, run_soak
+from repro.soaks.resilience import (
     REQUIRED_METRICS,
     snapshot_meta,
     verify_comparison,

@@ -17,8 +17,8 @@ import pytest
 
 from benchmarks.conftest import emit_bench_snapshot, print_series
 from repro.obs import Observability
-from repro.serving import ServingSoakConfig, run_comparison, run_serving_soak
-from repro.serving.soak import (
+from repro.soaks.serving import ServingSoakConfig, run_comparison, run_serving_soak
+from repro.soaks.serving import (
     REQUIRED_METRICS,
     snapshot_meta,
     verify_comparison,

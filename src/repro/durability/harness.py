@@ -19,7 +19,7 @@ exercises the snapshot + log-suffix path, not just full replay.
 
 Run it from the command line (the CI recovery-soak job does)::
 
-    python -m repro.durability.harness --seeds 0,1,2
+    python -m repro.durability --seeds 0,1,2
 """
 
 from __future__ import annotations

@@ -23,15 +23,15 @@ unset):
   (:class:`~repro.errors.Overloaded`) guarding the catalog service, the
   federation executor, and scheduler submission.
 
-:mod:`repro.resilience.soak` drives all three through a long, seeded chaos
-schedule (flapping backends, overload bursts): its protected arm is the
-real :class:`~repro.serving.Gateway` with this package's admission
-controller, deadlines and a breaker per backend, its unprotected arm a
-bare FIFO, both played by :func:`repro.serving.soak.run_arm`. It checks
-the liveness, accounting and ticket-audit invariants; ``python -m
-repro.resilience.soak`` prints the protected-vs-unprotected comparison and
-exits non-zero unless the E18 acceptance gate holds, and benchmark E18
-measures it.
+:mod:`repro.soaks.resilience` (above this package) drives all three
+through a long, seeded chaos schedule (flapping backends, overload
+bursts): its protected arm is the real :class:`~repro.serving.Gateway`
+with this package's admission controller, deadlines and a breaker per
+backend, its unprotected arm a bare FIFO, both played by
+:func:`repro.soaks.serving.run_arm`. It checks the liveness, accounting
+and ticket-audit invariants; ``python -m repro.soaks.resilience`` prints
+the protected-vs-unprotected comparison and exits non-zero unless the E18
+acceptance gate holds, and benchmark E18 measures it.
 """
 
 from repro.errors import CircuitOpen, Overloaded
@@ -52,7 +52,6 @@ from repro.resilience.breaker import (
     CircuitBreakerSet,
 )
 from repro.resilience.deadline import NO_DEADLINE, Deadline
-from repro.resilience.soak import SoakConfig, SoakReport, run_soak, soak_plan
 
 __all__ = [
     "AdmissionController",
@@ -71,8 +70,4 @@ __all__ = [
     "PRIORITY_BATCH",
     "PRIORITY_INTERACTIVE",
     "STATE_CODES",
-    "SoakConfig",
-    "SoakReport",
-    "run_soak",
-    "soak_plan",
 ]

@@ -38,10 +38,10 @@ default the gateway is byte-identical to direct backend access (pinned by
 the parity suite), matching the E17–E20 disabled-path convention.
 
 :mod:`repro.serving.workload` generates seeded open-loop traffic (Zipf
-tenant skew, diurnal swell, flash bursts) and :mod:`repro.serving.soak`
-plays it protected-vs-unprotected on the sim clock (``python -m
-repro.serving.soak``); benchmark E21 measures tenant fairness (Jain's
-index), p99 and duplicate executions avoided.
+tenant skew, diurnal swell, flash bursts); the E21 soak,
+:mod:`repro.soaks.serving`, plays it protected-vs-unprotected on the sim
+clock (``python -m repro.soaks.serving``), and benchmark E21 measures
+tenant fairness (Jain's index), p99 and duplicate executions avoided.
 """
 
 from repro.errors import AuthFailed, QuotaExceeded, ServingError, Shed
@@ -55,14 +55,6 @@ from repro.serving.backends import (
 )
 from repro.serving.coalesce import CoalesceEntry, Coalescer
 from repro.serving.gateway import Gateway, GatewayRequest
-from repro.serving.soak import (
-    ServingSoakConfig,
-    ServingSoakReport,
-    TenantOutcome,
-    jain_index,
-    run_comparison,
-    run_serving_soak,
-)
 from repro.serving.tenant import (
     TenantConfig,
     TenantRegistry,
@@ -93,12 +85,9 @@ __all__ = [
     "GatewayRequest",
     "QuotaExceeded",
     "ServingError",
-    "ServingSoakConfig",
-    "ServingSoakReport",
     "Shed",
     "StoreBackend",
     "TenantConfig",
-    "TenantOutcome",
     "TenantRegistry",
     "TenantSession",
     "TokenBucket",
@@ -106,9 +95,6 @@ __all__ = [
     "WorkloadConfig",
     "burst_windows",
     "generate_arrivals",
-    "jain_index",
     "rate_at",
-    "run_comparison",
-    "run_serving_soak",
     "zipf_weights",
 ]

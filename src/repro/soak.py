@@ -2,8 +2,8 @@
 
 PAPER.md has no evaluation section, so this repo's evidence is its
 experiment gates (E18, E21, E23, E24, E25, ...): each turns a sentence of
-the paper into a pass/fail number. A scenario module (``serving/soak.py``,
-``resilience/soak.py``, ``sparql/governor/soak.py``, ``sparql/dist/soak.py``,
+the paper into a pass/fail number. A scenario module (``soaks/serving.py``,
+``soaks/resilience.py``, ``soaks/governor.py``, ``soaks/dist.py``,
 ``datacube/bench.py``) keeps only what is particular to it — the arrivals,
 the system under test, the ledger, and *one* gate function beside the report
 class that owns the acceptance thresholds. Everything else lives here, once:

@@ -22,7 +22,7 @@ replica (shed at the serving gateway), or an explicitly flagged
 :class:`PartialResult` when the caller opted in with ``allow_partial=True``.
 Budgeted queries (E23) propagate their deadline/caps into every task and a
 budget kill cancels the whole DAG with admission tickets released exactly
-once. ``python -m repro.sparql.dist.soak`` measures shard-count scaling,
+once. ``python -m repro.soaks.dist`` measures shard-count scaling,
 locality, and chaos recovery overhead into ``BENCH_E25.json``.
 """
 

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import FaultError, Shed
-from repro.resilience import SoakConfig, run_soak, soak_plan
-from repro.resilience.soak import (
+from repro.soaks.resilience import SoakConfig, run_soak, soak_plan
+from repro.soaks.resilience import (
     BACKENDS,
     BURST_COUNT,
     FLAPS_PER_BACKEND,
@@ -135,8 +135,8 @@ class TestThroughTheGateway:
     def test_fast_fails_are_not_executions(self, monkeypatch):
         """An entry an open breaker fails at dispatch never reached the
         backend: the gateway counts only the entries the arm started."""
-        from repro.serving import soak as serving_soak
-        from repro.resilience.soak import _Workload
+        from repro.soaks import serving as serving_soak
+        from repro.soaks.resilience import _Workload
 
         starts = []
         start = serving_soak._GatewayArm._start

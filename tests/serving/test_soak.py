@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ServingError
-from repro.serving import (
+from repro.soaks.serving import (
     ServingSoakConfig,
     ServingSoakReport,
     TenantOutcome,
@@ -11,7 +11,7 @@ from repro.serving import (
     run_comparison,
     run_serving_soak,
 )
-from repro.serving.soak import DEADLINE_S
+from repro.soaks.serving import DEADLINE_S
 
 # Small but fully-loaded run: overload, bursts and coalescing all engage.
 CONFIG = ServingSoakConfig(seed=21, requests=6000)

@@ -38,8 +38,8 @@ from repro.sparql.dist import (
     estimate_rows,
     plan_shape,
 )
-from repro.sparql.dist.soak import QUERY_POOL, DistSoakConfig
-from repro.sparql.dist.soak import build_graph as soak_graph
+from repro.soaks.dist import QUERY_POOL, DistSoakConfig
+from repro.soaks.dist import build_graph as soak_graph
 from repro.sparql.ast import Variable
 from repro.sparql.evaluator import _EMPTY_REGISTRY
 from repro.sparql.parser import parse_query

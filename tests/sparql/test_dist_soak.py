@@ -10,7 +10,7 @@ audit.
 import pytest
 
 from repro.errors import ClusterError
-from repro.sparql.dist.soak import (
+from repro.soaks.dist import (
     QUERY_POOL,
     DistSoakConfig,
     _DistSoak,

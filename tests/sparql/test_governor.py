@@ -29,7 +29,7 @@ from repro.sparql import (
     evaluate,
 )
 from repro.sparql.governor import BYTES_PER_CELL
-from repro.sparql.governor.soak import (
+from repro.soaks.governor import (
     RUNAWAY,
     WELL_BEHAVED,
     GovernorSoakConfig,

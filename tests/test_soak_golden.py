@@ -27,16 +27,16 @@ import pytest
 from repro.datacube.bench import DatacubeBenchConfig, run_datacube_bench
 from repro.datacube.bench import main as datacube_main
 from repro.obs import read_snapshot
-from repro.resilience import SoakConfig, run_soak
-from repro.resilience.soak import main as resilience_main
-from repro.serving import ServingSoakConfig
-from repro.serving import run_comparison as serving_comparison
-from repro.serving.soak import main as serving_main
-from repro.sparql.dist.soak import DistSoakConfig, run_dist_soak
-from repro.sparql.dist.soak import main as dist_main
-from repro.sparql.governor.soak import GovernorSoakConfig
-from repro.sparql.governor.soak import main as governor_main
-from repro.sparql.governor.soak import run_comparison as governor_comparison
+from repro.soaks.resilience import SoakConfig, run_soak
+from repro.soaks.resilience import main as resilience_main
+from repro.soaks.serving import ServingSoakConfig
+from repro.soaks.serving import run_comparison as serving_comparison
+from repro.soaks.serving import main as serving_main
+from repro.soaks.dist import DistSoakConfig, run_dist_soak
+from repro.soaks.dist import main as dist_main
+from repro.soaks.governor import GovernorSoakConfig
+from repro.soaks.governor import main as governor_main
+from repro.soaks.governor import run_comparison as governor_comparison
 
 with open(os.path.join(os.path.dirname(__file__), "soak_golden.json")) as handle:
     GOLDEN = json.load(handle)

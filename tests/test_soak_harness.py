@@ -21,11 +21,11 @@ from repro.errors import (
     ServingError,
 )
 from repro.obs import Observability, read_snapshot, write_bench_snapshot
-from repro.resilience import soak as resilience_soak
-from repro.serving import soak as serving_soak
+from repro.soaks import resilience as resilience_soak
+from repro.soaks import serving as serving_soak
 from repro.soak import Gate, ServerPool, percentile, run_cli, stream_seed
-from repro.sparql.dist import soak as dist_soak
-from repro.sparql.governor import soak as governor_soak
+from repro.soaks import dist as dist_soak
+from repro.soaks import governor as governor_soak
 
 
 class TestStatistics:
