@@ -4,7 +4,8 @@ Re-running the same query text against an unchanged store re-does three
 deterministic computations — parsing, algebra compilation (with its
 cardinality-driven join ordering) and, in :class:`~repro.geosparql.store.GeoStore`,
 the spatial rewrite that bakes R-tree candidate lists into the tree. A
-:class:`PlanCache` memoises all three behind one keying discipline:
+:class:`PlanCache` memoises all three behind one keying discipline, in two
+text tiers and two template tiers:
 
 * **parse entries** are keyed by query text alone — parsing is a pure
   function of the text;
@@ -18,7 +19,22 @@ the spatial rewrite that bakes R-tree candidate lists into the tree. A
   :class:`~repro.sparql.algebra.CompileOptions` itself: every field shapes
   the plan, and ``engine`` is one of them, so the interpreted evaluator and
   the E22 vector engine — whose plans are cost-ordered differently — never
-  share a cache entry.
+  share a cache entry;
+* **template entries** are keyed by a query *template* (the text with its
+  constants lifted out, :func:`repro.sparql.tokenizer.normalise`) and hold
+  what binding a new text of it needs, so a text the text tiers have not
+  seen is parsed only when its template is new;
+* **template plan entries** are keyed by ``(owner token, template,
+  CompileOptions, content version, extents)``, the extents being the
+  ``Graph.count`` of every triple pattern that holds a constant. At one
+  version those are the only planner inputs a constant can change, so a
+  plan bound to another text's constants is the plan that text would get
+  (:mod:`repro.sparql.template`); a text the plan tier has not seen is
+  planned only when its key is new. Both template tiers have the cache's
+  capacity and no metrics of their own; ``stats`` reports them.
+
+The cache stores what it is handed and never parses or plans itself: each
+tier's caller passes the step that fills a miss.
 
 One ``PlanCache`` may be shared by several stores (the evaluator, a
 ``GeoStore``, the catalogue over it, a ``VirtualGeoStore``); entries never
@@ -51,6 +67,8 @@ class PlanCache:
             tier="parse",
             obs=obs,
         )
+        self._templates = LRUCache(capacity, tier="template")
+        self._template_plans = LRUCache(capacity, tier="template_plan")
         self._tokens: "weakref.WeakKeyDictionary[object, int]" = (
             weakref.WeakKeyDictionary()
         )
@@ -73,15 +91,36 @@ class PlanCache:
     # Tiers
     # ------------------------------------------------------------------
 
-    def parse(self, text: str):
-        """The parsed AST for *text* (cached; parsing is deterministic)."""
-        ast = self._parses.get(text)
-        if ast is MISS:
-            from repro.sparql.parser import parse_query
+    @staticmethod
+    def _memo(tier: LRUCache, key, build: Callable[[], object]):
+        value = tier.get(key)
+        if value is MISS:
+            value = build()
+            tier.put(key, value)
+        return value
 
-            ast = parse_query(text)
-            self._parses.put(text, ast)
-        return ast
+    def parse(self, text: str, step: Callable[[str], object]):
+        """The parsed AST for *text*: ``step(text)`` on a miss (parsing is
+        deterministic)."""
+        return self._memo(self._parses, text, lambda: step(text))
+
+    def template(self, template: str, build: Callable[[], object]):
+        """The entry of a query template; ``build`` runs on a miss."""
+        return self._memo(self._templates, template, build)
+
+    def template_plan(
+        self,
+        owner: object,
+        template: str,
+        options,
+        version: int,
+        extents: tuple,
+        build: Callable[[], object],
+    ):
+        """The template plan for (*owner*, *template*, *options*,
+        *version*, *extents*); ``build`` runs on a miss."""
+        key = (self.token(owner), template, options, version, extents)
+        return self._memo(self._template_plans, key, build)
 
     def plan(
         self,
@@ -98,23 +137,28 @@ class PlanCache:
         stale plan ages out of the LRU on its own.
         """
         key = (self.token(owner), text, options, version)
-        plan = self._plans.get(key)
-        if plan is MISS:
-            plan = build()
-            self._plans.put(key, plan)
-        return plan
+        return self._memo(self._plans, key, build)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
+    def _tiers(self) -> Dict[str, LRUCache]:
+        return {
+            "plans": self._plans,
+            "parses": self._parses,
+            "templates": self._templates,
+            "template_plans": self._template_plans,
+        }
+
     @property
     def stats(self) -> Dict[str, Dict[str, int]]:
-        return {"plans": self._plans.stats, "parses": self._parses.stats}
+        return {name: tier.stats for name, tier in self._tiers().items()}
 
     def clear(self) -> None:
-        self._plans.clear()
-        self._parses.clear()
+        for tier in self._tiers().values():
+            tier.clear()
 
     def __repr__(self) -> str:
-        return f"PlanCache(plans={self._plans.stats}, parses={self._parses.stats})"
+        tiers = ", ".join(f"{name}={tier.stats}" for name, tier in self._tiers().items())
+        return f"PlanCache({tiers})"

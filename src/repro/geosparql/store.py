@@ -15,6 +15,7 @@ pair the two arms of experiment E2/E3.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Set, TYPE_CHECKING, Union
 
 from repro.geometry import BoundingBox, RTree, contains as geom_contains
@@ -50,6 +51,7 @@ from repro.sparql.ast import (
 from repro.sparql.evaluator import Bindings
 from repro.sparql.parser import parse_query
 from repro.sparql.pipeline import compile_plan, run_query
+from repro.sparql.template import BindTable
 from repro.sparql.vector.cost import (
     _collect_region,
     _rebuild_region,
@@ -183,7 +185,9 @@ class GeoStore:
         ASTs and compiled (spatially rewritten) plans across calls. They are
         cached per store *and* content version: the rewrite bakes R-tree
         candidate lists into the tree, and every index mutation also bumps
-        the graph version, so the key is exact.
+        the graph version, so the key is exact. A text bound to its
+        template's plan gets its candidates at bind time, from the same
+        R-tree search in the same order.
         """
         return run_query(
             self.graph,
@@ -296,9 +300,22 @@ class GeoStore:
             operand, variable
         ):
             return None
+        return BindTable(
+            [variable],
+            self._count_rows(candidates),
+            expression,
+            weakref.WeakMethod(self._candidate_rows),
+        )
+
+    def _candidate_rows(self, expression) -> List[List[Literal]]:
+        """The candidate rows of the spatial filter *expression*: the bind
+        step of a :class:`BindTable` planted by this store."""
+        return self._count_rows(self._indexable_parts(expression)[1])
+
+    def _count_rows(self, candidates: List[Literal]) -> List[List[Literal]]:
         self._stats["spatial_rewrites"] += 1
         self._stats["candidates_examined"] += len(candidates)
-        return TableOp([variable], [[c] for c in candidates])
+        return [[c] for c in candidates]
 
     def _indexable_parts(self, expression):
         """(variable, candidates) for an indexable spatial filter, else None."""

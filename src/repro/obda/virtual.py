@@ -41,7 +41,7 @@ from repro.sparql.ast import (
 )
 from repro.sparql.evaluator import Bindings
 from repro.sparql.parser import parse_query
-from repro.sparql.pipeline import finish_solutions, flat_bgp
+from repro.sparql.pipeline import finish_solutions, flat_bgp, parse_text
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache.plan import PlanCache
@@ -115,7 +115,7 @@ class VirtualGeoStore:
         if isinstance(query, str):
             text = query
             if self.plan_cache is not None:
-                query = self.plan_cache.parse(text)
+                query = parse_text(self.plan_cache, text).ast
             else:
                 query = parse_query(text)
         if not isinstance(query, SelectQuery):

@@ -14,7 +14,8 @@ Grammar (informally):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import SPARQLSyntaxError
 from repro.rdf.term import IRI, Literal, Term
@@ -52,11 +53,25 @@ _BUILTIN_FUNCTIONS = {
 }
 
 
+#: How a slot's term is made from the text a normaliser lifted for it.
+TermMaker = Callable[[str], Term]
+
+
 class _Parser:
-    def __init__(self, query: str):
+    def __init__(self, query: str, lifted: Optional[Mapping[int, int]] = None):
         self._tokens = tokenize(query)
         self._index = 0
         self._prefixes: Dict[str, str] = {}
+        #: Token offset -> slot number of the tokens a normaliser lifted;
+        #: each one parsed in a liftable place lands in :attr:`slots`.
+        self._lifted = lifted
+        self.slots: Dict[int, Tuple[Term, TermMaker]] = {}
+
+    def _lift(self, token: Token, term: Term, make: TermMaker) -> Term:
+        """*term*, made from *token*, parsed in a liftable place."""
+        if self._lifted is not None and token.position in self._lifted:
+            self.slots[self._lifted[token.position]] = (term, make)
+        return term
 
     # ------------------------------------------------------------------
     # Token plumbing
@@ -401,41 +416,57 @@ class _Parser:
         token = self._next()
         if token.kind == "var":
             return Variable(token.text[1:])
-        if token.kind == "iri":
-            return IRI(token.text[1:-1])
-        if token.kind == "pname":
-            return self._resolve_pname(token.text)
-        if token.kind == "string":
-            return self._parse_literal_from(token)
-        if token.kind == "number":
-            return _number_literal(token.text)
+        if token.kind in ("iri", "pname", "string", "number"):
+            term, make = self._term_from(token)
+            if position == "predicate":
+                return term
+            return self._lift(token, term, make)
         if token.kind == "keyword" and token.text in ("true", "false"):
             return Literal(token.text, datatype=XSD_BOOLEAN)
         raise SPARQLSyntaxError(
             f"unexpected token {token.text!r} in triple {position}"
         )
 
-    def _resolve_pname(self, pname: str) -> IRI:
-        prefix, _, local = pname.partition(":")
+    def _term_from(self, token: Token) -> Tuple[Term, TermMaker]:
+        """The term an iri, pname, string or number token (plus a string's
+        ``^^`` datatype or language tag) denotes, and how the same place
+        makes its term from another text."""
+        if token.kind == "iri":
+            make: TermMaker = _iri_term
+        elif token.kind == "pname":
+            make = partial(_prefixed_term, self._namespace(token.text))
+            return make(token.text.partition(":")[2]), make
+        elif token.kind == "number":
+            make = _number_literal
+        else:
+            make = self._literal_maker()
+        return make(token.text), make
+
+    def _namespace(self, pname: str) -> str:
+        prefix = pname.partition(":")[0]
         if prefix not in self._prefixes:
             raise SPARQLSyntaxError(f"undeclared prefix {prefix!r}")
-        return IRI(self._prefixes[prefix] + local)
+        return self._prefixes[prefix]
 
-    def _parse_literal_from(self, token: Token) -> Literal:
-        lexical = _unescape_string(token.text[1:-1])
+    def _resolve_pname(self, pname: str) -> IRI:
+        return _prefixed_term(self._namespace(pname), pname.partition(":")[2])
+
+    def _literal_maker(self) -> TermMaker:
+        """Consume a string token's ``^^`` datatype or language tag."""
         nxt = self._peek()
         if nxt is not None and nxt.kind == "dtype":
             self._next()
             dt_token = self._next()
             if dt_token.kind == "iri":
-                return Literal(lexical, datatype=dt_token.text[1:-1])
+                return partial(_string_literal, datatype=dt_token.text[1:-1])
             if dt_token.kind == "pname":
-                return Literal(lexical, datatype=self._resolve_pname(dt_token.text).value)
+                datatype = self._resolve_pname(dt_token.text).value
+                return partial(_string_literal, datatype=datatype)
             raise SPARQLSyntaxError("expected datatype IRI after ^^")
         if nxt is not None and nxt.kind == "lang":
             self._next()
-            return Literal(lexical, language=nxt.text[1:])
-        return Literal(lexical)
+            return partial(_string_literal, language=nxt.text[1:])
+        return _string_literal
 
     # ------------------------------------------------------------------
     # Expressions (precedence climbing)
@@ -509,20 +540,11 @@ class _Parser:
             return expression
         if token.kind == "var":
             return VarExpr(Variable(token.text[1:]))
-        if token.kind == "string":
-            return TermExpr(self._parse_literal_from(token))
-        if token.kind == "number":
-            return TermExpr(_number_literal(token.text))
-        if token.kind == "iri":
-            iri = IRI(token.text[1:-1])
-            if self._accept_punct("("):
-                return self._parse_call(iri.value)
-            return TermExpr(iri)
-        if token.kind == "pname":
-            iri = self._resolve_pname(token.text)
-            if self._accept_punct("("):
-                return self._parse_call(iri.value)
-            return TermExpr(iri)
+        if token.kind in ("iri", "pname", "string", "number"):
+            term, make = self._term_from(token)
+            if token.kind in ("iri", "pname") and self._accept_punct("("):
+                return self._parse_call(term.value)
+            return TermExpr(self._lift(token, term, make))
         if token.kind == "keyword":
             word = token.text.upper()
             if word in ("TRUE", "FALSE"):
@@ -557,6 +579,20 @@ def _number_literal(text: str) -> Literal:
     return Literal(text, datatype=XSD_INTEGER)
 
 
+def _iri_term(text: str) -> IRI:
+    return IRI(text[1:-1])
+
+
+def _prefixed_term(namespace: str, local: str) -> IRI:
+    return IRI(namespace + local)
+
+
+def _string_literal(
+    text: str, datatype: Optional[str] = None, language: Optional[str] = None
+) -> Literal:
+    return Literal(_unescape_string(text[1:-1]), datatype, language)
+
+
 def _unescape_string(text: str) -> str:
     return (
         text.replace("\\n", "\n")
@@ -571,3 +607,22 @@ def _unescape_string(text: str) -> str:
 def parse_query(query: str) -> Union[SelectQuery, AskQuery]:
     """Parse SPARQL text into a :class:`SelectQuery` or :class:`AskQuery`."""
     return _Parser(query).parse()
+
+
+def parse_lifted(
+    query: str, starts: Sequence[int]
+) -> Tuple[Union[SelectQuery, AskQuery], Optional[List[Tuple[Term, TermMaker]]]]:
+    """Parse *query* whose tokens at *starts* a normaliser lifted
+    (:func:`repro.sparql.tokenizer.normalise`).
+
+    Returns the AST and, per lifted token in order, the term object it
+    became in the AST and the maker of that place's term from another
+    text's lifted token; the list is None when some lifted token did not
+    become a term in a liftable place (a subject, object, expression or
+    VALUES row).
+    """
+    parser = _Parser(query, {start: slot for slot, start in enumerate(starts)})
+    ast = parser.parse()
+    if len(parser.slots) != len(starts):
+        return ast, None
+    return ast, [parser.slots[slot] for slot in range(len(starts))]

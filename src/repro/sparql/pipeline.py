@@ -1,9 +1,16 @@
 """The one text -> rows path every entry point runs, in four stages:
 
 1. **parse** — text to AST, through the plan cache's parse tier if given;
+   a text that tier has not seen binds its template's AST
+   (:mod:`repro.sparql.template`) and is parsed only when its template is
+   new;
 2. **plan** — :func:`compile_plan`: ``compile_group``, the caller's rewrite
    hook (a store planting its index scans), cost ordering for engines that
-   want it; memoised under ``(owner, text, options, graph.version)``;
+   want it; memoised under ``(owner, text, options, graph.version)``. A
+   text that tier has not seen binds its template's plan for the same
+   owner, options, version and slot-pattern extents, and is planned only
+   when there is none — the bound tree equals the one planning the text
+   would build;
 3. **run** — one row of :data:`ENGINE_TABLE` executes the tree against an
    :class:`~repro.sparql.evaluator.ExecContext`;
 4. **finish** — the same row turns the root result into ``bool`` (ASK) or
@@ -64,6 +71,15 @@ from repro.sparql.evaluator import (
     materialize_select,
 )
 from repro.sparql.parser import parse_query
+from repro.sparql.template import (
+    Parsed,
+    TemplatePlan,
+    bind_query,
+    extents,
+    make_template,
+    strip,
+)
+from repro.sparql.tokenizer import normalise
 from repro.sparql.vector.cost import apply_cost_order
 from repro.sparql.vector.engine import finish_select, run_tree
 
@@ -128,6 +144,12 @@ def compile_plan(
     ones the cost model does not know) keep the order the rewrite chose and
     only the remaining pure scan regions are reordered.
     """
+    tree = _plan(where, graph, options, rewrite, engine)
+    return tree if rewrite is None else strip(tree)
+
+
+def _plan(where, graph, options, rewrite, engine) -> AlgebraOp:
+    """:func:`compile_plan` keeping the rewrite's BindTables."""
     options = options or _DEFAULT_OPTIONS
     engine = engine or ENGINE_TABLE[options.engine]
     tree = compile_group(where, graph, options)
@@ -136,6 +158,48 @@ def compile_plan(
     if engine.cost_order and options.reorder_patterns:
         tree = apply_cost_order(tree, graph)
     return tree
+
+
+def parse_text(cache: "PlanCache", text: str) -> Parsed:
+    """*text* through *cache*'s parse tier. A text the tier has not seen
+    binds its template's AST, and is parsed only when its template is new
+    or has no bindable slots."""
+    return cache.parse(text, lambda text: _parse(cache, text))
+
+
+def _parse(cache: "PlanCache", text: str) -> Parsed:
+    normalised = normalise(text)
+    entry = None if normalised is None else cache.template(
+        normalised.template, lambda: make_template(text, normalised)
+    )
+    if entry is None:
+        return Parsed(parse_query(text))
+    return bind_query(normalised.template, entry, normalised.params)
+
+
+def _template_plan(
+    cache: "PlanCache",
+    parsed: Parsed,
+    owner: object,
+    graph: Graph,
+    options: CompileOptions,
+    rewrite: Optional[Callable[[AlgebraOp], AlgebraOp]],
+    engine: Engine,
+) -> AlgebraOp:
+    """*parsed*'s tree: its template's plan bound to its terms, or the plan
+    built from *parsed* itself when the cache holds none for its key (its
+    rewrite ran and counted, so its planted rows are kept)."""
+    built = []
+
+    def build() -> TemplatePlan:
+        tree = _plan(parsed.ast.where, graph, options, rewrite, engine)
+        built.append(TemplatePlan(tree, parsed.terms))
+        return built[0]
+
+    plan = cache.template_plan(
+        owner, parsed.template, options, graph.version, extents(parsed, graph), build
+    )
+    return plan.plain if built else plan.bind(parsed.terms)
 
 
 def run_query(
@@ -164,27 +228,28 @@ def run_query(
         registry = _EMPTY_REGISTRY
     options = options or _DEFAULT_OPTIONS
     engine = engine or ENGINE_TABLE[options.engine]
+    owner = owner if owner is not None else graph
     text: Optional[str] = None
     if isinstance(query, str):
         text = query
-        query = cache.parse(text) if cache is not None else parse_query(text)
+        if cache is None:
+            query = parse_query(text)
+        else:
+            parsed = parse_text(cache, text)
+            query = parsed.ast
 
     def build() -> AlgebraOp:
-        return compile_plan(query.where, graph, options, rewrite, engine)
+        if parsed.template is None:
+            return compile_plan(query.where, graph, options, rewrite, engine)
+        return _template_plan(cache, parsed, owner, graph, options, rewrite, engine)
 
     with resolve_obs(obs).tracer.span(
         "sparql.query", form="ask" if isinstance(query, AskQuery) else "select"
     ):
         if cache is not None and text is not None:
-            tree = cache.plan(
-                owner if owner is not None else graph,
-                text,
-                options,
-                graph.version,
-                build,
-            )
+            tree = cache.plan(owner, text, options, graph.version, build)
         else:
-            tree = build()
+            tree = compile_plan(query.where, graph, options, rewrite, engine)
         ctx = ExecContext(graph, registry, obs, budget)
         result = engine.execute(tree, ctx)
         if isinstance(query, AskQuery):

@@ -15,7 +15,9 @@ Two pieces:
   ``_numeric`` coercion arithmetic uses, which also parses plain literals),
   and the effective-boolean-value view. The graph's term dictionary is
   append-only, so the tables are extended incrementally on
-  :meth:`ColumnCodec.sync` and never invalidated. Table rows are filled
+  :meth:`ColumnCodec.sync` (by capacity doubling, so a run of small
+  dictionary growths copies each row O(1) times, amortised) and never
+  invalidated. Table rows are filled
   **lazily**: :meth:`ColumnCodec.sync` only allocates, and consumers call
   :meth:`ColumnCodec.ensure` with the id columns they are about to index,
   so the Python-level term coercion runs once per *distinct id a query
@@ -125,23 +127,32 @@ def _strict_number(term: Term):
     return None
 
 
+#: The codec's id-indexed tables and their dtypes.
+_TABLES = (
+    ("cmp_values", np.float64),  # strict numeric view (ordered comparison)
+    ("cmp_valid", bool),
+    ("arith_values", np.float64),  # lenient numeric view (_numeric coercion)
+    ("arith_valid", bool),
+    ("arith_is_int", bool),
+    ("inexact", bool),  # an integer float64 cannot hold
+    ("ebv_values", bool),  # effective boolean value
+    ("ebv_valid", bool),
+    ("computed", bool),  # rows filled in by ensure()
+)
+
+
 class ColumnCodec:
-    """Id-indexed decode tables over a graph's (append-only) term dictionary."""
+    """Id-indexed decode tables over a graph's (append-only) term dictionary.
+
+    ``size`` is the number of ids covered; the tables may be longer (spare
+    capacity, all zero), so consumers index them with ids below ``size``.
+    """
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.size = 0
-        empty_f = np.empty(0, dtype=np.float64)
-        empty_b = np.empty(0, dtype=bool)
-        self.cmp_values = empty_f   # strict numeric view (ordered comparison)
-        self.cmp_valid = empty_b
-        self.arith_values = empty_f  # lenient numeric view (_numeric coercion)
-        self.arith_valid = empty_b
-        self.arith_is_int = empty_b
-        self.inexact = empty_b       # an integer float64 cannot hold
-        self.ebv_values = empty_b    # effective boolean value
-        self.ebv_valid = empty_b
-        self.computed = empty_b      # rows filled in by ensure()
+        for name, dtype in _TABLES:
+            setattr(self, name, np.zeros(0, dtype=dtype))
         # id(TableOp) -> (weak reference to it, its id columns); an entry
         # leaves when its table is collected.
         self._tables: Dict[int, Tuple[weakref.ref, Dict[Variable, np.ndarray]]] = {}
@@ -155,18 +166,12 @@ class ColumnCodec:
         count = self.graph.term_count
         if count <= self.size:
             return
-        new = count - self.size
-        grow_f = np.zeros(new, dtype=np.float64)
-        grow_b = np.zeros(new, dtype=bool)
-        self.cmp_values = np.concatenate([self.cmp_values, grow_f])
-        self.cmp_valid = np.concatenate([self.cmp_valid, grow_b])
-        self.arith_values = np.concatenate([self.arith_values, grow_f])
-        self.arith_valid = np.concatenate([self.arith_valid, grow_b])
-        self.arith_is_int = np.concatenate([self.arith_is_int, grow_b])
-        self.inexact = np.concatenate([self.inexact, grow_b])
-        self.ebv_values = np.concatenate([self.ebv_values, grow_b])
-        self.ebv_valid = np.concatenate([self.ebv_valid, grow_b])
-        self.computed = np.concatenate([self.computed, grow_b])
+        if count > len(self.computed):
+            capacity = max(count, 2 * len(self.computed))
+            for name, dtype in _TABLES:
+                grown = np.zeros(capacity, dtype=dtype)
+                grown[: self.size] = getattr(self, name)[: self.size]
+                setattr(self, name, grown)
         self.size = count
 
     def ensure(self, ids: np.ndarray) -> None:

@@ -6,7 +6,7 @@ from repro.cache import PlanCache
 from repro.geometry import Point
 from repro.geosparql import GeoStore, geometry_literal
 from repro.rdf import GEO, Graph, Literal, Namespace
-from repro.sparql import Variable, evaluate
+from repro.sparql import Variable, evaluate, parse_query
 from repro.sparql.algebra import CompileOptions
 
 EX = Namespace("http://ex.org/")
@@ -57,14 +57,14 @@ class TestGraphVersion:
 class TestParseTier:
     def test_parse_memoises_the_ast_object(self):
         cache = PlanCache()
-        assert cache.parse(QUERY) is cache.parse(QUERY)
+        assert cache.parse(QUERY, parse_query) is cache.parse(QUERY, parse_query)
         assert cache.stats["parses"]["hits"] == 1
         assert cache.stats["parses"]["misses"] == 1
 
     def test_different_text_different_ast(self):
         cache = PlanCache()
         other = PREFIX + "SELECT ?x WHERE { ?x ex:name ?n }"
-        assert cache.parse(QUERY) is not cache.parse(other)
+        assert cache.parse(QUERY, parse_query) is not cache.parse(other, parse_query)
 
 
 class TestPlanTier:

@@ -1195,3 +1195,30 @@ def test_values_table_is_encoded_once_and_stays_exact_across_writes():
     graph.add(EX.new, EX.p, Literal.from_python(5))
     assert len(check()) == 8
     assert codec.table_columns(table, TermEncoder(graph)) is kept
+
+
+def test_codec_tables_grow_by_doubling():
+    # One new term per write, a read after each: the tables reallocate
+    # O(log n) times, and rows filled before a reallocation keep their
+    # values (ensure() skips computed rows, so a lost row would read 0).
+    graph = Graph()
+    graph.add(EX.s, EX.p, Literal.from_python(0))
+    codec = codec_for(graph)
+    codec.ensure(np.arange(codec.size))
+    reallocations, table = 0, codec.computed
+    for i in range(1, 2000):
+        graph.add(EX.s, EX.p, Literal.from_python(i))
+        codec = codec_for(graph)
+        assert codec.size == graph.term_count <= len(codec.computed)
+        codec.ensure(np.array([codec.size - 1]))
+        if codec.computed is not table:
+            reallocations, table = reallocations + 1, codec.computed
+    assert reallocations <= 12
+    ids = np.arange(codec.size)
+    assert codec.computed[ids].all()
+    terms = [graph.term_for_id(int(i)) for i in ids]
+    expected = [t.to_python() if isinstance(t, Literal) else np.nan for t in terms]
+    assert np.array_equal(
+        np.where(codec.cmp_valid[ids], codec.cmp_values[ids], np.nan),
+        np.array(expected, dtype=float), equal_nan=True,
+    )

@@ -32,7 +32,7 @@ LAYERS = (
 LAYER = {name: level for level, names in enumerate(LAYERS) for name in names}
 
 #: Function-scope ``repro`` import statements; lower it when one goes.
-MAX_DEFERRED_IMPORTS = 31
+MAX_DEFERRED_IMPORTS = 30
 
 Edges = Dict[Tuple[str, str], List[str]]
 
