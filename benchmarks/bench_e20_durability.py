@@ -6,11 +6,13 @@ instant, and silent replica corruption must never reach an analytics job.
 Expected shape: the crash-point sweep recovers all-or-nothing at EVERY WAL
 record boundary (zero committed-write loss, zero aborted-visibility, fsck
 clean); under a seeded BitFlip plan, verified reads serve zero corrupt
-replicas while the unverified baseline provably serves some; the scrubber
+replicas while the unverified baseline provably serves some — and hands the
+reader bytes that differ from what was written; the scrubber
 repairs every detectably-corrupt replica that still has a healthy sibling;
 and checkpoints cut replay work without changing the recovered answer.
 """
 
+import random
 import time
 
 from benchmarks.conftest import emit_bench_snapshot, print_series
@@ -78,19 +80,26 @@ def corruption_plan(block_count):
 
 
 def build_manager(verify, obs=None):
+    """16 blocks of seeded bytes; returns (manager, block_id -> bytes written)."""
     manager = BlockManager(
         node_count=6, block_size=1024, replication=3,
         checksums=BlockChecksums(verify=verify, obs=obs),
     )
+    rng = random.Random(SEED)
+    written = {}
     for _ in range(8):
-        manager.allocate_file(2048)  # 2 blocks each -> 16 blocks
+        payload = rng.randbytes(2048)  # 2 blocks each -> 16 blocks
+        for index, block_id in enumerate(manager.allocate_file(payload)):
+            written[block_id] = payload[index * 1024:(index + 1) * 1024]
     for block_id in range(0, 16, 2):
         manager.update_block(block_id)  # give StaleReplica a generation gap
-    return manager
+    return manager, written
 
 
-def drive_reads(manager):
-    served_corrupt = 0
+def drive_reads(manager, written):
+    """200 reads; returns (corrupt replicas served, reads whose bytes differ
+    from what was written)."""
+    served_corrupt = wrong_bytes = 0
     checksums = manager.checksums
     for i in range(200):
         block_id = i % manager.block_count
@@ -100,7 +109,9 @@ def drive_reads(manager):
             continue  # refused: every replica rotten — never served garbage
         if not checksums.replica_intact(block_id, node):
             served_corrupt += 1
-    return served_corrupt
+        if manager.nodes[node].data[block_id] != written[block_id]:
+            wrong_bytes += 1
+    return served_corrupt, wrong_bytes
 
 
 def test_e20_checksum_shielding(benchmark):
@@ -109,28 +120,35 @@ def test_e20_checksum_shielding(benchmark):
 
     def sweep():
         injector = FaultInjector(corruption_plan(block_count=16))
-        unverified = build_manager(verify=False, obs=OBS)
+        unverified, written = build_manager(verify=False, obs=OBS)
         flips_off = unverified.inject_silent_faults(injector)
-        verified = build_manager(verify=True, obs=OBS)
+        verified, _ = build_manager(verify=True, obs=OBS)
         flips_on = verified.inject_silent_faults(injector)
         assert flips_off == flips_on > 0  # the plans really did land
-        outcome["served_off"] = drive_reads(unverified)
-        outcome["served_on"] = drive_reads(verified)
+        outcome["served_off"], outcome["wrong_off"] = drive_reads(
+            unverified, written)
+        outcome["served_on"], outcome["wrong_on"] = drive_reads(
+            verified, written)
         outcome["faults"] = flips_on
         return outcome
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
     # The E20 headline pair: the identical fault plan is harmless with
-    # verification on and demonstrably harmful with it off.
+    # verification on and demonstrably harmful with it off — the reader
+    # gets bytes that differ from what was written.
     assert outcome["served_on"] == 0
     assert outcome["served_off"] > 0
+    assert outcome["wrong_on"] == 0
+    assert outcome["wrong_off"] > 0
     print_series(
         "E20: 200 reads under a seeded BitFlip/StaleReplica plan",
         [
             {"config": "verify off (baseline)",
-             "corrupt_reads_served": outcome["served_off"]},
+             "corrupt_reads_served": outcome["served_off"],
+             "wrong_bytes_read": outcome["wrong_off"]},
             {"config": "verify on",
-             "corrupt_reads_served": outcome["served_on"]},
+             "corrupt_reads_served": outcome["served_on"],
+             "wrong_bytes_read": outcome["wrong_on"]},
         ],
     )
     benchmark.extra_info["silent_faults"] = outcome["faults"]
@@ -139,6 +157,8 @@ def test_e20_checksum_shielding(benchmark):
     RESULTS["silent_faults"] = outcome["faults"]
     RESULTS["corrupt_reads_served_verify_off"] = outcome["served_off"]
     RESULTS["corrupt_reads_served_verify_on"] = outcome["served_on"]
+    RESULTS["wrong_bytes_read_verify_off"] = outcome["wrong_off"]
+    RESULTS["wrong_bytes_read_verify_on"] = outcome["wrong_on"]
 
 
 # ----------------------------------------------------------------------
@@ -151,12 +171,12 @@ def test_e20_scrubber_repairs_all_detectable(benchmark):
 
     def sweep():
         injector = FaultInjector(corruption_plan(block_count=16))
-        manager = build_manager(verify=True, obs=OBS)
+        manager, written = build_manager(verify=True, obs=OBS)
         faults = manager.inject_silent_faults(injector)
         scrubber = Scrubber(manager, obs=OBS)
         first = scrubber.sweep()
         second = scrubber.sweep()
-        outcome.update(manager=manager, faults=faults,
+        outcome.update(manager=manager, written=written, faults=faults,
                        first=first, second=second)
         return outcome
 
@@ -171,7 +191,7 @@ def test_e20_scrubber_repairs_all_detectable(benchmark):
     assert second.corrupt_found == 0
     # Post-scrub, every read of every block serves an intact replica.
     manager = outcome["manager"]
-    assert drive_reads(manager) == 0
+    assert drive_reads(manager, outcome["written"]) == (0, 0)
     for block_id in range(manager.block_count):
         manager.read_block(block_id)  # none raises BlockCorruption
     print_series(
@@ -263,6 +283,8 @@ def test_e20_emit_snapshot(benchmark):
     assert RESULTS["crash_failures"] == 0
     assert RESULTS["corrupt_reads_served_verify_on"] == 0
     assert RESULTS["corrupt_reads_served_verify_off"] > 0
+    assert RESULTS["wrong_bytes_read_verify_on"] == 0
+    assert RESULTS["wrong_bytes_read_verify_off"] > 0
     assert RESULTS["scrub_repaired"] == RESULTS["scrub_corrupt_found"] > 0
     assert RESULTS["suffix_replay_records"] < RESULTS["full_replay_records"]
     emit_bench_snapshot(

@@ -13,7 +13,9 @@ land-cover field, one scene per acquisition day), then measures
 * **zonal series** — seeded hexagonal fields, planned per polygon: the
   per-field means must match full-grid masks applied to the dense oracle,
   and the call must read fewer chunks than the variable has sealed;
-* **append-only storage** — after ingest, no chunk path was written twice.
+* **append-only storage** — after ingest, no chunk path was written twice;
+* **reopen parity** — the cube opened through a fresh ``ChunkStore`` over
+  the same filesystem reads every variable equal to the oracle.
 
 ``python -m repro.datacube.bench`` runs the full configuration;
 ``--smoke`` a CI-sized one. Both write ``BENCH_E24.json`` (in
@@ -217,6 +219,13 @@ def run_datacube_bench(config: DatacubeBenchConfig,
         and np.allclose(series, expected_series, rtol=1e-9, equal_nan=True)
     )
 
+    # Any store over the same filesystem reads what this one wrote.
+    reopened = Cube.open(ChunkStore(fs=cube.store.fs), cube.root)
+    reopen_parity = all(
+        np.array_equal(reopened.sel(variable).read(), dense[variable])
+        for variable in cube.schema.variables
+    )
+
     max_path_writes = max(cube.store.writes.values())
     report = {
         "experiment": "E24",
@@ -239,6 +248,7 @@ def run_datacube_bench(config: DatacubeBenchConfig,
         "zonal_parity": zonal_parity,
         "zonal_chunks_read": zonal_chunks_read,
         "zonal_chunks_total": cube.sealed_chunks // len(cube.schema.variables),
+        "reopen_parity": reopen_parity,
     }
     return report
 
@@ -261,6 +271,8 @@ def verify_report(report: Dict) -> None:
                    "zonal parity: series diverged from full-grid masks on the oracle")
         check("zonal chunks read < total",
               report["zonal_chunks_read"], "<", report["zonal_chunks_total"])
+        check.that(report["reopen_parity"],
+                   "reopen parity: a fresh store read other values")
 
 
 def _scenario(smoke: bool, seed: int, _size: None):

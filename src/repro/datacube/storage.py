@@ -3,16 +3,12 @@
 Chunks are ordinary HopsFS files, so everything the storage stack already
 guarantees applies unchanged: small chunks are inlined in the metadata
 store (WAL-durable with an E20 :class:`~repro.durability.DurabilityLayer`),
-large chunks get replicated blocks whose reads go through
-:meth:`~repro.hopsfs.blocks.BlockManager.read_block` — E17 replica
+large chunks get replicated blocks on the datanodes, whose reads go
+through :meth:`~repro.hopsfs.blocks.BlockManager.read_block` — E17 replica
 fallback after datanode failures and E20 checksum verification/scrub both
-fire on cube reads without the cube knowing.
-
-HopsFS's block files don't materialise contents (the simulation tracks
-placement and sizes only), so the store keeps the payload of block-layout
-files in a side table keyed by inode — the stand-in for datanode disk.
-Reads still route every block through the block manager first, so a lost
-or corrupt block fails the chunk read exactly like the real system.
+fire on cube reads without the cube knowing. The store keeps no bytes of
+its own, so any store over the same filesystem reads what another wrote,
+and deleting a chunk frees its bytes.
 
 ``create`` refuses existing paths, which is the storage-level enforcement
 of the cube's append-only contract: a second write of the same chunk path
@@ -23,7 +19,8 @@ A sealed object is never rewritten, so its file metadata never changes:
 the store keeps the :class:`~repro.hopsfs.filesystem.FileStat` of every
 path it writes (``create``'s return value) or stats, and ``get`` resolves a
 path on the namenode only once. Only its bytes are read again — every block
-of every read still goes through the block manager, and inline objects
+of every read still goes through the block manager
+(:meth:`~repro.hopsfs.blocks.BlockManager.read_file`), and inline objects
 still come from the metadata store. The exactness rule: a kept stat holds
 only while the namespace has lost no path. ``HopsFS.path_losses`` counts
 the operations that can take one away (``delete``, ``rename``, ``crash``,
@@ -49,9 +46,6 @@ class ChunkStore:
         #: path -> times written through this store (the append-only pin:
         #: every value must stay exactly 1).
         self.writes: Dict[str, int] = {}
-        # Simulated datanode contents for block-layout files (inode -> bytes);
-        # inline files live in the metadata store itself.
-        self._block_payloads: Dict[int, bytes] = {}
         # path -> FileStat, valid while fs.path_losses equals _losses_seen.
         self._stats: Dict[str, FileStat] = {}
         self._losses_seen = self.fs.path_losses
@@ -69,8 +63,6 @@ class ChunkStore:
                     f"chunk store is append-only: {path} already sealed"
                 ) from exc
             raise
-        if not stat.inline:
-            self._block_payloads[stat.inode_id] = payload
         self._kept_stats()[path] = stat
         self.writes[path] = self.writes.get(path, 0) + 1
         self.obs.metrics.counter("datacube.store_puts").inc()
@@ -98,15 +90,8 @@ class ChunkStore:
             stat = stats[path] = self.fs.stat(path)
         if stat.inline:
             payload = self.fs.read(path)
-        else:
-            # Route each block through the manager: replica fallback (E17)
-            # and checksum verification (E20) apply per block; a corrupt or
-            # lost block raises before any payload is served.
-            for block_id in stat.block_ids:
-                self.fs.blocks.read_block(block_id)
-            payload = self._block_payloads.get(stat.inode_id)
-        if payload is None:
-            raise DatacubeError(f"chunk payload missing for {path}")
+        else:  # a corrupt or lost block raises before any byte is served
+            payload = self.fs.blocks.read_file(stat.block_ids)
         self.obs.metrics.counter("datacube.store_gets").inc()
         self.obs.metrics.counter("datacube.bytes_read").inc(len(payload))
         return payload

@@ -14,8 +14,8 @@ it, a snapshot that rotted on disk. Four pieces:
   its latest checksummed :class:`ShardSnapshot` plus log replay. 2PC
   transactions stage per-participant prepares before any commit marker, and
   recovery applies a transaction iff a marker survives anywhere.
-* :class:`BlockChecksums` — end-to-end content fingerprints for
-  :class:`~repro.hopsfs.BlockManager` replicas. Verified reads detect
+* :class:`BlockChecksums` — end-to-end write-time CRC32s and generations
+  for :class:`~repro.hopsfs.BlockManager` replicas. Verified reads detect
   silent corruption (:class:`~repro.faults.BitFlip`,
   :class:`~repro.faults.StaleReplica`) and fail over to intact copies; the
   :class:`Scrubber` sweeps cold replicas and repairs from healthy siblings.
@@ -31,11 +31,7 @@ collaborators runs the exact pre-E20 byte path (the repo's null-object
 convention, pinned by the parity suite).
 """
 
-from repro.durability.checksum import (
-    BlockChecksums,
-    content_fingerprint,
-    flipped_fingerprint,
-)
+from repro.durability.checksum import BlockChecksums
 from repro.durability.fsck import (
     FsckReport,
     fsck_blocks,
@@ -62,8 +58,6 @@ __all__ = [
     "Scrubber",
     "ShardSnapshot",
     "WriteAheadLog",
-    "content_fingerprint",
-    "flipped_fingerprint",
     "fsck_blocks",
     "fsck_filesystem",
     "fsck_store",

@@ -1,109 +1,78 @@
-"""End-to-end content checksums for block storage (experiment E20).
+"""End-to-end block checksums (experiment E20).
 
-The simulation does not materialise block bytes, so a replica's "contents"
-are modelled as a 64-bit **content fingerprint** — a stable hash of
-``(block_id, size, generation)``. Every write refreshes the authoritative
-fingerprint; every replica carries its own copy. Silent faults
-(:class:`~repro.faults.BitFlip`, :class:`~repro.faults.StaleReplica`)
-perturb a *replica's* fingerprint while leaving the authoritative one
-alone, which is exactly the disk-rot shape: the namenode believes one
-thing, the platter holds another, and only comparing the two can tell.
+Datanodes hold each replica's bytes and generation stamp; the ledger holds
+what they are checked against: a CRC32 of each block taken at write time
+and the block's generation, which ``update_block`` bumps on every live
+replica (as in HDFS). A replica is intact when its stamp is current and its
+bytes are the written ones — one that still holds the written object needs
+no checksum pass. A silent fault rots one replica and leaves the ledger
+alone: a :class:`~repro.faults.BitFlip` gives it its own copy with a flipped
+byte, a :class:`~repro.faults.StaleReplica` sets its stamp back one
+generation.
 
 :class:`BlockChecksums` is the optional ledger a
-:class:`~repro.hopsfs.BlockManager` consults:
+:class:`~repro.hopsfs.BlockManager` is built with:
 
 * ``verify=True`` — reads check the chosen replica and transparently fail
   over to an intact one (``durability.corrupt_reads_detected``); a block
   with no intact replica raises :class:`~repro.errors.BlockCorruption`.
-* ``verify=False`` — the ledger still tracks fingerprints (so a bench can
-  *count* the corrupt reads a checksum-less deployment serves,
+* ``verify=False`` — the ledger still checks (so a bench can *count* the
+  corrupt reads a checksum-less deployment serves,
   ``durability.corrupt_reads_served``) but never changes which replica a
-  read picks: answers are byte-identical to a manager with no ledger.
+  read picks: the reader gets the rotten bytes, exactly as with no ledger.
 * ``None`` (the manager's default) — no ledger at all, the pre-E20 path.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Dict, Iterable, Optional, Tuple, TYPE_CHECKING
+import zlib
+from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import StorageError
 from repro.obs import Observability, resolve
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
-
-
-def content_fingerprint(block_id: int, size: int, generation: int) -> int:
-    """Stable 64-bit fingerprint of one generation of a block's contents."""
-    digest = hashlib.blake2b(
-        f"block:{block_id}:{size}:{generation}".encode(), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big")
-
-
-def flipped_fingerprint(fingerprint: int) -> int:
-    """The fingerprint a bit-flipped replica reads back as (never equal)."""
-    return fingerprint ^ 0xA5A5_A5A5_A5A5_A5A5
+    from repro.hopsfs.blocks import BlockManager
 
 
 class BlockChecksums:
-    """Per-replica content fingerprints with verification accounting."""
+    """Write-time CRC32s and generations, checked against datanode bytes."""
 
     def __init__(self, verify: bool = True,
                  obs: Optional[Observability] = None):
         self.verify = verify
         self._obs = resolve(obs)
-        self._size: Dict[int, int] = {}  # block_id -> size
+        # block_id -> (the written object, its CRC32)
+        self._written: Dict[int, Tuple[bytes, int]] = {}
         self._generation: Dict[int, int] = {}  # block_id -> generation
-        # (block_id, node_id) -> the fingerprint this replica reads back as
-        self._replica: Dict[Tuple[int, int], int] = {}
+        self._blocks: Optional["BlockManager"] = None
 
     # ------------------------------------------------------------------
     # Lifecycle hooks (called by BlockManager)
     # ------------------------------------------------------------------
 
-    def expected(self, block_id: int) -> int:
-        """The authoritative fingerprint of the block's current generation."""
-        if block_id not in self._size:
-            raise StorageError(f"no checksum tracked for block {block_id}")
-        return content_fingerprint(
-            block_id, self._size[block_id], self._generation[block_id]
-        )
+    def attach(self, blocks: "BlockManager") -> None:
+        """Check the replicas of *blocks*' datanodes."""
+        self._blocks = blocks
 
     def generation(self, block_id: int) -> int:
         return self._generation.get(block_id, 0)
 
-    def on_place(self, block_id: int, size: int, node_id: int) -> None:
-        """A replica was written in full (allocation or re-replication)."""
-        if block_id not in self._size:
-            self._size[block_id] = size
-            self._generation[block_id] = 0
-        self._replica[(block_id, node_id)] = self.expected(block_id)
-
-    def on_drop(self, block_id: int, node_id: int) -> None:
-        self._replica.pop((block_id, node_id), None)
+    def on_write(self, block_id: int, data: bytes) -> None:
+        """A block was written: take its CRC32, generation 0."""
+        self._written[block_id] = (data, zlib.crc32(data))
+        self._generation[block_id] = 0
 
     def on_free(self, block_id: int) -> None:
-        self._size.pop(block_id, None)
+        self._written.pop(block_id, None)
         self._generation.pop(block_id, None)
-        for key in [k for k in self._replica if k[0] == block_id]:
-            del self._replica[key]
 
-    def on_update(self, block_id: int, node_ids: Iterable[int]) -> int:
-        """The block was rewritten: bump its generation, refresh replicas.
-
-        Returns the new generation. A replica that a later
-        :class:`~repro.faults.StaleReplica` fault reverts will hold the
-        *previous* generation's (still self-consistent!) fingerprint —
-        detectable only because fingerprints cover the generation.
-        """
-        if block_id not in self._size:
+    def on_update(self, block_id: int) -> int:
+        """The block was rewritten: bump and return its generation."""
+        if block_id not in self._generation:
             raise StorageError(f"no checksum tracked for block {block_id}")
         self._generation[block_id] += 1
-        fingerprint = self.expected(block_id)
-        for node_id in node_ids:
-            self._replica[(block_id, node_id)] = fingerprint
         return self._generation[block_id]
 
     # ------------------------------------------------------------------
@@ -114,23 +83,24 @@ class BlockChecksums:
                         kind: str = "bit_flip") -> bool:
         """Rot one replica in place; returns False if it does not exist.
 
-        ``bit_flip`` garbles the fingerprint outright; ``stale`` reverts the
-        replica to the previous generation's fingerprint (a no-op at
-        generation 0 — a replica that never saw a second write cannot be
-        stale).
+        ``bit_flip`` gives the replica its own copy with the last data byte
+        flipped (a second flip restores it); ``stale`` sets its stamp back
+        to the previous generation (a no-op at generation 0 — a replica
+        that never saw a second write cannot be stale).
         """
-        key = (block_id, node_id)
-        if key not in self._replica:
+        node = self._blocks.nodes[node_id]
+        data = node.data.get(block_id)
+        if data is None:
             return False
         if kind == "bit_flip":
-            self._replica[key] = flipped_fingerprint(self._replica[key])
+            rotten = bytearray(data)
+            rotten[-1] ^= 0xFF
+            node.data[block_id] = bytes(rotten)
         elif kind == "stale":
-            generation = self._generation[block_id]
+            generation = self.generation(block_id)
             if generation == 0:
                 return False
-            self._replica[key] = content_fingerprint(
-                block_id, self._size[block_id], generation - 1
-            )
+            node.stamps[block_id] = generation - 1
         else:
             raise StorageError(f"unknown corruption kind {kind!r}")
         return True
@@ -151,19 +121,28 @@ class BlockChecksums:
     # ------------------------------------------------------------------
 
     def replica_intact(self, block_id: int, node_id: int) -> bool:
-        """Does the replica's fingerprint match the authoritative one?
+        """Is the replica's stamp current and are its bytes the written ones?
 
-        An untracked replica (placed before the ledger was attached) is
-        treated as intact — there is nothing to compare against.
+        A replica holding the written object itself is intact without a
+        checksum pass; any other replica's bytes are checked against the
+        write-time CRC32.
         """
-        stored = self._replica.get((block_id, node_id))
-        if stored is None:
-            return True
-        return stored == self.expected(block_id)
+        written, crc = self._written[block_id]
+        node = self._blocks.nodes[node_id]
+        if node.stamps.get(block_id) != self._generation[block_id]:
+            return False
+        data = node.data[block_id]
+        return data is written or zlib.crc32(data) == crc
 
     def repair_replica(self, block_id: int, node_id: int) -> None:
-        """Overwrite a replica from an intact copy: fingerprint restored."""
-        self._replica[(block_id, node_id)] = self.expected(block_id)
+        """Overwrite a replica with an intact sibling's bytes and stamp."""
+        nodes = self._blocks.nodes
+        for owner in self._blocks.block_locations(block_id):
+            if owner != node_id and self.replica_intact(block_id, owner):
+                nodes[node_id].data[block_id] = nodes[owner].data[block_id]
+                nodes[node_id].stamps[block_id] = nodes[owner].stamps[block_id]
+                return
+        raise StorageError(f"block {block_id}: no intact replica to repair from")
 
     def note_detected(self, block_id: int, node_id: int) -> None:
         self._obs.metrics.counter(
@@ -177,8 +156,6 @@ class BlockChecksums:
 
     @property
     def tracked_replicas(self) -> int:
-        return len(self._replica)
-
-    def replicas(self) -> Tuple[Tuple[int, int], ...]:
-        """All tracked ``(block_id, node_id)`` pairs (fsck/scrub surface)."""
-        return tuple(self._replica)
+        """Replicas on live datanodes of the blocks the ledger checks."""
+        return sum(len(self._blocks.block_locations(block_id))
+                   for block_id in self._written)

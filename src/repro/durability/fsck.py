@@ -10,8 +10,7 @@ Three duck-typed checkers, one per layer, each returning an
   aborted is visible**.
 * :func:`fsck_blocks` — block ownership and datanode inventory agree in
   both directions, replication counts are honest (never above target,
-  owners unique and alive), byte accounting adds up, and the checksum
-  ledger (if any) carries no ghost replicas.
+  owners unique and alive), and byte accounting adds up.
 * :func:`fsck_filesystem` — both of the above, plus metadata ↔ block-layer
   referential integrity: every file's block ids exist, no block belongs to
   two files, inode ids are unique, and every inode record is reachable from
@@ -179,19 +178,6 @@ def fsck_blocks(blocks: "BlockManager",
                 report.add(
                     f"datanode {node.node_id} holds block {block_id} but is "
                     "not in its owner list"
-                )
-    if blocks.checksums is not None:
-        report.checks += 1
-        owned = {
-            (block_id, node_id)
-            for block_id, (_, owners) in table.items()
-            for node_id in owners
-        }
-        for block_id, node_id in blocks.checksums.replicas():
-            if (block_id, node_id) not in owned:
-                report.add(
-                    f"checksum ledger tracks replica ({block_id}, {node_id}) "
-                    "that no datanode holds"
                 )
     return _note(report, resolve(obs), "blocks")
 

@@ -3,8 +3,9 @@
 Checksums on the read path only protect the replicas somebody reads; rot on
 a cold replica sits undetected until the *healthy* copies fail and the rot
 is all that's left. The scrubber closes that window: a sweep walks every
-tracked replica, verifies its fingerprint against the authoritative one,
-and rewrites corrupt replicas from an intact copy on the same block.
+replica on every live datanode, checks its generation stamp and its bytes
+against the ledger's write-time CRC32, and rewrites corrupt replicas from
+an intact copy on the same block.
 Replicas with no intact sibling left are reported as unrepairable — the
 operator's signal that a block is one failure away from serving garbage
 (with verification on) or already serving it (off).
@@ -52,7 +53,7 @@ class Scrubber:
         if blocks.checksums is None:
             raise StorageError(
                 "scrubbing needs a checksum ledger: a BlockManager without "
-                "one has no notion of replica contents to verify"
+                "one has nothing to check replica bytes against"
             )
         self._blocks = blocks
         self._obs = resolve(obs)
@@ -72,13 +73,13 @@ class Scrubber:
                       if checksums.replica_intact(block_id, o)]
             for node_id in live:
                 report.replicas_scanned += 1
-                if checksums.replica_intact(block_id, node_id):
+                if node_id in intact:
                     continue
                 report.corrupt_found += 1
                 checksums.note_detected(block_id, node_id)
                 if intact:
                     # Rewrite from any intact sibling: the repaired replica
-                    # takes the authoritative fingerprint.
+                    # takes its bytes and generation stamp.
                     checksums.repair_replica(block_id, node_id)
                     report.repaired += 1
                     self._obs.metrics.counter(

@@ -155,9 +155,10 @@ class OverloadBurst:
 class BitFlip:
     """Replica of ``block_id`` on datanode ``node_id`` silently rots (E20).
 
-    The bytes on disk no longer match the block's content fingerprint; only
-    checksum verification (or the scrubber) can tell — reads without it
-    happily serve the garbage.
+    The replica gets its own copy of the block with one data byte flipped,
+    which no longer matches the block's write-time CRC32; only checksum
+    verification (or the scrubber) can tell — reads without it happily
+    serve the garbage.
     """
 
     node_id: int
@@ -186,9 +187,9 @@ class TornWrite:
 class StaleReplica:
     """Replica of ``block_id`` on ``node_id`` missed the latest write (E20).
 
-    The replica's bytes are a *valid previous generation* of the block, not
-    random garbage — the silent failure mode of an interrupted replica
-    update. Detectable only because fingerprints cover the generation.
+    The replica's generation stamp falls back one generation while its
+    bytes still checksum fine — the silent failure mode of an interrupted
+    replica update. Detectable only because the stamp is checked too.
     """
 
     node_id: int

@@ -1,8 +1,12 @@
 """Block storage: datanodes, placement, replication, and integrity.
 
+Datanodes hold the bytes: every replica of a block holds the same
+zero-copy slice of the written payload (a one-block file's replicas hold
+the payload itself), so replication copies nothing.
+
 End-to-end checksums (experiment E20): an optional
-:class:`~repro.durability.BlockChecksums` ledger gives every replica a
-content fingerprint. With verification on, :meth:`BlockManager.read_block`
+:class:`~repro.durability.BlockChecksums` ledger takes a CRC32 of every
+block at write time. With verification on, :meth:`BlockManager.read_block`
 checks the replica it picked and transparently fails over to an intact
 one — a silent :class:`~repro.faults.BitFlip` or
 :class:`~repro.faults.StaleReplica` degrades a read instead of corrupting
@@ -14,7 +18,7 @@ runs the exact pre-E20 path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple, Union, TYPE_CHECKING
 
 from repro.errors import BlockCorruption, StorageError
 
@@ -28,28 +32,35 @@ DEFAULT_REPLICATION = 3
 
 @dataclass
 class DataNode:
-    """One storage node."""
+    """One storage node: its replicas' sizes, bytes and generation stamps."""
 
     node_id: int
     capacity_bytes: int
     used_bytes: int = 0
     blocks: Dict[int, int] = field(default_factory=dict)  # block_id -> bytes
     alive: bool = True
+    data: Dict[int, bytes] = field(default_factory=dict, repr=False)  # contents
+    stamps: Dict[int, int] = field(default_factory=dict)  # block_id -> generation
 
     @property
     def free_bytes(self) -> int:
         return self.capacity_bytes - self.used_bytes
 
-    def store(self, block_id: int, size: int) -> None:
+    def store(self, block_id: int, data: bytes, stamp: int) -> None:
+        size = len(data)
         if size > self.free_bytes:
             raise StorageError(
                 f"datanode {self.node_id} full: need {size}, free {self.free_bytes}"
             )
         self.blocks[block_id] = size
+        self.data[block_id] = data
+        self.stamps[block_id] = stamp
         self.used_bytes += size
 
     def drop(self, block_id: int) -> None:
         size = self.blocks.pop(block_id, 0)
+        self.data.pop(block_id, None)
+        self.stamps.pop(block_id, None)
         self.used_bytes -= size
 
 
@@ -84,6 +95,8 @@ class BlockManager:
         self.replication = replication
         self.nodes = [DataNode(i, node_capacity_bytes) for i in range(node_count)]
         self.checksums = checksums
+        if checksums is not None:
+            checksums.attach(self)
         self._next_block_id = 0
         self._next_node = 0
         # Fallback reads rotate from this seeded counter so post-failure
@@ -95,37 +108,47 @@ class BlockManager:
         # block_id -> (size, [node ids])
         self._blocks: Dict[int, Tuple[int, List[int]]] = {}
 
-    def allocate_file(self, size_bytes: int) -> List[int]:
-        """Allocate the blocks for a file of *size_bytes*; returns block ids."""
-        if size_bytes <= 0:
-            raise StorageError(f"file size must be positive, got {size_bytes}")
-        block_ids: List[int] = []
-        remaining = size_bytes
-        while remaining > 0:
-            size = min(remaining, self.block_size)
-            block_ids.append(self._allocate_block(size))
-            remaining -= size
-        return block_ids
+    def allocate_file(self, data: Union[bytes, int]) -> List[int]:
+        """Write a file's bytes as replicated blocks; returns block ids.
 
-    def _allocate_block(self, size: int) -> int:
+        *data* may be a size alone, which writes that many zero bytes.
+        Every replica of a block holds one zero-copy slice of *data*, and a
+        one-block file's replicas hold *data* itself.
+        """
+        if isinstance(data, int):
+            data = bytes(max(data, 0))
+        if not data:
+            raise StorageError("file size must be positive")
+        if len(data) <= self.block_size:
+            return [self._allocate_block(data)]
+        view = memoryview(data)
+        return [
+            self._allocate_block(view[start:start + self.block_size])
+            for start in range(0, len(data), self.block_size)
+        ]
+
+    def _allocate_block(self, data: bytes) -> int:
         block_id = self._next_block_id
         self._next_block_id += 1
-        placed = self._place_replicas(block_id, size, self.replication, exclude=set())
-        self._blocks[block_id] = (size, placed)
+        placed = self._place_replicas(block_id, data, 0, self.replication,
+                                      exclude=set())
+        self._blocks[block_id] = (len(data), placed)
+        if self.checksums is not None:
+            self.checksums.on_write(block_id, data)
         return block_id
 
     def _place_replicas(
-        self, block_id: int, size: int, count: int, exclude: "set[int]"
+        self, block_id: int, data: bytes, stamp: int, count: int,
+        exclude: "set[int]",
     ) -> List[int]:
         """Round-robin placement of *count* replicas on live, fitting nodes."""
+        size = len(data)
         placed: List[int] = []
         attempts = 0
         while len(placed) < count:
             if attempts >= len(self.nodes):
                 for node_id in placed:
                     self.nodes[node_id].drop(block_id)
-                    if self.checksums is not None:
-                        self.checksums.on_drop(block_id, node_id)
                 raise StorageError(
                     f"cannot place block of {size} bytes with replication "
                     f"{count}: insufficient live capacity"
@@ -140,9 +163,7 @@ class BlockManager:
                 or node.free_bytes < size
             ):
                 continue
-            node.store(block_id, size)
-            if self.checksums is not None:
-                self.checksums.on_place(block_id, size, node.node_id)
+            node.store(block_id, data, stamp)
             placed.append(node.node_id)
         return placed
 
@@ -165,9 +186,9 @@ class BlockManager:
         return list(entry[1])
 
     def update_block(self, block_id: int) -> int:
-        """Rewrite a block in place: every live replica takes the new
-        generation. Returns the new generation (0 with no checksum ledger —
-        generations only exist to be fingerprinted).
+        """Rewrite a block in place: every live replica's generation stamp
+        takes the new generation. Returns the new generation (0 with no
+        checksum ledger — generations only exist to be checked).
 
         This is the write a :class:`~repro.faults.StaleReplica` fault makes
         one replica silently miss *afterwards*.
@@ -177,7 +198,10 @@ class BlockManager:
             raise StorageError(f"unknown block {block_id}")
         if self.checksums is None:
             return 0
-        return self.checksums.on_update(block_id, entry[1])
+        generation = self.checksums.on_update(block_id)
+        for node_id in entry[1]:
+            self.nodes[node_id].stamps[block_id] = generation
+        return generation
 
     @property
     def block_count(self) -> int:
@@ -229,15 +253,15 @@ class BlockManager:
         if not survivors:
             raise StorageError(f"block {block_id} lost: no live replica")
         verifying = self.checksums is not None and self.checksums.verify
-        candidates: List[int] = []
-        if preferred is not None and preferred in survivors:
-            candidates.append(preferred)
-        else:
-            # Seeded rotation over survivors: deterministic, but not
-            # always survivors[0].
+        candidates = [preferred] if preferred in survivors else []
+        if verifying or not candidates:
+            # Seeded rotation over survivors: deterministic, but not always
+            # survivors[0]. Verifying, it lines up the preferred replica's
+            # fallbacks too, in case that one is corrupt.
             start = self._read_rotation % len(survivors)
             self._read_rotation += 1
-            candidates.extend(survivors[start:] + survivors[:start])
+            candidates += [o for o in survivors[start:] + survivors[:start]
+                           if o != preferred]
         if not verifying:
             served = candidates[0]
             if (
@@ -248,14 +272,6 @@ class BlockManager:
                 # and only the ledger knows.
                 self.checksums.note_served(block_id, served)
             return served
-        if preferred is not None and preferred in survivors:
-            # The preferred replica may be corrupt; line up fallbacks.
-            start = self._read_rotation % len(survivors)
-            self._read_rotation += 1
-            candidates.extend(
-                o for o in survivors[start:] + survivors[:start]
-                if o != preferred
-            )
         for candidate in candidates:
             if self.checksums.replica_intact(block_id, candidate):
                 return candidate
@@ -265,6 +281,19 @@ class BlockManager:
             "checksum verification",
             block_id=block_id,
         )
+
+    def read_file(self, block_ids: Sequence[int]) -> bytes:
+        """A block file's bytes, each block from the replica
+        :meth:`read_block` picks (so fallback and verification apply).
+
+        A one-block file returns that replica's object itself: the payload
+        written, unless a fault gave the replica its own copy.
+        """
+        if len(block_ids) == 1:  # the common case, on the chunk read path
+            block_id = block_ids[0]
+            return self.nodes[self.read_block(block_id)].data[block_id]
+        return b"".join([self.nodes[self.read_block(block_id)].data[block_id]
+                         for block_id in block_ids])
 
     def inject_failures(self, injector) -> int:
         """Kill the datanodes a :class:`~repro.faults.FaultInjector` names.
@@ -282,9 +311,8 @@ class BlockManager:
     def inject_silent_faults(self, injector: "FaultInjector") -> int:
         """Rot the replicas the plan's BitFlip/StaleReplica entries name.
 
-        Needs a checksum ledger to have anything to perturb — without one
-        the simulation has no notion of replica contents and this is a
-        no-op returning 0.
+        Needs a checksum ledger — without one nothing could tell a rotten
+        replica from a sound one, and this is a no-op returning 0.
         """
         if self.checksums is None:
             return 0
@@ -313,10 +341,10 @@ class BlockManager:
             size, owners = self._blocks[block_id]
             owners = [o for o in owners if o != node_id]
             self._blocks[block_id] = (size, owners)
-            if self.checksums is not None:
-                self.checksums.on_drop(block_id, node_id)
             affected += 1
         node.blocks.clear()
+        node.data.clear()
+        node.stamps.clear()
         node.used_bytes = 0
         return affected
 
@@ -337,7 +365,8 @@ class BlockManager:
     def re_replicate(self) -> int:
         """Restore replication for under-replicated (non-lost) blocks.
 
-        Returns the number of replicas created. Lost blocks (no surviving
+        Returns the number of replicas created, each copied from an intact
+        survivor if a ledger can tell. Lost blocks (no surviving
         replica) are skipped — there is nothing to copy from. Blocks that
         cannot be placed (insufficient live capacity) are *also* skipped
         and reported in :attr:`unplaceable_blocks`: one stuck block must
@@ -350,9 +379,16 @@ class BlockManager:
             if not owners:
                 continue
             missing = self.replication - len(owners)
+            source = owners[0]
+            if self.checksums is not None:
+                source = next((o for o in owners
+                               if self.checksums.replica_intact(block_id, o)),
+                              source)
+            source_node = self.nodes[source]
             try:
                 new_owners = self._place_replicas(
-                    block_id, size, missing, exclude=set(owners)
+                    block_id, source_node.data[block_id],
+                    source_node.stamps[block_id], missing, exclude=set(owners),
                 )
             except StorageError:
                 self.unplaceable_blocks.append(block_id)

@@ -223,10 +223,9 @@ class HopsFS:
                 record = self._file_record(inode, size, data, [])
                 self.obs.metrics.counter("hopsfs.files", layout="inline").inc()
             else:
-                block_ids = self.blocks.allocate_file(size) if size else []
+                # The datanodes hold the bytes; the record, the block ids.
+                block_ids = self.blocks.allocate_file(data) if size else []
                 record = self._file_record(inode, size, None, block_ids)
-                # Block contents are not materialised; the simulation tracks
-                # placement and sizes only.
                 self.obs.metrics.counter("hopsfs.files", layout="blocks").inc()
             self.store.put(parent, name, record, deadline=deadline)
             if self._dir_cache.negative:
@@ -237,10 +236,11 @@ class HopsFS:
 
     def read(
         self, path: str, deadline: Optional["Deadline"] = None
-    ) -> Optional[bytes]:
-        """Read a file. Inline files return their bytes; block files return
-        None (contents are not materialised in the simulation) — use
-        :meth:`stat` for their size and block layout."""
+    ) -> bytes:
+        """Read a file's bytes: an inline file's from its metadata record, a
+        block file's from the datanodes, each block through
+        :meth:`~repro.hopsfs.blocks.BlockManager.read_block` (replica
+        fallback and checksum verification apply)."""
         with self.obs.tracer.span("hopsfs.fs", op="read"):
             parent, name = self._resolve_parent(path, deadline)
             record = self.store.get(parent, name, deadline=deadline)
@@ -248,7 +248,9 @@ class HopsFS:
                 raise StorageError("no such file", path=path)
             if record["is_dir"]:
                 raise StorageError("is a directory", path=path)
-            return record["inline"]
+            if record["inline"] is not None:
+                return record["inline"]
+            return self.blocks.read_file(record["blocks"])
 
     def stat(
         self, path: str, deadline: Optional["Deadline"] = None

@@ -5,18 +5,22 @@
 Neither may take a read past the block layer: after a warm first read, a
 dead datanode, rotten replicas or a moved chunk must behave exactly as on a
 cold read. The exactness rule — kept stats are dropped whenever
-``HopsFS.path_losses`` moves — is pinned here too.
+``HopsFS.path_losses`` moves — is pinned here too, and so is where the
+bytes live: on the datanodes, so any store reads them, a delete frees
+them, and a rotten replica's bytes are what an unverified read returns.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
 import repro.datacube.cube as cube_module
 from repro.datacube import ChunkKey, ChunkStore, Cube, CubeSchema
-from repro.datacube.chunk import chunk_path
+from repro.datacube.chunk import chunk_path, encode_chunk
 from repro.durability import BlockChecksums, DurabilityLayer
 from repro.errors import BlockCorruption, StorageError
-from repro.faults import FaultInjector, FaultPlan, ShardOutage
+from repro.faults import BitFlip, FaultInjector, FaultPlan, ShardOutage
 from repro.geometry import Polygon
 from repro.hopsfs import ShardedKVStore, ShardUnavailable
 from repro.hopsfs.blocks import BlockManager
@@ -217,14 +221,39 @@ class TestKeptStatsExactness:
             dense["nir"].mean(axis=(1, 2), dtype=np.float64), rtol=1e-6,
         )
 
-    def test_a_fresh_store_over_the_same_fs_reads_the_same(self):
-        fs = HopsFS()  # inline chunks: the bytes live in the metadata store
+    @pytest.mark.parametrize("threshold", [BLOCK_THRESHOLD, 64 * 1024])
+    def test_a_fresh_store_over_the_same_fs_reads_the_same(self, threshold):
+        """Block-layout bytes live on the datanodes and inline bytes in the
+        metadata store, so a store that wrote nothing reads them too."""
+        fs = HopsFS(small_file_threshold=threshold)
         cube, dense = filled_cube(fs)
         warm = {v: cube.sel(v).read() for v in cube.schema.variables}
         reopened = Cube.open(ChunkStore(fs=fs), ROOT)
         for variable in cube.schema.variables:
             assert same(reopened.sel(variable).read(), warm[variable])
             assert same(warm[variable], dense[variable])
+
+    def test_deleting_a_block_chunk_frees_its_bytes(self):
+        fs = HopsFS(small_file_threshold=BLOCK_THRESHOLD)
+        store = ChunkStore(fs=fs)
+        store.makedirs("/chunks")
+        nodes = fs.blocks.nodes
+        used = [node.used_bytes for node in nodes]
+        payload = encode_chunk(np.ones((2, 32, 32), dtype="float32"))
+        refs = sys.getrefcount(payload)
+        store.put("/chunks/a", payload)
+        assert store.get("/chunks/a") is payload
+        block_ids = fs.stat("/chunks/a").block_ids
+        assert all(block_id in nodes[node_id].data for block_id in block_ids
+                   for node_id in fs.blocks.block_locations(block_id))
+        fs.delete("/chunks/a")
+        assert not any(block_id in node.blocks or block_id in node.data
+                       for node in nodes for block_id in block_ids)
+        assert [node.used_bytes for node in nodes] == used
+        # No datanode, ledger or store entry keeps the payload alive.
+        assert sys.getrefcount(payload) == refs
+        with pytest.raises(StorageError, match="no such file or directory"):
+            store.get("/chunks/a")
 
     def test_only_an_identical_payload_skips_the_decode(self, decodes,
                                                          monkeypatch):
@@ -269,3 +298,35 @@ class TestKeptStatsExactness:
         assert same(blocks_cube.sel("nir").read(), dense["nir"])
         with pytest.raises(ShardUnavailable):
             inline_cube.sel("nir").read()
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_a_bit_flip_on_the_serving_replica(verify, monkeypatch):
+    """E20 end to end: unverified, the flipped byte reaches the answer;
+    verified, the read fails over and equals the dense oracle."""
+
+    def build():
+        blocks = BlockManager(node_count=4, replication=3,
+                              checksums=BlockChecksums(verify=verify))
+        cube, dense = filled_cube(HopsFS(blocks=blocks,
+                                         small_file_threshold=BLOCK_THRESHOLD))
+        return blocks, cube, dense
+
+    # Placement and read rotation are deterministic, so a twin's read names
+    # the replicas that will serve the same read of the cube under test.
+    twin_blocks, twin, _ = build()
+    routed = RoutedBlocks(twin_blocks, monkeypatch)
+    twin.sel("nir").read()
+    blocks, cube, dense = build()
+    plan = FaultPlan(bit_flips=tuple(
+        BitFlip(node_id=node_id, block_id=block_id)
+        for block_id, node_id in routed.served
+    ))
+    assert blocks.inject_silent_faults(FaultInjector(plan)) == len(routed.served)
+    got = cube.sel("nir").read()
+    if verify:
+        assert same(got, dense["nir"])
+    else:
+        assert got.shape == dense["nir"].shape
+        # One flipped byte per chunk: one wrong value per chunk read.
+        assert np.count_nonzero(got != dense["nir"]) == len(routed.served)

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.durability import (
-    BlockChecksums,
-    Scrubber,
-    content_fingerprint,
-    flipped_fingerprint,
-)
+from repro.durability import BlockChecksums, Scrubber
 from repro.errors import BlockCorruption, StorageError
 from repro.faults import BitFlip, FaultInjector, FaultPlan, StaleReplica
 from repro.hopsfs import BlockManager
@@ -21,18 +16,6 @@ def manager_with(verify=True, node_count=4, replication=3):
     )
     manager.allocate_file(100)  # block 0
     return manager, checksums
-
-
-class TestFingerprints:
-    def test_fingerprint_is_stable_and_generation_sensitive(self):
-        assert content_fingerprint(1, 100, 0) == content_fingerprint(1, 100, 0)
-        assert content_fingerprint(1, 100, 0) != content_fingerprint(1, 100, 1)
-        assert content_fingerprint(1, 100, 0) != content_fingerprint(2, 100, 0)
-
-    def test_flip_never_matches(self):
-        fp = content_fingerprint(1, 100, 0)
-        assert flipped_fingerprint(fp) != fp
-        assert flipped_fingerprint(flipped_fingerprint(fp)) == fp
 
 
 class TestVerifiedReads:

@@ -114,16 +114,6 @@ class TestBlockViolations:
         report = fsck_blocks(manager)
         assert any("used_bytes" in v for v in report.violations)
 
-    def test_ghost_ledger_replica_is_flagged(self):
-        manager = BlockManager(
-            node_count=4, block_size=100, replication=2,
-            checksums=BlockChecksums(),
-        )
-        manager.allocate_file(100)
-        manager.checksums._replica[(0, 3)] = 1234  # nobody holds this
-        report = fsck_blocks(manager)
-        assert any("ledger" in v for v in report.violations)
-
 
 class TestFilesystemViolations:
     def test_dangling_block_reference_is_flagged(self):

@@ -56,7 +56,7 @@ class TestFiles:
         stat = fs.create("/big.bin", data)
         assert stat.inline is False
         assert len(stat.block_ids) == (200_000 + 1023) // 1024
-        assert fs.read("/big.bin") is None  # contents not materialised
+        assert fs.read("/big.bin") == data  # joined from the datanodes
         assert fs.stat("/big.bin").size_bytes == 200_000
 
     def test_threshold_boundary(self):

@@ -307,6 +307,7 @@ class TestE24Gate:
         "mean_parity": True, "max_path_writes": 1,
         "tiled_s": 0.001, "whole_s": 0.01,
         "zonal_parity": True, "zonal_chunks_read": 15, "zonal_chunks_total": 48,
+        "reopen_parity": True,
     }
 
     def test_passing_report(self):
@@ -321,6 +322,7 @@ class TestE24Gate:
         ({"tiled_s": 0.02}, "whole-cube scan .s.: 0.02 is not < 0.01"),
         ({"zonal_parity": False}, "zonal parity"),
         ({"zonal_chunks_read": 48}, "zonal chunks read < total: 48 is not < 48"),
+        ({"reopen_parity": False}, "reopen parity"),
     ])
     def test_violation_raises(self, change, message):
         with pytest.raises(DatacubeError, match=message):
