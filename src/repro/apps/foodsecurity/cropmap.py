@@ -21,7 +21,7 @@ from repro.datasets.eurosat import Dataset
 from repro.geometry import Polygon
 from repro.ml.distributed import DataParallelTrainer, TrainingReport
 from repro.ml.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
-from repro.ml.network import Sequential
+from repro.ml.network import Sequential, classify_patches
 from repro.ml.optimizers import SGD
 from repro.raster.grid import RasterGrid
 from repro.raster.sentinel import S2_BANDS, SentinelScene
@@ -74,33 +74,10 @@ def classify_scene(
 ) -> np.ndarray:
     """Classify a scene patch-wise; returns a (rows, cols) crop-class map.
 
-    Edge strips narrower than a patch are classified from the nearest full
-    patch (their predictions are extended outward).
+    Edge strips narrower than a patch are classified from one more patch
+    flush with the scene edge (see :func:`~repro.ml.network.classify_patches`).
     """
-    grid = scene.grid
-    rows, cols = grid.height, grid.width
-    if rows < patch_size or cols < patch_size:
-        raise MLError(f"scene {rows}x{cols} smaller than patch size {patch_size}")
-    out = np.zeros((rows, cols), dtype=np.int16)
-    row_starts = _tile_starts(rows, patch_size)
-    col_starts = _tile_starts(cols, patch_size)
-    patches = []
-    spans = []
-    for r in row_starts:
-        for c in col_starts:
-            patches.append(grid.data[:, r : r + patch_size, c : c + patch_size])
-            spans.append((r, c))
-    predictions = model.predict(np.stack(patches))
-    for (r, c), label in zip(spans, predictions):
-        out[r : r + patch_size, c : c + patch_size] = label
-    return out
-
-
-def _tile_starts(length: int, patch: int) -> List[int]:
-    starts = list(range(0, length - patch + 1, patch))
-    if starts[-1] + patch < length:
-        starts.append(length - patch)  # cover the trailing strip
-    return starts
+    return classify_patches(model, scene.grid.data, patch_size)[0]
 
 
 def extract_fields(

@@ -10,7 +10,7 @@ associates detections across acquisitions by nearest centroid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy import ndimage
@@ -66,12 +66,16 @@ def detect_icebergs(
 
     # 8-connectivity so a floe's edge fringe stays one (oversized, hence
     # rejected) component instead of fragmenting into berg-sized pieces.
-    labelled, count = ndimage.label(candidates, structure=np.ones((3, 3)))
+    labelled, _ = ndimage.label(candidates, structure=np.ones((3, 3)))
     detections: List[IcebergDetection] = []
     transform = scene.grid.transform
     size = transform.pixel_size
-    for component in range(1, count + 1):
-        component_mask = labelled == component
+    for component, box in enumerate(ndimage.find_objects(labelled), start=1):
+        # Work on the component's bounding box padded by the ring width (2),
+        # clipped at the scene edge: the dilation cannot reach further.
+        top, left = max(box[0].start - 2, 0), max(box[1].start - 2, 0)
+        window = (slice(top, box[0].stop + 2), slice(left, box[1].stop + 2))
+        component_mask = labelled[window] == component
         rows, cols = np.nonzero(component_mask)
         if not (min_pixels <= rows.size <= max_pixels):
             continue
@@ -81,8 +85,10 @@ def detect_icebergs(
         ring = ndimage.binary_dilation(component_mask, iterations=2) & ~component_mask
         # Upper-quartile test: even a partially ice-adjacent fragment (e.g.
         # a floe corner whose ring is ~25% bright ice) fails this.
-        if np.quantile(vv[ring], 0.75) > water_level + water_margin_db:
+        if np.quantile(vv[window][ring], 0.75) > water_level + water_margin_db:
             continue
+        rows += top
+        cols += left
         min_x = transform.origin_x + cols.min() * size
         max_x = transform.origin_x + (cols.max() + 1) * size
         max_y = transform.origin_y - rows.min() * size

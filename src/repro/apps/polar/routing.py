@@ -20,6 +20,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ReproError
+from repro.geometry import LineString
+from repro.geometry.geojson import feature
 
 _NEIGHBOURS = (
     (0, 1, 1.0), (1, 0, 1.0), (0, -1, 1.0), (-1, 0, 1.0),
@@ -121,9 +123,6 @@ def _build_route(risk: np.ndarray, parent, goal) -> Route:
 def route_to_geojson(route: Route, transform) -> dict:
     """The route as a GeoJSON LineString feature in map coordinates —
     the payload a PCDSS-style delivery would push to the bridge."""
-    from repro.geometry import LineString
-    from repro.geometry.geojson import feature
-
     coordinates = [
         transform.pixel_to_map(row, col) for row, col in route.cells
     ]

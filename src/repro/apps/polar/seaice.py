@@ -9,18 +9,16 @@ resampled to the delivery resolution ("1 km or better").
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
 import numpy as np
 
 from repro.errors import MLError
 from repro.datasets.eurosat import Dataset
 from repro.ml.distributed import DataParallelTrainer, TrainingReport
 from repro.ml.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
-from repro.ml.network import Sequential
+from repro.ml.network import Sequential, classify_patches
 from repro.ml.optimizers import SGD
 from repro.raster.grid import GeoTransform, RasterGrid
-from repro.raster.sentinel import SeaIce, SentinelScene, sea_ice_field, sentinel1_scene
+from repro.raster.sentinel import SeaIce, SentinelScene, sentinel1_scene
 
 
 def normalize_sar(data: np.ndarray) -> np.ndarray:
@@ -93,27 +91,7 @@ def classify_ice_scene(
     model: Sequential, scene: SentinelScene, patch_size: int = 8
 ) -> np.ndarray:
     """Patch-wise WMO stage map at scene resolution."""
-    grid = scene.grid
-    rows, cols = grid.height, grid.width
-    if rows < patch_size or cols < patch_size:
-        raise MLError("scene smaller than patch size")
-    out = np.zeros((rows, cols), dtype=np.int16)
-    starts_r = list(range(0, rows - patch_size + 1, patch_size))
-    starts_c = list(range(0, cols - patch_size + 1, patch_size))
-    if starts_r[-1] + patch_size < rows:
-        starts_r.append(rows - patch_size)
-    if starts_c[-1] + patch_size < cols:
-        starts_c.append(cols - patch_size)
-    data = normalize_sar(grid.data)
-    patches, spans = [], []
-    for r in starts_r:
-        for c in starts_c:
-            patches.append(data[:, r : r + patch_size, c : c + patch_size])
-            spans.append((r, c))
-    predictions = model.predict(np.stack(patches))
-    for (r, c), label in zip(spans, predictions):
-        out[r : r + patch_size, c : c + patch_size] = label
-    return out
+    return classify_patches(model, normalize_sar(scene.grid.data), patch_size)[0]
 
 
 def ice_concentration_map(

@@ -10,17 +10,15 @@ byte-identical to the pre-E18 service.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.catalog import model
 from repro.catalog.ingest import ingest_knowledge, ingest_products
 from repro.errors import CatalogError
-from repro.geometry import Geometry, Polygon, contains, intersects
-from repro.geosparql.literals import geometry_literal, literal_geometry
+from repro.geometry import Geometry, Polygon
+from repro.geosparql.literals import geometry_literal
 from repro.geosparql.store import GeoStore
-from repro.rdf.namespace import GEO
 from repro.rdf.term import IRI, Literal
-from repro.raster.products import Product
 from repro.sparql import Variable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -137,7 +135,7 @@ class SemanticCatalog:
         """
         solutions = self.query(
             "SELECT ?p ?fr WHERE { ?p eop:hasContent ?c . "
-            f'?c eop:contentClass "{class_name}" . '
+            f"?c eop:contentClass {Literal(class_name).n3()} . "
             "?c eop:contentFraction ?fr . "
             f"FILTER (?fr >= {min_fraction}) }} ORDER BY DESC(?fr)"
         )
@@ -157,8 +155,6 @@ class SemanticCatalog:
     @classmethod
     def load(cls, path: str) -> "SemanticCatalog":
         """Restore a catalogue dump (spatial index rebuilt on load)."""
-        from repro.geosparql.store import GeoStore
-
         return cls(store=GeoStore.from_ntriples(path))
 
     @property
@@ -183,15 +179,15 @@ class SemanticCatalog:
         patterns = ["?p rdf:type eop:Product ."]
         filters = []
         if mission is not None:
-            patterns.append(f'?p eop:mission "{mission}" .')
+            patterns.append(f"?p eop:mission {Literal(mission).n3()} .")
         if product_type is not None:
-            patterns.append(f'?p eop:productType "{product_type}" .')
+            patterns.append(f"?p eop:productType {Literal(product_type).n3()} .")
         if start_time is not None or end_time is not None:
             patterns.append("?p eop:sensingTime ?t .")
             if start_time is not None:
-                filters.append(f'STR(?t) >= "{start_time}"')
+                filters.append(f"STR(?t) >= {Literal(start_time).n3()}")
             if end_time is not None:
-                filters.append(f'STR(?t) <= "{end_time}"')
+                filters.append(f"STR(?t) <= {Literal(end_time).n3()}")
         if bbox is not None:
             min_x, min_y, max_x, max_y = bbox
             window = geometry_literal(Polygon.box(min_x, min_y, max_x, max_y))
@@ -250,38 +246,32 @@ class SemanticCatalog:
         """The paper's flagship query: icebergs embedded in a named ice
         region at its maximum extent in a given year.
 
-        Implementation: take the region's largest observed geometry that
-        year, then count icebergs observed that year whose geometry lies
-        within it.
+        Two GeoSPARQL queries. The first takes the region's largest
+        geometry observed that year by ``geof:area``; equal areas go to the
+        lexically smallest WKT. ``geof:area`` errors on a point or a line,
+        and an errored sort key orders after every value under ``DESC``, so
+        such an observation ranks below every polygon. The second counts
+        the icebergs observed that year whose geometry lies within that
+        extent; the ``geof:sfWithin`` filter against a constant plants the
+        R-tree candidate table.
         """
-        regions = self.query(
-            'SELECT ?g ?t WHERE { ?r rdf:type eop:IceRegion . '
-            f'?r eop:regionName "{region_name}" . '
-            "?r eop:observedAt ?t . ?r geo:hasGeometry ?geom . ?geom geo:asWKT ?g }"
+        in_year = f"FILTER (STRSTARTS(STR(?t), {Literal(str(year)).n3()})) "
+        extents = self.query(
+            "SELECT ?g WHERE { ?r rdf:type eop:IceRegion . "
+            f"?r eop:regionName {Literal(region_name).n3()} . "
+            "?r eop:observedAt ?t . ?r geo:hasGeometry ?geom . ?geom geo:asWKT ?g . "
+            + in_year
+            + "} ORDER BY DESC(geof:area(?g)) ASC(STR(?g)) LIMIT 1"
         )
-        year_prefix = str(year)
-        candidates = []
-        for solution in regions:
-            observed = str(solution[Variable("t")])
-            if observed.startswith(year_prefix):
-                geometry = literal_geometry(solution[Variable("g")])
-                candidates.append(geometry)
-        if not candidates:
+        if not extents:
             raise CatalogError(
                 f"no observations of region {region_name!r} in {year}"
             )
-        maximum_extent = max(candidates, key=lambda g: getattr(g, "area", 0.0))
-
-        icebergs = self.query(
-            "SELECT ?b ?g ?t WHERE { ?b rdf:type eop:Iceberg . "
-            "?b eop:observedAt ?t . ?b geo:hasGeometry ?geom . ?geom geo:asWKT ?g }"
+        extent = extents[0][Variable("g")]
+        [count] = self.query(
+            "SELECT (COUNT(DISTINCT ?b) AS ?n) WHERE { ?b rdf:type eop:Iceberg . "
+            "?b eop:observedAt ?t . ?b geo:hasGeometry ?geom . ?geom geo:asWKT ?g . "
+            + in_year
+            + f"FILTER (geof:sfWithin(?g, {extent.n3()})) }}"
         )
-        embedded = set()
-        for solution in icebergs:
-            observed = str(solution[Variable("t")])
-            if not observed.startswith(year_prefix):
-                continue
-            geometry = literal_geometry(solution[Variable("g")])
-            if contains(maximum_extent, geometry):
-                embedded.add(solution[Variable("b")])
-        return len(embedded)
+        return int(count[Variable("n")].to_python())

@@ -47,7 +47,6 @@ therefore contributes N failures and 1 abandonment.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, TYPE_CHECKING
 
@@ -213,9 +212,7 @@ class Scheduler:
         spec: ClusterSpec,
         simulation: Optional[Simulation] = None,
         locality_wait_s: float = 3.0,
-        failure_rate: float = 0.0,
         max_retries: int = 3,
-        failure_seed: int = 0,
         injector: Optional["FaultInjector"] = None,
         crash_recovery: bool = True,
         speculation: bool = False,
@@ -226,8 +223,6 @@ class Scheduler:
     ):
         if locality_wait_s < 0:
             raise ClusterError("locality_wait_s must be non-negative")
-        if not 0.0 <= failure_rate < 1.0:
-            raise ClusterError("failure_rate must be in [0, 1)")
         if max_retries < 0:
             raise ClusterError("max_retries must be non-negative")
         if speculation_factor <= 1.0:
@@ -237,9 +232,7 @@ class Scheduler:
         self.spec = spec
         self.simulation = simulation if simulation is not None else Simulation()
         self.locality_wait_s = locality_wait_s
-        self.failure_rate = failure_rate
         self.max_retries = max_retries
-        self._failure_rng = random.Random(failure_seed)
         self.injector = injector
         self.crash_recovery = crash_recovery
         self.speculation = speculation
@@ -553,11 +546,9 @@ class Scheduler:
         self._last_finish_s = max(self._last_finish_s, self.simulation.now)
         self._retire(execution)
         # Injected failure: the attempt burned its slot time, then died.
-        failed = bool(
-            self.failure_rate and self._failure_rng.random() < self.failure_rate
+        failed = self.injector is not None and self.injector.task_fails(
+            task.task_id
         )
-        if not failed and self.injector is not None:
-            failed = self.injector.task_fails(task.task_id)
         if task.on_attempt_end is not None:
             # Every attempt that burned its full slot reports — even one the
             # injector fails (it finished the work, then died unreported).

@@ -12,9 +12,10 @@ Three duck-typed checkers, one per layer, each returning an
   both directions, replication counts are honest (never above target,
   owners unique and alive), and byte accounting adds up.
 * :func:`fsck_filesystem` — both of the above, plus metadata ↔ block-layer
-  referential integrity: every file's block ids exist, no block belongs to
-  two files, inode ids are unique, and every inode record is reachable from
-  the root by walking directory partitions (no orphaned subtree).
+  referential integrity: every file's block ids exist, every block belongs
+  to exactly one file, inode ids are unique, and every inode record is
+  reachable from the root by walking directory partitions (no orphaned
+  subtree).
 
 Checkers accumulate human-readable violations instead of raising on the
 first, so one pass reports everything wrong; :meth:`FsckReport.verify`
@@ -217,6 +218,8 @@ def fsck_filesystem(fs: "HopsFS",
                         f"block {block_id} is claimed by both {prior} "
                         f"and {where}"
                     )
+    for block_id in sorted(table.keys() - claimed_blocks.keys()):
+        report.add(f"block {block_id} is claimed by no file")
     # Reachability: children are partitioned by parent inode id, so walking
     # partitions from the root visits exactly the live namespace. Whatever
     # is left is a subtree no path resolves to (e.g. a directory cycle).

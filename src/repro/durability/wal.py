@@ -38,12 +38,12 @@ from typing import (
 from repro.errors import (
     SimulatedCrash, SnapshotCorrupted, StorageError, WALCorrupted,
 )
+from repro.durability.snapshot import ShardSnapshot
 from repro.hopsfs.kvstore import Shard, raw_pop, raw_put
 from repro.obs import Observability, resolve
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
-    from repro.durability.snapshot import ShardSnapshot
 
 #: Record framing: big-endian (payload length, payload CRC32).
 _HEADER = struct.Struct(">II")
@@ -333,8 +333,6 @@ class DurabilityLayer:
         ``truncate=True`` releases the covered log prefix — cheaper disk,
         but a corrupt snapshot then has no full-replay fallback.
         """
-        from repro.durability.snapshot import ShardSnapshot
-
         self._require_bound()
         index = self._snapshots_taken[shard]
         self._snapshots_taken[shard] += 1

@@ -34,9 +34,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple, Type, TypeVar, TYPE_CHECKING
 
 from repro.errors import FaultError, RetryExhausted, TimeoutExceeded
+from repro.obs import Observability, resolve
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs import Observability
     from repro.resilience.deadline import Deadline
 
 T = TypeVar("T")
@@ -149,8 +149,6 @@ class RetryPolicy:
         budget, refuses backoffs that don't fit the remaining budget, and
         charges backoff waits to unclocked (charge-driven) deadlines.
         """
-        from repro.obs import resolve
-
         metrics = resolve(obs if obs is not None else self.obs).metrics
         attempts_total = metrics.counter("retry.attempts", scope=self.scope)
         state = state if state is not None else RetryState()

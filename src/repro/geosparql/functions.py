@@ -26,6 +26,7 @@ from repro.geometry import Geometry, contains, disjoint, distance, intersects, w
 from repro.geometry.predicates import points_in_polygon
 from repro.geometry.primitives import BoundingBox, Point, Polygon
 from repro.geosparql.literals import geometry_literal, literal_geometry
+from repro.geosparql.temporal import register_temporal_functions
 from repro.rdf.term import Literal, Term
 from repro.sparql.evaluator import FunctionRegistry
 from repro.sparql.functions import EvaluationError, Value
@@ -164,7 +165,5 @@ def geo_function_registry() -> FunctionRegistry:
     registry.register(DISTANCE, _distance)
     registry.register(ENVELOPE, _envelope)
     registry.register(AREA, _area)
-    from repro.geosparql.temporal import register_temporal_functions
-
     register_temporal_functions(registry)
     return registry

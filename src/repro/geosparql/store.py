@@ -18,16 +18,16 @@ from __future__ import annotations
 import weakref
 from typing import Dict, List, Optional, Set, TYPE_CHECKING, Union
 
-from repro.geometry import BoundingBox, RTree, contains as geom_contains
+from repro.geometry import RTree
 from repro.geosparql.functions import (
     INDEXABLE_RELATIONS,
-    SF_CONTAINS,
     SF_WITHIN,
     geo_function_registry,
 )
 from repro.geosparql.literals import is_geometry_literal, literal_geometry
 from repro.rdf.graph import Graph
-from repro.rdf.term import Literal, Term, Triple
+from repro.rdf.ntriples import parse_ntriples, serialize_ntriples
+from repro.rdf.term import Literal, Term
 from repro.sparql.algebra import (
     AlgebraOp,
     CompileOptions,
@@ -42,9 +42,11 @@ from repro.sparql.algebra import (
 )
 from repro.sparql.ast import (
     AskQuery,
+    BinaryOp,
     FunctionCall,
     SelectQuery,
     TermExpr,
+    UnaryOp,
     Variable,
     VarExpr,
 )
@@ -148,8 +150,6 @@ class GeoStore:
 
     def save_ntriples(self, path: str) -> int:
         """Dump the store to an N-Triples file; returns the triple count."""
-        from repro.rdf.ntriples import serialize_ntriples
-
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(serialize_ntriples(iter(self.graph)))
         return len(self.graph)
@@ -157,8 +157,6 @@ class GeoStore:
     @classmethod
     def from_ntriples(cls, path: str, max_entries: int = 16) -> "GeoStore":
         """Load a store from an N-Triples file, rebuilding the spatial index."""
-        from repro.rdf.ntriples import parse_ntriples
-
         store = cls(max_entries=max_entries)
         with open(path, "r", encoding="utf-8") as handle:
             store.bulk_load(parse_ntriples(handle.read()))
@@ -427,8 +425,6 @@ def _pattern_text(pattern) -> str:
 
 
 def _expression_text(expression) -> str:
-    from repro.sparql.ast import BinaryOp, TermExpr, UnaryOp, VarExpr
-
     if isinstance(expression, VarExpr):
         return f"?{expression.variable.name}"
     if isinstance(expression, TermExpr):

@@ -122,10 +122,16 @@ class BlockManager:
         if len(data) <= self.block_size:
             return [self._allocate_block(data)]
         view = memoryview(data)
-        return [
-            self._allocate_block(view[start:start + self.block_size])
-            for start in range(0, len(data), self.block_size)
-        ]
+        block_ids: List[int] = []
+        try:
+            for start in range(0, len(data), self.block_size):
+                block_ids.append(
+                    self._allocate_block(view[start:start + self.block_size])
+                )
+        except StorageError:
+            self.free_blocks(block_ids)  # a failed write holds no blocks
+            raise
+        return block_ids
 
     def _allocate_block(self, data: bytes) -> int:
         block_id = self._next_block_id

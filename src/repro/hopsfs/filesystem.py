@@ -227,7 +227,12 @@ class HopsFS:
                 block_ids = self.blocks.allocate_file(data) if size else []
                 record = self._file_record(inode, size, None, block_ids)
                 self.obs.metrics.counter("hopsfs.files", layout="blocks").inc()
-            self.store.put(parent, name, record, deadline=deadline)
+            try:
+                self.store.put(parent, name, record, deadline=deadline)
+            except Exception:
+                # No record claims the blocks: give them back.
+                self.blocks.free_blocks(record["blocks"])
+                raise
             if self._dir_cache.negative:
                 # A "no such directory" hint for this path would now be the
                 # wrong failure ("not a directory"); drop it.

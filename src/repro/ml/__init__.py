@@ -16,7 +16,7 @@ the classification of remote sensing images". This package provides:
   experiments" service
 """
 
-from repro.ml.network import Sequential
+from repro.ml.network import Sequential, classify_patches
 from repro.ml.layers import (
     BatchNorm,
     Conv2D,
@@ -56,6 +56,7 @@ __all__ = [
     "TrainingReport",
     "WarmupLinearScalingSchedule",
     "accuracy",
+    "classify_patches",
     "confusion_matrix",
     "f1_scores",
     "grid_search",

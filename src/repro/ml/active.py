@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.errors import MLError
 from repro.datasets.eurosat import Dataset
+from repro.ml.metrics import accuracy as accuracy_fn
 from repro.ml.network import Sequential
 
 
@@ -106,8 +107,6 @@ class ActiveLearner:
         rounds: int = 5,
     ) -> Tuple[Sequential, List[ActiveRound]]:
         """Run the loop; returns (final model, per-round history)."""
-        from repro.ml.metrics import accuracy as accuracy_fn
-
         if self.strategy not in ("uncertainty", "margin", "random"):
             raise MLError(f"unknown strategy {self.strategy!r}")
         if initial < 1 or batch < 1 or rounds < 1:

@@ -86,3 +86,38 @@ class Sequential:
     def load(self, path: str) -> None:
         with np.load(path) as data:
             self.load_state_dict({k: data[k] for k in data.files})
+
+
+def classify_patches(
+    model: Sequential, data: np.ndarray, patch_size: int
+) -> Tuple[np.ndarray, int]:
+    """Classify a ``(bands, rows, cols)`` raster patch-wise in one forward pass.
+
+    The raster is tiled into non-overlapping ``patch_size`` squares; a
+    trailing strip narrower than a patch is covered by one more patch flush
+    with the edge, whose label wins the overlap. Returns the ``(rows, cols)``
+    int16 class map and the width of the logits (the model's class count).
+    """
+    _, rows, cols = data.shape
+    if rows < patch_size or cols < patch_size:
+        raise MLError(f"scene {rows}x{cols} smaller than patch size {patch_size}")
+    spans = [
+        (r, c)
+        for r in _tile_starts(rows, patch_size)
+        for c in _tile_starts(cols, patch_size)
+    ]
+    logits = model.forward(
+        np.stack([data[:, r : r + patch_size, c : c + patch_size] for r, c in spans]),
+        training=False,
+    )
+    out = np.zeros((rows, cols), dtype=np.int16)
+    for (r, c), label in zip(spans, logits.argmax(axis=1)):
+        out[r : r + patch_size, c : c + patch_size] = label
+    return out, logits.shape[1]
+
+
+def _tile_starts(length: int, patch: int) -> List[int]:
+    starts = list(range(0, length - patch + 1, patch))
+    if starts[-1] + patch < length:
+        starts.append(length - patch)  # cover the trailing strip
+    return starts

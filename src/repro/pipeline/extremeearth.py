@@ -18,26 +18,27 @@ The pipeline also keeps the books for two paper claims:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import PipelineError
-from repro.apps.foodsecurity.cropmap import classify_scene, extract_fields
+from repro.apps.foodsecurity.cropmap import extract_fields
 from repro.apps.polar.icebergs import detect_icebergs
 from repro.apps.polar.pcdss import encode_ice_chart
-from repro.apps.polar.seaice import classify_ice_scene
+from repro.apps.polar.seaice import normalize_sar
 from repro.catalog.service import SemanticCatalog
 from repro.cluster.dataframe import SimContext
 from repro.cluster.resources import ClusterSpec
-from repro.geosparql.store import GeoStore
 from repro.hopsfs.filesystem import HopsFS
 from repro.hopsfs.kvstore import ShardedKVStore
-from repro.ml.network import Sequential
+from repro.ml.network import Sequential, classify_patches
 from repro.raster.products import Product
 from repro.raster.sentinel import LandCover, SeaIce, SentinelScene
+from repro.raster.stats import class_fractions
 from repro.rdf.ntriples import serialize_ntriples
+from repro.rdf.term import IRI
 
 
 @dataclass
@@ -143,11 +144,10 @@ class ExtremeEarthPipeline:
         """Sea-ice pipeline: classify, extract icebergs, package for ships."""
         if scene.mission != "S1":
             raise PipelineError("polar pipeline expects a Sentinel-1 scene")
-        stage_map = classify_ice_scene(model, scene, patch_size=patch_size)
-        probabilities = model.predict_proba(
-            _scene_patches(scene.grid.data, patch_size, normalize="sar")
+        stage_map, num_classes = classify_patches(
+            model, normalize_sar(scene.grid.data), patch_size
         )
-        information = _information_bytes(stage_map, probabilities.shape[1])
+        information = _information_bytes(stage_map, num_classes)
 
         detections = detect_icebergs(scene)
         for detection in detections:
@@ -171,11 +171,10 @@ class ExtremeEarthPipeline:
         """Food-security pipeline: crop map + field boundaries as knowledge."""
         if scene.mission != "S2":
             raise PipelineError("agri pipeline expects a Sentinel-2 scene")
-        crop_map = classify_scene(model, scene, patch_size=patch_size)
-        probabilities = model.predict_proba(
-            _scene_patches(scene.grid.data, patch_size, normalize="none")
+        crop_map, num_classes = classify_patches(
+            model, scene.grid.data, patch_size
         )
-        information = _information_bytes(crop_map, probabilities.shape[1])
+        information = _information_bytes(crop_map, num_classes)
         fields = extract_fields(
             crop_map, scene.grid, min_pixels=min_field_pixels
         )
@@ -189,9 +188,6 @@ class ExtremeEarthPipeline:
     def _register_content(self, class_map: np.ndarray, class_enum) -> None:
         """Publish the scene's class composition as catalogue knowledge, so
         products become searchable by what is *in* them (Challenge C4)."""
-        from repro.raster.stats import class_fractions
-        from repro.rdf.term import IRI
-
         fractions = {}
         for value, fraction in class_fractions(class_map).items():
             try:
@@ -257,21 +253,3 @@ def _information_bytes(class_map: np.ndarray, num_classes: int) -> int:
     operational encoding of concentrations/confidences)."""
     pixels = class_map.size
     return class_map.astype(np.int16).nbytes + num_classes * pixels
-
-
-def _scene_patches(data: np.ndarray, patch_size: int, normalize: str) -> np.ndarray:
-    """Non-overlapping patches of a scene for probability extraction."""
-    if normalize == "sar":
-        from repro.apps.polar.seaice import normalize_sar
-
-        data = normalize_sar(data)
-    bands, rows, cols = data.shape
-    usable_r = (rows // patch_size) * patch_size
-    usable_c = (cols // patch_size) * patch_size
-    patches = (
-        data[:, :usable_r, :usable_c]
-        .reshape(bands, usable_r // patch_size, patch_size, usable_c // patch_size, patch_size)
-        .transpose(1, 3, 0, 2, 4)
-        .reshape(-1, bands, patch_size, patch_size)
-    )
-    return patches

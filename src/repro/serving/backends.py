@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.federation.executor import execute_federated
 from repro.resilience.deadline import Deadline
 from repro.serving.gateway import Backend
 
@@ -118,8 +119,6 @@ class FederationBackend(Backend):
 
     def execute(self, query: str, options=None,
                 deadline: Optional[Deadline] = None, priority: int = 1):
-        from repro.federation.executor import execute_federated
-
         return execute_federated(
             query,
             self.endpoints,

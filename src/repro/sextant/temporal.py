@@ -6,7 +6,7 @@ from datetime import datetime
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.geometry import Geometry
+from repro.geometry import BoundingBox, Geometry, Polygon
 from repro.geosparql.literals import is_geometry_literal, literal_geometry
 from repro.geosparql.store import GeoStore
 from repro.geosparql.temporal import is_temporal_literal, literal_period, period_overlaps
@@ -66,7 +66,6 @@ def temporal_frames(
         raise ReproError("query returned no spatiotemporal bindings")
 
     # Shared extent over all features, so frames align.
-    from repro.geometry import BoundingBox
 
     extent = BoundingBox.union_all(g.bbox for g, _, _ in features)
 
@@ -99,8 +98,6 @@ def temporal_frames(
 
 
 def _extent_outline(extent) -> Geometry:
-    from repro.geometry import Polygon
-
     if extent.width == 0 or extent.height == 0:
         extent = extent.expand(max(extent.width, extent.height, 1.0) * 0.05)
     return Polygon.box(extent.min_x, extent.min_y, extent.max_x, extent.max_y)

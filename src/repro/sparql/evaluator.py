@@ -69,6 +69,8 @@ from repro.sparql.functions import (
     BUILTINS,
     EvaluationError,
     Value,
+    _comparable,
+    _numeric,
     arithmetic,
     compare,
     effective_boolean_value,
@@ -194,8 +196,6 @@ def evaluate_expression(
 
 
 def _as_number(value: Value) -> Union[int, float]:
-    from repro.sparql.functions import _numeric
-
     return _numeric(value)
 
 
@@ -578,8 +578,6 @@ def _order_key(
         value = evaluate_expression(expression, solution, registry)
     except EvaluationError:
         return (0, 0.0)  # unbound sorts first
-    from repro.sparql.functions import _comparable
-
     try:
         comparable = _comparable(value)
     except EvaluationError:
@@ -667,8 +665,6 @@ def _apply_aggregate(
             if compare(operator, value, best):
                 best = value
         return best
-
-    from repro.sparql.functions import _numeric
 
     numbers = [_numeric(v) for v in values]
     if aggregate.function == "SUM":

@@ -38,6 +38,8 @@ from repro.sparql.algebra import (
     TableOp,
     UnionOp,
     _push_filter,
+    expression_variables,
+    operator_variables,
 )
 from repro.sparql.ast import Expression, TriplePattern, Variable
 
@@ -207,8 +209,6 @@ def free_expression_variables(op: AlgebraOp) -> frozenset:
     in *some* solutions (VALUES UNDEF, an inner OPTIONAL, one UNION branch)
     is free too: where it is unbound, the expression reads the outer value.
     """
-    from repro.sparql.algebra import expression_variables
-
     if isinstance(op, FilterOp):
         own = expression_variables(op.expression) - definitely_bound(op.operand)
         return frozenset(own) | free_expression_variables(op.operand)
@@ -244,8 +244,6 @@ def optional_blind_variables(op: AlgebraOp) -> frozenset:
     the row. The vector engine treats these like expression correlation and
     runs the enclosing join as a dependent join.
     """
-    from repro.sparql.algebra import operator_variables
-
     if isinstance(op, LeftJoinOp):
         blind = operator_variables(op.right) - operator_variables(op.left)
         return (

@@ -25,6 +25,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.rdf.term import Literal, XSD_DOUBLE, XSD_INTEGER
+from repro.sparql.algebra import expression_variables
 from repro.sparql.ast import (
     BinaryOp,
     Expression,
@@ -34,11 +35,13 @@ from repro.sparql.ast import (
     Variable,
     VarExpr,
 )
+from repro.sparql.evaluator import evaluate_expression
 from repro.sparql.functions import (
     BUILTINS,
     EvaluationError,
     _numeric,
     effective_boolean_value,
+    to_term,
 )
 from repro.sparql.vector.batch import UNBOUND, Batch
 from repro.sparql.vector.dictionary import (
@@ -120,9 +123,6 @@ def _row_eval(
 
     Returns (values aligned with ``rows``, error mask aligned with ``rows``).
     """
-    from repro.sparql.algebra import expression_variables
-    from repro.sparql.evaluator import evaluate_expression
-
     needed = [v for v in expression_variables(expression) if v in batch.columns]
     decoded = {v: ctx.decoded(batch, v) for v in needed}
     values: list = []
@@ -497,8 +497,6 @@ def _bind_rows(
     ids: np.ndarray,
 ) -> None:
     """Generic BIND for *rows*: interpreted per-row, to_term, encode into *ids*."""
-    from repro.sparql.functions import to_term
-
     raw, err = _row_eval(expression, batch, ctx, rows)
     encode = ctx.encoder.encode
     for out, row in enumerate(rows):

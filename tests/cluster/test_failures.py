@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import ClusterError, StorageError
+from repro.errors import ClusterError, FaultError, StorageError
 from repro.cluster import ClusterSpec, Scheduler
+from repro.faults import FaultInjector, FaultPlan
 from repro.hopsfs import BlockManager
 
 
@@ -126,6 +127,11 @@ class TestDataNodeFailure:
             assert len(manager.block_locations(block_id)) == 2
 
 
+def failing(rate, seed):
+    """An injector failing each task attempt with probability *rate*."""
+    return FaultInjector(FaultPlan(seed=seed, task_failure_rate=rate))
+
+
 class TestTaskRetries:
     def spec(self):
         return ClusterSpec(node_count=2, cpu_slots_per_node=1)
@@ -139,7 +145,7 @@ class TestTaskRetries:
 
     def test_failed_tasks_retry_and_complete(self):
         scheduler = Scheduler(
-            self.spec(), failure_rate=0.3, max_retries=8, failure_seed=1
+            self.spec(), injector=failing(0.3, seed=1), max_retries=8
         )
         scheduler.submit_all([scheduler.make_task(1.0) for _ in range(20)])
         metrics = scheduler.run()
@@ -149,16 +155,16 @@ class TestTaskRetries:
 
     def test_failures_extend_makespan(self):
         def makespan(rate):
-            scheduler = Scheduler(self.spec(), failure_rate=rate, failure_seed=2)
+            scheduler = Scheduler(self.spec(), injector=failing(rate, seed=2))
             scheduler.submit_all([scheduler.make_task(1.0) for _ in range(20)])
             return scheduler.run().makespan_s
 
         assert makespan(0.4) > makespan(0.0)
 
     def test_retries_exhausted_abandons(self):
-        # failure_rate near 1 with 1 retry: most tasks abandoned.
+        # Failure rate near 1 with 1 retry: most tasks abandoned.
         scheduler = Scheduler(
-            self.spec(), failure_rate=0.95, max_retries=1, failure_seed=3
+            self.spec(), injector=failing(0.95, seed=3), max_retries=1
         )
         scheduler.submit_all([scheduler.make_task(0.5) for _ in range(10)])
         metrics = scheduler.run()
@@ -168,7 +174,7 @@ class TestTaskRetries:
     def test_on_complete_not_called_for_failures(self):
         completions = []
         scheduler = Scheduler(
-            self.spec(), failure_rate=0.95, max_retries=0, failure_seed=4
+            self.spec(), injector=failing(0.95, seed=4), max_retries=0
         )
         scheduler.submit_all(
             [
@@ -180,7 +186,7 @@ class TestTaskRetries:
         assert len(completions) == metrics.tasks_completed
 
     def test_attempt_counter(self):
-        scheduler = Scheduler(self.spec(), failure_rate=0.5, failure_seed=5)
+        scheduler = Scheduler(self.spec(), injector=failing(0.5, seed=5))
         task = scheduler.make_task(1.0)
         scheduler.submit(task)
         scheduler.run()
@@ -188,7 +194,7 @@ class TestTaskRetries:
         assert task.finished_at is not None  # eventually succeeded
 
     def test_validation(self):
-        with pytest.raises(ClusterError):
-            Scheduler(self.spec(), failure_rate=1.0)
+        with pytest.raises(FaultError):
+            failing(1.0, seed=0)
         with pytest.raises(ClusterError):
             Scheduler(self.spec(), max_retries=-1)

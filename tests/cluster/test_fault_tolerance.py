@@ -193,10 +193,12 @@ class TestRetryAccounting:
         assert task.finished_at is None
 
     def test_mixed_workload_totals(self):
-        # Legacy failure_rate path must obey the same accounting: every
-        # failed attempt either retried (a failure) or final (an abandonment).
+        # Random injected failures obey the same accounting: every failed
+        # attempt is either retried (a failure) or final (an abandonment).
         scheduler = Scheduler(
-            spec(), failure_rate=0.6, max_retries=2, failure_seed=9
+            spec(),
+            injector=FaultInjector(FaultPlan(seed=9, task_failure_rate=0.6)),
+            max_retries=2,
         )
         metrics = run_tasks(scheduler, count=30, work_s=0.5)
         assert metrics.tasks_completed + metrics.tasks_abandoned == 30
