@@ -311,8 +311,6 @@ class HopsFS:
                                                deadline=deadline)
             ):
                 raise StorageError("directory not empty", path=path)
-            if not record["is_dir"] and record.get("blocks"):
-                self.blocks.free_blocks(record["blocks"])
             if record["is_dir"]:
                 # Scoped invalidation (the E19 bugfix): only hints at or
                 # below the deleted directory can be stale — hot ancestors
@@ -320,6 +318,10 @@ class HopsFS:
                 self._dir_cache.evict_prefix(tuple(self._split(path)))
             self.path_losses += 1
             self.store.delete(parent, name, deadline=deadline)
+            # Only a record that is gone lets its blocks go: a failed delete
+            # leaves the file whole and readable.
+            if not record["is_dir"] and record.get("blocks"):
+                self.blocks.free_blocks(record["blocks"])
 
     def rename(
         self, src: str, dst: str, deadline: Optional["Deadline"] = None

@@ -8,10 +8,13 @@ keep id-indexed decode arrays that stay valid across mutations.
 Triples are held only as ids, in the RDF-3X / Hexastore layout cut down to
 what the engines use. The **base** is three int64 columns sorted by
 (subject, predicate, object), the POS, PSO and OSP permutations of its rows
-and its insertion order (the iteration order) as a fourth. A bound prefix of
-any order is one range: the lead id's start offsets, then a binary search
-per further id. Base positions are SPO order and every permutation range
-lists them ascending, so every scan comes out subject-major. The **delta** is
+and its insertion order (the iteration order) as a fourth; as in RDF-3X,
+each order keeps the columns a scan of it returns in its own row order. A
+bound prefix of any order is one range (the lead id's start offsets, then a
+binary search per further id) and a scan returns slices of it. Base
+positions are SPO order and every permutation range lists them ascending,
+so every scan comes out subject-major, and its subject-id range (a dist
+partition) is two more binary searches. The **delta** is
 an append buffer of id rows and a tombstone bitmap over the base: ``add``
 appends and ``remove`` sets a tombstone (or drops a delta row), both O(1)
 amortised, and once the pending rows pass ``_MERGE_FRACTION`` of the base
@@ -202,7 +205,7 @@ class Graph:
         s, p, o = rows
         if not len(s):  # nothing live, as in a new graph: every range is empty
             self._radix, self._cols, self._order = 0, _NO_ROWS, _EMPTY
-            self._by_spo = self._by_pos = self._by_pso = self._by_osp = (None,) * 4
+            self._by_spo = self._by_pos = self._by_pso = self._by_osp = (None,) * 4 + (_NO_ROWS,)
             self._views = (None,) * 3
             self._dead = np.zeros(0, dtype=bool)
             self._dead_view = memoryview(self._dead)
@@ -226,14 +229,19 @@ class Graph:
             starts.append(memoryview(np.concatenate([[0], np.cumsum(counts)])))
         self._cols = (s, p, o)
         # An order: (permutation of base positions, or None for SPO itself;
-        # start offsets of each lead id; the sorted second and third ids).
-        # The views are memoryviews, so a Python probe reads plain ints.
+        # start offsets of each lead id; the sorted second and third ids;
+        # its (s, p, o) columns in its own row order, None where a scan of
+        # it binds or gathers). The views are memoryviews, so a Python probe
+        # reads plain ints.
         pos, pso, osp = (_sort_order(*key, radix) for key in ((p, o, s), (p, s, o), (o, s, p)))
+        s_pos, o_pos, s_pso, o_pso, s_osp = kept = (s[pos], o[pos], s[pso], o[pso], s[osp])
+        for column in kept:
+            column.flags.writeable = False
         self._views = tuple(map(memoryview, (s, p, o)))
-        self._by_spo = (None, starts[0], *self._views[1:])
-        self._by_pos = (pos, starts[1], memoryview(o[pos]), None)
-        self._by_pso = (pso, starts[1], None, None)
-        self._by_osp = (osp, starts[2], memoryview(s[osp]), None)
+        self._by_spo = (None, starts[0], *self._views[1:], self._cols)
+        self._by_pos = (pos, starts[1], memoryview(o_pos), None, (s_pos, None, o_pos))
+        self._by_pso = (pso, starts[1], None, None, (s_pso, None, o_pso))
+        self._by_osp = (osp, starts[2], memoryview(s_osp), None, (s_osp, None, None))
         self._dead = np.zeros(len(seq), dtype=bool)
         self._dead_view = memoryview(self._dead)
 
@@ -317,34 +325,50 @@ class Graph:
         the delta's. After :meth:`compact` they are the base columns
         themselves, so a subject-id range is a contiguous, uncopied slice.
         """
-        return self.id_rows((None, None, None))
+        return self.id_rows((None, None, None))[0]
 
-    def id_rows(self, pattern: Pattern) -> IdRows:
+    def id_rows(self, pattern: Pattern, subjects: Optional[Tuple[int, int]] = None
+                ) -> Tuple[Tuple[Optional[np.ndarray], ...], int]:
         """The live rows matching a pattern of bound terms and ``None``
-        wildcards, as id columns: one range of the order the bound terms
-        prefix (an uncopied slice of the base when it is the subject's) in
-        SPO order, tombstones dropped, then the delta's matching rows."""
+        wildcards: ``(columns, nrows)``, each wildcard position's id column
+        (None at a bound position, which is never built) and the row count.
+
+        The rows are one range of the order the bound terms prefix, in SPO
+        order: uncopied slices of the order's own columns, tombstones masked
+        out, then the delta's matches. *subjects* ``(first, last)`` keeps
+        subject ids in ``[first, last)``, by binary search on the subject
+        column, which is sorted within any range."""
         ids = self._lookup(pattern)
         if ids is None:
-            return _NO_ROWS
-        perm, lo, hi = self._base_range(*ids)
-        rows = slice(lo, hi) if perm is None else perm[lo:hi]
+            return tuple(_EMPTY if term is None else None for term in pattern), 0
+        (perm, _, _, _, kept), lo, hi = self._base_range(*ids)
+        if subjects is not None and lo < hi:
+            lo, hi = (lo + kept[0][lo:hi].searchsorted(subjects)).tolist()
+        columns = [
+            None if term_id is not None
+            else kept[slot][lo:hi] if kept[slot] is not None
+            else self._cols[slot][perm[lo:hi]]  # OSP's predicates are gathered
+            for slot, term_id in enumerate(ids)
+        ]
+        nrows = hi - lo
         if self._ndead:
-            alive = ~self._dead[rows]
-            rows = np.flatnonzero(alive) + lo if perm is None else rows[alive]
-        found = tuple(column[rows] for column in self._cols)
-        delta = self._delta_match(ids)
+            live = ~self._dead[slice(lo, hi) if perm is None else perm[lo:hi]]
+            columns = [column if column is None else column[live] for column in columns]
+            nrows = int(np.count_nonzero(live))
+        delta = self._delta_match(ids, subjects)
         if delta is not None:
-            found = tuple(np.concatenate(pair) for pair in zip(found, delta))
-        return found  # type: ignore[return-value]
+            columns = [None if column is None else np.concatenate((column, rows))
+                       for column, rows in zip(columns, delta)]
+            nrows += len(delta[0])
+        return tuple(columns), nrows
 
     def _range(self, order, lead: int, second: Optional[int] = None,
                third: Optional[int] = None):
-        """``(perm, lo, hi)``: the base rows of *order* led by the given
-        ids are the positions ``perm[lo:hi]`` (``[lo, hi)`` for SPO)."""
-        perm, starts, second_view, third_view = order
+        """``(order, lo, hi)``: the base rows of *order* led by the given
+        ids are its rows ``[lo, hi)``, base positions ``perm[lo:hi]``."""
+        _, starts, second_view, third_view, _ = order
         if lead >= self._radix:
-            return perm, 0, 0  # interned after the last merge
+            return order, 0, 0  # interned after the last merge
         lo, hi = starts[lead], starts[lead + 1]
         if second is not None and lo < hi:
             lo = bisect_left(second_view, second, lo, hi)
@@ -352,7 +376,7 @@ class Graph:
             if third is not None and lo < hi:
                 lo = bisect_left(third_view, third, lo, hi)
                 hi = bisect_right(third_view, third, lo, hi)
-        return perm, lo, hi
+        return order, lo, hi
 
     def _base_range(self, sid, pid, oid):
         """The base rows matching the bound ids, tombstones included, as
@@ -363,7 +387,7 @@ class Graph:
             return self._range(self._by_pso, pid) if oid is None else self._range(self._by_pos, pid, oid)
         if oid is not None:
             return self._range(self._by_osp, oid, sid)
-        return None, 0, len(self._cols[0])
+        return self._by_spo, 0, len(self._cols[0])
 
     def _delta_rows(self) -> IdRows:
         """The delta's live rows as int64 columns (cached per version)."""
@@ -376,8 +400,10 @@ class Graph:
             cached = self._delta_cache = (self._version, rows)  # type: ignore[assignment]
         return cached[1]
 
-    def _delta_match(self, ids: Sequence[Optional[int]]) -> Optional[IdRows]:
-        """The delta's live rows matching the bound ids, or None if none."""
+    def _delta_match(self, ids: Sequence[Optional[int]],
+                     subjects: Optional[Tuple[int, int]]) -> Optional[IdRows]:
+        """The delta's live rows matching the bound ids, with a subject id
+        in ``[first, last)`` of *subjects* if given, or None if none."""
         if not self._delta_of or (ids[0] is not None and ids[0] not in self._delta_of):
             return None
         rows = self._delta_rows()
@@ -385,6 +411,8 @@ class Graph:
         for column, term_id in zip(rows, ids):
             if term_id is not None:
                 keep &= column == term_id
+        if subjects is not None:
+            keep &= (rows[0] >= subjects[0]) & (rows[0] < subjects[1])
         return tuple(column[keep] for column in rows) if keep.any() else None
 
     def _live_rows(self) -> IdRows:
@@ -435,11 +463,12 @@ class Graph:
             return
         sid, pid, oid = ids
         terms = self._id_terms
-        perm, lo, hi = self._base_range(sid, pid, oid)
+        order, lo, hi = self._base_range(sid, pid, oid)
+        perm = order[0]
         if hi - lo > _PYTHON_ROWS or (sid is None and len(self._delta) > 3 * _PYTHON_ROWS):
-            columns = self.id_rows(pattern)
+            columns, nrows = self.id_rows(pattern)
             yield from map(_triple, zip(*(
-                repeat(term, len(column)) if term is not None
+                repeat(term, nrows) if term is not None
                 else map(terms.__getitem__, column.tolist())
                 for term, column in zip(pattern, columns)
             )))
@@ -484,7 +513,8 @@ class Graph:
         if ids is None:
             return 0
         sid, pid, oid = ids
-        perm, lo, hi = self._base_range(sid, pid, oid)
+        order, lo, hi = self._base_range(sid, pid, oid)
+        perm = order[0]
         found = hi - lo
         if self._ndead and found:
             found -= int(np.count_nonzero(self._dead[slice(lo, hi) if perm is None else perm[lo:hi]]))

@@ -690,7 +690,7 @@ class _DistRun:
                     # a surviving replica, paying the transfer again.
                     self._count("dist.replica_failovers")
                     self._account_comm(float(self.store.partition_bytes(pid)))
-            return _execute(op, self.ctx.reading(self.store.table(pid), planted))
+            return _execute(op, self.ctx.reading(self.store.subject_range(pid), planted))
 
         return compute
 

@@ -9,20 +9,20 @@ subject id), which is the invariant that makes partition-local scans a true
 disjoint cover of any pattern's extent — union of fragments == the
 single-process scan, as a multiset.
 
-The graph's base columns are sorted by subject, so after
-:meth:`~repro.rdf.graph.Graph.compact` a partition is one contiguous slice
-of them: ``sync`` finds the cut points by binary search and copies nothing.
-The slices are keyed on ``graph.version``: mutations invalidate them, and
-within one version they are immutable, so replicas are by construction
-identical and a failed-over read returns byte-identical rows. A task scans
-its partition's rows (:meth:`PartitionedTripleStore.table`) with the
-single-process ``scan_table`` kernel, so the fragments cannot drift from
-the whole scan.
+A partition is the subject-id range ``[first, last)`` that
+:class:`RangePartitioner` maps to it, and its row count; ``sync`` cuts both
+once per ``graph.version``. A task scans its partition through the same
+:meth:`~repro.rdf.graph.Graph.id_rows` as a single-process scan, narrowed to
+the range: every sorted order's range is subject-major, so that is two
+binary searches on the order's subject column, and nothing is masked or
+copied. Fragments therefore cannot drift from the whole scan, and replicas
+of one version read identical rows, so a failed-over read returns
+byte-identical rows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -31,10 +31,12 @@ from repro.errors import SPARQLError
 from repro.rdf.graph import Graph
 from repro.rdf.term import Term
 from repro.sparql.ast import Variable
-from repro.sparql.vector.ops import IdTable, id_table
+from repro.sparql.vector.ops import id_table
 
 #: Modelled storage width of one triple row: three int64 id cells.
 BYTES_PER_ROW = 24
+#: Past every subject id: the end of the last partition's range.
+_NO_END = int(np.iinfo(np.int64).max)
 
 
 class RangePartitioner:
@@ -55,16 +57,18 @@ class RangePartitioner:
         pid = subject_id * self.partitions // self.span
         return min(pid, self.partitions - 1)
 
-    def partition_column(self, subject_ids: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`partition_of` over an id column."""
-        pids = subject_ids * self.partitions // self.span
-        return np.clip(pids, 0, self.partitions - 1)
+    def bounds(self) -> List[int]:
+        """The subject ids cutting the ranges: partition ``pid`` owns
+        ``[bounds[pid], bounds[pid + 1])``, the ids :meth:`partition_of`
+        maps to it (the last range runs past every id)."""
+        firsts = [-(-pid * self.span // self.partitions) for pid in range(self.partitions)]
+        return firsts + [_NO_END]
 
 
 class PartitionedTripleStore:
     """The graph's id rows, range-partitioned and replicated.
 
-    ``sync()`` re-cuts the partition slices when the graph version moved;
+    ``sync()`` re-cuts the partition ranges when the graph version moved;
     ``place(nodes)`` computes the replica placement for one scheduler's node
     set through ``ClusterSpec.place_partitions`` (marking ``local_data`` so
     the locality machinery sees real partition residency).
@@ -90,7 +94,8 @@ class PartitionedTripleStore:
         self.replication = replication
         self.partitioner = RangePartitioner(graph.term_count, partitions)
         self._version: Optional[int] = None
-        self._columns: List[IdTable] = []
+        self._ranges: List[Tuple[int, int]] = []
+        self._rows: List[int] = []
         self.sync()
 
     # ------------------------------------------------------------------
@@ -98,21 +103,18 @@ class PartitionedTripleStore:
     # ------------------------------------------------------------------
 
     def sync(self) -> None:
-        """Re-cut the partition slices if the graph mutated."""
+        """Re-cut the partition ranges if the graph mutated."""
         if self._version == self.graph.version:
             return
         self.partitioner = RangePartitioner(
             self.graph.term_count, self.partitions
         )
         self.graph.compact()
-        table = id_table(self.graph)
-        # Sorted subjects: each partition's rows are one contiguous slice.
-        pids = self.partitioner.partition_column(table[0])
-        cuts = np.searchsorted(pids, np.arange(self.partitions + 1))
-        self._columns = [
-            tuple(column[lo:hi] for column in table)
-            for lo, hi in zip(cuts, cuts[1:])
-        ]
+        bounds = self.partitioner.bounds()
+        self._ranges = list(zip(bounds, bounds[1:]))
+        # Sorted subjects: each partition's rows are one contiguous run.
+        cuts = np.searchsorted(id_table(self.graph)[0], bounds)
+        self._rows = np.diff(cuts).tolist()
         self._version = self.graph.version
 
     def place(self, nodes: List[Node]) -> Dict[int, List[int]]:
@@ -128,7 +130,7 @@ class PartitionedTripleStore:
     # ------------------------------------------------------------------
 
     def partition_rows(self, pid: int) -> int:
-        return len(self._columns[pid][0])
+        return self._rows[pid]
 
     def partition_bytes(self, pid: int) -> int:
         return self.partition_rows(pid) * BYTES_PER_ROW
@@ -144,6 +146,6 @@ class PartitionedTripleStore:
             return []
         return [self.partitioner.partition_of(subject_id)]
 
-    def table(self, pid: int) -> IdTable:
-        """One partition's rows of the id-row table (read-only)."""
-        return self._columns[pid]
+    def subject_range(self, pid: int) -> Tuple[int, int]:
+        """One partition's ``[first, last)`` subject ids, as a scan reads them."""
+        return self._ranges[pid]

@@ -114,8 +114,9 @@ class ExecContext:
     interpreted run never pays for them.
 
     ``scan_rows`` and ``computed`` say what the vector engine's operators
-    read: a ``ScanOp`` matches against ``scan_rows`` (None: the graph's own
-    id-row snapshot), and an operator whose ``id()`` keys ``computed`` is
+    read: a ``ScanOp`` matches the graph's rows whose subject id lies in the
+    ``(first, last)`` range ``scan_rows`` (None: every row), and an
+    operator whose ``id()`` keys ``computed`` is
     not run — its batch is given. :meth:`reading` sets both for one task of
     a distributed stage.
     """
@@ -139,8 +140,8 @@ class ExecContext:
         self.computed: Dict[int, object] = {}
 
     def reading(self, scan_rows, computed: Dict[int, object]) -> "ExecContext":
-        """This execution, as one task sees it: scans read *scan_rows* (one
-        partition's slice of the id-row table, or None) and *computed*
+        """This execution, as one task sees it: scans read the subject-id
+        range *scan_rows* (one partition's, or None) and *computed*
         subtrees are given. Budget, observability and the term encoder are
         the execution's own, so a term the query computes — a BIND result —
         has one id in every task."""

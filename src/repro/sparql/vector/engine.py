@@ -68,7 +68,6 @@ from repro.sparql.vector.ops import (
     hash_join,
     pack_keys,
     scan_batch,
-    scan_table,
     unique_keys,
 )
 
@@ -144,9 +143,7 @@ def _execute_op(op: AlgebraOp, ctx: ExecContext) -> Batch:
     if isinstance(op, EmptyOp):
         return Batch.unit()
     if isinstance(op, ScanOp):
-        if ctx.scan_rows is None:
-            return scan_batch(ctx.graph, op.pattern)
-        return scan_table(ctx.scan_rows, op.pattern, ctx.graph.term_id)
+        return scan_batch(ctx.graph, op.pattern, ctx.scan_rows)
     if isinstance(op, JoinOp):
         return _under(op.right, _execute(op.left, ctx), ctx)
     if isinstance(op, LeftJoinOp):
@@ -360,28 +357,23 @@ def _fast_aggregate(
     if aggregate.function not in ("SUM", "AVG"):
         return None
     codec = ctx.codec
-    in_range = (ids >= 0) & (ids < codec.size)
-    if not bool((bound == in_range).all()):
+    if len(ids) and (ids.min() < UNBOUND or ids.max() >= codec.size):
         return None  # overflow ids: generic path
-    values = np.zeros(len(ids), dtype=np.float64)
-    valid = np.zeros(len(ids), dtype=bool)
-    is_int = np.zeros(len(ids), dtype=bool)
-    idx = ids[in_range]
-    codec.ensure(idx)
-    values[in_range] = codec.arith_values[idx]
-    valid[in_range] = codec.arith_valid[idx]
-    is_int[in_range] = codec.arith_is_int[idx]
-    if (
-        codec.inexact[idx].any()
-        or np.abs(values[is_int]).sum() >= 2.0**53
-    ):
-        # An integer (or an integer running total) float64 cannot hold:
-        # the generic path sums Python ints.
+    if not bound.all():
+        # An unbound cell adds nothing to any of the sums below, so its
+        # row goes; every id left is in the codec's range.
+        ids, inverse = ids[bound], inverse[bound]
+    codec.ensure(ids)
+    values = codec.arith_values.take(ids)  # 0.0 wherever not valid
+    valid = codec.arith_valid.take(ids)
+    is_int = codec.arith_is_int.take(ids)
+    # An integer (or an integer running total) float64 cannot hold: the
+    # generic path sums Python ints. The integers are exact and
+    # non-negative, so any summation order crosses 2**53 alike.
+    if codec.inexact.take(ids).any() or np.abs(values).sum(where=is_int) >= 2.0**53:
         return None
-    poisoned = np.bincount(inverse, weights=bound & ~valid, minlength=ngroups)
-    totals = np.bincount(
-        inverse, weights=np.where(valid, values, 0.0), minlength=ngroups
-    )
+    poisoned = np.bincount(inverse, weights=~valid, minlength=ngroups)
+    totals = np.bincount(inverse, weights=values, minlength=ngroups)
     counts = np.bincount(inverse, weights=valid, minlength=ngroups)
     floats = np.bincount(
         inverse, weights=valid & ~is_int, minlength=ngroups

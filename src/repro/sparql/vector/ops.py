@@ -2,9 +2,10 @@
 
 A scan asks the graph for a pattern's rows (:meth:`Graph.id_rows`): its
 constants prefix one of the graph's sorted orders, so the rows are one
-range of it, found by binary search, plus the small delta's matches.
-:func:`scan_table` masks any other id table — a dist partition's slice of
-the SPO-sorted columns — and both project through one routine.
+range of it, found by binary search, plus the small delta's matches, and
+its variables' columns are slices of that order's own columns. A dist
+partition is a subject-id range, and its scan is the same call narrowed to
+that range by two more binary searches.
 
 Joins are vectorized hash joins over term-id columns. SPARQL solution
 compatibility must tolerate *unbound* cells (OPTIONAL misses, VALUES UNDEF):
@@ -37,12 +38,11 @@ the same way: a presence table over a dense span, ``np.unique`` otherwise.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 from repro.rdf.graph import Graph, IdRows
-from repro.rdf.term import Term
 from repro.sparql.ast import TriplePattern, Variable
 from repro.sparql.vector.batch import UNBOUND, Batch
 
@@ -64,50 +64,26 @@ def id_table(graph: Graph) -> IdTable:
     return graph.id_columns()
 
 
-def scan_table(
-    table: IdTable,
+def scan_batch(
+    graph: Graph,
     pattern: TriplePattern,
-    term_id: Callable[[Term], Optional[int]],
+    subjects: Optional[Tuple[int, int]] = None,
 ) -> Batch:
-    """The extent of a triple pattern within *table*, as id columns.
-
-    *table* is any row subset of a graph's id rows — one dist partition of
-    them, say — and *term_id* the graph's dictionary. Bound positions become
-    equality masks: pure numpy, no per-triple Python iteration. Row order is
-    the table's: scans feed multiset operators; ORDER BY sorts later.
-    """
+    """Materialize the extent of a triple pattern as id columns, or only
+    its rows whose subject id lies in ``[first, last)`` of *subjects* (a
+    dist partition). The graph answers from the sorted order its constants
+    prefix (a subject's rows are one slice of the columns, a predicate's
+    one range of its orders), with slices of the wildcard columns only, so
+    no scan masks or gathers the whole table. Matched triples are distinct,
+    so an all-constant pattern comes out as the unit row or as nothing."""
     positions = (pattern.subject, pattern.predicate, pattern.object)
-    mask: Optional[np.ndarray] = None
-    for slot, position in enumerate(positions):
-        if isinstance(position, Variable):
-            continue
-        constant_id = term_id(position)
-        if constant_id is None:
-            # A constant the graph never interned cannot match anything.
-            return Batch.empty(pattern.variables())
-        hits = table[slot] == constant_id
-        mask = hits if mask is None else (mask & hits)
-    if mask is None:
-        return _project(positions, table.__getitem__, len(table[0]))
-    rows = np.flatnonzero(mask)
-    return _project(positions, lambda slot: table[slot][rows], len(rows))
-
-
-def _project(
-    positions: Sequence,
-    column_of: Callable[[int], np.ndarray],
-    nrows: int,
-) -> Batch:
-    """The variable positions of *nrows* matched triples as a batch, the id
-    column of position ``slot`` being ``column_of(slot)``. Matched triples
-    are distinct, so an all-constant pattern comes out as the unit row or
-    as nothing."""
+    query = tuple(None if isinstance(p, Variable) else p for p in positions)
+    table, nrows = graph.id_rows(query, subjects)  # type: ignore[arg-type]
     columns = {}
     keep: Optional[np.ndarray] = None
-    for slot, variable in enumerate(positions):
-        if not isinstance(variable, Variable):
+    for variable, column in zip(positions, table):
+        if column is None:
             continue
-        column = column_of(slot)
         if variable in columns:
             # Repeated variable in one pattern (?x :p ?x): keep equal rows.
             equal = columns[variable] == column
@@ -115,20 +91,7 @@ def _project(
         else:
             columns[variable] = column
     batch = Batch(columns, nrows)
-    if keep is not None:
-        batch = batch.mask(keep)
-    return batch
-
-
-def scan_batch(graph: Graph, pattern: TriplePattern) -> Batch:
-    """Materialize the full extent of a triple pattern as id columns: the
-    graph answers from the sorted order its constants prefix (a subject's
-    rows are one slice of the columns, a predicate's one range of a
-    permutation), so no scan masks the whole table."""
-    positions = (pattern.subject, pattern.predicate, pattern.object)
-    query = tuple(None if isinstance(p, Variable) else p for p in positions)
-    table = graph.id_rows(query)  # type: ignore[arg-type]
-    return _project(positions, table.__getitem__, len(table[0]))
+    return batch if keep is None else batch.mask(keep)
 
 
 # ---------------------------------------------------------------------------

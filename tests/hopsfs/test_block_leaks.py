@@ -55,3 +55,17 @@ def test_fsck_reports_a_block_no_file_claims():
     assert report.violations == [f"block {orphan} is claimed by no file"]
     fs.blocks.free_blocks([orphan])
     assert fs.fsck().ok
+
+
+def test_delete_keeps_the_blocks_when_the_record_delete_fails():
+    fs = HopsFS(small_file_threshold=10)
+    fs.create("/f", b"x" * 500)
+
+    def refuse(*args, **kwargs):
+        raise StorageError("metadata shard unavailable")
+
+    fs.store.delete = refuse
+    with pytest.raises(StorageError):
+        fs.delete("/f")
+    assert fs.read("/f") == b"x" * 500
+    assert fs.fsck().ok

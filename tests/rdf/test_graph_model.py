@@ -9,10 +9,12 @@ model. The id rows are the production engine's only view of the graph and
 there is a wrong query answer the object API would never show.
 
 Only the public surface is used, so a different storage layout (ROADMAP
-item 6) is held to this test unchanged. Two rules exercise that layout's
-own paths: ``add_all`` (the batched load, duplicates included) and
-``churn``, which removes and re-adds every triple in one step — more
-pending rows than the delta holds before it merges into the base.
+item 6) is held to this test unchanged, but for one check of the current
+layout: after ``churn`` each sorted order's kept columns must be the base
+columns in that order. Two rules exercise that layout's own paths:
+``add_all`` (the batched load, duplicates included) and ``churn``, which
+removes and re-adds every triple in one step — more pending rows than the
+delta holds before it merges into the base.
 """
 
 from itertools import product
@@ -52,6 +54,18 @@ triples = st.sampled_from(UNIVERSE)
 
 def matches(pattern, triple):
     return all(p is None or p == t for p, t in zip(pattern, triple))
+
+
+def kept_columns_follow_their_orders(graph):
+    """The one look inside the layout: after any merge, each order's kept
+    columns are the base columns gathered through its permutation, and
+    read-only, as the base columns are."""
+    base = graph._cols
+    for perm, _, _, _, kept in (graph._by_pos, graph._by_pso, graph._by_osp):
+        for column, full in zip(kept, base):
+            if column is not None and perm is not None:
+                assert not column.flags.writeable
+                assert column.tolist() == full[perm].tolist()
 
 
 class GraphMachine(RuleBasedStateMachine):
@@ -103,6 +117,7 @@ class GraphMachine(RuleBasedStateMachine):
             self.remove(triple)
         for triple in reversed(doomed):
             self.add(triple)
+        kept_columns_follow_their_orders(self.graph)
 
     @invariant()
     def object_api_equals_model(self):

@@ -44,7 +44,7 @@ from repro.sparql.ast import Variable
 from repro.sparql.evaluator import _EMPTY_REGISTRY
 from repro.sparql.parser import parse_query
 from repro.sparql.vector.engine import compile_vector_plan, execute_tree
-from repro.sparql.vector.ops import scan_batch, scan_table
+from repro.sparql.vector.ops import scan_batch
 
 from tests.sparql.test_engine_equivalence import (
     PREFIX,
@@ -89,8 +89,17 @@ class TestRangePartitioner:
         pids = [partitioner.partition_of(i) for i in range(97)]
         assert set(pids) <= {0, 1, 2, 3}
         assert pids == sorted(pids)  # ranges are contiguous and ordered
-        column = partitioner.partition_column(np.arange(97, dtype=np.int64))
-        assert list(column) == pids
+        cuts = np.searchsorted(pids, np.arange(5)).tolist()
+        assert cuts == partitioner.bounds()[:4] + [97]
+
+    @pytest.mark.parametrize("term_count,partitions", [(97, 4), (10, 4), (3, 8), (64, 8), (1, 1)])
+    def test_bounds_hold_exactly_the_ids_of_each_partition(self, term_count, partitions):
+        partitioner = RangePartitioner(term_count, partitions)
+        bounds = partitioner.bounds()
+        assert len(bounds) == partitions + 1 and bounds[0] == 0
+        for subject_id in range(term_count + 5):
+            pid = partitioner.partition_of(subject_id)
+            assert bounds[pid] <= subject_id < bounds[pid + 1]
 
     def test_out_of_span_ids_clamp(self):
         partitioner = RangePartitioner(term_count=10, partitions=4)
@@ -113,7 +122,7 @@ class TestPartitionedStore:
         ).where.children[0].patterns[0]
         whole = scan_batch(graph, pattern)
         parts = [
-            scan_table(store.table(pid), pattern, graph.term_id) for pid in range(4)
+            scan_batch(graph, pattern, store.subject_range(pid)) for pid in range(4)
         ]
         assert sum(p.nrows for p in parts) == whole.nrows
         # Disjoint: each subject id appears in exactly one partition.
@@ -135,7 +144,7 @@ class TestPartitionedStore:
         ).where.children[0].patterns[0]
         (pid,) = store.partitions_of(pattern.subject)
         rows = [
-            scan_table(store.table(p), pattern, graph.term_id).nrows
+            scan_batch(graph, pattern, store.subject_range(p)).nrows
             for p in range(4)
         ]
         assert rows[pid] == sum(rows) == scan_batch(graph, pattern).nrows > 0

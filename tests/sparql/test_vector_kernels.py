@@ -811,10 +811,11 @@ SCAN_PATTERNS = [
 
 @pytest.mark.parametrize("text", SCAN_PATTERNS)
 def test_scan_table_on_slices_covers_scan_batch(text):
-    """`scan_table` over any row split of the snapshot — what a dist
-    partition is — adds up to `scan_batch` over the graph, and both to the
-    triple-at-a-time match."""
-    from repro.sparql.vector.ops import id_table, scan_batch, scan_table
+    """The slices of the id table a dist partition scans — the subject-id
+    ranges of any cut — concatenate to `scan_batch` over the graph, rows in
+    order, and that to the triple-at-a-time match; with tombstones and
+    delta rows pending, as a multiset."""
+    from repro.sparql.vector.ops import scan_batch
 
     graph = Graph()
     for s, p, o in [("a", "p", "b"), ("a", "p", "c"), ("a", "q", "q"),
@@ -825,12 +826,12 @@ def test_scan_table_on_slices_covers_scan_batch(text):
         PREFIX + f"SELECT * WHERE {{ {text} }}"
     ).where.children[0].patterns[0]
     positions = (pattern.subject, pattern.predicate, pattern.object)
+    variables = sorted(pattern.variables(), key=str)
 
     def rows(batch):
-        variables = sorted(batch.columns, key=str)
-        assert set(variables) == set(pattern.variables())
+        assert set(batch.columns) == set(variables)
         cells = zip(*(batch.columns[v].tolist() for v in variables))
-        return sorted(cells) if variables else [()] * batch.nrows
+        return list(cells) if variables else [()] * batch.nrows
 
     def match(triple):
         binding = {}
@@ -840,18 +841,33 @@ def test_scan_table_on_slices_covers_scan_batch(text):
                     return None
             elif binding.setdefault(position, term) != term:
                 return None
-        return tuple(graph.term_id(binding[v]) for v in sorted(binding, key=str))
+        return tuple(graph.term_id(binding[v]) for v in variables)
 
-    expected = sorted(row for row in map(match, graph) if row is not None)
-    whole = scan_batch(graph, pattern)
-    assert rows(whole) == expected
+    def cuts():
+        ends = range(graph.term_count + 1)
+        return [(0, a, b, 2**62) for a in ends for b in ends if a <= b]
 
-    table = id_table(graph)
-    parts = [
-        scan_table(tuple(c[k::3] for c in table), pattern, graph.term_id)
-        for k in range(3)
-    ]
-    assert sorted(sum((rows(part) for part in parts), [])) == rows(whole)
+    def parts(cut):
+        return [rows(scan_batch(graph, pattern, range_))
+                for range_ in zip(cut, cut[1:])]
+
+    for compact in (False, True):
+        if compact:
+            graph.compact()
+        expected = sorted(row for row in map(match, graph) if row is not None)
+        whole = rows(scan_batch(graph, pattern))
+        assert sorted(whole) == expected
+        for cut in cuts():
+            if compact:
+                assert sum(parts(cut), []) == whole
+            else:
+                assert sorted(sum(parts(cut), [])) == expected
+        if not compact:
+            graph.remove(EX.a, EX.p, EX.b)  # a tombstone once compacted
+            graph.remove(EX.b, EX.p, EX.b)
+            graph.compact()
+            graph.remove(EX.c, EX.p, EX.c)
+            graph.add(EX.b, EX.p, EX.b)
 
 
 def test_operator_outside_the_algebra_is_refused():
@@ -1222,3 +1238,100 @@ def test_codec_tables_grow_by_doubling():
         np.where(codec.cmp_valid[ids], codec.cmp_values[ids], np.nan),
         np.array(expected, dtype=float), equal_nan=True,
     )
+
+
+# ---------------------------------------------------------------------------
+# SUM / AVG fast path
+# ---------------------------------------------------------------------------
+
+def _scattered_sum_avg(function, ids, inverse, ngroups, codec):
+    """The SUM/AVG fast path as it was before it took each table once:
+    zeroed arrays filled through boolean-mask scatters. The oracle below."""
+    from repro.sparql.vector.engine import _AGG_ERROR
+
+    bound = ids != UNBOUND
+    in_range = (ids >= 0) & (ids < codec.size)
+    if not bool((bound == in_range).all()):
+        return None
+    values = np.zeros(len(ids), dtype=np.float64)
+    valid = np.zeros(len(ids), dtype=bool)
+    is_int = np.zeros(len(ids), dtype=bool)
+    idx = ids[in_range]
+    codec.ensure(idx)
+    values[in_range] = codec.arith_values[idx]
+    valid[in_range] = codec.arith_valid[idx]
+    is_int[in_range] = codec.arith_is_int[idx]
+    if codec.inexact[idx].any() or np.abs(values[is_int]).sum() >= 2.0**53:
+        return None
+    poisoned = np.bincount(inverse, weights=bound & ~valid, minlength=ngroups)
+    totals = np.bincount(
+        inverse, weights=np.where(valid, values, 0.0), minlength=ngroups
+    )
+    counts = np.bincount(inverse, weights=valid, minlength=ngroups)
+    floats = np.bincount(inverse, weights=valid & ~is_int, minlength=ngroups)
+    results = []
+    for group in range(ngroups):
+        if poisoned[group]:
+            results.append(_AGG_ERROR)
+        elif function == "SUM":
+            if counts[group] == 0:
+                results.append(0)
+            elif floats[group] == 0:
+                results.append(int(round(totals[group])))
+            else:
+                results.append(float(totals[group]))
+        else:
+            results.append(0 if counts[group] == 0
+                           else float(totals[group] / counts[group]))
+    return results
+
+
+def test_sum_and_avg_take_each_table_once_and_answer_bit_identically():
+    from repro.rdf.term import XSD_DECIMAL
+    from repro.sparql.ast import Aggregate, VarExpr
+    from repro.sparql.evaluator import ExecContext
+    from repro.sparql.vector.engine import _fast_aggregate
+
+    rng = random.Random(7)
+    graph = Graph()
+    values = (
+        [Literal.from_python(rng.randrange(-10**6, 10**6)) for _ in range(40)]
+        + [Literal(f"{rng.uniform(-1e3, 1e3):.3f}", datatype=XSD_DECIMAL) for _ in range(20)]
+        + [Literal.from_python(rng.uniform(-1e9, 1e9)) for _ in range(10)]
+        + [Literal.from_python(2**60 + 1), Literal.from_python(2**52)]
+        + [Literal("text"), Literal.from_python(True), EX.thing]
+    )
+    for i, value in enumerate(values):
+        graph.add(EX[f"s{i}"], EX.v, value)
+    ctx = ExecContext(graph, FunctionRegistry())
+    codec = ctx.codec
+    ids_of = [graph.term_id(value) for value in values]
+    plain = [i for i, v in zip(ids_of, values) if v not in values[-5:-3]]
+    numeric = plain[:70]
+    variable = Variable("x")
+    compared = 0
+    for trial in range(300):
+        pool = [numeric, plain, ids_of][trial % 3]
+        nrows = rng.randrange(0, 60)
+        cells = [rng.choice(pool) for _ in range(nrows)]
+        for row in range(nrows):
+            if rng.random() < 0.2:
+                cells[row] = UNBOUND
+        if trial % 37 == 5 and nrows:
+            cells[0] = codec.size + 3  # an id the query computed: no fast path
+        ids = np.array(cells, dtype=np.int64)
+        ngroups = rng.randrange(1, 6)
+        inverse = np.array([rng.randrange(ngroups) for _ in range(nrows)], dtype=np.int64)
+        batch = Batch({variable: ids}, nrows)
+        for function in ("SUM", "AVG"):
+            aggregate = Aggregate(function, VarExpr(variable), Variable("a"))
+            got = _fast_aggregate(aggregate, batch, inverse, ngroups, ctx)
+            want = _scattered_sum_avg(function, ids, inverse, ngroups, codec)
+            assert (got is None) == (want is None)
+            if want is not None:
+                compared += 1
+                assert [(type(v), v.hex() if isinstance(v, float) else v)
+                        for v in got] == [
+                    (type(v), v.hex() if isinstance(v, float) else v)
+                    for v in want]
+    assert compared > 200
