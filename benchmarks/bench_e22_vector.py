@@ -196,10 +196,11 @@ def test_e22_cost_order_uses_index_statistics():
     """The cost model must start the join from the smallest real extent,
     not the shape heuristic's guess (all patterns here share one shape)."""
     from repro.sparql.ast import TriplePattern, Variable
-    from repro.sparql.vector import order_patterns_by_cost
+    from repro.sparql.algebra import order_patterns
+    from repro.sparql.vector import cost_score
 
     graph = build_graph(2_000)
     broad = TriplePattern(Variable("p"), EX.cat, Variable("c"))  # 2000
     narrow = TriplePattern(Variable("c"), EX.region, Variable("r"))  # 20
-    ordered = order_patterns_by_cost([broad, narrow], graph)
+    ordered = order_patterns([broad, narrow], graph, score=cost_score)
     assert ordered[0] is narrow

@@ -1,13 +1,15 @@
 """Geospatial RDF stores.
 
 :class:`GeoStore` is the Strabon-like engine: it maintains an R-tree over all
-``geo:wktLiteral`` objects in the graph and rewrites indexable spatial filters
-(``geof:sfIntersects/sfContains/sfWithin`` between a variable and a constant
-geometry) into an index-backed candidate table — a plain VALUES operator,
-so the algebra stays closed — that feeds the join, after which the exact
-predicate still runs: on the vector engine over the whole candidate column
-at once (the relations' column form, one point-in-polygon kernel call for
-point candidates), on the interpreted engine per row.
+``geo:wktLiteral`` objects in the graph and plants, under each indexable spatial
+filter (``geof:sfIntersects/sfContains/sfWithin`` between a variable and a
+constant geometry), an index-backed candidate table — a plain VALUES
+operator, so the algebra stays closed — joined with the filter's operand.
+The rewrite orders nothing: the plan stage's one ordering pass starts the
+join from the table. The exact predicate still refines the candidates:
+on the vector engine over the whole candidate column at once (the
+relations' column form, one point-in-polygon kernel call for point
+candidates), on the interpreted engine per row.
 :class:`NaiveGeoStore` shares everything but
 the rewrite — every spatial filter is evaluated by brute force — making the
 pair the two arms of experiment E2/E3.
@@ -38,7 +40,6 @@ from repro.sparql.algebra import (
     ScanOp,
     TableOp,
     UnionOp,
-    order_patterns,
 )
 from repro.sparql.ast import (
     AskQuery,
@@ -54,11 +55,7 @@ from repro.sparql.evaluator import Bindings
 from repro.sparql.parser import parse_query
 from repro.sparql.pipeline import compile_plan, run_query
 from repro.sparql.template import BindTable
-from repro.sparql.vector.cost import (
-    _collect_region,
-    _rebuild_region,
-    definitely_bound,
-)
+from repro.sparql.vector.cost import definitely_bound
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache.plan import PlanCache
@@ -232,6 +229,9 @@ class GeoStore:
             elif isinstance(op, FilterOp):
                 lines.append(f"{pad}Filter({_expression_text(op.expression)})")
                 walk(op.operand, depth + 1)
+            elif isinstance(op, ExtendOp):
+                lines.append(f"{pad}Extend(?{op.variable.name})")
+                walk(op.operand, depth + 1)
             elif isinstance(op, TableOp):
                 names = " ".join(f"?{v.name}" for v in op.variables)
                 lines.append(f"{pad}Values({names}, {len(op.rows)} rows)")
@@ -241,42 +241,25 @@ class GeoStore:
         walk(tree, 0)
         return "\n".join(lines)
 
-    def _rewrite(self, tree: AlgebraOp) -> AlgebraOp:
-        """The pipeline's plan hook: plant R-tree candidate tables."""
+    def _rewrite(self, op: AlgebraOp) -> AlgebraOp:
+        """The pipeline's plan hook: plant ``Join(candidates, operand)``
+        under each indexable FILTER. The plan stage's ordering pass starts
+        the operand's join from the table, so nothing is ordered here."""
         if not self.use_spatial_index:
-            return tree
-        rebuilt = self._rewrite_spatial_global(tree)
-        return rebuilt if rebuilt is not None else self._rewrite_spatial(tree)
-
-    def _rewrite_spatial_global(self, tree: AlgebraOp) -> Optional[AlgebraOp]:
-        """Rebuild a pure scan/join/filter tree so the spatial candidate table
-        *drives* the join: candidates bind the geometry variable first and
-        index lookups walk outward, instead of candidates being re-enumerated
-        per upstream row. Returns None when the tree has other operators
-        (OPTIONAL/UNION), in which case the local rewrite is used."""
-        flat = _flatten_scans(tree)
-        if flat is None:
-            return None
-        scans, filters = flat
-        table = next(
-            (
-                planted
-                for expr in filters
-                if (planted := self._candidate_table(expr, tree)) is not None
-            ),
-            None,
-        )
-        if table is None:
-            return None
-        ordered = order_patterns(
-            [s.pattern for s in scans],
-            self.graph,
-            bound_vars=set(table.variables),
-        )
-        # The re-pushed filters include the spatial predicate itself: bbox
-        # candidates are a superset, the exact test lands just above the
-        # candidate table.
-        return _rebuild_region(ordered, filters, table)
+            return op
+        if isinstance(op, FilterOp):
+            inner = self._rewrite(op.operand)
+            # Judged on the operand as written: a table planted further down
+            # holds indexed literals only.
+            table = self._candidate_table(op.expression, op.operand)
+            return FilterOp(
+                op.expression, inner if table is None else JoinOp(table, inner)
+            )
+        if isinstance(op, (JoinOp, LeftJoinOp)):
+            return type(op)(self._rewrite(op.left), self._rewrite(op.right))
+        if isinstance(op, UnionOp):
+            return UnionOp([self._rewrite(o) for o in op.operands])
+        return op
 
     def _candidate_table(
         self, expression, operand: AlgebraOp
@@ -344,55 +327,6 @@ class GeoStore:
                 if query_geometry.bbox.contains_box(literal_geometry(c).bbox)
             ]
         return variable, candidates
-
-    # ------------------------------------------------------------------
-    # Spatial rewrite
-    # ------------------------------------------------------------------
-
-    def _rewrite_spatial(self, op: AlgebraOp) -> AlgebraOp:
-        if isinstance(op, FilterOp):
-            inner = self._rewrite_spatial(op.operand)
-            # Judged on the operand as written: a table planted further down
-            # holds indexed literals only.
-            table = self._candidate_table(op.expression, op.operand)
-            if table is not None:
-                variable = table.variables[0]
-                inner = JoinOp(table, self._reorder_for_bound(inner, variable))
-            return FilterOp(op.expression, inner)
-        if isinstance(op, JoinOp):
-            return JoinOp(self._rewrite_spatial(op.left), self._rewrite_spatial(op.right))
-        if isinstance(op, LeftJoinOp):
-            return LeftJoinOp(
-                self._rewrite_spatial(op.left), self._rewrite_spatial(op.right)
-            )
-        if isinstance(op, UnionOp):
-            return UnionOp([self._rewrite_spatial(o) for o in op.operands])
-        return op
-
-    def _reorder_for_bound(self, inner: AlgebraOp, variable: Variable) -> AlgebraOp:
-        """Re-order a pure scan/join/filter subtree knowing *variable* is
-        bound by the candidate table, so the join starts from the geometry
-        pattern instead of scanning an unrelated predicate per candidate."""
-        flat = _flatten_scans(inner)
-        if flat is None:
-            return inner
-        scans, filters = flat
-        return _rebuild_region(
-            order_patterns(
-                [s.pattern for s in scans], self.graph, bound_vars={variable}
-            ),
-            filters,
-        )
-
-
-def _flatten_scans(op: AlgebraOp):
-    """``(scans, filter expressions)`` of a pure scan/join/filter subtree;
-    None when it holds any other operator or no scan at all."""
-    scans: List[ScanOp] = []
-    filters: List = []
-    if not _collect_region(op, scans, filters) or not scans:
-        return None
-    return scans, filters
 
 
 def _binds_inline(op: AlgebraOp, variable: Variable) -> bool:

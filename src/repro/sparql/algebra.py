@@ -1,14 +1,15 @@
 """Logical algebra and query optimisation.
 
-Compiles the parsed AST to a tree of algebra operators and applies two classic
-rewrites:
+Compiles the parsed AST to a tree of algebra operators, every BGP in written
+order, with **filter pushdown**: a filter is attached to the earliest point
+where all of its variables are bound, so non-matching bindings die young.
 
-* **Filter pushdown** — a filter is attached to the earliest point where all
-  of its variables are bound, so non-matching bindings die young.
-* **Selectivity-ordered joins** — triple patterns inside a BGP are greedily
-  reordered: most selective first (judged by bound-position shape and, when a
-  graph is supplied, actual index cardinalities), preferring patterns that
-  share variables with what has already been joined.
+Join order is not chosen here. :func:`order_patterns` is the one greedy
+join-ordering loop — connected patterns first, then an engine row's score,
+then written order — and the plan stage runs it over every pure scan region
+(:func:`repro.sparql.vector.cost.order_regions`). :func:`selectivity_score`
+is the interpreted row's score: bound-position shape plus the predicate's
+share of the graph, with a bonus for filtered variables.
 
 The E2/E9 ablation benches run with these rewrites disabled to measure their
 contribution.
@@ -16,8 +17,9 @@ contribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from functools import reduce
+from typing import Any, Callable, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SPARQLError
 from repro.rdf.graph import Graph
@@ -28,7 +30,6 @@ from repro.sparql.ast import (
     Expression,
     FilterPattern,
     FunctionCall,
-    GraphPattern,
     GroupPattern,
     OptionalPattern,
     TermExpr,
@@ -187,34 +188,49 @@ def pattern_selectivity(pattern: TriplePattern, graph: Optional[Graph] = None) -
     return rank
 
 
+def selectivity_score(
+    pattern: TriplePattern,
+    graph: Optional[Graph],
+    bound: Set[Variable],
+    filtered: Set[Variable],
+) -> float:
+    """The interpreted row's join-order score: :func:`pattern_selectivity`,
+    less a bonus when a filter constrains one of the pattern's variables
+    (the filter will thin its output immediately)."""
+    rank = pattern_selectivity(pattern, graph)
+    if any(v in filtered for v in pattern.variables()):
+        rank -= 0.5
+    return rank
+
+
+#: ``score(pattern, graph, bound, filtered)``: lower joins earlier.
+Score = Callable[[TriplePattern, Optional[Graph], Set[Variable], Set[Variable]], Any]
+
+
 def order_patterns(
     patterns: Sequence[TriplePattern],
     graph: Optional[Graph] = None,
-    bound_vars: Optional[Set[Variable]] = None,
-    filter_vars: Optional[Set[Variable]] = None,
+    bound_vars: Iterable[Variable] = (),
+    filter_vars: Iterable[Variable] = (),
+    score: Score = selectivity_score,
 ) -> List[TriplePattern]:
-    """Greedy join ordering: most selective first, preferring connected patterns.
+    """The one greedy join-ordering loop: at each step, a pattern connected
+    to what is already bound, then the lowest *score*, then written order.
 
-    ``bound_vars`` declares variables already bound by an upstream operator
-    (e.g. a spatial candidate table), so patterns touching them are treated as
-    connected from the start. ``filter_vars`` are variables constrained by a
-    pushable filter — patterns binding them get a selectivity bonus, since
-    the filter will thin their output immediately.
+    ``bound_vars`` are variables bound upstream (a planted candidate table),
+    so patterns touching them count as connected from the start;
+    ``filter_vars`` are the variables the region's filters constrain.
     """
     remaining = list(patterns)
     ordered: List[TriplePattern] = []
-    bound: Set[Variable] = set(bound_vars or ())
-    filtered = set(filter_vars or ())
+    bound: Set[Variable] = set(bound_vars)
+    filtered = set(filter_vars)
     while remaining:
-        def score(p: TriplePattern) -> Tuple[int, float]:
-            shared = sum(1 for v in p.variables() if v in bound)
-            rank = pattern_selectivity(p, graph)
-            if filtered and any(v in filtered for v in p.variables()):
-                rank -= 0.5
-            # Connected patterns first (0), then by selectivity.
-            return (0 if shared or not bound else 1, rank)
+        def key(p: TriplePattern) -> Tuple[bool, Any]:
+            connected = not bound or any(v in bound for v in p.variables())
+            return (not connected, score(p, graph, bound, filtered))
 
-        best = min(remaining, key=score)
+        best = min(remaining, key=key)  # the first minimum: written order
         remaining.remove(best)
         ordered.append(best)
         bound.update(best.variables())
@@ -264,47 +280,42 @@ class CompileOptions:
 
 
 def compile_group(
-    group: GroupPattern,
-    graph: Optional[Graph] = None,
-    options: Optional[CompileOptions] = None,
+    group: GroupPattern, options: Optional[CompileOptions] = None
 ) -> AlgebraOp:
-    """Compile a WHERE group to an executable operator tree."""
+    """Compile a WHERE group to an operator tree, every BGP in written order
+    (join order is the plan stage's ordering pass,
+    :func:`repro.sparql.vector.cost.order_regions`)."""
     options = options or CompileOptions()
     filters: List[Expression] = [
         child.expression
         for child in group.children
         if isinstance(child, FilterPattern)
     ]
-    filter_vars: Set[Variable] = set()
-    for expression in filters:
-        filter_vars |= expression_variables(expression)
     operands: List[AlgebraOp] = []
 
     for child in group.children:
         if isinstance(child, FilterPattern):
             continue
         elif isinstance(child, BGP):
-            operands.append(_compile_bgp(child, graph, options, filter_vars))
+            operands.append(_join_all([ScanOp(p) for p in child.patterns]))
         elif isinstance(child, OptionalPattern):
-            right = compile_group(child.pattern, graph, options)
-            left = _join_all(operands) if operands else EmptyOp()
-            operands = [LeftJoinOp(left, right)]
+            right = compile_group(child.pattern, options)
+            operands = [LeftJoinOp(_join_all(operands), right)]
         elif isinstance(child, UnionPattern):
             operands.append(
-                UnionOp([compile_group(alt, graph, options) for alt in child.alternatives])
+                UnionOp([compile_group(alt, options) for alt in child.alternatives])
             )
         elif isinstance(child, BindPattern):
             # BIND scopes over the group so far: wrap the accumulated tree.
-            current = _join_all(operands) if operands else EmptyOp()
-            operands = [ExtendOp(current, child.variable, child.expression)]
+            operands = [ExtendOp(_join_all(operands), child.variable, child.expression)]
         elif isinstance(child, ValuesPattern):
             operands.append(TableOp(list(child.variables), [list(r) for r in child.rows]))
         elif isinstance(child, GroupPattern):
-            operands.append(compile_group(child, graph, options))
+            operands.append(compile_group(child, options))
         else:
             raise TypeError(f"unknown pattern {type(child).__name__}")
 
-    tree = _join_all(operands) if operands else EmptyOp()
+    tree = _join_all(operands)
     # Filters in a group scope over the whole group.
     for expression in filters:
         if options.push_filters:
@@ -314,30 +325,9 @@ def compile_group(
     return tree
 
 
-def _compile_bgp(
-    bgp: BGP,
-    graph: Optional[Graph],
-    options: CompileOptions,
-    filter_vars: Optional[Set[Variable]] = None,
-) -> AlgebraOp:
-    patterns = (
-        order_patterns(bgp.patterns, graph, filter_vars=filter_vars)
-        if options.reorder_patterns
-        else list(bgp.patterns)
-    )
-    if not patterns:
-        return EmptyOp()
-    tree: AlgebraOp = ScanOp(patterns[0])
-    for pattern in patterns[1:]:
-        tree = JoinOp(tree, ScanOp(pattern))
-    return tree
-
-
-def _join_all(operands: List[AlgebraOp]) -> AlgebraOp:
-    tree = operands[0]
-    for operand in operands[1:]:
-        tree = JoinOp(tree, operand)
-    return tree
+def _join_all(operands: Sequence[AlgebraOp]) -> AlgebraOp:
+    """A left-deep join of *operands* (the empty solution for none)."""
+    return reduce(JoinOp, operands) if operands else EmptyOp()
 
 
 def _push_filter(tree: AlgebraOp, expression: Expression) -> AlgebraOp:

@@ -69,6 +69,7 @@ from repro.sparql.ast import AskQuery, SelectQuery
 from repro.sparql.evaluator import ExecContext
 from repro.sparql.pipeline import Engine, run_query
 from repro.sparql.vector.batch import Batch
+from repro.sparql.vector.cost import cost_score
 from repro.sparql.vector.engine import _execute, finish_select
 from repro.sparql.dist.partition import PartitionedTripleStore
 from repro.sparql.dist.plan import Stage, build_plan, stage_ops
@@ -246,7 +247,7 @@ class DistRuntime:
         self.obs = obs
         self.allow_partial = allow_partial
         self.last_report: Optional[DistReport] = None
-        self._engine = Engine(True, self._execute, _ask, _select)
+        self._engine = Engine(cost_score, self._execute, _ask, _select)
 
     def query(
         self,

@@ -4,9 +4,11 @@
    a text that tier has not seen binds its template's AST
    (:mod:`repro.sparql.template`) and is parsed only when its template is
    new;
-2. **plan** — :func:`compile_plan`: ``compile_group``, the caller's rewrite
-   hook (a store planting its index scans), cost ordering for engines that
-   want it; memoised under ``(owner, text, options, graph.version)``. A
+2. **plan** — :func:`compile_plan`: ``compile_group`` (written order), the
+   caller's rewrite hook (a store planting its candidate tables), then one
+   join-ordering pass under the engine row's score
+   (:func:`~repro.sparql.vector.cost.order_regions`); memoised under
+   ``(owner, text, options, graph.version)``. A
    text that tier has not seen binds its template's plan for the same
    owner, options, version and slot-pattern extents, and is planned only
    when there is none — the bound tree equals the one planning the text
@@ -50,8 +52,10 @@ from repro.sparql.algebra import (
     CompileOptions,
     FilterOp,
     JoinOp,
+    Score,
     TableOp,
     compile_group,
+    selectivity_score,
 )
 from repro.sparql.ast import (
     BGP,
@@ -80,7 +84,7 @@ from repro.sparql.template import (
     strip,
 )
 from repro.sparql.tokenizer import normalise
-from repro.sparql.vector.cost import apply_cost_order
+from repro.sparql.vector.cost import cost_score, order_regions
 from repro.sparql.vector.engine import finish_select, run_tree
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -91,13 +95,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Engine(NamedTuple):
     """One row of the engine table: how a planned tree becomes an answer.
 
-    ``cost_order`` asks the plan stage to reorder pure scan regions by index
-    cardinalities (the vector family; the interpreted engine keeps the
-    selectivity order). ``execute(tree, ctx)`` returns the engine's own root
-    result, which ``ask(result)`` and ``select(query, result, ctx)`` finish.
+    ``score`` is the join-order score the plan stage's ordering pass uses
+    for this row: index cardinalities for the vector family, the
+    selectivity heuristic for the interpreted engine. ``execute(tree,
+    ctx)`` returns the engine's own root result, which ``ask(result)`` and
+    ``select(query, result, ctx)`` finish.
     """
 
-    cost_order: bool
+    score: Score
     execute: Callable[[AlgebraOp, ExecContext], Any]
     ask: Callable[[Any], bool]
     select: Callable[[SelectQuery, Any, ExecContext], List[Bindings]]
@@ -122,9 +127,11 @@ def _materialize(
 #: Label (``CompileOptions.engine``) -> engine. Both rows return identical
 #: solution multisets; the equivalence suites compare them.
 ENGINE_TABLE = {
-    "interpreted": Engine(False, _iterate, _any_solution, _materialize),
+    "interpreted": Engine(
+        selectivity_score, _iterate, _any_solution, _materialize
+    ),
     "vector": Engine(
-        True, run_tree, lambda batch: batch.nrows > 0, finish_select
+        cost_score, run_tree, lambda batch: batch.nrows > 0, finish_select
     ),
 }
 
@@ -138,11 +145,12 @@ def compile_plan(
     rewrite: Optional[Callable[[AlgebraOp], AlgebraOp]] = None,
     engine: Optional[Engine] = None,
 ) -> AlgebraOp:
-    """The plan stage, uncached: compile, caller rewrite, cost order.
+    """The plan stage, uncached: compile in written order, caller rewrite,
+    one ordering pass under the engine row's score.
 
-    The rewrite runs before cost ordering, so operators it plants (custom
-    ones the cost model does not know) keep the order the rewrite chose and
-    only the remaining pure scan regions are reordered.
+    The rewrite only plants tables (a :class:`BindTable` under the FILTER it
+    was computed from); the ordering pass starts a region from such a table,
+    so a planted table leads its join and the rewrite orders nothing.
     """
     tree = _plan(where, graph, options, rewrite, engine)
     return tree if rewrite is None else strip(tree)
@@ -152,11 +160,11 @@ def _plan(where, graph, options, rewrite, engine) -> AlgebraOp:
     """:func:`compile_plan` keeping the rewrite's BindTables."""
     options = options or _DEFAULT_OPTIONS
     engine = engine or ENGINE_TABLE[options.engine]
-    tree = compile_group(where, graph, options)
+    tree = compile_group(where, options)
     if rewrite is not None:
         tree = rewrite(tree)
-    if engine.cost_order and options.reorder_patterns:
-        tree = apply_cost_order(tree, graph)
+    if options.reorder_patterns:
+        tree = order_regions(tree, graph, engine.score)
     return tree
 
 

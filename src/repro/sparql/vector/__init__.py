@@ -9,11 +9,11 @@ engine.
 
 from repro.sparql.vector.batch import UNBOUND, Batch
 from repro.sparql.vector.cost import (
-    apply_cost_order,
+    cost_score,
     estimated_rows,
     free_expression_variables,
     optional_blind_variables,
-    order_patterns_by_cost,
+    order_regions,
     pattern_extent,
 )
 from repro.sparql.vector.dictionary import ColumnCodec, TermEncoder
@@ -29,8 +29,8 @@ __all__ = [
     "Batch",
     "ColumnCodec",
     "TermEncoder",
-    "apply_cost_order",
     "compile_vector_plan",
+    "cost_score",
     "distinct_rows",
     "estimated_rows",
     "execute_tree",
@@ -38,7 +38,7 @@ __all__ = [
     "free_expression_variables",
     "hash_join",
     "optional_blind_variables",
-    "order_patterns_by_cost",
+    "order_regions",
     "pattern_extent",
     "scan_batch",
 ]

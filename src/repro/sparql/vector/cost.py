@@ -1,30 +1,37 @@
-"""Cost-based join ordering fed by O(1) index cardinality statistics.
+"""The plan stage's one join-ordering pass, and the vector family's score.
 
-The interpreted algebra orders BGP patterns with a shape-rank heuristic
-(bound-position shapes, plus one predicate-count probe). With the E22 count
-fix, :meth:`repro.rdf.graph.Graph.count` answers *every* pattern shape from
-index bucket sizes, so the vector engine can replace the heuristic with real
-cardinalities:
+:func:`order_regions` runs for every engine row whenever
+``CompileOptions.reorder_patterns`` is on, after the caller's rewrite hook.
+It flattens each pure scan/join/filter region — exactly the shape
+:func:`repro.sparql.algebra.compile_group` emits for BGPs with pushed
+filters — orders its patterns with the one greedy loop
+(:func:`repro.sparql.algebra.order_patterns`) under the engine row's score,
+rebuilds it left-deep and re-pushes its filters. OPTIONAL/UNION/BIND
+boundaries, user VALUES tables and filters reading a variable their own
+operand does not bind (a group's scope) end a region and are recursed into.
+A region may start from one table a rewrite planted (a
+:class:`~repro.sparql.template.BindTable`, e.g. the GeoStore's R-tree
+candidates): its variables count as bound, so the join walks outward from it.
+
+:func:`cost_score` is the vector and distributed rows' score, fed by O(1)
+index statistics (:meth:`repro.rdf.graph.Graph.count` answers every pattern
+shape from bucket sizes):
 
 * the base cost of a pattern is its **exact** extent (count with variables
   wildcarded);
 * a variable position already bound upstream divides the estimate by the
   number of distinct terms in that position (classic independence
   assumption), modelling the hash join's selectivity;
-* ordering is greedy smallest-estimate-first among patterns connected to
-  what has been joined, with the original pattern index as the deterministic
-  tie-break.
+* equal estimates fall back to the interpreted row's score.
 
-The rewrite only touches pure scan/join/filter regions — exactly the shape
-:func:`repro.sparql.algebra.compile_group` emits for a BGP with pushed
-filters — and re-pushes the filters afterwards; OPTIONAL/UNION/BIND
-boundaries and VALUES tables (the GeoStore's spatial candidates among them)
-are left untouched and recursed into.
+The interpreted row keeps the shape-rank heuristic
+(:func:`repro.sparql.algebra.selectivity_score`): one score for every row
+moves production plans (ROADMAP item 12).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.rdf.graph import Graph
 from repro.sparql.algebra import (
@@ -35,13 +42,18 @@ from repro.sparql.algebra import (
     JoinOp,
     LeftJoinOp,
     ScanOp,
+    Score,
     TableOp,
     UnionOp,
+    _join_all,
     _push_filter,
     expression_variables,
     operator_variables,
+    order_patterns,
+    selectivity_score,
 )
 from repro.sparql.ast import Expression, TriplePattern, Variable
+from repro.sparql.template import BindTable
 
 
 def pattern_extent(pattern: TriplePattern, graph: Graph) -> int:
@@ -69,30 +81,19 @@ def estimated_rows(
     return estimate
 
 
-def order_patterns_by_cost(
-    patterns: Sequence[TriplePattern],
+def cost_score(
+    pattern: TriplePattern,
     graph: Graph,
-    bound_vars: Optional[Set[Variable]] = None,
-) -> List[TriplePattern]:
-    """Greedy cheapest-first join order, preferring connected patterns."""
-    remaining = list(enumerate(patterns))
-    ordered: List[TriplePattern] = []
-    bound: Set[Variable] = set(bound_vars or ())
-    while remaining:
-        def score(item: Tuple[int, TriplePattern]) -> Tuple[int, float, int]:
-            index, pattern = item
-            connected = any(v in bound for v in pattern.variables())
-            return (
-                0 if connected or not bound else 1,
-                estimated_rows(pattern, graph, bound),
-                index,
-            )
-
-        best = min(remaining, key=score)
-        remaining.remove(best)
-        ordered.append(best[1])
-        bound.update(best[1].variables())
-    return ordered
+    bound: Set[Variable],
+    filtered: Set[Variable],
+) -> Tuple[float, float]:
+    """The vector family's join-order score: :func:`estimated_rows`, the
+    interpreted row's score on ties (a filtered pattern, then the more
+    selective shape first)."""
+    return (
+        estimated_rows(pattern, graph, bound),
+        selectivity_score(pattern, graph, bound, filtered),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -100,63 +101,65 @@ def order_patterns_by_cost(
 # ---------------------------------------------------------------------------
 
 def _collect_region(
-    op: AlgebraOp, scans: List[ScanOp], filters: List[Expression]
+    op: AlgebraOp,
+    scans: List[ScanOp],
+    filters: List[Expression],
+    tables: List[TableOp],
 ) -> bool:
-    """Collect a pure scan/join/filter region; False if anything else occurs."""
+    """Collect a pure scan/join/filter region (and any planted table in it);
+    False if anything else occurs."""
     if isinstance(op, ScanOp):
         scans.append(op)
         return True
+    if isinstance(op, BindTable):
+        tables.append(op)
+        return True
     if isinstance(op, JoinOp):
-        return _collect_region(op.left, scans, filters) and _collect_region(
-            op.right, scans, filters
+        return _collect_region(op.left, scans, filters, tables) and _collect_region(
+            op.right, scans, filters, tables
         )
-    if isinstance(op, FilterOp):
+    if isinstance(op, FilterOp) and expression_variables(
+        op.expression
+    ) <= operator_variables(op.operand):
         filters.append(op.expression)
-        return _collect_region(op.operand, scans, filters)
+        return _collect_region(op.operand, scans, filters, tables)
     return False
 
 
-def _rebuild_region(
-    ordered: Sequence[TriplePattern],
-    filters: Sequence[Expression],
-    tree: Optional[AlgebraOp] = None,
-) -> AlgebraOp:
-    """The inverse of :func:`_collect_region`: a left-deep join of the
-    *ordered* patterns (continuing *tree*, if given), filters re-pushed."""
-    for pattern in ordered:
-        scan = ScanOp(pattern)
-        tree = scan if tree is None else JoinOp(tree, scan)
-    for expression in filters:
-        tree = _push_filter(tree, expression)
-    return tree
-
-
-def apply_cost_order(op: AlgebraOp, graph: Graph) -> AlgebraOp:
-    """Reorder every pure scan/join/filter region by estimated cardinality."""
+def order_regions(op: AlgebraOp, graph: Graph, score: Score) -> AlgebraOp:
+    """Reorder every pure scan/join/filter region of *op* by *score*: a
+    left-deep join from its planted table (if any) along the ordered
+    patterns, filters re-pushed."""
     if isinstance(op, (JoinOp, FilterOp)):
         scans: List[ScanOp] = []
         filters: List[Expression] = []
-        if _collect_region(op, scans, filters) and len(scans) > 1:
-            return _rebuild_region(
-                order_patterns_by_cost([s.pattern for s in scans], graph),
-                filters,
+        tables: List[TableOp] = []
+        if _collect_region(op, scans, filters, tables) and (
+            len(tables) <= 1 < len(scans) + len(tables)
+        ):
+            ordered = order_patterns(
+                [s.pattern for s in scans],
+                graph,
+                tables[0].variables if tables else (),
+                set().union(*map(expression_variables, filters)),
+                score,
             )
-    if isinstance(op, JoinOp):
-        return JoinOp(
-            apply_cost_order(op.left, graph), apply_cost_order(op.right, graph)
-        )
-    if isinstance(op, LeftJoinOp):
-        return LeftJoinOp(
-            apply_cost_order(op.left, graph), apply_cost_order(op.right, graph)
-        )
+            tree = _join_all(tables + [ScanOp(p) for p in ordered])
+            for expression in filters:
+                tree = _push_filter(tree, expression)
+            return tree
+
+    def order(child: AlgebraOp) -> AlgebraOp:
+        return order_regions(child, graph, score)
+
+    if isinstance(op, (JoinOp, LeftJoinOp)):
+        return type(op)(order(op.left), order(op.right))
     if isinstance(op, UnionOp):
-        return UnionOp([apply_cost_order(o, graph) for o in op.operands])
+        return UnionOp([order(o) for o in op.operands])
     if isinstance(op, FilterOp):
-        return FilterOp(op.expression, apply_cost_order(op.operand, graph))
+        return FilterOp(op.expression, order(op.operand))
     if isinstance(op, ExtendOp):
-        return ExtendOp(
-            apply_cost_order(op.operand, graph), op.variable, op.expression
-        )
+        return ExtendOp(order(op.operand), op.variable, op.expression)
     return op
 
 

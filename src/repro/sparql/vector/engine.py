@@ -61,7 +61,7 @@ from repro.sparql.evaluator import (
 )
 from repro.sparql.functions import EvaluationError, to_term
 from repro.sparql.vector.batch import UNBOUND, Batch
-from repro.sparql.vector.cost import apply_cost_order, correlation_variables
+from repro.sparql.vector.cost import correlation_variables, cost_score, order_regions
 from repro.sparql.vector.expr import ExprContext, bind_column, filter_keep_mask
 from repro.sparql.vector.ops import (
     distinct_rows,
@@ -81,9 +81,9 @@ def compile_vector_plan(
     (the pipeline's plan stage with no caller rewrite, for callers that want
     the tree without running it)."""
     options = options or CompileOptions()
-    tree = compile_group(where, graph, options)
+    tree = compile_group(where, options)
     if options.reorder_patterns:
-        tree = apply_cost_order(tree, graph)
+        tree = order_regions(tree, graph, cost_score)
     return tree
 
 

@@ -7,7 +7,8 @@ Random FILTERs use the three indexable relations in both argument orders
 (the R-tree plants candidates and the exact test refines them on columns)
 and non-indexable forms: sfDisjoint, negation, a disjunction with a
 non-spatial test, two geometry variables, and a geometry a VALUES block
-supplies.
+supplies. Some queries add a second indexable FILTER on a second geometry
+variable, or put the whole group in a UNION branch or an OPTIONAL group.
 """
 
 from hypothesis import given, settings
@@ -107,6 +108,10 @@ def spatial_filters(draw):
 def spatial_queries(draw):
     spatial, needs_value = draw(spatial_filters())
     parts = ["?f geo:asWKT ?g ."]
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        # A second indexable FILTER, on a second geometry variable.
+        relation = draw(st.sampled_from(["sfIntersects", "sfWithin", "sfContains"]))
+        spatial += f" FILTER(geof:{relation}(?h, {wkt(draw(constants))}))"
     if "?h" in spatial:
         parts.append("?e geo:asWKT ?h .")
     value = draw(st.sampled_from(["none", "join", "optional"]))
@@ -124,7 +129,14 @@ def spatial_queries(draw):
             )) + " }"
         ] + parts[1:]
     parts.append(spatial)
-    return PREFIXES + "SELECT * WHERE { " + " ".join(parts) + " }"
+    body = " ".join(parts)
+    place = draw(st.sampled_from(["group", "group", "group", "union", "optional"]))
+    if place == "union":
+        # The FILTER sits in one UNION branch; the other never binds ?g.
+        body = "{ " + body + " } UNION { ?f ex:val ?v }"
+    elif place == "optional":
+        body = "?f ex:val ?w . OPTIONAL { " + body + " }"
+    return PREFIXES + "SELECT * WHERE { " + body + " }"
 
 
 def canonical(rows):

@@ -71,6 +71,16 @@ class TestExplain:
         # Box [0,25] covers f0, f1, f2 -> 3 candidates.
         assert "Values(?g, 3 rows)" in plan
 
+    def test_bind_renders_its_operand(self, store):
+        plan = store.explain(
+            PREFIXES
+            + "SELECT ?x ?y WHERE { ?x ex:p ?o . ?o ex:q ?z BIND(STR(?x) AS ?y) }"
+        )
+        lines = plan.splitlines()
+        assert lines[0] == "Extend(?y)"
+        assert lines[1] == "  Join"
+        assert plan.count("Scan(") == 2
+
     def test_user_values_render_like_planted_ones(self, store):
         plan = store.explain(
             PREFIXES

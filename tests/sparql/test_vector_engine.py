@@ -14,13 +14,14 @@ from repro.cache import PlanCache
 from repro.rdf import Graph, Literal, Namespace
 from repro.rdf.term import XSD_DOUBLE, XSD_INTEGER
 from repro.sparql import CompileOptions, Variable, evaluate
+from repro.sparql.algebra import order_patterns
 from repro.sparql.ast import TriplePattern
 from repro.sparql.vector import (
     UNBOUND,
     Batch,
     TermEncoder,
+    cost_score,
     hash_join,
-    order_patterns_by_cost,
     pattern_extent,
 )
 
@@ -134,7 +135,7 @@ class TestCostOrdering:
         g.add(EX.s0, EX.rare, EX.y)
         broad = TriplePattern(Variable("s"), EX.common, Variable("o"))
         narrow = TriplePattern(Variable("s"), EX.rare, Variable("o"))
-        ordered = order_patterns_by_cost([broad, narrow], g)
+        ordered = order_patterns([broad, narrow], g, score=cost_score)
         assert ordered[0] is narrow
 
     def test_connected_patterns_preferred_over_cheaper_disconnected(self):
@@ -147,7 +148,9 @@ class TestCostOrdering:
         start = TriplePattern(Variable("a"), EX.p, Variable("b"))  # extent 1
         connected = TriplePattern(Variable("b"), EX.q, Variable("c"))  # 5
         disconnected = TriplePattern(Variable("u"), EX.r, Variable("v"))  # 2
-        ordered = order_patterns_by_cost([disconnected, connected, start], g)
+        ordered = order_patterns(
+            [disconnected, connected, start], g, score=cost_score
+        )
         # start seeds (smallest extent); then the connected pattern beats the
         # cheaper disconnected one (avoiding a cartesian product).
         assert ordered[0] is start
@@ -291,6 +294,17 @@ class TestCorrelatedFallback:
             PREFIX + "SELECT * WHERE { ?x ex:p ?v . "
             "OPTIONAL { ?y ex:q ?z . OPTIONAL { ?z ex:r ?v } } }",
         )
+
+    def test_group_filter_keeps_its_scope(self, shop):
+        # The inner group's FILTER reads ?v, which only the outer pattern
+        # binds: it is evaluated where the group is, not re-pushed onto the
+        # join that binds ?v.
+        rows = both(
+            shop,
+            PREFIX + "SELECT * WHERE { { ?p ex:cat ?c FILTER(?v > 15) } "
+            "?p ex:price ?v }",
+        )
+        assert rows == []
 
 
 class TestPlanCacheIntegration:

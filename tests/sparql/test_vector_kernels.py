@@ -788,12 +788,23 @@ class TestConstantSubjectScan:
         both(graph, f"SELECT * WHERE {{ {pattern} }}")
 
     def test_probe_does_not_snapshot_the_table(self, graph, monkeypatch):
-        from repro.sparql.vector import ops
+        # Compacted, every row is in the sorted base, where a constant
+        # subject is one slice; a whole-table read is ``id_rows`` with no
+        # bound term (``id_columns``, ``id_table``) or ``_live_rows``.
+        graph.compact()
+        id_rows = graph.id_rows
 
-        def no_table(_graph):
-            raise AssertionError("constant-subject scan touched the id table")
+        def sliced_rows(pattern, subjects=None):
+            assert any(term is not None for term in pattern), (
+                "constant-subject scan read the whole table"
+            )
+            return id_rows(pattern, subjects)
 
-        monkeypatch.setattr(ops, "id_table", no_table)
+        def no_live_rows():
+            raise AssertionError("constant-subject scan read every live row")
+
+        monkeypatch.setattr(graph, "id_rows", sliced_rows)
+        monkeypatch.setattr(graph, "_live_rows", no_live_rows)
         rows = evaluate(graph, PREFIX + "SELECT ?o WHERE { ex:a ex:p ?o }", options=VECTOR)
         assert sorted(str(row[Variable("o")]) for row in rows) == [str(EX.b), str(EX.c)]
 
