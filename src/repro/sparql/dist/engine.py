@@ -6,12 +6,13 @@ gets a fresh deterministic :class:`~repro.cluster.scheduler.Scheduler` run
 drives it to a settled answer — or a typed failure — under whatever the
 fault injector throws at it.
 
-Every task but a shuffle map runs the vector engine's own ``_execute`` on
-its :class:`~repro.sparql.dist.plan.Stage`'s ``op``
-(:meth:`ExecContext.reading`): a keyed stage's task scans its partition's id
-rows, and the stage's exchange inputs — gathered relations, a ``split``
-fragment, a shuffle bucket — are planted. All tasks share the query's term
-encoder, so a term a BIND computes in two partitions gets one id.
+Tasks run the vector engine's own ``_execute`` on their
+:class:`~repro.sparql.dist.plan.Stage`'s ``op`` (:meth:`ExecContext.reading`)
+with its exchange inputs — gathered relations, a ``split`` fragment, a
+shuffle bucket — planted. A keyed stage runs ``op`` once, when its first
+partition task reaches a live replica, over the subject range its partitions
+cover; each partition's task commits its cut of that run on the key. All
+tasks share the query's term encoder, so a term a BIND computes gets one id.
 
 Robustness model
 ----------------
@@ -612,6 +613,7 @@ class _DistRun:
             overhead = self.runtime.task_overhead_s
             row_cost = self.runtime.row_cost_s
             specs = []
+            cut: Dict[int, Batch] = {}  # a keyed stage's one run, by partition
             if stage.key is not None:
                 own = list(stage_ops(stage))
                 scans = sum(isinstance(op, ScanOp) for op in own)
@@ -620,13 +622,20 @@ class _DistRun:
                     self._count("dist.colocated_joins", joins - len(planted))
                 self._count("dist.scan_stages")
                 label = "stage"
+                variables = operator_variables(stage.op)
+
+                def cut_for(pid: int) -> Batch:
+                    if not cut:
+                        cut.update(self._run_keyed(stage, planted, pids))
+                    return cut[pid]
+
                 for pid in pids:
                     # A gathered subtree's scans are its own stage's work.
                     unit_rows = scans * self.store.partition_rows(pid) + rows
                     specs.append({
                         "pid": pid,
-                        "variables": operator_variables(stage.op),
-                        "compute": self._make_compute(stage.op, planted, pid),
+                        "variables": variables,
+                        "compute": self._make_compute(partial(cut_for, pid), pid),
                         "work_s": overhead + unit_rows * row_cost + ship_s,
                         "input_bytes": float(self.store.partition_bytes(pid)),
                         "preferred": set(self.placement[pid]),
@@ -646,8 +655,9 @@ class _DistRun:
                 for fragment in fragments:
                     batch = fragment.batch
                     unit = planted if split_id is None else {**planted, split_id: batch}
+                    run = partial(_execute, stage.op, self.ctx.reading(None, unit))
                     specs.append({
-                        "compute": self._make_compute(stage.op, unit),
+                        "compute": self._make_compute(run),
                         "work_s": overhead + ship_s + (batch.nrows + rows) * row_cost,
                         **self._placed_at(fragment),
                     })
@@ -655,6 +665,7 @@ class _DistRun:
                 self._account_comm(nbytes)
 
             def stage_done(out: List[Fragment]) -> None:
+                cut.clear()
                 for fragments in sides:
                     self._release_fragments(fragments)
                 done(out)
@@ -665,13 +676,13 @@ class _DistRun:
         for index, exchange in enumerate(stage.inputs):
             self._start(exchange.stage, partial(arrive, index))
 
-    def _make_compute(self, op: AlgebraOp, planted, pid: Optional[int] = None):
-        """A task running *op* with *planted* inputs over partition *pid*'s
-        rows, read from a live replica — or, with no *pid*, over no rows."""
+    def _make_compute(self, run: Callable[[], Batch], pid: Optional[int] = None):
+        """A task computing its unit with *run* — partition *pid*'s fragment,
+        once a live replica of it can be read, or, with no *pid*, its rows."""
 
         def compute(task: Task, state: Dict[str, Any]):
             if pid is None:
-                return _execute(op, self.ctx.reading(None, planted))
+                return run()
             owners = self.placement[pid]
             live_owners = [n for n in owners if n not in self.scheduler.dead_nodes]
             if not live_owners:
@@ -691,9 +702,35 @@ class _DistRun:
                     # a surviving replica, paying the transfer again.
                     self._count("dist.replica_failovers")
                     self._account_comm(float(self.store.partition_bytes(pid)))
-            return _execute(op, self.ctx.reading(self.store.subject_range(pid), planted))
+            return run()
 
         return compute
+
+    def _run_keyed(self, stage: Stage, planted, pids: List[int]) -> Dict[int, Batch]:
+        """A keyed stage's ``op`` run once over its partitions' subject
+        range — contiguous, so one ``[first, last)`` — and cut on the key
+        into each partition's fragment. Every row carries its key, and the
+        kernels keep rows in left-major, stable order, so a fragment is the
+        rows, in the order, that the op computes over that partition alone."""
+        ranges = [self.store.subject_range(pid) for pid in pids]
+        whole = (ranges[0][0], ranges[-1][1])
+        batch = _execute(stage.op, self.ctx.reading(whole, planted))
+        if len(pids) == 1:  # one partition, or a constant subject's one
+            return {pids[0]: batch}
+        firsts = np.array([first for first, _ in ranges[1:]], dtype=np.int64)
+        keys = batch.column(stage.key)
+        if (keys[1:] < keys[:-1]).any():
+            # Not in subject order (a gathered side leads a join): one stable
+            # grouping by partition keeps each partition's rows in order.
+            order = np.argsort(np.searchsorted(firsts, keys, "right"), kind="stable")
+            batch, keys = batch.take(order), keys[order]
+        # Every key of a partition lies below the next one's first id, so
+        # one binary search per boundary cuts grouped keys as sorted ones.
+        cuts = [0, *np.searchsorted(keys, firsts).tolist(), batch.nrows]
+        return {
+            pid: batch.slice(start, stop - start)
+            for pid, start, stop in zip(pids, cuts, cuts[1:])
+        }
 
     def _shuffle(self, stage: Stage, sides: List[List[Fragment]], done) -> None:
         """A shuffle join: one map task per input fragment splits it into
